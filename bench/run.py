@@ -8,17 +8,29 @@ same tree and nowhere else; without it the run fails with exit code 2.
 A run makes passes over the workload's fixed job list until ``--seconds``
 have gone by, and at least two.  Every pass re-imports ``sra`` and rebuilds its
 groups, algebras and functionals, so module caches and memos start empty
-each time.  Set-up is also timed once more after every job, with the pass's
-modules put back afterwards, so its median samples the whole run.  ``--seed`` fixes the order of the jobs; the inputs themselves are
-fixed, so their exact outputs can be compared with ``golden.json``.  A job
-fails when it raises (``RecursionError`` included), overruns its time budget
-or returns an output that differs from the golden or fails its independent
-check; the run carries on either way.
+each time.  Before the first pass the set-up alone is also made and thrown
+away a few times, so ``setup_s`` is a median of many samples.  ``--seed``
+fixes the order of the jobs; the inputs themselves are fixed, so their exact
+outputs can be compared with ``golden.json``.  A job fails when it raises
+(``RecursionError`` included), overruns its time budget or returns an output
+that differs from the golden or fails its independent check; the run carries
+on either way.
+
+On a shared host the interpreter's speed can swing by half within tens of
+seconds (identical eval-words passes took 6.3 s and 10.3 s on a 2-vCPU
+virtual machine), and those swings, not the program, would dominate the
+spread of raw times.  So a
+fixed pure-Python reference loop that calls nothing of ``sra`` is timed
+before and after every set-up and every job, and each time is scaled by
+``REFERENCE_S`` over the reference loop's time around it: the gated times are
+seconds on a host at the speed where that loop takes ``REFERENCE_S``.  A
+change to the program moves them in full; the times as measured are printed
+beside them, not gated.
 
 With ``--trace 0`` the run reports the end-to-end metrics of BENCHMARK.json.
-With ``--trace 1`` it runs one untraced pass, for the per-rung times, and one
-traced pass, for the per-layer metrics and the tracing overhead, and writes
-the spans to ``bench/out/``.  The last line of standard output is one JSON
+With ``--trace 1`` it runs one untraced pass, for the scaled per-rung times,
+and one traced pass, for the per-layer metrics and the tracing overhead, and
+writes the spans to ``bench/out/``.  The last line of standard output is one JSON
 object; the lines before it are a readable report.
 """
 
@@ -28,6 +40,7 @@ import argparse
 import gc
 import importlib
 import json
+import math
 import os
 import random
 import resource
@@ -47,6 +60,9 @@ JOB_BUDGET_S = 30.0      # a job running longer fails
 TRACED_BUDGET_SCALE = 4  # tracing slows the traced pass down
 RUN_DEADLINE_S = 150.0   # no job starts or runs past this point of the run
 MIN_PASSES = 2           # passes per run, however long a pass takes
+SETUP_SAMPLES = 15       # set-ups made before the passes, besides one per pass
+REFERENCE_S = 0.010      # the reference loop's time on a host at reference speed
+REFERENCE_ROUNDS = 4000  # size of the reference loop
 
 perf = time.perf_counter
 
@@ -58,6 +74,35 @@ class BudgetExceeded(BaseException):
 
 def _on_alarm(signum, frame):
     raise BudgetExceeded()
+
+
+def reference_loop() -> int:
+    """A fixed pure-Python computation of the kind sra spends its time in
+    (integer vectors reduced by their gcd, dict updates keyed by tuples)
+    that calls nothing of sra, so no change to the program can move it."""
+    memo: dict = {}
+    vec = [3, 1, 4, 1, 5, 9, 2, 6]
+    for i in range(REFERENCE_ROUNDS):
+        vec = [(a * 31 + b * 17 + i) % 1000003 for a, b in zip(vec, vec[1:] + vec[:1])]
+        g = math.gcd(*vec) or 1
+        key = (vec[0] % 61, vec[1] % 7)
+        memo[key] = memo.get(key, 0) + vec[2] // g
+    return len(memo)
+
+
+def reference_time() -> float:
+    """Median of three timings of the reference loop, with the cycle
+    collector off so the program's live objects cannot slow it."""
+    gc.disable()
+    try:
+        times = []
+        for _ in range(3):
+            t0 = perf()
+            reference_loop()
+            times.append(perf() - t0)
+    finally:
+        gc.enable()
+    return statistics.median(times)
 
 
 def sra_modules() -> dict:
@@ -77,9 +122,10 @@ def import_sra(extra):
 
 class Pass:
     def __init__(self):
-        self.setups: list[float] = []
-        self.times: dict[str, float] = {}
-        self.rungs: dict[str, float] = {}
+        self.setups: list[float] = []           # scaled
+        self.times: dict[str, float] = {}       # as measured
+        self.scaled: dict[str, float] = {}
+        self.rungs: dict[str, float] = {}       # scaled
         self.failures: dict[str, str] = {}
         self.incorrect: dict[str, str] = {}
 
@@ -92,6 +138,16 @@ class Runner:
         self.deadline = start + RUN_DEADLINE_S
         self.extra_imports = workloads.IMPORTS.get(workload, [])
         self.seed = seed
+        self.reference_times: list[float] = []
+
+    def reference(self) -> float:
+        t = reference_time()
+        self.reference_times.append(t)
+        return t
+
+    def scale(self, before: float, after: float) -> float:
+        """Factor from this host's speed around a timed piece to reference speed."""
+        return REFERENCE_S * 2 / (before + after)
 
     def setup(self, tracer=None):
         sra, import_s = import_sra(self.extra_imports)
@@ -106,14 +162,16 @@ class Runner:
             tracer.close(idx)
         return job_list, setup_s
 
-    def sample_setup(self) -> float:
-        """Time one set-up, then restore the modules the running pass uses."""
-        saved = sra_modules()
-        setup_s = self.setup()[1]
-        for name in sra_modules():
-            del sys.modules[name]
-        sys.modules.update(saved)
-        return setup_s
+    def sample_setups(self, n: int) -> list[float]:
+        """Time n set-ups, each from a fresh import, keeping none of them."""
+        times = []
+        for _ in range(n):
+            gc.collect()
+            before = self.reference()
+            setup_s = self.setup()[1]
+            times.append(setup_s * self.scale(before, self.reference()))
+        gc.collect()
+        return times
 
     def order(self, job_list):
         blocks: dict[str, list] = {}
@@ -126,15 +184,25 @@ class Runner:
     def run_pass(self, tracer=None) -> Pass:
         result = Pass()
         gc.collect()
+        before = self.reference()
         job_list, setup_s = self.setup(tracer)
-        result.setups.append(setup_s)
+        after = self.reference()
+        result.setups.append(setup_s * self.scale(before, after))
         gc.collect()
-        scale = TRACED_BUDGET_SCALE if tracer is not None else 1
+        budget_scale = TRACED_BUDGET_SCALE if tracer is not None else 1
         for job in self.order(job_list):
-            self.run_job(job, result, scale, tracer)
-            result.rungs[job.rung] = result.rungs.get(job.rung, 0.0) + result.times[job.name]
-            if tracer is None:
-                result.setups.append(self.sample_setup())
+            # Objects left by earlier jobs are frozen out of the cycle
+            # collector, so a job's collection pauses do not depend on which
+            # jobs the seed ordered before it.
+            gc.collect()
+            gc.freeze()
+            before = after
+            self.run_job(job, result, budget_scale, tracer)
+            after = self.reference()
+            scaled = result.times[job.name] * self.scale(before, after)
+            result.scaled[job.name] = scaled
+            result.rungs[job.rung] = result.rungs.get(job.rung, 0.0) + scaled
+        gc.unfreeze()
         if tracer is not None:
             tracer.on = False
         return result
@@ -192,28 +260,35 @@ def median(values):
     return statistics.median(values) if values else 0.0
 
 
-def end_to_end(runner: Runner, passes: list[Pass]) -> dict:
+def end_to_end(runner: Runner, passes: list[Pass], setups: list[float]) -> dict:
     top = workloads.TOP_RUNG[runner.workload]
     attempted = sum(len(p.times) for p in passes)
     failed = sum(len(p.failures) for p in passes)
-    setups = [s for p in passes for s in p.setups]
+    setups = setups + [s for p in passes for s in p.setups]
     return {
-        "wall_s": (median([sum(p.times.values()) for p in passes]), len(passes)),
-        "top_rung_s": (median([p.times[top] for p in passes]), len(passes)),
+        "wall_s": (median([sum(p.scaled.values()) for p in passes]), len(passes)),
+        "top_rung_s": (median([p.scaled[top] for p in passes]), len(passes)),
         "setup_s": (median(setups), len(setups)),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
         "ok_ratio": ((attempted - failed) / attempted, attempted),
     }
 
 
-def ungated(passes: list[Pass]) -> dict:
+def ungated(runner: Runner, passes: list[Pass]) -> dict:
     """Metrics printed with the end-to-end ones but not reported to the gate:
-    the median job is a short one whose spread exceeds any usable bound, and
-    a failure ratio reads 0 on most workloads (ok_ratio carries it)."""
-    times = [t for p in passes for t in p.times.values()]
+    the median job is a short one whose spread exceeds any usable bound, a
+    failure ratio reads 0 on most workloads (ok_ratio carries it), and times
+    as measured follow this host's speed as much as the program's."""
+    top = workloads.TOP_RUNG[runner.workload]
+    times = [t for p in passes for t in p.scaled.values()]
     failed = sum(len(p.failures) for p in passes)
     return {"job_s.p50": (median(times), len(times), "s"),
-            "failed_ratio": (failed / len(times), len(times), "ratio")}
+            "failed_ratio": (failed / len(times), len(times), "ratio"),
+            "wall_s.measured": (median([sum(p.times.values()) for p in passes]),
+                                len(passes), "s"),
+            "top_rung_s.measured": (median([p.times[top] for p in passes]), len(passes), "s"),
+            "reference_loop_s": (median(runner.reference_times),
+                                 len(runner.reference_times), "s")}
 
 
 def per_layer(tracer: Tracer, untraced: Pass, traced: Pass) -> dict:
@@ -238,7 +313,7 @@ def per_layer(tracer: Tracer, untraced: Pass, traced: Pass) -> dict:
     out["cli.self_s"] = tracer.self_s("cli.main")
     out["cli.json_bytes"] = tracer.extra["cli.json_bytes"]
     out["trace.overhead_s"] = sum(traced.times.values()) - sum(untraced.times.values())
-    out["job_s.p50"] = ungated([untraced])["job_s.p50"][0]
+    out["job_s.p50"] = median(list(untraced.scaled.values()))
     for rung_list in workloads.RUNGS.values():
         for rung in rung_list:
             out[rung] = untraced.rungs.get(rung, 0.0)
@@ -281,6 +356,7 @@ def main(argv=None) -> int:
         tracer.write(os.path.join(HERE, "out", f"spans-{args.workload}-{args.seed}.jsonl"),
                      {"workload": args.workload, "seed": args.seed})
     else:
+        setups = runner.sample_setups(SETUP_SAMPLES)
         passes = []
         t_measure = perf()
         while True:
@@ -290,7 +366,7 @@ def main(argv=None) -> int:
             if perf() + last > runner.deadline or (
                     len(passes) >= MIN_PASSES and perf() - t_measure >= args.seconds):
                 break
-        values = end_to_end(runner, passes)
+        values = end_to_end(runner, passes, setups)
         declared = spec["end_to_end"]
 
     attempted = sum(len(p.times) for p in passes)
@@ -304,7 +380,7 @@ def main(argv=None) -> int:
         metrics[m["name"]] = {"value": value, "unit": m["unit"]}
         print(f"  {m['name']:<28} {value:>14.6g} {m['unit']:<6} (samples: {samples})")
     if not args.trace:
-        for name, (value, samples, unit) in ungated(passes).items():
+        for name, (value, samples, unit) in ungated(runner, passes).items():
             print(f"  {name:<28} {value:>14.6g} {unit:<6} (samples: {samples}; not gated)")
     for name, reason in sorted({n: r for p in passes for n, r in p.failures.items()}.items()):
         print(f"  failed job {name}: {reason}")
