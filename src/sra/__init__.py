@@ -53,10 +53,8 @@ from .algebra import (
     EigenbasisChart,
     GroupMismatchError,
     IndefiniteParityError,
-    from_eigenbasis,
     kappa_commutator,
     multiply,
-    to_eigenbasis,
 )
 from .traces import (
     GramReport,
@@ -88,10 +86,9 @@ __all__ = [
     "TraceValue", "builtin", "close", "cyc_inverse", "cyc_normalize",
     "cyclic_sp2", "cyclotomic_polynomial", "darboux_basis", "det", "dihedral",
     "direct_product", "doubled_coxeter", "eigen_decompose", "eta0_form",
-    "eta0_trace", "even_monomials", "form_value", "from_eigenbasis",
-    "functional_to_json", "gram", "gram_to_json", "group_from_dict",
-    "group_to_dict", "kappa_commutator", "kernel_basis", "literal",
-    "load_group", "multiply", "parse", "parse_literal", "print_element",
-    "rank", "save_group", "solve_glc", "standard_omega",
-    "symmetrized_monomial", "to_eigenbasis", "verify_glc",
+    "eta0_trace", "even_monomials", "form_value", "functional_to_json", "gram",
+    "gram_to_json", "group_from_dict", "group_to_dict", "kappa_commutator",
+    "kernel_basis", "literal", "load_group", "multiply", "parse",
+    "parse_literal", "print_element", "rank", "save_group", "solve_glc",
+    "standard_omega", "symmetrized_monomial", "verify_glc",
 ]

@@ -9,6 +9,12 @@ uses the defining relations
 
 so commutator corrections inject reflections into the group part, and group
 elements are pushed to the right by transforming the letters they cross.
+
+All normal ordering goes through one rule on exponent vectors: the product
+of a single letter with an ordered monomial, x_j x^alpha (Frame.letter_times).
+Longer products fold their letters in one at a time from the right.  Every
+nested step lowers the degree or is ordered at once, so the recursion depth
+is bounded by the degree, not by the number of inversions.
 """
 
 from __future__ import annotations
@@ -35,114 +41,141 @@ def _letters(exp: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _exp_of(word: tuple[int, ...], n: int) -> tuple[int, ...]:
-    exp = [0] * n
-    for i in word:
-        exp[i] += 1
-    return tuple(exp)
+def _shift(exp: tuple[int, ...], i: int, d: int) -> tuple[int, ...]:
+    return exp[:i] + (exp[i] + d,) + exp[i + 1:]
+
+
+def _add(out: dict, key, poly: EtaPolynomial):
+    """out[key] += poly, dropping the key when the sum vanishes."""
+    cur = out.get(key)
+    s = poly if cur is None else cur + poly
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
+def reflection_table(group: Group, vectors) -> dict:
+    """{(i, j): [(reflection key, omega_R(v_i, v_j))]} over the reflections
+    with nonzero value, for the letters v_0, v_1, ... given as vectors."""
+    table = {}
+    for i, vi in enumerate(vectors):
+        for j, vj in enumerate(vectors):
+            entries = []
+            for rkey in group.reflections:
+                val = group.omega_r(rkey, vi, vj)
+                if not val.is_zero():
+                    entries.append((rkey, val))
+            if entries:
+                table[(i, j)] = entries
+    return table
 
 
 class Frame:
-    """A letter system closed under the rewriting rules.
+    """The standard letters x_i = a_(i+1) and the normal-ordering rules.
 
-    `pair[i][j]` is the scalar pairing entering [x_i, x_j] (multiplied by t),
+    `pair[i][j]` is omega(x_i, x_j) (multiplied by t in the relation) and
     `refl[(i, j)]` lists (reflection key, omega_R(x_i, x_j)) with nonzero
-    value, and `transform(h)` gives sparse columns expressing h(x_j) in the
-    frame letters.  nf_word() is memoized per frame.
+    value.  A normal form is a dict {(exponent, group key): coefficient}: the
+    group key collects the reflections produced by the corrections, and the
+    caller appends its own trailing group element on the right.
+
+    letter_times(j, alpha) = NF(x_j x^alpha), memoized on (j, alpha).  When no
+    letter of alpha is smaller than j the product is already ordered;
+    otherwise, with k the smallest letter of alpha and x^alpha = x_k x^alpha',
+
+        x_j x_k x^alpha' = x_k NF(x_j x^alpha') + t omega_jk x^alpha'
+                           + sum_R eta_R omega_R(x_j, x_k) NF(R x^alpha' R^-1) R.
+
+    conjugate(h, alpha, gamma) = NF(h x^alpha h^-1 x^gamma), memoized on
+    (h, alpha, gamma), folds the h-transformed letters of x^alpha onto x^gamma
+    from right to left with letter_times; with h the identity it is the
+    ordered product of two monomials.  The leading term x_k x^(alpha'+e_j) is
+    ordered at once and every other nested call has lower degree, so the
+    recursion depth is bounded by the degree.
     """
 
-    def __init__(self, algebra: "Algebra", pair, refl, transform_cols):
+    def __init__(self, algebra: "Algebra"):
+        group = algebra.group
+        n = group.dim
         self.algebra = algebra
-        self.n = algebra.group.dim
-        self.pair = pair
-        self.refl = refl
-        self._transform_cols = transform_cols
+        self.n = n
+        self.zero_exp = (0,) * n
+        self.pair = [[group.omega[i, j] for j in range(n)] for i in range(n)]
+        one, zero = Cyclotomic.one(algebra.m), Cyclotomic.zero(algebra.m)
+        std = [tuple(one if i == j else zero for j in range(n)) for i in range(n)]
+        self.refl = reflection_table(group, std)
         self._transform_cache: dict = {}
         self._nf_cache: dict = {}
+        self._conj_cache: dict = {}
 
     def transform(self, h_key):
+        """Sparse columns [(i, H_ij)]: h(x_j) = sum_i H_ij x_i."""
         cols = self._transform_cache.get(h_key)
         if cols is None:
-            cols = self._transform_cols(h_key)
+            hmat = self.algebra.group.elements[h_key].matrix
+            cols = [[(i, hmat[i, j]) for i in range(self.n) if not hmat[i, j].is_zero()]
+                    for j in range(self.n)]
             self._transform_cache[h_key] = cols
         return cols
 
-    def expand_letters_under(self, h_key, word):
-        """h x_(w1) ... x_(wk) = sum over words w' of coeff * x_(w') h."""
-        cols = self.transform(h_key)
-        acc = {(): Cyclotomic.one(self.algebra.m)}
-        for letter in word:
-            nxt: dict = {}
-            col = cols[letter]
-            for w, c in acc.items():
-                for i, ci in col:
-                    w2 = w + (i,)
-                    p = c * ci
-                    cur = nxt.get(w2)
-                    s = p if cur is None else cur + p
-                    if s.is_zero():
-                        nxt.pop(w2, None)
-                    else:
-                        nxt[w2] = s
-            acc = nxt
-        return acc
-
-    def nf_word(self, word: tuple[int, ...]):
-        """Normal form of a letter word: {(exponent, group key): coefficient}.
-
-        The group key collects reflections produced by the corrections; the
-        caller appends its own trailing group element on the right.
-        """
-        got = self._nf_cache.get(word)
+    def letter_times(self, j: int, exp: tuple[int, ...]):
+        """NF(x_j x^exp)."""
+        key = (j, exp)
+        got = self._nf_cache.get(key)
         if got is not None:
             return got
         alg = self.algebra
         group = alg.group
         ident = group.identity_key()
-        desc = None
-        for p in range(len(word) - 1):
-            if word[p] > word[p + 1]:
-                desc = p
-                break
-        if desc is None:
-            got = {(_exp_of(word, self.n), ident): alg.one_poly}
-            self._nf_cache[word] = got
-            return got
-        p = desc
-        j, k = word[p], word[p + 1]
+        k = next((i for i in range(j) if exp[i]), None)
+        if k is None:
+            got = {(_shift(exp, j, 1), ident): alg.one_poly}
+        else:
+            # x_j x_k = x_k x_j + t omega_jk + sum_R eta_R omega_R(x_j, x_k) R
+            rest = _shift(exp, k, -1)
+            got = self.times(self.transform(ident)[k], self.letter_times(j, rest))
+            scal = alg.t * self.pair[j][k]
+            if not scal.is_zero():
+                _add(got, (rest, ident), alg.one_poly.scaled(scal))
+            for rkey, val in self.refl.get((j, k), ()):
+                eta_coeff = alg.eta_poly(group.eta_var_of(rkey)).scaled(val)
+                for (e, r), c in self.conjugate(rkey, rest, self.zero_exp).items():
+                    _add(got, (e, group.mul(r, rkey)), c * eta_coeff)
+        self._nf_cache[key] = got
+        return got
+
+    def times(self, col, terms: dict) -> dict:
+        """NF((sum_i c_i x_i) * terms) for col = [(i, c_i)] and a normal form."""
+        group = self.algebra.group
         out: dict = {}
-
-        def add(key, poly):
-            cur = out.get(key)
-            s = poly if cur is None else cur + poly
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-
-        swapped = word[:p] + (k, j) + word[p + 2:]
-        for key, poly in self.nf_word(swapped).items():
-            add(key, poly)
-        # x_j x_k = x_k x_j + t*pair_jk + sum_R eta_R omega_R(x_j, x_k) R
-        scal = alg.t * self.pair[j][k]
-        if not scal.is_zero():
-            shorter = word[:p] + word[p + 2:]
-            for key, poly in self.nf_word(shorter).items():
-                add(key, poly.scaled(scal))
-        for rkey, val in self.refl.get((j, k), ()):
-            eta_coeff = alg.eta_poly(group.eta_var_of(rkey)).scaled(val)
-            tail = word[p + 2:]
-            for w2, c in self.expand_letters_under(rkey, tail).items():
-                for (exp, g2), poly in self.nf_word(word[:p] + w2).items():
-                    add((exp, group.mul(g2, rkey)), (poly * eta_coeff).scaled(c))
-        self._nf_cache[word] = out
+        for (e, r), c in terms.items():
+            for i, ci in col:
+                cc = c.scaled(ci)
+                for (e2, r2), c2 in self.letter_times(i, e).items():
+                    _add(out, (e2, group.mul(r2, r)), cc * c2)
         return out
+
+    def conjugate(self, h_key, exp: tuple[int, ...], tail: tuple[int, ...]):
+        """NF(h x^exp h^-1 x^tail) = NF(h(x_(l1)) ... h(x_(lk)) x^tail)."""
+        key = (h_key, exp, tail)
+        got = self._conj_cache.get(key)
+        if got is None:
+            first = next((i for i, e in enumerate(exp) if e), None)
+            if first is None:
+                got = {(tail, self.algebra.group.identity_key()): self.algebra.one_poly}
+            else:
+                got = self.times(self.transform(h_key)[first],
+                                 self.conjugate(h_key, _shift(exp, first, -1), tail))
+            self._conj_cache[key] = got
+        return got
 
 
 class EigenbasisChart:
     """Eigenbasis of one group element: b_I = sum_i M^i_I a_i with
     g(b_I) = lambda_I b_I; the +1 and -1 eigenvalue blocks are Darboux bases
-    of their eigenspaces, so the kappa-block Gram matrix is the normal shape."""
+    of their eigenspaces, so the kappa-block Gram matrix is the normal shape.
+    `refl` is the reflection table of the b letters (see reflection_table)."""
 
     def __init__(self, algebra: "Algebra", g_key):
         group = algebra.group
@@ -169,6 +202,7 @@ class EigenbasisChart:
         self.Minv = inverse(self.M)
         self.gram = [[form_value(group.omega, vectors[a], vectors[b]) for b in range(n)]
                      for a in range(n)]
+        self.refl = reflection_table(group, self.vectors)
         self.kappa_indices = {}
         self.kappa_pairs = {}
         for kappa, lam_val in ((+1, plus_one), (-1, minus_one)):
@@ -202,28 +236,7 @@ class Algebra:
         self._eta_polys = [EtaPolynomial.variable(i, self.nvars, self.m)
                            for i in range(self.nvars)]
         self._charts: dict = {}
-        self._chart_frames: dict = {}
-        n = group.dim
-        pair = [[group.omega[i, j] for j in range(n)] for i in range(n)]
-        refl = {}
-        std = tuple(tuple(Cyclotomic.one(self.m) if i == j else Cyclotomic.zero(self.m)
-                          for j in range(n)) for i in range(n))
-        for i in range(n):
-            for j in range(n):
-                entries = []
-                for rkey in group.reflections:
-                    val = group.omega_r(rkey, std[i], std[j])
-                    if not val.is_zero():
-                        entries.append((rkey, val))
-                if entries:
-                    refl[(i, j)] = entries
-
-        def std_cols(h_key):
-            hmat = group.elements[h_key].matrix
-            return [[(i, hmat[i, j]) for i in range(n) if not hmat[i, j].is_zero()]
-                    for j in range(n)]
-
-        self.frame = Frame(self, pair, refl, std_cols)
+        self.frame = Frame(self)
 
     # -- scalar helpers -----------------------------------------------------
 
@@ -244,35 +257,6 @@ class Algebra:
         if got is None:
             got = EigenbasisChart(self, g_key)
             self._charts[g_key] = got
-        return got
-
-    def chart_frame(self, g_key) -> Frame:
-        """Frame whose letters are the eigenbasis of g (used by to_eigenbasis)."""
-        got = self._chart_frames.get(g_key)
-        if got is None:
-            chart = self.chart(g_key)
-            group = self.group
-            n = group.dim
-            refl = {}
-            for i in range(n):
-                for j in range(n):
-                    entries = []
-                    for rkey in group.reflections:
-                        val = group.omega_r(rkey, chart.vectors[i], chart.vectors[j])
-                        if not val.is_zero():
-                            entries.append((rkey, val))
-                    if entries:
-                        refl[(i, j)] = entries
-
-            def chart_cols(h_key, chart=chart):
-                hmat = self.group.elements[h_key].matrix
-                cols = []
-                for j in range(n):
-                    cols.append(chart.coords(hmat.matvec(chart.vectors[j])))
-                return cols
-
-            got = Frame(self, chart.gram, refl, chart_cols)
-            self._chart_frames[g_key] = got
         return got
 
     # -- element constructors -------------------------------------------------
@@ -343,12 +327,7 @@ class AlgebraElement:
         for gk, poly in other.terms.items():
             tgt = terms.setdefault(gk, {})
             for e, c in poly.items():
-                cur = tgt.get(e)
-                s = c if cur is None else cur + c
-                if s.is_zero():
-                    tgt.pop(e, None)
-                else:
-                    tgt[e] = s
+                _add(tgt, e, c)
             if not tgt:
                 terms.pop(gk)
         return AlgebraElement(self.algebra, terms)
@@ -394,28 +373,21 @@ class AlgebraElement:
         alg = self.algebra
         group = alg.group
         frame = alg.frame
+        ident = group.identity_key()
         out: dict = {}
+        # (x^alpha g)(x^beta h) = NF(x^alpha NF(g x^beta g^-1)) g h
         for g, poly1 in self.terms.items():
             for h, poly2 in other.terms.items():
                 gh = group.mul(g, h)
                 for beta, c2 in poly2.items():
-                    moved = frame.expand_letters_under(g, _letters(beta))
+                    moved = frame.conjugate(g, beta, frame.zero_exp)
                     for alpha, c1 in poly1.items():
                         coeff = c1 * c2
-                        head = _letters(alpha)
-                        for w2, cw in moved.items():
-                            for (exp, r), cnf in frame.nf_word(head + w2).items():
-                                total = (coeff * cnf).scaled(cw)
-                                if total.is_zero():
-                                    continue
-                                gk = group.mul(r, gh)
-                                tgt = out.setdefault(gk, {})
-                                cur = tgt.get(exp)
-                                s = total if cur is None else cur + total
-                                if s.is_zero():
-                                    tgt.pop(exp, None)
-                                else:
-                                    tgt[exp] = s
+                        for (gamma, r), c in moved.items():
+                            cg = coeff * c
+                            rgh = group.mul(r, gh)
+                            for (exp, r2), c3 in frame.conjugate(ident, alpha, gamma).items():
+                                _add(out.setdefault(group.mul(r2, rgh), {}), exp, cg * c3)
         return AlgebraElement(alg, {gk: p for gk, p in out.items() if p})
 
     def __rmul__(self, other):
@@ -475,93 +447,3 @@ def kappa_commutator(f: AlgebraElement, h: AlgebraElement, kappa: int) -> Algebr
         raise IndefiniteParityError("kappa-bracket needs definite parities")
     sign = kappa if pf * ph else 1
     return f * h - (h * f).scaled(sign)
-
-
-def to_eigenbasis(f: AlgebraElement, g_key):
-    """Rewrite the g-term of f in the eigenbasis of g.
-
-    Returns {(group key, exponent in the b letters): coefficient}; the main
-    part sits over g itself, reordering corrections inject reflections and
-    land over R g.  from_eigenbasis inverts exactly.
-    """
-    alg = f.algebra
-    group = alg.group
-    chart = alg.chart(g_key)
-    cframe = alg.chart_frame(g_key)
-    poly = f.terms.get(g_key, {})
-    n = group.dim
-    std = [tuple(Cyclotomic.one(alg.m) if i == j else Cyclotomic.zero(alg.m)
-                 for i in range(n)) for j in range(n)]
-    letter_coords = [chart.coords(std[j]) for j in range(n)]
-    out: dict = {}
-    for exp, coeff in poly.items():
-        acc = {(): alg.one_poly.scaled(Cyclotomic.one(alg.m))}
-        for letter in _letters(exp):
-            nxt: dict = {}
-            for w, c in acc.items():
-                for i, ci in letter_coords[letter]:
-                    w2 = w + (i,)
-                    p = c.scaled(ci)
-                    cur = nxt.get(w2)
-                    s = p if cur is None else cur + p
-                    if not s.is_zero():
-                        nxt[w2] = s
-                    else:
-                        nxt.pop(w2, None)
-            acc = nxt
-        for w, cw in acc.items():
-            for (bexp, r), cnf in cframe.nf_word(w).items():
-                total = coeff * cw * cnf
-                if total.is_zero():
-                    continue
-                key = (group.mul(r, g_key), bexp)
-                cur = out.get(key)
-                s = total if cur is None else cur + total
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-    return out
-
-
-def from_eigenbasis(data, g_key, algebra: Algebra) -> AlgebraElement:
-    """Inverse of to_eigenbasis: b-letter terms back to standard normal form."""
-    group = algebra.group
-    chart = algebra.chart(g_key)
-    frame = algebra.frame
-    out = algebra.zero()
-    n = group.dim
-    for (gk, bexp), coeff in data.items():
-        acc = {(): Cyclotomic.one(algebra.m)}
-        for letter in _letters(bexp):
-            vec = chart.vectors[letter]
-            nxt: dict = {}
-            for w, c in acc.items():
-                for i in range(n):
-                    ci = vec[i]
-                    if ci.is_zero():
-                        continue
-                    w2 = w + (i,)
-                    p = c * ci
-                    cur = nxt.get(w2)
-                    s = p if cur is None else cur + p
-                    if not s.is_zero():
-                        nxt[w2] = s
-                    else:
-                        nxt.pop(w2, None)
-            acc = nxt
-        terms: dict = {}
-        for w, cw in acc.items():
-            for (exp, r), cnf in frame.nf_word(w).items():
-                total = (coeff * cnf).scaled(cw)
-                if total.is_zero():
-                    continue
-                tgt = terms.setdefault(group.mul(r, gk), {})
-                cur = tgt.get(exp)
-                s = total if cur is None else cur + total
-                if s.is_zero():
-                    tgt.pop(exp, None)
-                else:
-                    tgt[exp] = s
-        out = out + AlgebraElement(algebra, {gk2: p for gk2, p in terms.items() if p})
-    return out

@@ -327,7 +327,8 @@ class Cyclotomic:
         red = ctx.reduce(ints)
         n, dd = _normalize(self.m, red, den)
         out = Cyclotomic(self.m, n, dd, _canonical=True)
-        assert (self * out) == Cyclotomic.one(self.m)
+        if self * out != Cyclotomic.one(self.m):
+            raise ArithmeticError(f"cyclotomic inverse of {self!r} failed its check")
         if len(ctx._inverse_cache) < 4096:
             ctx._inverse_cache[(self.num, self.den)] = out
         return out

@@ -193,7 +193,10 @@ def solve_glc(algebra: Algebra, kappa: int, verify: bool = True,
                 continue
             rg = group.mul(rkey, rep)
             sub = table.get(group.class_of[rg])
-            assert sub is not None, "ground level recursion hit an unprocessed class"
+            if sub is None:
+                raise InconsistentGLCError(
+                    f"group {group.name}, kappa {kappa}: sp(C{ci}) needs "
+                    f"sp(C{group.class_of[rg]}), which has E >= E(C{ci})")
             acc = acc + sub.scaled(algebra.eta_poly(group.eta_var_of(rkey)).scaled(w))
         table[ci] = acc.scaled(-(w12.inverse() * t_inv))
     functional = TraceFunctional(algebra, kappa, free_classes, table, e_of_class)
@@ -367,7 +370,10 @@ class _Evaluator:
         if factor is None:
             kl = self.kappa_scalar * lam
             denom = Cyclotomic.one(self.alg.m) - kl
-            assert not denom.is_zero()
+            if denom.is_zero():
+                raise ZeroDivisionError(
+                    f"regular step on C{self.group.class_of[g_key]}: letter {L} "
+                    f"has eigenvalue kappa = {self.kappa}")
             factor = kl * denom.inverse()
             self._front_factor[(g_key, L)] = factor
         acc = self.zero
@@ -388,11 +394,10 @@ class _Evaluator:
     def _refl_part(self, g_key, prefix, x, y, suffix) -> TraceValue:
         """The reflection terms of [b_x, b_y] (equivalently of f_xy) pushed
         through the suffix onto g; each contributing R g drops E by one."""
-        frame = self.alg.chart_frame(g_key)
-        entries = frame.refl.get((x, y))
+        chart = self.alg.chart(g_key)
+        entries = chart.refl.get((x, y))
         if not entries:
             return self.zero
-        chart = self.alg.chart(g_key)
         acc = self.zero
         for rkey, w in entries:
             rg = self.group.mul(rkey, g_key)
@@ -417,7 +422,10 @@ class _Evaluator:
         chart = self.alg.chart(g_key)
         pairs = chart.kappa_pairs[self.kappa]
         present = [pq for pq in pairs if pq[0] in word or pq[1] in word]
-        assert present, "special word without a Darboux pair"
+        if not present:
+            raise ArithmeticError(
+                f"special step on C{self.group.class_of[g_key]}: word {word} "
+                f"holds no letter of a Darboux pair")
         I, J = present[0] if self.pair_strategy == "first" else present[-1]
         p = word.count(I)
         q = word.count(J)
@@ -462,7 +470,8 @@ def eta0_form(group: Group, g_key, kappa: int) -> Matrix:
     kap = Matrix.identity(group.dim, m).scaled(Cyclotomic.from_rational(kappa, m))
     ratio = inverse(kap - g) * (kap + g)
     tilde = group.omega.transpose() * ratio
-    assert tilde == tilde.transpose(), "eta0 form failed to be symmetric"
+    if tilde != tilde.transpose():
+        raise ArithmeticError(f"eta0 form of C{group.class_of[g_key]} is not symmetric")
     return tilde
 
 

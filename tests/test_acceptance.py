@@ -20,6 +20,7 @@ from sra.scalar import Cyclotomic
 from sra.linalg import det as mat_det
 from sra.group import builtin, cyclic_sp2, direct_product, doubled_coxeter
 from sra.algebra import Algebra
+from sra.cli import _random_definite
 from sra.traces import (
     even_monomials,
     eta0_trace,
@@ -47,23 +48,6 @@ def _group_registry():
 @pytest.fixture(scope="module")
 def registry():
     return _group_registry()
-
-
-def _random_definite(algebra, rng, max_degree, keys):
-    n = algebra.group.dim
-    par = rng.randint(0, 1)
-    out = algebra.zero()
-    for _ in range(rng.randint(1, 2)):
-        deg = rng.choice([d for d in range(max_degree + 1) if d % 2 == par])
-        term = algebra.group_element(rng.choice(keys))
-        for _ in range(deg):
-            term = algebra.generator(rng.randrange(n)) * term
-        out = out + term.scaled(rng.randint(-2, 2))
-    if out.parity() is None or out.is_zero():
-        out = algebra.group_element(keys[0])
-        if par:
-            out = algebra.generator(0) * out
-    return out
 
 
 def test_criterion_1_a_series_counts():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -9,9 +10,7 @@ from sra.algebra import (
     Algebra,
     GroupMismatchError,
     IndefiniteParityError,
-    from_eigenbasis,
     kappa_commutator,
-    to_eigenbasis,
 )
 
 
@@ -179,39 +178,21 @@ def test_pow(z2):
         a1 ** -1
 
 
-def test_to_eigenbasis_identity_chart(z2):
+def test_weyl_closed_form_high_inversions(z2):
+    # At eta = 0 the identity part of a2^k a1^k is the Weyl algebra normal
+    # ordering sum_j j! C(k, j)^2 c^j a1^(k-j) a2^(k-j), c = t omega(a2, a1).
+    # k = 40 has 1600 inversions, far beyond any recursion limit if the
+    # reordering recursed once per swap.
+    c = z2.t * z2.group.omega[1, 0]
     e = z2.group.identity_key()
-    f = z2.generator(0) * z2.generator(1)
-    data = to_eigenbasis(f, e)
-    back = from_eigenbasis(data, e, z2)
-    assert back == f
-
-
-def test_to_eigenbasis_diagonal(z3):
-    # g = diag(zeta_3, zeta_3^2): a_1, a_2 are already eigenvectors
-    g_key = sorted(k for k in z3.group.elements if k != z3.group.identity_key())[0]
-    chart = z3.chart(g_key)
-    for v in chart.vectors:
-        nz = [i for i, c in enumerate(v) if not c.is_zero()]
-        assert len(nz) == 1
-    f = z3.generator(0) * z3.generator(1) * z3.group_element(g_key)
-    data = to_eigenbasis(f, g_key)
-    back = from_eigenbasis(data, g_key, z3)
-    assert back == f
-
-
-@pytest.mark.parametrize("alg_name", ["z2", "a2"])
-def test_eigenbasis_round_trip_random(alg_name, request):
-    alg = request.getfixturevalue(alg_name)
-    rng = random.Random(17)
-    keys = sorted(alg.group.elements)
-    for _ in range(5):
-        g_key = rng.choice(keys)
-        f = _random_element(alg, rng, 3, n_terms=1)
-        # restrict to a single group term over g_key
-        f = alg.from_terms({g_key: f.terms[next(iter(f.terms))]}) if f.terms else alg.zero()
-        data = to_eigenbasis(f, g_key)
-        assert from_eigenbasis(data, g_key, alg) == f
+    zero_pt = [Fraction(0)] * z2.nvars
+    for k in (3, 12, 40):
+        prod = z2.generator(1) ** k * z2.generator(0) ** k
+        got = {exp: coeff.evaluate(zero_pt) for exp, coeff in prod.terms[e].items()}
+        got = {exp: v for exp, v in got.items() if not v.is_zero()}
+        expected = {(k - j, k - j): c ** j * (factorial(j) * comb(k, j) ** 2)
+                    for j in range(k + 1)}
+        assert got == expected
 
 
 def test_chart_diagonalizes(a2):
@@ -224,3 +205,38 @@ def test_chart_diagonalizes(a2):
         for kappa in (+1, -1):
             for (i, j) in chart.kappa_pairs[kappa]:
                 assert chart.gram[i][j] == Cyclotomic.one(a2.m)
+
+
+def test_chart_of_diagonal_element(z3):
+    # g = diag(zeta_3, zeta_3^2): a_1, a_2 are already eigenvectors
+    g_key = sorted(k for k in z3.group.elements if k != z3.group.identity_key())[0]
+    for v in z3.chart(g_key).vectors:
+        assert len([c for c in v if not c.is_zero()]) == 1
+
+
+@pytest.mark.parametrize("alg_name", ["z2", "z3", "a2"])
+def test_chart_coordinates_and_reflection_table(alg_name, request):
+    alg = request.getfixturevalue(alg_name)
+    group = alg.group
+    n = group.dim
+    one, zero = Cyclotomic.one(alg.m), Cyclotomic.zero(alg.m)
+    for g_key in sorted(group.elements):
+        chart = alg.chart(g_key)
+        # sum_I coords(e_i)_I b_I = e_i
+        for i in range(n):
+            e_i = tuple(one if j == i else zero for j in range(n))
+            acc = [zero] * n
+            for big_i, coeff in chart.coords(e_i):
+                acc = [a + coeff * v for a, v in zip(acc, chart.vectors[big_i])]
+            assert tuple(acc) == e_i
+        # refl[(x, y)] lists exactly the R with omega_R(b_x, b_y) != 0
+        for x in range(n):
+            for y in range(n):
+                expected = {}
+                for rkey in group.reflections:
+                    val = group.omega_r(rkey, chart.vectors[x], chart.vectors[y])
+                    if not val.is_zero():
+                        expected[rkey] = val
+                entries = chart.refl.get((x, y), [])
+                assert len(entries) == len(expected)
+                assert dict(entries) == expected

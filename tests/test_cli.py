@@ -128,3 +128,11 @@ def test_cap_exceeded_exit_1(tmp_path, capsys):
     code, _, err = run(capsys, "counts", "--group", str(path), "--cap", "50")
     assert code == 1
     assert "cap" in err
+
+
+def test_eval_word_with_many_inversions(capsys):
+    # 1024 inversions; normal ordering must not recurse once per swap
+    code, out, err = run(capsys, "eval", "--builtin", "cyclic", "--n", "2",
+                         "--expr", "a2^32*a1^32")
+    assert code == 0, err
+    assert "a1^32*a2^32" in out

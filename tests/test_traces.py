@@ -6,6 +6,7 @@ import pytest
 from sra.scalar import Cyclotomic
 from sra.group import cyclic_sp2, doubled_coxeter
 from sra.algebra import Algebra
+from sra.cli import _random_definite
 from sra.traces import (
     InconsistentGLCError,
     KappaEigenvaluePresentError,
@@ -116,34 +117,15 @@ def test_evaluate_linearity(z2):
     assert lhs == rhs
 
 
-def _random_definite(alg, rng, max_degree):
-    n = alg.group.dim
-    keys = sorted(alg.group.elements)
-    par = rng.randint(0, 1)
-    out = alg.zero()
-    for _ in range(rng.randint(1, 2)):
-        degs = [d for d in range(max_degree + 1) if d % 2 == par]
-        deg = rng.choice(degs)
-        term = alg.group_element(rng.choice(keys))
-        for _ in range(deg):
-            term = alg.generator(rng.randrange(n)) * term
-        out = out + term.scaled(rng.randint(-2, 2))
-    if out.parity() is None or out.is_zero():
-        term = alg.group_element(keys[0])
-        if par == 1:
-            term = alg.generator(0) * term
-        out = term
-    return out
-
-
 @pytest.mark.parametrize("alg_name,kappa", [("z2", 1), ("z2", -1), ("z3", 1), ("z3", -1)])
 def test_kappa_cyclicity(alg_name, kappa, request):
     alg = request.getfixturevalue(alg_name)
     fn = solve_glc(alg, kappa)
     rng = random.Random(100 + kappa)
+    keys = sorted(alg.group.elements)
     for _ in range(12):
-        f = _random_definite(alg, rng, 3)
-        h = _random_definite(alg, rng, 3)
+        f = _random_definite(alg, rng, 3, keys)
+        h = _random_definite(alg, rng, 3, keys)
         lhs = fn.evaluate(f * h)
         sign = kappa if (f.parity() * h.parity()) else 1
         rhs = fn.evaluate(h * f).scaled(sign)
@@ -155,7 +137,7 @@ def test_g_invariance(a2):
     rng = random.Random(7)
     keys = sorted(a2.group.elements)
     for _ in range(4):
-        f = _random_definite(a2, rng, 2)
+        f = _random_definite(a2, rng, 2, keys)
         tau = rng.choice(keys)
         tau_el = a2.group_element(tau)
         tau_inv = a2.group_element(a2.group.inv(tau))
@@ -211,9 +193,10 @@ def test_klein_correspondence(z2):
     fn = solve_glc(z2, -1)
     klein = z2.group_element(k_key)
     rng = random.Random(5)
+    keys = sorted(group.elements)
     for _ in range(10):
-        f = _random_definite(z2, rng, 3)
-        h = _random_definite(z2, rng, 3)
+        f = _random_definite(z2, rng, 3, keys)
+        h = _random_definite(z2, rng, 3, keys)
         # f -> str(K f) is a trace: full kappa=+1 cyclicity
         assert fn.evaluate(klein * f * h) == fn.evaluate(klein * h * f)
 
@@ -340,8 +323,8 @@ def test_nonunit_t_properties(kappa):
         fn = solve_glc(alg, kappa, verify=True)
         keys = sorted(alg.group.elements)
         for _ in range(6):
-            f = _random_definite(alg, rng, 3)
-            h = _random_definite(alg, rng, 3)
+            f = _random_definite(alg, rng, 3, keys)
+            h = _random_definite(alg, rng, 3, keys)
             sign = kappa if (f.parity() * h.parity()) else 1
             assert fn.evaluate(f * h) == fn.evaluate(h * f).scaled(sign)
         for _ in range(6):
