@@ -41,7 +41,7 @@ for group in (b2, cyclic_sp2(2), doubled_coxeter("A", 3)):
     t_count, s_count = group.kappa_counts()
     status = "present" if k_key is not None else "absent"
     print(f"  {group.name}: -1 {status}; T = {t_count}, S = {s_count}"
-          + ("  (equal, as the Klein operator forces)" if k_key else ""))
+          + ("  (equal, as the Klein operator forces)" if k_key is not None else ""))
 
 print("\n== eta = 0 closed form on cyclic_sp2(4) ==")
 z4 = Algebra(cyclic_sp2(4))

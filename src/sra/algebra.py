@@ -175,7 +175,9 @@ class EigenbasisChart:
     """Eigenbasis of one group element: b_I = sum_i M^i_I a_i with
     g(b_I) = lambda_I b_I; the +1 and -1 eigenvalue blocks are Darboux bases
     of their eigenspaces, so the kappa-block Gram matrix is the normal shape.
-    `refl` is the reflection table of the b letters (see reflection_table)."""
+    `refl` is the reflection table of the b letters (see reflection_table);
+    `letter_coords[i]` are the chart coordinates of the standard letter
+    a_(i+1)."""
 
     def __init__(self, algebra: "Algebra", g_key):
         group = algebra.group
@@ -203,6 +205,9 @@ class EigenbasisChart:
         self.gram = [[form_value(group.omega, vectors[a], vectors[b]) for b in range(n)]
                      for a in range(n)]
         self.refl = reflection_table(group, self.vectors)
+        zero = Cyclotomic.zero(m)
+        self.letter_coords = [self.coords(tuple(plus_one if i == j else zero for i in range(n)))
+                              for j in range(n)]
         self.kappa_indices = {}
         self.kappa_pairs = {}
         for kappa, lam_val in ((+1, plus_one), (-1, minus_one)):

@@ -4,9 +4,17 @@ classes, the reflection set, E-grading, and the trace/supertrace counts.
 A group element is a 2N x 2N matrix over Q(zeta_m) with m the session
 cyclotomic order (the group exponent, enlarged when matrix entries need a
 bigger field).  The canonical key of an element is the canonical coefficient
-data of its entries in row-major order; class representatives are the
-elements with minimal key, which makes eta-variable labels and all reports
-deterministic.
+data of its entries in row-major order.  The elements are numbered
+0..|G|-1 once, in increasing key order, and every other structure (classes,
+reflections, generators, products) refers to them by that integer index;
+class representatives are the classes' smallest indices, which makes
+eta-variable labels and all reports deterministic.
+
+The closure records every product (element i) * (generator gi) it forms in
+the generator tables `right[gi][i]`; a product of two elements walks the
+word of the right factor through these tables, so after closure no group
+multiplication touches a matrix.  Matrices stay on the elements for the
+spectral data (E-grading, eigenspaces, omega_R, charts).
 """
 
 from __future__ import annotations
@@ -41,43 +49,58 @@ class CapExceededError(Exception):
 
 
 class GroupElement:
-    __slots__ = ("matrix", "key", "order", "word", "index")
+    """The matrix of one element, its order, and a word in the generators."""
 
-    def __init__(self, matrix: Matrix, key, order: int, word: tuple[int, ...], index: int):
+    __slots__ = ("matrix", "order", "word")
+
+    def __init__(self, matrix: Matrix, order: int, word: tuple[int, ...]):
         self.matrix = matrix
-        self.key = key
         self.order = order
         self.word = word      # generator indices whose product equals the element
-        self.index = index    # BFS discovery index
 
     def __repr__(self):
         return f"GroupElement(word={self.word}, order={self.order})"
 
 
-class Group:
-    """Closed symplectic reflection group with precomputed class data."""
+def _walk(right: list[list[int]], a: int, word: tuple[int, ...]) -> int:
+    """Index of a * g_(w1) * ... * g_(wk) through the generator tables."""
+    for gi in word:
+        a = right[gi][a]
+    return a
 
-    def __init__(self, N, omega, elements, generator_keys, classes, reflections, exponent, name):
+
+class Group:
+    """Closed symplectic reflection group with precomputed class data.
+
+    Elements are integer indices 0..|G|-1 in canonical key order:
+    `elements` maps an index to its GroupElement, `index_of` maps a matrix
+    key back to its index, and `right[gi][i]` is the index of (element i) *
+    (generator gi).  `generator_keys`, `classes`, `class_rep`, `class_of`
+    and `reflections` all hold indices.
+    """
+
+    def __init__(self, N, omega, elements, index_of, right, generator_keys,
+                 reflections, exponent, name):
         self.N = N
         self.omega = omega
-        self.elements: dict = elements              # key -> GroupElement
-        self.generator_keys = generator_keys
-        self.classes: list[tuple] = classes         # list of sorted key tuples
-        self.reflections: list = reflections        # reflection keys, sorted
+        self.elements: dict[int, GroupElement] = elements
+        self.index_of: dict = index_of
+        self.right: list[list[int]] = right
+        self.generator_keys: list[int] = generator_keys
+        self.reflections: list[int] = reflections   # sorted
         self.exponent = exponent                    # session cyclotomic order m
         self.name = name
+        self._identity = index_of[Matrix.identity(self.dim, exponent).key()]
+        self.classes: list[tuple[int, ...]] = self._conjugacy_classes()
         self.class_rep = [cls[0] for cls in self.classes]
         self.class_of = {k: i for i, cls in enumerate(self.classes) for k in cls}
         refl_classes = sorted({self.class_of[r] for r in self.reflections})
         self.eta_vars = {ci: vi for vi, ci in enumerate(refl_classes)}
         self.reflection_classes = refl_classes
         self.eta_assignment: dict[int, Fraction] | None = None  # optional, from files
-        self._mul_cache: dict = {}
-        self._inv_cache: dict = {}
         self._egrading: dict = {}
         self._omega_r: dict = {}
         self._spectrum: dict = {}
-        self._identity = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -95,41 +118,48 @@ class Group:
     def eta_var_of(self, refl_key) -> int:
         return self.eta_vars[self.class_of[refl_key]]
 
-    def identity_key(self):
-        if self._identity is None:
-            ident = Matrix.identity(self.dim, self.exponent)
-            self._identity = ident.key()
+    def identity_key(self) -> int:
         return self._identity
 
-    def mul(self, a, b):
-        got = self._mul_cache.get((a, b))
-        if got is None:
-            prod = self.elements[a].matrix * self.elements[b].matrix
-            got = prod.key()
-            self._mul_cache[(a, b)] = got
-        return got
+    def mul(self, a: int, b: int) -> int:
+        """Index of the product (element a) * (element b)."""
+        return _walk(self.right, a, self.elements[b].word)
 
-    def inv(self, a):
-        got = self._inv_cache.get(a)
-        if got is None:
-            x, acc = a, self.identity_key()
-            # a^(order-1)
-            for _ in range(self.elements[a].order - 1):
-                acc = self.mul(acc, a)
-            got = acc
-            self._inv_cache[a] = got
-        return got
+    def inv(self, a: int) -> int:
+        return self.power(a, self.elements[a].order - 1)
 
-    def power(self, a, k: int):
+    def power(self, a: int, k: int) -> int:
         if k < 0:
             return self.power(self.inv(a), -k)
-        acc = self.identity_key()
+        acc = self._identity
         for _ in range(k):
             acc = self.mul(acc, a)
         return acc
 
     def sorted_keys(self):
         return sorted(self.elements)
+
+    def _conjugacy_classes(self) -> list[tuple[int, ...]]:
+        """Orbits under conjugation by the generators, each sorted, listed in
+        order of their smallest index."""
+        conj = [(g, self.inv(g)) for g in self.generator_keys]
+        classes = []
+        assigned: set[int] = set()
+        for k in sorted(self.elements):
+            if k in assigned:
+                continue
+            orbit = {k}
+            frontier = [k]
+            while frontier:
+                x = frontier.pop()
+                for g, g_inv in conj:
+                    y = self.mul(self.mul(g, x), g_inv)
+                    if y not in orbit:
+                        orbit.add(y)
+                        frontier.append(y)
+            assigned |= orbit
+            classes.append(tuple(sorted(orbit)))
+        return classes
 
     # -- spectral data ------------------------------------------------------
 
@@ -166,11 +196,10 @@ class Group:
         return t, s
 
     def klein(self):
-        """Key of the element -1, or None if the group lacks it."""
+        """Index of the element -1, or None if the group lacks it."""
         minus = Matrix.identity(self.dim, self.exponent).scaled(
             Cyclotomic.from_rational(-1, self.exponent))
-        key = minus.key()
-        return key if key in self.elements else None
+        return self.index_of.get(minus.key())
 
     # -- the pairing omega_R ------------------------------------------------
 
@@ -252,92 +281,53 @@ def close(generators: list[Matrix], omega: Matrix, cap: int = DEFAULT_CAP,
             raise NotReflectionError(
                 f"generator {i} has rank(g-1) = {rank(g - ident0)}, not 2")
 
-    # BFS closure at the entry order
-    found: dict = {ident0.key(): (ident0, ())}
-    queue = [ident0.key()]
-    while queue:
-        key = queue.pop(0)
-        mat, word = found[key]
+    # BFS closure at the entry order, recording right[gi][i] = i * gens[gi]
+    found = {ident0.key(): 0}
+    mats, words = [ident0], [()]
+    right: list[list[int]] = [[] for _ in gens]
+    i = 0
+    while i < len(mats):
         for gi, g in enumerate(gens):
-            nxt = mat * g
+            nxt = mats[i] * g
             nk = nxt.key()
-            if nk not in found:
+            j = found.get(nk)
+            if j is None:
                 if len(found) >= cap:
                     raise CapExceededError(f"group closure exceeds cap {cap}")
-                found[nk] = (nxt, word + (gi,))
-                queue.append(nk)
+                j = found[nk] = len(mats)
+                mats.append(nxt)
+                words.append(words[i] + (gi,))
+            right[gi].append(j)
+        i += 1
 
-    # element orders via the multiplication just computed
-    ident_key = ident0.key()
-    orders = {}
-    mats = {k: v[0] for k, v in found.items()}
-    mul_memo: dict = {}
-
-    def mul0(a, b):
-        got = mul_memo.get((a, b))
-        if got is None:
-            got = (mats[a] * mats[b]).key()
-            mul_memo[(a, b)] = got
-        return got
-
-    for k in found:
+    # element orders by walking each element's word through the tables
+    orders = []
+    for k, word in enumerate(words):
         d, cur = 1, k
-        while cur != ident_key:
-            cur = mul0(cur, k)
+        while cur != 0:
+            cur = _walk(right, cur, word)
             d += 1
-        orders[k] = d
+        orders.append(d)
+    m = lcm(m0, *orders)
+    # rank does not change under the field embedding, so test at the entry order
+    reflections = [k for k, mat in enumerate(mats) if rank(mat - ident0) == 2]
 
-    exponent = 1
-    for d in orders.values():
-        exponent = lcm(exponent, d)
-    m = lcm(exponent, m0)
+    # re-embed into the session order and renumber in canonical key order
+    embedded = [mat.embed(m) for mat in mats]
+    keys = [mat.key() for mat in embedded]
+    by_key = sorted(range(len(mats)), key=keys.__getitem__)
+    new_of = [0] * len(mats)
+    for idx, k in enumerate(by_key):
+        new_of[k] = idx
+    elements = {idx: GroupElement(embedded[k], orders[k], words[k])
+                for idx, k in enumerate(by_key)}
+    index_of = {keys[k]: idx for idx, k in enumerate(by_key)}
+    gen_keys = [new_of[row[0]] for row in right]
+    right = [[new_of[row[k]] for k in by_key] for row in right]
 
-    # re-embed into the session order and rebuild keys
-    embedded = {}
-    for k, (mat, word) in found.items():
-        newmat = mat.embed(m)
-        embedded[newmat.key()] = GroupElement(newmat, newmat.key(), orders[k], word, 0)
-    for idx, k in enumerate(sorted(embedded)):
-        embedded[k].index = idx
-
-    omega_m = omega0.embed(m)
-    gen_keys = [g.embed(m).key() for g in gens]
-
-    # conjugacy classes: orbits under conjugation by the generators
-    inv_gen = {}
-    for gk in gen_keys:
-        d = embedded[gk].order
-        acc = Matrix.identity(dim, m)
-        for _ in range(d - 1):
-            acc = acc * embedded[gk].matrix
-        inv_gen[gk] = acc.key()
-
-    def mulk(a, b):
-        return (embedded[a].matrix * embedded[b].matrix).key()
-
-    unassigned = set(embedded)
-    classes = []
-    for k in sorted(embedded):
-        if k not in unassigned:
-            continue
-        orbit = {k}
-        frontier = [k]
-        while frontier:
-            x = frontier.pop()
-            for gk in gen_keys:
-                y = mulk(mulk(gk, x), inv_gen[gk])
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        unassigned -= orbit
-        classes.append(tuple(sorted(orbit)))
-    classes.sort(key=lambda cls: cls[0])
-
-    ident_m = Matrix.identity(dim, m)
-    reflections = sorted(k for k, el in embedded.items()
-                         if rank(el.matrix - ident_m) == 2)
-
-    return Group(dim // 2, omega_m, embedded, gen_keys, classes, reflections, m, name)
+    reflections = sorted(new_of[k] for k in reflections)
+    return Group(dim // 2, omega0.embed(m), elements, index_of, right, gen_keys,
+                 reflections, m, name)
 
 
 # -- builtin constructors ----------------------------------------------------

@@ -208,9 +208,10 @@ def solve_glc(algebra: Algebra, kappa: int, verify: bool = True,
 def verify_glc(functional: TraceFunctional, all_elements: bool = True):
     """Check every ground level equation sp([c_i, c_j] g) = 0 identically.
 
-    Raises InconsistentGLCError with the offending (group, g, kappa) data;
-    per Theorem-level uniqueness a failure can only mean an implementation
-    bug upstream.
+    Raises InconsistentGLCError naming the group, kappa, the class label
+    C<i> of the offending element and the nonzero residual; per
+    Theorem-level uniqueness a failure can only mean an implementation bug
+    upstream.
     """
     group = functional.group
     algebra = functional.algebra
@@ -235,8 +236,9 @@ def verify_glc(functional: TraceFunctional, all_elements: bool = True):
                         algebra.eta_poly(group.eta_var_of(rkey)).scaled(w))
                 if not residual.is_zero():
                     raise InconsistentGLCError(
-                        f"group {group.name}, kappa {kappa}: residual GLC for element "
-                        f"of order {group.elements[key].order} (pair {i},{j})")
+                        f"group {group.name}, kappa {kappa}: ground level condition "
+                        f"fails on C{group.class_of[key]} (Darboux pair {i},{j}), "
+                        f"residual {format_trace_value(residual)}")
 
 
 class _Evaluator:
@@ -285,12 +287,8 @@ class _Evaluator:
             elif sum(exp) == 0:
                 got = self.fn.element_value(g_key)
             else:
-                chart = self.alg.chart(g_key)
-                n = self.group.dim
-                std = [tuple(Cyclotomic.one(self.alg.m) if i == j else Cyclotomic.zero(self.alg.m)
-                             for i in range(n)) for j in range(n)]
-                coords = [chart.coords(std[i]) for i in _letters(exp)]
-                got = self._expand(g_key, coords)
+                letters = self.alg.chart(g_key).letter_coords
+                got = self._expand(g_key, [letters[i] for i in _letters(exp)])
             self._mono[(g_key, exp)] = got
         return got
 
@@ -617,49 +615,11 @@ def even_monomials(n: int, max_degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _poly_det_interpolated(rows: list[list[EtaPolynomial]], m: int) -> EtaPolynomial:
-    """Univariate determinant by exact evaluation at rational nodes followed
-    by Newton interpolation (much faster than polynomial Bareiss once the
-    minor degrees grow)."""
-    from .linalg import det as cyc_det
-
-    n = len(rows)
-    bound = sum(max((x.degree() for x in row if not x.is_zero()), default=0)
-                for row in rows)
-    nodes = []
-    k = 0
-    while len(nodes) < bound + 1:
-        nodes.append(Fraction(k))
-        if k > 0 and len(nodes) < bound + 1:
-            nodes.append(Fraction(-k))
-        k += 1
-    values = []
-    for x in nodes:
-        mat = Matrix(n, n, [rows[i][j].evaluate([x]) for i in range(n) for j in range(n)])
-        values.append(cyc_det(mat))
-    # Newton divided differences over Q(zeta_m)
-    coefs = list(values)
-    for level in range(1, len(nodes)):
-        for i in range(len(nodes) - 1, level - 1, -1):
-            denom = Cyclotomic.from_rational(nodes[i] - nodes[i - level], m)
-            coefs[i] = (coefs[i] - coefs[i - 1]) * denom.inverse()
-    eta = EtaPolynomial.variable(0, 1, m)
-    out = EtaPolynomial.zero(1, m)
-    basis = EtaPolynomial.constant(1, 1, m)
-    for i, c in enumerate(coefs):
-        out = out + basis.scaled(c)
-        if i + 1 < len(coefs):
-            basis = basis * (eta - EtaPolynomial.constant(nodes[i], 1, m))
-    return out
-
-
 def _poly_det(rows: list[list[EtaPolynomial]], nvars: int, m: int) -> EtaPolynomial:
     """Fraction-free determinant over the eta-polynomial ring."""
     n = len(rows)
     if n == 0:
         return EtaPolynomial.constant(1, nvars, m)
-    if nvars == 1 and n > 4:
-        return _poly_det_interpolated(rows, m)
     a = [list(r) for r in rows]
     sign = 1
     prev = EtaPolynomial.constant(1, nvars, m)

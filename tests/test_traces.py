@@ -289,6 +289,25 @@ def test_gram_symmetry(z2):
                 assert report.matrix[i][j] == report.matrix[j][i]
 
 
+@pytest.mark.parametrize("alg_name", ["z2", "z3"])
+def test_gram_determinant_matches_pointwise_det(alg_name, request):
+    # independent route for the polynomial Bareiss: evaluate the determinant
+    # polynomial at rational eta points and compare with the cyclotomic
+    # determinant of the Gram matrix evaluated at the same points
+    from sra.linalg import Matrix, det
+
+    alg = request.getfixturevalue(alg_name)
+    report = gram(solve_glc(alg, -1), 2)
+    n = len(report.matrix)
+    points = [[Fraction(1, 2), Fraction(-3)], [Fraction(2), Fraction(5, 3)],
+              [Fraction(-7, 4), Fraction(1)]]
+    for p in points:
+        p = p[:alg.nvars]
+        at_p = Matrix(n, n, [x.evaluate(p) for row in report.matrix for x in row])
+        assert report.determinant.evaluate(p) == det(at_p)
+    assert not report.determinant.is_zero()
+
+
 def test_functional_json_deterministic(z2):
     fn = solve_glc(z2, -1)
     s1 = functional_to_json(fn)
@@ -375,7 +394,7 @@ def test_product_factorization_oracle(kappa):
         zero = Cyclotomic.zero(m)
         rows = [list(blk.row(i)) + [zero] * g2.dim for i in range(g1.dim)]
         rows += [[zero] * g1.dim + list(ident.row(i)) for i in range(g2.dim)]
-        return Matrix.from_rows(rows).key()
+        return prod.index_of[Matrix.from_rows(rows).key()]
 
     def embed2(key):
         m = prod.exponent
@@ -384,7 +403,7 @@ def test_product_factorization_oracle(kappa):
         zero = Cyclotomic.zero(m)
         rows = [list(ident.row(i)) + [zero] * g2.dim for i in range(g1.dim)]
         rows += [[zero] * g1.dim + list(blk.row(i)) for i in range(g2.dim)]
-        return Matrix.from_rows(rows).key()
+        return prod.index_of[Matrix.from_rows(rows).key()]
 
     em1, em2 = eta_map(g1, embed1), eta_map(g2, embed2)
 
@@ -487,5 +506,6 @@ def test_verify_glc_catches_corruption(z2):
     sigma_cls = z2.group.class_of[sigma_key(z2)]
     bad[sigma_cls] = TraceValue(1, {0: z2.eta_poly(0)})  # wrong sign
     broken = TraceFunctional(z2, -1, fn.free_classes, bad, fn.e_of_class)
-    with pytest.raises(InconsistentGLCError):
+    with pytest.raises(InconsistentGLCError,
+                       match=rf"fails on C{sigma_cls} \(Darboux pair 0,1\), residual 2\*eta0\*P0$"):
         verify_glc(broken)
