@@ -54,7 +54,6 @@ from .algebra import (
     GroupMismatchError,
     IndefiniteParityError,
     kappa_commutator,
-    multiply,
 )
 from .traces import (
     GramReport,
@@ -88,7 +87,7 @@ __all__ = [
     "direct_product", "doubled_coxeter", "eigen_decompose", "eta0_form",
     "eta0_trace", "even_monomials", "form_value", "functional_to_json", "gram",
     "gram_to_json", "group_from_dict", "group_to_dict", "kappa_commutator",
-    "kernel_basis", "literal", "load_group", "multiply", "parse",
+    "kernel_basis", "literal", "load_group", "parse",
     "parse_literal", "print_element", "rank", "save_group", "solve_glc",
     "standard_omega", "symmetrized_monomial", "verify_glc",
 ]

@@ -208,11 +208,9 @@ class EigenbasisChart:
         zero = Cyclotomic.zero(m)
         self.letter_coords = [self.coords(tuple(plus_one if i == j else zero for i in range(n)))
                               for j in range(n)]
-        self.kappa_indices = {}
         self.kappa_pairs = {}
         for kappa, lam_val in ((+1, plus_one), (-1, minus_one)):
             idxs = [i for i, lv in enumerate(lams) if lv == lam_val]
-            self.kappa_indices[kappa] = idxs
             self.kappa_pairs[kappa] = [(idxs[2 * r], idxs[2 * r + 1])
                                        for r in range(len(idxs) // 2)]
 
@@ -439,10 +437,6 @@ class AlgebraElement:
             poly = self.terms[gk]
             for e in sorted(poly, key=lambda t: (sum(t), t)):
                 yield gk, e, poly[e]
-
-
-def multiply(f: AlgebraElement, h: AlgebraElement) -> AlgebraElement:
-    return f * h
 
 
 def kappa_commutator(f: AlgebraElement, h: AlgebraElement, kappa: int) -> AlgebraElement:

@@ -20,8 +20,8 @@ from .group import (
     NotReflectionError,
     NotSymplecticError,
     builtin,
-    group_to_dict,
     load_group,
+    save_group,
 )
 from .algebra import Algebra, GroupMismatchError, IndefiniteParityError
 from .traces import (
@@ -156,9 +156,7 @@ def cmd_group(args):
         lines.append(f"{c['label']:<6} {c['size']:<5} {c['rep_order']:<6} "
                      f"{c['E_plus']:<3} {c['E_minus']:<3} {eta}")
     if args.save:
-        with open(args.save, "w") as fh:
-            json.dump(group_to_dict(group), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_group(group, args.save)
         lines.append(f"saved group file to {args.save}")
         payload["saved"] = args.save
     _emit(payload, args, lines)

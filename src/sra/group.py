@@ -26,6 +26,7 @@ from math import lcm
 from .scalar import Cyclotomic, literal, parse_literal
 from .linalg import (
     Matrix,
+    _dot,
     darboux_basis,
     eigen_decompose,
     form_value,
@@ -234,15 +235,7 @@ class Group:
 
     def omega_r(self, refl_key, x, y) -> Cyclotomic:
         a_cov, b_cov = self.omega_r_covectors(refl_key)
-
-        def dot(u, v):
-            acc = Cyclotomic.zero(self.exponent)
-            for p, q in zip(u, v):
-                if not p.is_zero() and not q.is_zero():
-                    acc = acc + p * q
-            return acc
-
-        return dot(x, b_cov) * dot(y, a_cov) - dot(x, a_cov) * dot(y, b_cov)
+        return _dot(x, b_cov) * _dot(y, a_cov) - _dot(x, a_cov) * _dot(y, b_cov)
 
     def darboux_of_eigenspace(self, key, kappa: int):
         """Darboux basis of Ker(g - kappa), deterministic."""

@@ -1,6 +1,7 @@
-"""Exact linear algebra over Q(zeta_m): fraction-free elimination, kernels,
-determinants, eigen-decomposition of finite-order matrices, and symplectic
-(Darboux) bases of subspaces.
+"""Exact linear algebra over Q(zeta_m): one fraction-free elimination behind
+rank, kernels, inverses and determinants (the determinant also over any exact
+ring, such as the eta-polynomials), eigen-decomposition of finite-order
+matrices, and symplectic (Darboux) bases of subspaces.
 
 Pivoting is deterministic (first nonzero column, lowest row index), so every
 derived basis -- and everything downstream that consumes one -- is
@@ -167,19 +168,33 @@ class Subspace:
         return len(self.basis)
 
 
-def _echelon(mat: Matrix):
-    """Fraction-free (Bareiss) row echelon form.
+def _same(x):
+    return x
 
-    Returns (rows, pivot_cols) where rows is a list of row lists.  Pivot rule:
-    scan columns left to right, pick the lowest-index row with a nonzero entry.
+
+def _by_inverse(p: Cyclotomic):
+    """x -> x / p in Q(zeta_m), through one inverse of p."""
+    return p.inverse().__mul__
+
+
+def _echelon(rows, divide_by):
+    """Fraction-free (Bareiss) row echelon form of a list of rows over an
+    exact ring whose elements have `is_zero`, `+`, `-` and `*`.
+
+    `divide_by(p)` returns the exact division x -> x / p by a pivot p: every
+    quotient Bareiss elimination asks for is exact (Bareiss, Math. Comp. 22,
+    1968), so rings pass exact division and fields one inverse per pivot.
+    Returns (rows, pivot_cols, swap_sign); the input rows are not changed.
+    Pivot rule: scan columns left to right, pick the lowest-index row with a
+    nonzero entry.  Entries below each pivot are cleared, so a square input
+    of rank r < n ends in n - r zero rows.
     """
-    m = mat.order()
-    zero = Cyclotomic.zero(m)
-    a = [list(mat.row(i)) for i in range(mat.rows)]
-    nrows, ncols = mat.rows, mat.cols
+    a = [list(row) for row in rows]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
     piv_cols = []
+    sign = 1
     r = 0
-    prev_pivot = Cyclotomic.one(m)
     for c in range(ncols):
         sel = None
         for i in range(r, nrows):
@@ -190,76 +205,58 @@ def _echelon(mat: Matrix):
             continue
         if sel != r:
             a[r], a[sel] = a[sel], a[r]
+            sign = -sign
         pivot = a[r][c]
-        inv_prev = prev_pivot.inverse()
+        zero = pivot - pivot
+        # exact division by the previous pivot (by 1 at the first)
+        divide = divide_by(a[r - 1][piv_cols[-1]]) if r else _same
         for i in range(r + 1, nrows):
             head = a[i][c]
             if head.is_zero():
                 for j in range(c + 1, ncols):
                     if not a[i][j].is_zero():
-                        a[i][j] = a[i][j] * pivot * inv_prev
+                        a[i][j] = divide(a[i][j] * pivot)
                 continue
             a[i][c] = zero
             for j in range(c + 1, ncols):
-                a[i][j] = (a[i][j] * pivot - a[r][j] * head) * inv_prev
-        prev_pivot = pivot
+                a[i][j] = divide(a[i][j] * pivot - a[r][j] * head)
         piv_cols.append(c)
         r += 1
         if r == nrows:
             break
-    return a, piv_cols
+    return a, piv_cols, sign
 
 
 def rank(mat: Matrix) -> int:
-    _, piv = _echelon(mat)
-    return len(piv)
+    return len(_echelon(map(mat.row, range(mat.rows)), _by_inverse)[1])
+
+
+def fraction_free_det(rows, divide_by, one):
+    """Determinant of a square list of rows over an exact ring, by `_echelon`
+    with the exact division `divide_by`; `one` is the determinant of the
+    empty matrix."""
+    if not rows:
+        return one
+    a, _, sign = _echelon(rows, divide_by)
+    return a[-1][-1] if sign > 0 else -a[-1][-1]
 
 
 def det(mat: Matrix) -> Cyclotomic:
     """Determinant by fraction-free elimination with row-swap sign tracking."""
     if mat.rows != mat.cols:
         raise ValueError("determinant of a non-square matrix")
-    m = mat.order()
-    n = mat.rows
-    if n == 0:
-        return Cyclotomic.one(m)
-    a = [list(mat.row(i)) for i in range(n)]
-    sign = 1
-    prev_pivot = Cyclotomic.one(m)
-    for c in range(n):
-        sel = None
-        for i in range(c, n):
-            if not a[i][c].is_zero():
-                sel = i
-                break
-        if sel is None:
-            return Cyclotomic.zero(m)
-        if sel != c:
-            a[c], a[sel] = a[sel], a[c]
-            sign = -sign
-        pivot = a[c][c]
-        inv_prev = prev_pivot.inverse()
-        for i in range(c + 1, n):
-            head = a[i][c]
-            for j in range(c + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[c][j] * head) * inv_prev
-        prev_pivot = pivot
-    d = a[n - 1][n - 1]
-    return d if sign > 0 else -d
+    return fraction_free_det([mat.row(i) for i in range(mat.rows)], _by_inverse,
+                             Cyclotomic.one(mat.order()))
 
 
-def kernel_basis(mat: Matrix) -> Subspace:
-    """Exact basis of the right null space, deterministic."""
-    m = mat.order()
+def _null_vectors(a, piv_cols, ncols: int, m: int) -> list[Vector]:
+    """One null vector of the echelon rows `a` per free column, with a 1 in
+    that column and 0 in the other free columns, by back substitution."""
     one, zero = Cyclotomic.one(m), Cyclotomic.zero(m)
-    a, piv_cols = _echelon(mat)
-    ncols = mat.cols
-    free_cols = [c for c in range(ncols) if c not in piv_cols]
     basis = []
-    for fc in free_cols:
+    for fc in (c for c in range(ncols) if c not in piv_cols):
         sol = [zero] * ncols
         sol[fc] = one
-        # back substitution over the echelon rows
         for r in range(len(piv_cols) - 1, -1, -1):
             pc = piv_cols[r]
             acc = zero
@@ -269,34 +266,30 @@ def kernel_basis(mat: Matrix) -> Subspace:
             if not acc.is_zero():
                 sol[pc] = -acc * a[r][pc].inverse()
         basis.append(tuple(sol))
-    return Subspace(ncols, basis, check=False)
+    return basis
+
+
+def kernel_basis(mat: Matrix) -> Subspace:
+    """Exact basis of the right null space, deterministic."""
+    a, piv_cols, _ = _echelon(map(mat.row, range(mat.rows)), _by_inverse)
+    return Subspace(mat.cols, _null_vectors(a, piv_cols, mat.cols, mat.order()), check=False)
 
 
 def inverse(mat: Matrix) -> Matrix:
-    """Matrix inverse by elimination with exact division."""
+    """Matrix inverse, read off the null space of (M | -I): the null vector
+    of the free column n + j is (column j of M^-1, e_j).  M is singular iff
+    a pivot falls in the -I block."""
     if mat.rows != mat.cols:
         raise ValueError("inverse of a non-square matrix")
     n = mat.rows
     m = mat.order()
-    one, zero = Cyclotomic.one(m), Cyclotomic.zero(m)
-    a = [list(mat.row(i)) + [one if i == j else zero for j in range(n)] for i in range(n)]
-    for c in range(n):
-        sel = None
-        for i in range(c, n):
-            if not a[i][c].is_zero():
-                sel = i
-                break
-        if sel is None:
-            raise ZeroDivisionError("singular matrix")
-        if sel != c:
-            a[c], a[sel] = a[sel], a[c]
-        inv_p = a[c][c].inverse()
-        a[c] = [x * inv_p for x in a[c]]
-        for i in range(n):
-            if i != c and not a[i][c].is_zero():
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return Matrix(n, n, [a[i][n + j] for i in range(n) for j in range(n)])
+    minus_one, zero = -Cyclotomic.one(m), Cyclotomic.zero(m)
+    a, piv_cols, _ = _echelon([mat.row(i) + tuple(minus_one if i == j else zero for j in range(n))
+                               for i in range(n)], _by_inverse)
+    if piv_cols and piv_cols[-1] >= n:
+        raise ZeroDivisionError("singular matrix")
+    cols = _null_vectors(a, piv_cols, 2 * n, m)
+    return Matrix(n, n, [cols[j][i] for i in range(n) for j in range(n)])
 
 
 def eigen_decompose(g: Matrix, m: int, order: int | None = None):

@@ -16,11 +16,6 @@ from functools import lru_cache
 from math import gcd
 
 
-def _divisors(m: int) -> list[int]:
-    divs = [d for d in range(1, m + 1) if m % d == 0]
-    return divs
-
-
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     """Exact division of integer polynomials (ascending coefficients)."""
     num = list(num)
@@ -48,7 +43,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     if m < 1:
         raise ValueError("order must be >= 1")
     poly = [-1] + [0] * (m - 1) + [1]
-    for d in _divisors(m)[:-1]:
+    for d in _divisors_of(m)[:-1]:
         poly = _poly_div_exact(poly, list(cyclotomic_polynomial(d)))
     return tuple(poly)
 
@@ -712,12 +707,21 @@ class EtaPolynomial:
         an = abs(ints[deg - low])
         if a0 == 0:
             return sorted(set(roots))
-        for p in _divisors_of(a0):
-            for q in _divisors_of(an):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    val = sum(Fraction(v) * cand ** e for e, v in ints.items())
+        d = deg - low
+        descending = [ints.get(e, 0) for e in range(d, -1, -1)]
+        numerators = _divisors_of(a0)
+        for q in _divisors_of(an):
+            q_powers = [q ** k for k in range(d + 1)]
+            for p in numerators:
+                if gcd(p, q) > 1:
+                    continue
+                for s in (p, -p):
+                    # q^d * P(s/q) = sum_e a_e s^e q^(d-e), by Horner in s
+                    val = 0
+                    for a, qk in zip(descending, q_powers):
+                        val = val * s + a * qk
                     if val == 0:
-                        roots.append(cand)
+                        roots.append(Fraction(s, q))
         return sorted(set(roots))
 
     def exact_divide(self, other: "EtaPolynomial") -> "EtaPolynomial":

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import factorial
 
 from .scalar import Cyclotomic, EtaPolynomial, literal
-from .linalg import Matrix, form_value, inverse
+from .linalg import Matrix, form_value, fraction_free_det, inverse
 from .group import Group
 from .algebra import Algebra, AlgebraElement, _letters
 
@@ -123,9 +123,6 @@ class TraceFunctional:
         self.e_of_class = e_of_class        # class index -> E
         self.nparams = len(self.free_classes)
         self._evaluators: dict = {}
-
-    def class_value(self, class_index: int) -> TraceValue:
-        return self.table[class_index]
 
     def element_value(self, g_key) -> TraceValue:
         return self.table[self.group.class_of[g_key]]
@@ -615,34 +612,6 @@ def even_monomials(n: int, max_degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _poly_det(rows: list[list[EtaPolynomial]], nvars: int, m: int) -> EtaPolynomial:
-    """Fraction-free determinant over the eta-polynomial ring."""
-    n = len(rows)
-    if n == 0:
-        return EtaPolynomial.constant(1, nvars, m)
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = EtaPolynomial.constant(1, nvars, m)
-    for c in range(n):
-        sel = None
-        for i in range(c, n):
-            if not a[i][c].is_zero():
-                sel = i
-                break
-        if sel is None:
-            return EtaPolynomial.zero(nvars, m)
-        if sel != c:
-            a[c], a[sel] = a[sel], a[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                a[i][j] = (a[i][j] * a[c][c] - a[c][j] * a[i][c]).exact_divide(prev)
-            a[i][c] = EtaPolynomial.zero(nvars, m)
-        prev = a[c][c]
-    d = a[n - 1][n - 1]
-    return d if sign == 1 else -d
-
-
 def gram(functional: TraceFunctional, degree: int,
          assignment: list[Fraction] | None = None,
          compute_determinant: bool = True) -> GramReport:
@@ -678,7 +647,10 @@ def gram(functional: TraceFunctional, degree: int,
             val = functional.evaluate(fa * fb)
             row.append(val.substitute_or_zero(assignment, nvars, m))
         mat.append(row)
-    determinant = _poly_det(mat, nvars, m) if compute_determinant else None
+    determinant = None
+    if compute_determinant:
+        determinant = fraction_free_det(mat, lambda p: lambda x: x.exact_divide(p),
+                                        EtaPolynomial.constant(1, nvars, m))
     roots = None
     if determinant is not None and nvars == 1 and not determinant.is_zero():
         try:

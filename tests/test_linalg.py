@@ -1,9 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from sra.scalar import Cyclotomic
+from sra.scalar import Cyclotomic, EtaPolynomial
+from sra.group import builtin
+from sra.algebra import Algebra
+from sra.traces import gram, solve_glc
 from sra.linalg import (
     DecompositionIncompleteError,
     DegenerateRestrictionError,
@@ -13,6 +17,7 @@ from sra.linalg import (
     det,
     eigen_decompose,
     form_value,
+    fraction_free_det,
     inverse,
     kernel_basis,
     rank,
@@ -83,6 +88,66 @@ def test_det_bigger():
         M = Matrix.from_rows(rows)
         MT = M.transpose()
         assert det(M) == det(MT)
+
+
+def leibniz_det(rows, one):
+    """Permutation-sum determinant: the reference route, sharing no code
+    with the Bareiss elimination."""
+    n = len(rows)
+    total = one - one
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = one
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def test_det_and_inverse_with_row_swap_match_leibniz():
+    rng = random.Random(5)
+    m = 12
+    for _ in range(5):
+        rows = [[rat(rng.randint(-3, 3), m) * Cyclotomic.root_of_unity(m, rng.randint(0, 11))
+                 for _ in range(5)] for _ in range(5)]
+        rows[0][0] = rat(0, m)   # forces a row swap at the first pivot
+        M = Matrix.from_rows(rows)
+        d = det(M)
+        assert d == leibniz_det(rows, rat(1, m))
+        if not d.is_zero():
+            assert M * inverse(M) == Matrix.identity(5, m)
+
+
+def eta_divide_by(p):
+    return lambda x: x.exact_divide(p)
+
+
+@pytest.mark.parametrize("kind,params", [("doubled-B", {"rank": 2}), ("cyclic", {"n": 3})],
+                         ids=["b2", "z3"])
+def test_gram_determinant_matches_leibniz(kind, params):
+    group = builtin(kind, **params)
+    report = gram(solve_glc(Algebra(group), -1), 0)
+    one = EtaPolynomial.constant(1, group.n_eta, group.exponent)
+    assert report.determinant == leibniz_det(report.matrix, one)
+    assert not report.determinant.is_zero()
+
+
+def test_fraction_free_det_singular_and_empty_eta_matrices():
+    rng = random.Random(9)
+    m, nvars = 3, 2
+    one = EtaPolynomial.constant(1, nvars, m)
+    eta = [EtaPolynomial.variable(i, nvars, m) for i in range(nvars)]
+
+    def entry():
+        return (one.scaled(Cyclotomic.root_of_unity(m, rng.randint(0, 2))) * rng.randint(-2, 2)
+                + eta[0] * rng.randint(-1, 1) + eta[1] * eta[0] * rng.randint(-1, 1))
+
+    rows = [[entry() for _ in range(4)] for _ in range(4)]
+    for row in rows:
+        row[1] = row[0] * eta[1]   # column 1 is eta1 times column 0
+    assert leibniz_det(rows, one).is_zero()
+    assert fraction_free_det(rows, eta_divide_by, one).is_zero()
+    assert fraction_free_det([], eta_divide_by, one) == one == leibniz_det([], one)
 
 
 def test_subspace_rejects_dependent():
