@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalar import Cyclotomic, EtaPolynomial
-from .linalg import Matrix, darboux_basis, eigen_decompose, form_value, inverse
+from .linalg import Matrix, _dot, darboux_basis, eigen_decompose, form_value, inverse
 from .group import Group
 
 
@@ -57,17 +57,25 @@ def _add(out: dict, key, poly: EtaPolynomial):
 
 def reflection_table(group: Group, vectors) -> dict:
     """{(i, j): [(reflection key, omega_R(v_i, v_j))]} over the reflections
-    with nonzero value, for the letters v_0, v_1, ... given as vectors."""
+    with nonzero value, in group.reflections order, for the letters v_0,
+    v_1, ... given as vectors.  Each letter is dotted with each reflection's
+    covectors once; (j, i) holds the negated entries of (i, j), and the
+    diagonal, where omega_R vanishes, is absent."""
+    dots = []
+    for rkey in group.reflections:
+        a_cov, b_cov = group.omega_r_covectors(rkey)
+        dots.append((rkey, [_dot(v, a_cov) for v in vectors], [_dot(v, b_cov) for v in vectors]))
     table = {}
-    for i, vi in enumerate(vectors):
-        for j, vj in enumerate(vectors):
+    for i in range(len(vectors)):
+        for j in range(i + 1, len(vectors)):
             entries = []
-            for rkey in group.reflections:
-                val = group.omega_r(rkey, vi, vj)
+            for rkey, va, vb in dots:
+                val = vb[i] * va[j] - va[i] * vb[j]
                 if not val.is_zero():
                     entries.append((rkey, val))
             if entries:
                 table[(i, j)] = entries
+                table[(j, i)] = [(rkey, -val) for rkey, val in entries]
     return table
 
 
@@ -205,6 +213,7 @@ class EigenbasisChart:
         self.gram = [[form_value(group.omega, vectors[a], vectors[b]) for b in range(n)]
                      for a in range(n)]
         self.refl = reflection_table(group, self.vectors)
+        self._coords: dict = {}
         zero = Cyclotomic.zero(m)
         self.letter_coords = [self.coords(tuple(plus_one if i == j else zero for i in range(n)))
                               for j in range(n)]
@@ -215,9 +224,13 @@ class EigenbasisChart:
                                        for r in range(len(idxs) // 2)]
 
     def coords(self, v):
-        """Sparse chart coordinates [(index, coeff)] of a standard vector."""
-        full = self.Minv.matvec(v)
-        return [(i, c) for i, c in enumerate(full) if not c.is_zero()]
+        """Sparse chart coordinates ((index, coeff), ...) of a standard vector,
+        memoized per vector."""
+        got = self._coords.get(v)
+        if got is None:
+            got = tuple((i, c) for i, c in enumerate(self.Minv.matvec(v)) if not c.is_zero())
+            self._coords[v] = got
+        return got
 
 
 class Algebra:
@@ -293,14 +306,6 @@ class Algebra:
     def group_element(self, g_key) -> "AlgebraElement":
         zero_exp = (0,) * self.group.dim
         return AlgebraElement(self, {g_key: {zero_exp: self.one_poly}})
-
-    def from_terms(self, terms) -> "AlgebraElement":
-        clean: dict = {}
-        for gk, poly in terms.items():
-            inner = {e: c for e, c in poly.items() if not c.is_zero()}
-            if inner:
-                clean[gk] = inner
-        return AlgebraElement(self, clean)
 
 
 class AlgebraElement:

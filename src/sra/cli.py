@@ -13,7 +13,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .scalar import Cyclotomic, literal
+from .scalar import literal
 from .group import (
     CapExceededError,
     DEFAULT_CAP,
@@ -28,12 +28,13 @@ from .traces import (
     InconsistentGLCError,
     KappaEigenvaluePresentError,
     _trace_value_json,
-    eta0_trace,
+    confluence_failures,
+    cyclicity_failures,
     even_monomials,
     format_trace_value as _tv_human,
     gram,
+    oracle_mismatches,
     solve_glc,
-    symmetrized_monomial,
 )
 from .expr import ParseError, parse, print_element
 
@@ -233,27 +234,13 @@ def cmd_oracle_check(args):
     payload["kappa"] = {}
     lines = [f"group {group.name}: eta=0 oracle cross-check, degree <= {args.max_degree}"]
     ok = True
-    zero_pt = [Fraction(0)] * group.n_eta
     for kappa in _kappas(args.kappa):
         fn = solve_glc(algebra, kappa, verify=False)
-        checked = mismatches = 0
-        for exp in even_monomials(group.dim, args.max_degree):
-            sym = symmetrized_monomial(algebra, exp)
-            for ci, rep in enumerate(group.class_rep):
-                val = fn.evaluate(sym * algebra.group_element(rep))
-                got = {i: c.evaluate(zero_pt) for i, c in val.coeffs.items()
-                       if not c.evaluate(zero_pt).is_zero()}
-                mult = eta0_trace(group, exp, rep, kappa)
-                if group.e_grading(rep, kappa)[0] != 0 or mult.is_zero():
-                    expected = {}
-                else:
-                    expected = {fn.free_classes.index(ci): mult}
-                checked += 1
-                if got != expected:
-                    mismatches += 1
-        payload["kappa"][str(kappa)] = {"checked": checked, "mismatches": mismatches}
-        lines.append(f"kappa = {kappa:+d}: {checked} comparisons, {mismatches} mismatches")
-        ok = ok and mismatches == 0
+        checked, mismatches = oracle_mismatches(fn, even_monomials(group.dim, args.max_degree))
+        payload["kappa"][str(kappa)] = {"checked": checked, "mismatches": len(mismatches)}
+        lines.append(f"kappa = {kappa:+d}: {checked} comparisons, {len(mismatches)} mismatches")
+        lines.extend(f"  mismatch: exponent {list(exp)} on {label}" for exp, label in mismatches)
+        ok = ok and not mismatches
     _emit(payload, args, lines)
     return 0 if ok else 1
 
@@ -295,20 +282,8 @@ def cmd_selftest(args):
         kind, params = _parse_factor(spec)
         group = builtin(kind, **params)
         algebra = Algebra(group)
-        report = {}
-        # group invariants
-        inv_ok = True
-        ident = None
-        one = Cyclotomic.one(group.exponent)
-        from .linalg import det as mat_det
-        for key, el in group.elements.items():
-            mat = el.matrix
-            if not (mat.transpose() * group.omega * mat == group.omega
-                    and mat_det(mat) == one
-                    and sum(s.dim for _, s in group.spectrum(key)) == group.dim):
-                inv_ok = False
-        report["group_invariants"] = inv_ok
-        # GLC + cyclicity + confluence for both kappa
+        inv_ok = not group.invariant_failures()
+        report = {"group_invariants": inv_ok}
         for kappa in (1, -1):
             label = f"kappa{kappa:+d}"
             try:
@@ -317,25 +292,8 @@ def cmd_selftest(args):
             except InconsistentGLCError:
                 fn = solve_glc(algebra, kappa, verify=False)
                 glc_ok = False
-            cyc_ok = True
-            n = group.dim
-            keys = sorted(group.elements)
-            for _ in range(args.samples):
-                f = _random_definite(algebra, rng, 3, keys)
-                h = _random_definite(algebra, rng, 3, keys)
-                sign = kappa if (f.parity() * h.parity()) else 1
-                if fn.evaluate(f * h) != fn.evaluate(h * f).scaled(sign):
-                    cyc_ok = False
-            conf_ok = True
-            for _ in range(args.samples):
-                word = [rng.randrange(n) for _ in range(rng.choice([2, 4]))]
-                el = algebra.group_element(rng.choice(keys))
-                for i in word:
-                    el = algebra.generator(i) * el
-                vals = {fn.evaluate(el, rs, ps)
-                        for rs in ("first", "last") for ps in ("first", "last")}
-                if len(vals) != 1:
-                    conf_ok = False
+            cyc_ok = not cyclicity_failures(fn, rng, args.samples, 3)
+            conf_ok = not confluence_failures(fn, rng, args.samples, (2, 4))
             report[label] = {"glc_verified": glc_ok, "cyclicity": cyc_ok,
                              "confluence": conf_ok}
             if not (glc_ok and cyc_ok and conf_ok):
@@ -350,24 +308,6 @@ def cmd_selftest(args):
             for k, v in report.items() if k.startswith("kappa")))
     _emit(payload, args, lines)
     return 0 if failures == 0 else 1
-
-
-def _random_definite(algebra, rng, max_degree, keys):
-    n = algebra.group.dim
-    par = rng.randint(0, 1)
-    out = algebra.zero()
-    for _ in range(rng.randint(1, 2)):
-        deg = rng.choice([d for d in range(max_degree + 1) if d % 2 == par])
-        term = algebra.group_element(rng.choice(keys))
-        for _ in range(deg):
-            term = algebra.generator(rng.randrange(n)) * term
-        out = out + term.scaled(rng.randint(-2, 2))
-    if out.parity() is None or out.is_zero():
-        term = algebra.group_element(keys[0])
-        if par == 1:
-            term = algebra.generator(0) * term
-        out = term
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,9 +25,11 @@ from math import lcm
 
 from .scalar import Cyclotomic, literal, parse_literal
 from .linalg import (
+    DecompositionIncompleteError,
     Matrix,
     _dot,
     darboux_basis,
+    det,
     eigen_decompose,
     form_value,
     kernel_basis,
@@ -186,6 +188,31 @@ class Group:
             self._spectrum[key] = got
         return got
 
+    def invariant_failures(self) -> list[int]:
+        """Indices of the elements g that break an invariant of Sp(2N):
+        g^T omega g = omega, det g = 1, g diagonalizable with root-of-unity
+        eigenvalues, the spectrum closed under inversion, and +1 and -1 of
+        even multiplicity."""
+        m = self.exponent
+        one = Cyclotomic.one(m)
+
+        def holds(key) -> bool:
+            mat = self.elements[key].matrix
+            if not (mat.transpose() * self.omega * mat == self.omega and det(mat) == one):
+                return False
+            try:
+                spec = self.spectrum(key)
+            except DecompositionIncompleteError:
+                return False
+            mults = {lam.root_exponent(): s.dim for lam, s in spec}
+            return (sum(s.dim for _, s in spec) == self.dim
+                    and None not in mults
+                    and all(mults.get((-k) % m) == d for k, d in mults.items())
+                    and mults.get(0, 0) % 2 == 0
+                    and (m % 2 == 1 or mults.get(m // 2, 0) % 2 == 0))
+
+        return [key for key in sorted(self.elements) if not holds(key)]
+
     def kappa_counts(self) -> tuple[int, int]:
         """(T, S): numbers of classes without eigenvalue +1 / -1."""
         t = s = 0
@@ -234,6 +261,8 @@ class Group:
         return got
 
     def omega_r(self, refl_key, x, y) -> Cyclotomic:
+        """omega_R(x, y) for one pair of vectors; algebra.reflection_table
+        computes it for every pair of a list of letters at once."""
         a_cov, b_cov = self.omega_r_covectors(refl_key)
         return _dot(x, b_cov) * _dot(y, a_cov) - _dot(x, a_cov) * _dot(y, b_cov)
 

@@ -68,7 +68,6 @@ class _CycContext:
             cur = self._times_x(cur)
         self.powers = powers
         self.power_index = {p: k for k, p in enumerate(powers)}
-        self._inverse_cache: dict[tuple, "Cyclotomic"] = {}
 
     def _times_x(self, vec: list[int]) -> list[int]:
         """Multiply a reduced coefficient vector by x, then reduce."""
@@ -102,6 +101,17 @@ class _CycContext:
 @lru_cache(maxsize=None)
 def _context(m: int) -> _CycContext:
     return _CycContext(m)
+
+
+def _zeta_substitute(num, big: _CycContext, step: int) -> list[int]:
+    """Integer coordinates in Q(zeta_M), M = big.m, of sum_j num[j] zeta_M^(j step)."""
+    acc = [0] * big.deg
+    for j, c in enumerate(num):
+        if c:
+            row = big.powers[(j * step) % big.m]
+            for i in range(big.deg):
+                acc[i] += c * row[i]
+    return acc
 
 
 def _normalize(m: int, num: list[int] | tuple[int, ...], den: int):
@@ -187,14 +197,7 @@ class Cyclotomic:
             return self
         if big_m % self.m != 0:
             raise ValueError(f"cannot embed order {self.m} into order {big_m}")
-        step = big_m // self.m
-        big = _context(big_m)
-        acc = [0] * big.deg
-        for j, c in enumerate(self.num):
-            if c:
-                row = big.powers[(j * step) % big_m]
-                for i in range(big.deg):
-                    acc[i] += c * row[i]
+        acc = _zeta_substitute(self.num, _context(big_m), big_m // self.m)
         num, den = _normalize(big_m, acc, self.den)
         return Cyclotomic(big_m, num, den, _canonical=True)
 
@@ -259,73 +262,28 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse; raises ZeroDivisionError on zero."""
+        """Multiplicative inverse; raises ZeroDivisionError on zero.
+
+        x^-1 = P / N(x), with P the product of the Galois conjugates
+        sigma_k(x) (zeta -> zeta^k, 1 < k < m, gcd(k, m) = 1) and N(x) = x P
+        the norm, a nonzero rational.
+        """
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
+        m = self.m
         if self.is_rational():
-            q = 1 / self.as_rational()
-            return Cyclotomic.from_rational(q, self.m)
-        ctx = _context(self.m)
-        cached = ctx._inverse_cache.get((self.num, self.den))
-        if cached is not None:
-            return cached
-        # extended Euclid in Q[x] against Phi_m (irreducible over Q)
-
-        def deg_of(p):
-            for i in range(len(p) - 1, -1, -1):
-                if p[i]:
-                    return i
-            return -1
-
-        def poly_sub(p, q):
-            n = max(len(p), len(q))
-            p = p + [Fraction(0)] * (n - len(p))
-            q = q + [Fraction(0)] * (n - len(q))
-            return [a - b for a, b in zip(p, q)]
-
-        def poly_mul(p, q):
-            out = [Fraction(0)] * (len(p) + len(q) - 1)
-            for i, a in enumerate(p):
-                if a:
-                    for j, b in enumerate(q):
-                        if b:
-                            out[i + j] += a * b
-            return out
-
-        def poly_divmod(p, q):
-            dq = deg_of(q)
-            rem = list(p)
-            quo = [Fraction(0)] * max(1, len(p) - dq)
-            while deg_of(rem) >= dq:
-                dr = deg_of(rem)
-                c = rem[dr] / q[dq]
-                quo[dr - dq] = c
-                for j in range(dq + 1):
-                    rem[dr - dq + j] -= c * q[j]
-            return quo, rem
-
-        r0 = [Fraction(c, self.den) for c in self.num]
-        r1 = [Fraction(c) for c in ctx.phi_poly]
-        s0, s1 = [Fraction(1)], [Fraction(0)]
-        while deg_of(r1) >= 0:
-            quo, rem = poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, poly_sub(s0, poly_mul(quo, s1))
-        if deg_of(r0) != 0:
-            raise ZeroDivisionError("noninvertible cyclotomic (unexpected)")
-        lead = r0[deg_of(r0)]
-        inv_poly = [c / lead for c in s0]
-        den = 1
-        for c in inv_poly:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in inv_poly]
-        red = ctx.reduce(ints)
-        n, dd = _normalize(self.m, red, den)
-        out = Cyclotomic(self.m, n, dd, _canonical=True)
-        if self * out != Cyclotomic.one(self.m):
+            return Cyclotomic.from_rational(1 / self.as_rational(), m)
+        ctx = _context(m)
+        conj = Cyclotomic.one(m)
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                conj = conj * Cyclotomic(m, _zeta_substitute(self.num, ctx, k), self.den)
+        norm = self * conj
+        if not norm.is_rational():
+            raise ArithmeticError(f"norm of {self!r} is not rational")
+        out = conj * Cyclotomic.from_rational(1 / norm.as_rational(), m)
+        if self * out != Cyclotomic.one(m):
             raise ArithmeticError(f"cyclotomic inverse of {self!r} failed its check")
-        if len(ctx._inverse_cache) < 4096:
-            ctx._inverse_cache[(self.num, self.den)] = out
         return out
 
     def __pow__(self, k: int):
@@ -541,6 +499,10 @@ def _divisors_of(n: int) -> list[int]:
     return sorted(divs)
 
 
+def _divides(d: int, v: int) -> bool:
+    return v == 0 if d == 0 else v % d == 0
+
+
 # -- polynomials in the deformation parameters ------------------------------
 
 
@@ -709,6 +671,10 @@ class EtaPolynomial:
             return sorted(set(roots))
         d = deg - low
         descending = [ints.get(e, 0) for e in range(d, -1, -1)]
+        # a root s/q in lowest terms makes q x - s divide P over Z, so q - s
+        # divides P(1) and q + s divides P(-1); a divisor 0 asks for a zero
+        at_one = sum(ints.values())
+        at_minus_one = sum(v if e % 2 == 0 else -v for e, v in ints.items())
         numerators = _divisors_of(a0)
         for q in _divisors_of(an):
             q_powers = [q ** k for k in range(d + 1)]
@@ -716,6 +682,8 @@ class EtaPolynomial:
                 if gcd(p, q) > 1:
                     continue
                 for s in (p, -p):
+                    if not (_divides(q - s, at_one) and _divides(q + s, at_minus_one)):
+                        continue
                     # q^d * P(s/q) = sum_e a_e s^e q^(d-e), by Horner in s
                     val = 0
                     for a, qk in zip(descending, q_powers):

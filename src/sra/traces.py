@@ -29,7 +29,7 @@ from math import factorial
 from .scalar import Cyclotomic, EtaPolynomial, literal
 from .linalg import Matrix, form_value, fraction_free_det, inverse
 from .group import Group
-from .algebra import Algebra, AlgebraElement, _letters
+from .algebra import Algebra, AlgebraElement, _letters, reflection_table
 
 
 class InconsistentGLCError(Exception):
@@ -156,14 +156,13 @@ class TraceFunctional:
         }
 
 
-def solve_glc(algebra: Algebra, kappa: int, verify: bool = True,
-              verify_elements: bool = True) -> TraceFunctional:
+def solve_glc(algebra: Algebra, kappa: int, verify: bool = True) -> TraceFunctional:
     """Solve the ground level conditions for the kappa-trace on C[G].
 
     E = 0 classes become free parameters; higher classes are filled in
     increasing E by the Darboux-pair recursion.  With verify=True every
-    remaining ground level equation is checked to vanish identically (over
-    all elements, or class representatives only when verify_elements=False).
+    remaining ground level equation, over every group element, is checked
+    to vanish identically.
     """
     if kappa not in (+1, -1):
         raise ValueError("kappa must be +1 or -1")
@@ -180,14 +179,10 @@ def solve_glc(algebra: Algebra, kappa: int, verify: bool = True,
     t_inv = algebra.t.inverse()
     for ci in order:
         rep = group.class_rep[ci]
-        basis = group.darboux_of_eigenspace(rep, kappa)
-        c1, c2 = basis[0], basis[1]
-        w12 = form_value(group.omega, c1, c2)
+        pair = group.darboux_of_eigenspace(rep, kappa)[:2]
+        w12 = form_value(group.omega, pair[0], pair[1])
         acc = TraceValue.zero(nparams)
-        for rkey in group.reflections:
-            w = group.omega_r(rkey, c1, c2)
-            if w.is_zero():
-                continue
+        for rkey, w in reflection_table(group, pair).get((0, 1), ()):
             rg = group.mul(rkey, rep)
             sub = table.get(group.class_of[rg])
             if sub is None:
@@ -198,12 +193,13 @@ def solve_glc(algebra: Algebra, kappa: int, verify: bool = True,
         table[ci] = acc.scaled(-(w12.inverse() * t_inv))
     functional = TraceFunctional(algebra, kappa, free_classes, table, e_of_class)
     if verify:
-        verify_glc(functional, all_elements=verify_elements)
+        verify_glc(functional)
     return functional
 
 
-def verify_glc(functional: TraceFunctional, all_elements: bool = True):
-    """Check every ground level equation sp([c_i, c_j] g) = 0 identically.
+def verify_glc(functional: TraceFunctional):
+    """Check every ground level equation sp([c_i, c_j] g) = 0 identically,
+    over every group element g.
 
     Raises InconsistentGLCError naming the group, kappa, the class label
     C<i> of the offending element and the nonzero residual; per
@@ -213,21 +209,18 @@ def verify_glc(functional: TraceFunctional, all_elements: bool = True):
     group = functional.group
     algebra = functional.algebra
     kappa = functional.kappa
-    keys = group.sorted_keys() if all_elements else list(group.class_rep)
-    for key in keys:
+    for key in group.sorted_keys():
         e_val, _ = group.e_grading(key, kappa)
         if e_val == 0:
             continue
         basis = group.darboux_of_eigenspace(key, kappa)
+        refl = reflection_table(group, basis)
         spg = functional.element_value(key)
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
                 wij = form_value(group.omega, basis[i], basis[j])
                 residual = spg.scaled(algebra.t * wij)
-                for rkey in group.reflections:
-                    w = group.omega_r(rkey, basis[i], basis[j])
-                    if w.is_zero():
-                        continue
+                for rkey, w in refl.get((i, j), ()):
                     rg = group.mul(rkey, key)
                     residual = residual + functional.element_value(rg).scaled(
                         algebra.eta_poly(group.eta_var_of(rkey)).scaled(w))
@@ -562,6 +555,98 @@ def symmetrized_monomial(algebra: Algebra, exp: tuple[int, ...]) -> AlgebraEleme
     for w in words:
         acc = acc + product_of(w)
     return acc
+
+
+# -- property checks -----------------------------------------------------------
+#
+# The checks behind `sra selftest`, `sra oracle-check` and the acceptance
+# suite.  Each draws its samples from the caller's rng in a fixed order and
+# returns what failed, so that a caller can count, report or assert.
+
+
+def _random_definite(algebra: Algebra, rng, max_degree: int, keys) -> AlgebraElement:
+    """A random element of definite parity: one or two terms c x_(l1)...x_(lk) g
+    with k <= max_degree, c in -2..2 and g drawn from keys."""
+    n = algebra.group.dim
+    par = rng.randint(0, 1)
+    out = algebra.zero()
+    for _ in range(rng.randint(1, 2)):
+        deg = rng.choice([d for d in range(max_degree + 1) if d % 2 == par])
+        term = algebra.group_element(rng.choice(keys))
+        for _ in range(deg):
+            term = algebra.generator(rng.randrange(n)) * term
+        out = out + term.scaled(rng.randint(-2, 2))
+    if out.parity() is None or out.is_zero():
+        term = algebra.group_element(keys[0])
+        if par == 1:
+            term = algebra.generator(0) * term
+        out = term
+    return out
+
+
+def cyclicity_failures(fn: TraceFunctional, rng, samples: int,
+                       max_degree: int) -> list[tuple[AlgebraElement, AlgebraElement]]:
+    """The pairs (f, h), among `samples` random definite-parity pairs of degree
+    <= max_degree, with sp(f h) != kappa^(pi(f) pi(h)) sp(h f)."""
+    keys = sorted(fn.group.elements)
+    failures = []
+    for _ in range(samples):
+        f = _random_definite(fn.algebra, rng, max_degree, keys)
+        h = _random_definite(fn.algebra, rng, max_degree, keys)
+        sign = fn.kappa if f.parity() * h.parity() else 1
+        if fn.evaluate(f * h) != fn.evaluate(h * f).scaled(sign):
+            failures.append((f, h))
+    return failures
+
+
+def confluence_failures(fn: TraceFunctional, rng, samples: int,
+                        degrees) -> list[AlgebraElement]:
+    """The monomials x_(l1)...x_(lk) g, among `samples` random ones with k drawn
+    from degrees, on which the four reduction strategies (regular step first or
+    last letter, Darboux pair first or last) disagree."""
+    algebra = fn.algebra
+    n = fn.group.dim
+    keys = sorted(fn.group.elements)
+    failures = []
+    for _ in range(samples):
+        word = [rng.randrange(n) for _ in range(rng.choice(degrees))]
+        el = algebra.group_element(rng.choice(keys))
+        for i in word:
+            el = algebra.generator(i) * el
+        vals = {fn.evaluate(el, rs, ps) for rs in ("first", "last") for ps in ("first", "last")}
+        if len(vals) != 1:
+            failures.append(el)
+    return failures
+
+
+def oracle_mismatches(fn: TraceFunctional,
+                      exponents) -> tuple[int, list[tuple[tuple[int, ...], str]]]:
+    """Compare evaluate at eta = 0 with the closed form eta0_trace on the
+    symmetrized monomial of each exponent times each class representative.
+
+    Returns the number of comparisons and the (exponent, "C<i>") pairs that
+    disagree."""
+    algebra, group = fn.algebra, fn.group
+    zero_pt = [Fraction(0)] * group.n_eta
+    checked = 0
+    mismatches = []
+    for exp in exponents:
+        sym = symmetrized_monomial(algebra, exp)
+        for ci, rep in enumerate(group.class_rep):
+            got = {}
+            for i, c in fn.evaluate(sym * algebra.group_element(rep)).coeffs.items():
+                at_zero = c.evaluate(zero_pt)
+                if not at_zero.is_zero():
+                    got[i] = at_zero
+            mult = eta0_trace(group, exp, rep, fn.kappa)
+            if group.e_grading(rep, fn.kappa)[0] != 0 or mult.is_zero():
+                expected = {}
+            else:
+                expected = {fn.free_classes.index(ci): mult}
+            checked += 1
+            if got != expected:
+                mismatches.append((exp, f"C{ci}"))
+    return checked, mismatches
 
 
 # -- Gram matrices of the bilinear form B_sp ---------------------------------

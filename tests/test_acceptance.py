@@ -16,17 +16,15 @@ from fractions import Fraction
 
 import pytest
 
-from sra.scalar import Cyclotomic
-from sra.linalg import det as mat_det
 from sra.group import builtin, cyclic_sp2, direct_product, doubled_coxeter
 from sra.algebra import Algebra
-from sra.cli import _random_definite
 from sra.traces import (
-    even_monomials,
-    eta0_trace,
+    _random_definite,
+    confluence_failures,
+    cyclicity_failures,
     gram,
+    oracle_mismatches,
     solve_glc,
-    symmetrized_monomial,
 )
 
 
@@ -93,7 +91,7 @@ def test_criterion_3_glc_dimension(registry):
         for kappa, expected in ((1, t_count), (-1, s_count)):
             # solve_glc verifies every redundant ground level equation over
             # every element; it raises on any nonzero residual
-            fn = solve_glc(algebra, kappa, verify=True, verify_elements=True)
+            fn = solve_glc(algebra, kappa, verify=True)
             if fn.nparams != expected:
                 ok = False
                 details.append((group.name, kappa, fn.nparams, expected))
@@ -107,16 +105,10 @@ def test_criterion_4_cyclicity_200_pairs():
     rng = random.Random(2024)
     failures = total = 0
     for algebra, count in plan:
-        keys = sorted(algebra.group.elements)
         for kappa in (1, -1):
             fn = solve_glc(algebra, kappa, verify=False)
-            for _ in range(count):
-                f = _random_definite(algebra, rng, 4, keys)
-                h = _random_definite(algebra, rng, 4, keys)
-                sign = kappa if (f.parity() * h.parity()) else 1
-                total += 1
-                if fn.evaluate(f * h) != fn.evaluate(h * f).scaled(sign):
-                    failures += 1
+            failures += len(cyclicity_failures(fn, rng, count, 4))
+            total += count
     ok = failures == 0 and total == 200
     _report(4, "kappa-trace cyclicity sp(fh) = kappa^(pf ph) sp(hf)", ok,
             f" ({total} random definite-parity pairs, {failures} failures)")
@@ -128,21 +120,10 @@ def test_criterion_5_confluence():
     rng = random.Random(77)
     failures = total = 0
     for algebra in makers:
-        n = algebra.group.dim
-        keys = sorted(algebra.group.elements)
-        degrees = (2, 4, 6)
         for kappa in (1, -1):
             fn = solve_glc(algebra, kappa, verify=False)
-            for _ in range(25):
-                word = [rng.randrange(n) for _ in range(rng.choice(degrees))]
-                el = algebra.group_element(rng.choice(keys))
-                for i in word:
-                    el = algebra.generator(i) * el
-                vals = {fn.evaluate(el, rs, ps)
-                        for rs in ("first", "last") for ps in ("first", "last")}
-                total += 1
-                if len(vals) != 1:
-                    failures += 1
+            failures += len(confluence_failures(fn, rng, 25, (2, 4, 6)))
+            total += 25
     ok = failures == 0
     _report(5, "confluence: 2 regular strategies x 2 Darboux tie-breaks agree", ok,
             f" ({total} monomials over 5 groups, {failures} disagreements)")
@@ -162,25 +143,11 @@ def test_criterion_6_eta0_oracle():
                 Algebra(doubled_coxeter("A", 3))]
     mismatches = checked = 0
     for algebra in algebras:
-        group = algebra.group
-        zero_pt = [Fraction(0)] * group.n_eta
-        monos = _all_monomials(group.dim, 6)
+        monos = _all_monomials(algebra.group.dim, 6)
         for kappa in (1, -1):
-            fn = solve_glc(algebra, kappa, verify=False)
-            for exp in monos:
-                sym = symmetrized_monomial(algebra, exp)
-                for ci, rep in enumerate(group.class_rep):
-                    val = fn.evaluate(sym * algebra.group_element(rep))
-                    got = {i: c.evaluate(zero_pt) for i, c in val.coeffs.items()
-                           if not c.evaluate(zero_pt).is_zero()}
-                    mult = eta0_trace(group, exp, rep, kappa)
-                    if group.e_grading(rep, kappa)[0] != 0 or mult.is_zero():
-                        expected = {}
-                    else:
-                        expected = {fn.free_classes.index(ci): mult}
-                    checked += 1
-                    if got != expected:
-                        mismatches += 1
+            count, bad = oracle_mismatches(solve_glc(algebra, kappa, verify=False), monos)
+            checked += count
+            mismatches += len(bad)
     ok = mismatches == 0
     _report(6, "evaluate at eta=0 equals the closed-form skew-product oracle", ok,
             f" ({checked} symmetrized monomials of degree <= 6, "
@@ -268,33 +235,9 @@ def test_criterion_9_literal_half_roots():
 
 
 def test_criterion_10_group_invariants(registry):
-    ok = True
-    elements = 0
-    for group in registry:
-        m = group.exponent
-        one = Cyclotomic.one(m)
-        for key, el in group.elements.items():
-            elements += 1
-            mat = el.matrix
-            if not (mat.transpose() * group.omega * mat == group.omega):
-                ok = False
-            if mat_det(mat) != one:
-                ok = False
-            spec = group.spectrum(key)
-            if sum(s.dim for _, s in spec) != group.dim:
-                ok = False
-            mults = {lam.root_exponent(): s.dim for lam, s in spec}
-            if any(k is None for k in mults):
-                ok = False
-                continue
-            for k, d in mults.items():
-                if mults.get((-k) % m) != d:
-                    ok = False
-            if mults.get(0, 0) % 2 != 0:
-                ok = False
-            if m % 2 == 0 and mults.get(m // 2, 0) % 2 != 0:
-                ok = False
+    bad = {group.name: keys for group in registry if (keys := group.invariant_failures())}
+    elements = sum(len(group) for group in registry)
     _report(10, "group invariants: diagonalizable, root-of-unity eigenvalues, "
                 "det 1, inverse-closed spectrum, even +-1 multiplicities, "
-                "symplectic", ok,
-            f" ({len(registry)} groups, {elements} elements)")
+                "symplectic", not bad,
+            f" ({len(registry)} groups, {elements} elements)" + (f" {bad}" if bad else ""))

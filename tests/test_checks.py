@@ -1,10 +1,27 @@
-"""Checks that guard the mathematics must survive `python -O`, which strips
-every `assert` statement, so the package itself contains none."""
+"""The checks that guard the mathematics.
+
+They must survive `python -O`, which strips every `assert` statement, so the
+package itself contains none.  And each shared property check must be able
+to fail: on a planted fault it reports it."""
 
 import ast
+import random
 from pathlib import Path
 
 import sra
+from sra.scalar import Cyclotomic
+from sra.linalg import Matrix
+from sra.group import cyclic_sp2
+from sra.algebra import Algebra
+from sra.traces import (
+    TraceFunctional,
+    TraceValue,
+    confluence_failures,
+    cyclicity_failures,
+    even_monomials,
+    oracle_mismatches,
+    solve_glc,
+)
 
 
 def test_package_has_no_assert_statements():
@@ -14,3 +31,53 @@ def test_package_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_cyclicity_and_oracle_report_a_corrupted_class_value():
+    # Z_2 supertrace: str(sigma) = -eta0 P0; adding P0 makes it P0 at eta = 0
+    alg = Algebra(cyclic_sp2(2))
+    fn = solve_glc(alg, -1)
+    group = alg.group
+    sigma_cls = next(ci for ci, rep in enumerate(group.class_rep)
+                     if rep != group.identity_key())
+    table = dict(fn.table)
+    table[sigma_cls] = table[sigma_cls] + TraceValue(1, {0: alg.one_poly})
+    bad = TraceFunctional(alg, -1, fn.free_classes, table, fn.e_of_class)
+    assert cyclicity_failures(fn, random.Random(3), 20, 3) == []
+    assert cyclicity_failures(bad, random.Random(3), 20, 3) != []
+    exponents = even_monomials(group.dim, 2)
+    assert oracle_mismatches(fn, exponents)[1] == []
+    checked, mismatches = oracle_mismatches(bad, exponents)
+    assert checked == len(exponents) * len(group.class_rep)
+    assert ((0, 0), f"C{sigma_cls}") in mismatches
+
+
+class _LastRegularStepShifted(TraceFunctional):
+    """Adds P0 to every value reduced with the 'last' regular-step strategy."""
+
+    def evaluate(self, f, regular_strategy="first", pair_strategy="first"):
+        val = super().evaluate(f, regular_strategy, pair_strategy)
+        if regular_strategy == "last":
+            val = val + TraceValue(self.nparams, {0: self.algebra.one_poly})
+        return val
+
+
+def test_confluence_reports_a_perturbed_strategy():
+    alg = Algebra(cyclic_sp2(3))
+    fn = solve_glc(alg, 1)
+    bad = _LastRegularStepShifted(alg, 1, fn.free_classes, fn.table, fn.e_of_class)
+    assert confluence_failures(fn, random.Random(4), 8, (2, 4)) == []
+    assert len(confluence_failures(bad, random.Random(4), 8, (2, 4))) == 8
+
+
+def test_invariant_failures_report_planted_elements():
+    # a fresh group: spectra are cached on first use
+    group = cyclic_sp2(4)
+    m = group.exponent
+    one, zero = Cyclotomic.one(m), Cyclotomic.zero(m)
+    # diag(1, -1): root-of-unity eigenvalues, but det -1 and not symplectic;
+    # the shear ((1, 1), (0, 1)): symplectic, but not diagonalizable
+    flip, shear = group.generator_keys[0], group.klein()
+    group.elements[flip].matrix = Matrix.from_rows([[one, zero], [zero, -one]])
+    group.elements[shear].matrix = Matrix.from_rows([[one, one], [zero, one]])
+    assert group.invariant_failures() == sorted([flip, shear])

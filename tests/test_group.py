@@ -118,26 +118,7 @@ def test_identity_egrading():
     lambda: doubled_coxeter("B", 2),
 ])
 def test_proposition_collect_invariants(make):
-    g = make()
-    ident = Matrix.identity(g.dim, g.exponent)
-    one = Cyclotomic.one(g.exponent)
-    for key, el in g.elements.items():
-        mat = el.matrix
-        assert mat.transpose() * g.omega * mat == g.omega
-        from sra.linalg import det
-        assert det(mat) == one
-        spec = g.spectrum(key)
-        assert sum(s.dim for _, s in spec) == g.dim
-        mults = {lam.root_exponent(): s.dim for lam, s in spec}
-        assert all(k is not None for k in mults)
-        # spectrum closed under inversion
-        for k, d in mults.items():
-            assert mults.get((-k) % g.exponent) == d
-        # even multiplicities of +1 and -1
-        m = g.exponent
-        assert mults.get(0, 0) % 2 == 0
-        if m % 2 == 0:
-            assert mults.get(m // 2, 0) % 2 == 0
+    assert make().invariant_failures() == []
 
 
 def test_class_functions_constant():

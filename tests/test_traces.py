@@ -6,19 +6,21 @@ import pytest
 from sra.scalar import Cyclotomic
 from sra.group import cyclic_sp2, doubled_coxeter
 from sra.algebra import Algebra
-from sra.cli import _random_definite
 from sra.traces import (
     InconsistentGLCError,
     KappaEigenvaluePresentError,
     TraceFunctional,
     TraceValue,
+    _random_definite,
+    confluence_failures,
+    cyclicity_failures,
     eta0_form,
     eta0_trace,
     even_monomials,
     functional_to_json,
     gram,
+    oracle_mismatches,
     solve_glc,
-    symmetrized_monomial,
     verify_glc,
 )
 
@@ -121,15 +123,7 @@ def test_evaluate_linearity(z2):
 def test_kappa_cyclicity(alg_name, kappa, request):
     alg = request.getfixturevalue(alg_name)
     fn = solve_glc(alg, kappa)
-    rng = random.Random(100 + kappa)
-    keys = sorted(alg.group.elements)
-    for _ in range(12):
-        f = _random_definite(alg, rng, 3, keys)
-        h = _random_definite(alg, rng, 3, keys)
-        lhs = fn.evaluate(f * h)
-        sign = kappa if (f.parity() * h.parity()) else 1
-        rhs = fn.evaluate(h * f).scaled(sign)
-        assert lhs == rhs
+    assert cyclicity_failures(fn, random.Random(100 + kappa), 12, 3) == []
 
 
 def test_g_invariance(a2):
@@ -149,17 +143,7 @@ def test_confluence_strategies(kappa, z2, z3):
     rng = random.Random(55)
     for alg in (z2, z3):
         fn = solve_glc(alg, kappa)
-        n = alg.group.dim
-        keys = sorted(alg.group.elements)
-        for _ in range(10):
-            deg = rng.choice([2, 4])
-            word = [rng.randrange(n) for _ in range(deg)]
-            el = alg.group_element(rng.choice(keys))
-            for i in word:
-                el = alg.generator(i) * el
-            vals = {fn.evaluate(el, rs, ps)
-                    for rs in ("first", "last") for ps in ("first", "last")}
-            assert len(vals) == 1
+        assert confluence_failures(fn, rng, 10, (2, 4)) == []
 
 
 def test_glc_evaluator_consistency(a2):
@@ -228,31 +212,14 @@ def test_eta0_trace_examples(z4):
     assert val == -Cyclotomic.root_of_unity(4)
 
 
-def _tv_at_eta0(val: TraceValue, nvars: int, m: int):
-    zero_pt = [Fraction(0)] * nvars
-    return {i: c.evaluate(zero_pt) for i, c in val.coeffs.items()
-            if not c.evaluate(zero_pt).is_zero()}
-
-
 @pytest.mark.parametrize("alg_name,kappa", [("z2", -1), ("z2", 1), ("z4", -1), ("z3", 1)])
 def test_eta0_oracle_small(alg_name, kappa, request):
     alg = request.getfixturevalue(alg_name)
     group = alg.group
-    fn = solve_glc(alg, kappa)
-    for exp in even_monomials(group.dim, 4):
-        sym = symmetrized_monomial(alg, exp)
-        for ci, rep in enumerate(group.class_rep):
-            val = fn.evaluate(sym * alg.group_element(rep))
-            got = _tv_at_eta0(val, group.n_eta, group.exponent)
-            mult = eta0_trace(group, exp, rep, kappa)
-            if group.e_grading(rep, kappa)[0] != 0:
-                assert got == {}, (exp, ci)
-            else:
-                pi = fn.free_classes.index(ci)
-                if mult.is_zero():
-                    assert got == {}, (exp, ci)
-                else:
-                    assert got == {pi: mult}, (exp, ci)
+    exponents = even_monomials(group.dim, 4)
+    checked, mismatches = oracle_mismatches(solve_glc(alg, kappa), exponents)
+    assert mismatches == []
+    assert checked == len(exponents) * len(group.class_rep)
 
 
 def test_gram_d0_z2(z2):
@@ -340,20 +307,8 @@ def test_nonunit_t_properties(kappa):
     for make_t in (Fraction(2), Fraction(-1, 3)):
         alg = Algebra(cyclic_sp2(3), t=make_t)
         fn = solve_glc(alg, kappa, verify=True)
-        keys = sorted(alg.group.elements)
-        for _ in range(6):
-            f = _random_definite(alg, rng, 3, keys)
-            h = _random_definite(alg, rng, 3, keys)
-            sign = kappa if (f.parity() * h.parity()) else 1
-            assert fn.evaluate(f * h) == fn.evaluate(h * f).scaled(sign)
-        for _ in range(6):
-            word = [rng.randrange(2) for _ in range(rng.choice([2, 4]))]
-            el = alg.group_element(rng.choice(keys))
-            for i in word:
-                el = alg.generator(i) * el
-            vals = {fn.evaluate(el, rs, ps)
-                    for rs in ("first", "last") for ps in ("first", "last")}
-            assert len(vals) == 1
+        assert cyclicity_failures(fn, rng, 6, 3) == []
+        assert confluence_failures(fn, rng, 6, (2, 4)) == []
 
 
 def test_zero_t_rejected():
