@@ -54,6 +54,7 @@ from .algebra import (
     GroupMismatchError,
     IndefiniteParityError,
     kappa_commutator,
+    symmetrized_monomial,
 )
 from .traces import (
     GramReport,
@@ -68,7 +69,6 @@ from .traces import (
     gram,
     gram_to_json,
     solve_glc,
-    symmetrized_monomial,
     verify_glc,
 )
 from .expr import ParseError, parse, print_element

@@ -110,9 +110,7 @@ class Frame:
         self.n = n
         self.zero_exp = (0,) * n
         self.pair = [[group.omega[i, j] for j in range(n)] for i in range(n)]
-        one, zero = Cyclotomic.one(algebra.m), Cyclotomic.zero(algebra.m)
-        std = [tuple(one if i == j else zero for j in range(n)) for i in range(n)]
-        self.refl = reflection_table(group, std)
+        self.refl = reflection_table(group, algebra.letters)
         self._transform_cache: dict = {}
         self._nf_cache: dict = {}
         self._conj_cache: dict = {}
@@ -184,8 +182,8 @@ class EigenbasisChart:
     g(b_I) = lambda_I b_I; the +1 and -1 eigenvalue blocks are Darboux bases
     of their eigenspaces, so the kappa-block Gram matrix is the normal shape.
     `refl` is the reflection table of the b letters (see reflection_table);
-    `letter_coords[i]` are the chart coordinates of the standard letter
-    a_(i+1)."""
+    `coords(v)` gives the chart coordinates of any standard vector v, the
+    standard letters `Algebra.letters` included."""
 
     def __init__(self, algebra: "Algebra", g_key):
         group = algebra.group
@@ -214,9 +212,6 @@ class EigenbasisChart:
                      for a in range(n)]
         self.refl = reflection_table(group, self.vectors)
         self._coords: dict = {}
-        zero = Cyclotomic.zero(m)
-        self.letter_coords = [self.coords(tuple(plus_one if i == j else zero for i in range(n)))
-                              for j in range(n)]
         self.kappa_pairs = {}
         for kappa, lam_val in ((+1, plus_one), (-1, minus_one)):
             idxs = [i for i, lv in enumerate(lams) if lv == lam_val]
@@ -251,7 +246,12 @@ class Algebra:
         self.zero_poly = EtaPolynomial.zero(self.nvars, self.m)
         self._eta_polys = [EtaPolynomial.variable(i, self.nvars, self.m)
                            for i in range(self.nvars)]
+        one, zero = Cyclotomic.one(self.m), Cyclotomic.zero(self.m)
+        n = group.dim
+        # the standard letters x_i = a_(i+1) as coordinate vectors
+        self.letters = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
         self._charts: dict = {}
+        self._symmetrized: dict = {}
         self.frame = Frame(self)
 
     # -- scalar helpers -----------------------------------------------------
@@ -306,6 +306,14 @@ class Algebra:
     def group_element(self, g_key) -> "AlgebraElement":
         zero_exp = (0,) * self.group.dim
         return AlgebraElement(self, {g_key: {zero_exp: self.one_poly}})
+
+    def word(self, letters, g_key) -> "AlgebraElement":
+        """The normal form of x_(l1) ... x_(lk) g for letters (l1, ..., lk),
+        zero-indexed like generator."""
+        out = self.group_element(g_key)
+        for i in reversed(letters):
+            out = self.generator(i) * out
+        return out
 
 
 class AlgebraElement:
@@ -451,3 +459,19 @@ def kappa_commutator(f: AlgebraElement, h: AlgebraElement, kappa: int) -> Algebr
         raise IndefiniteParityError("kappa-bracket needs definite parities")
     sign = kappa if pf * ph else 1
     return f * h - (h * f).scaled(sign)
+
+
+def symmetrized_monomial(algebra: Algebra, exp: tuple[int, ...]) -> AlgebraElement:
+    """Sum of all distinct letter orderings of the monomial with content
+    `exp` (so deg-2 cross terms look like a_1 a_2 + a_2 a_1), memoized on the
+    algebra.  Grouping the orderings by their first letter gives
+    sym(exp) = sum over i with exp_i > 0 of x_i sym(exp - e_i)."""
+    got = algebra._symmetrized.get(exp)
+    if got is None:
+        got = algebra.one() if not any(exp) else algebra.zero()
+        for i, e in enumerate(exp):
+            if e:
+                rest = symmetrized_monomial(algebra, _shift(exp, i, -1))
+                got = got + algebra.generator(i) * rest
+        algebra._symmetrized[exp] = got
+    return got

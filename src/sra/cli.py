@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
 
 from .scalar import literal
 from .group import (
+    BUILTINS,
     CapExceededError,
     DEFAULT_CAP,
     NotReflectionError,
@@ -55,9 +55,7 @@ DOMAIN_ERRORS = (
 
 def _add_group_args(p: argparse.ArgumentParser):
     p.add_argument("--group", metavar="FILE", help="group definition file (JSON)")
-    p.add_argument("--builtin", choices=["cyclic", "doubled-A", "doubled-B",
-                                         "dihedral", "product"],
-                   help="builtin group constructor")
+    p.add_argument("--builtin", choices=list(BUILTINS), help="builtin group constructor")
     p.add_argument("--n", type=int, help="parameter n for cyclic/dihedral")
     p.add_argument("--rank", type=int,
                    help="doubled-A: the n of S_n (builds A_(n-1)); doubled-B: the rank")
@@ -70,34 +68,23 @@ def _add_group_args(p: argparse.ArgumentParser):
 def _parse_factor(spec: str):
     kind, _, arg = spec.partition(":")
     kind = kind.strip()
-    if kind in ("cyclic", "dihedral"):
-        return kind, {"n": int(arg)}
-    if kind in ("doubled-A", "doubled-B"):
-        return kind, {"rank": int(arg)}
-    raise ValueError(f"unknown product factor {spec!r}")
+    if kind not in BUILTINS or kind == "product":
+        raise ValueError(f"unknown product factor {spec!r}")
+    return kind, {BUILTINS[kind]: int(arg)}
 
 
 def _make_group(args):
     if bool(args.group) == bool(args.builtin):
         raise ValueError("choose exactly one of --group FILE or --builtin NAME")
     if args.group:
-        min_order = int(os.environ.get("SRA_CYCLOTOMIC_ORDER", "1"))
-        return load_group(args.group, cap=args.cap, min_order=min_order)
-    kind = args.builtin
-    if kind in ("cyclic", "dihedral"):
-        if args.n is None:
-            raise ValueError(f"--builtin {kind} needs --n")
-        return builtin(kind, n=args.n)
-    if kind in ("doubled-A", "doubled-B"):
-        if args.rank is None:
-            raise ValueError(f"--builtin {kind} needs --rank")
-        return builtin(kind, rank=args.rank)
+        return load_group(args.group, cap=args.cap)
+    kind, param = args.builtin, BUILTINS[args.builtin]
+    value = getattr(args, param)
+    if value is None or value == "":
+        raise ValueError(f"--builtin {kind} needs --{param}")
     if kind == "product":
-        if not args.factors:
-            raise ValueError("--builtin product needs --factors")
-        factors = [_parse_factor(s) for s in args.factors.split(",")]
-        return builtin("product", factors=factors)
-    raise ValueError(f"unknown builtin {kind!r}")
+        value = [_parse_factor(s) for s in value.split(",")]
+    return builtin(kind, **{param: value})
 
 
 def _kappas(arg: str):
@@ -233,10 +220,11 @@ def cmd_oracle_check(args):
     payload["max_degree"] = args.max_degree
     payload["kappa"] = {}
     lines = [f"group {group.name}: eta=0 oracle cross-check, degree <= {args.max_degree}"]
+    exponents = even_monomials(group.dim, args.max_degree)
     ok = True
     for kappa in _kappas(args.kappa):
         fn = solve_glc(algebra, kappa, verify=False)
-        checked, mismatches = oracle_mismatches(fn, even_monomials(group.dim, args.max_degree))
+        checked, mismatches = oracle_mismatches(fn, exponents)
         payload["kappa"][str(kappa)] = {"checked": checked, "mismatches": len(mismatches)}
         lines.append(f"kappa = {kappa:+d}: {checked} comparisons, {len(mismatches)} mismatches")
         lines.extend(f"  mismatch: exponent {list(exp)} on {label}" for exp, label in mismatches)
@@ -273,6 +261,8 @@ def cmd_gram(args):
 
 
 def cmd_selftest(args):
+    if args.samples < 0:
+        raise ValueError("--samples must be >= 0")
     rng = random.Random(args.seed)
     specs = [s.strip() for s in args.groups.split(",")]
     payload = {"seed": args.seed, "groups": {}}

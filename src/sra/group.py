@@ -276,8 +276,7 @@ class Group:
 
 
 def close(generators: list[Matrix], omega: Matrix, cap: int = DEFAULT_CAP,
-          strict_reflections: bool = True, name: str = "group",
-          min_order: int = 1) -> Group:
+          strict_reflections: bool = True, name: str = "group") -> Group:
     """Breadth-first closure of symplectic generators into a Group.
 
     Each generator must satisfy g^T omega g = omega, and (unless
@@ -290,7 +289,7 @@ def close(generators: list[Matrix], omega: Matrix, cap: int = DEFAULT_CAP,
     dim = generators[0].rows
     if omega.rows != dim or omega.cols != dim or dim % 2 != 0:
         raise ValueError("omega must be 2N x 2N matching the generators")
-    m0 = lcm(omega.order(), *[g.order() for g in generators], min_order)
+    m0 = lcm(omega.order(), *[g.order() for g in generators])
     omega0 = omega.embed(m0)
     if rank(omega0) != dim or not (-omega0.transpose() == omega0):
         raise ValueError("omega must be nondegenerate and antisymmetric")
@@ -483,14 +482,15 @@ def direct_product(g1: Group, g2: Group) -> Group:
     return close(gens, omega, name=f"{g1.name}x{g2.name}")
 
 
-BUILTIN_NAMES = ("cyclic", "doubled-A", "doubled-B", "dihedral", "product")
+# builtin kind -> the name of its one parameter
+BUILTINS = {"cyclic": "n", "doubled-A": "rank", "doubled-B": "rank", "dihedral": "n",
+            "product": "factors"}
 
 
 def builtin(kind: str, **params) -> Group:
-    """Construct a builtin group by name.
-
-    cyclic: n; doubled-A: rank (= n of S_n); doubled-B: rank; dihedral: n;
-    product: factors (list of (kind, param) pairs).
+    """Construct a builtin group by name, with the one parameter BUILTINS
+    names for it: the rank of doubled-A is the n of S_n, and product takes a
+    list of (kind, params) factor pairs.
     """
     if kind == "cyclic":
         return cyclic_sp2(int(params["n"]))
@@ -536,10 +536,10 @@ def group_to_dict(group: Group) -> dict:
     return d
 
 
-def group_from_dict(d: dict, cap: int = DEFAULT_CAP, min_order: int = 1) -> Group:
+def group_from_dict(d: dict, cap: int = DEFAULT_CAP) -> Group:
     n_half = int(d["N"])
     dim = 2 * n_half
-    m0 = int(d.get("cyclotomic_order", min_order))
+    m0 = int(d.get("cyclotomic_order", 1))
 
     def parse_matrix(rows) -> Matrix:
         if len(rows) != dim or any(len(r) != dim for r in rows):
@@ -553,7 +553,7 @@ def group_from_dict(d: dict, cap: int = DEFAULT_CAP, min_order: int = 1) -> Grou
     gens = [parse_matrix(g) for g in d["generators"]]
     strict = not d.get("allow_non_reflections", False)
     group = close(gens, omega, cap=cap, strict_reflections=strict,
-                  name=d.get("name", "group"), min_order=min_order)
+                  name=d.get("name", "group"))
     if "eta" in d:
         assignment = {}
         for label, val in d["eta"].items():
@@ -568,9 +568,9 @@ def group_from_dict(d: dict, cap: int = DEFAULT_CAP, min_order: int = 1) -> Grou
     return group
 
 
-def load_group(path: str, cap: int = DEFAULT_CAP, min_order: int = 1) -> Group:
+def load_group(path: str, cap: int = DEFAULT_CAP) -> Group:
     with open(path) as fh:
-        return group_from_dict(json.load(fh), cap=cap, min_order=min_order)
+        return group_from_dict(json.load(fh), cap=cap)
 
 
 def save_group(group: Group, path: str):

@@ -29,7 +29,7 @@ from math import factorial
 from .scalar import Cyclotomic, EtaPolynomial, literal
 from .linalg import Matrix, form_value, fraction_free_det, inverse
 from .group import Group
-from .algebra import Algebra, AlgebraElement, _letters, reflection_table
+from .algebra import Algebra, AlgebraElement, _letters, reflection_table, symmetrized_monomial
 
 
 class InconsistentGLCError(Exception):
@@ -248,7 +248,6 @@ class _Evaluator:
         self.regular_strategy = regular_strategy
         self.pair_strategy = pair_strategy
         self.zero = TraceValue.zero(functional.nparams)
-        self._mono: dict = {}
         self._bword: dict = {}
         self._vecs: dict = {}
         self._refl_vec: dict = {}
@@ -259,61 +258,44 @@ class _Evaluator:
     def element_value(self, f: AlgebraElement) -> TraceValue:
         if f.algebra.group is not self.group:
             raise ValueError("element from a different group's algebra")
+        letters = self.alg.letters
         acc = self.zero
         for gk, poly in f.terms.items():
             for exp, coeff in poly.items():
-                val = self.mono(gk, exp)
+                val = self.vectors(gk, tuple(letters[i] for i in _letters(exp)))
                 if not val.is_zero():
                     acc = acc + val.scaled(coeff)
         return acc
 
-    # -- monomials in the standard generators --------------------------------
-
-    def mono(self, g_key, exp) -> TraceValue:
-        got = self._mono.get((g_key, exp))
-        if got is None:
-            if sum(exp) % 2 == 1:
-                got = self.zero          # every nonzero kappa-trace is even
-            elif sum(exp) == 0:
-                got = self.fn.element_value(g_key)
-            else:
-                letters = self.alg.chart(g_key).letter_coords
-                got = self._expand(g_key, [letters[i] for i in _letters(exp)])
-            self._mono[(g_key, exp)] = got
-        return got
-
     def vectors(self, g_key, vecs: tuple) -> TraceValue:
-        """Trace of a word of arbitrary vector letters times g."""
+        """Trace of a word of arbitrary vector letters times g: the word is
+        expanded in the eigenbasis of g into eigen-words."""
+        if len(vecs) % 2 == 1:
+            return self.zero             # every nonzero kappa-trace is even
         got = self._vecs.get((g_key, vecs))
         if got is None:
-            chart = self.alg.chart(g_key)
-            coords = [chart.coords(v) for v in vecs]
-            got = self._expand(g_key, coords)
+            words = {(): Cyclotomic.one(self.alg.m)}
+            for v in vecs:
+                col = self.alg.chart(g_key).coords(v)
+                nxt: dict = {}
+                for w, c in words.items():
+                    for i, ci in col:
+                        w2 = w + (i,)
+                        p = c * ci
+                        cur = nxt.get(w2)
+                        s = p if cur is None else cur + p
+                        if s.is_zero():
+                            nxt.pop(w2, None)
+                        else:
+                            nxt[w2] = s
+                words = nxt
+            got = self.zero
+            for w, c in words.items():
+                val = self.bword(g_key, w)
+                if not val.is_zero():
+                    got = got + val.scaled(c)
             self._vecs[(g_key, vecs)] = got
         return got
-
-    def _expand(self, g_key, coords_list) -> TraceValue:
-        """Expand sparse per-letter chart coordinates into eigen-words."""
-        words = {(): Cyclotomic.one(self.alg.m)}
-        for col in coords_list:
-            nxt: dict = {}
-            for w, c in words.items():
-                for i, ci in col:
-                    w2 = w + (i,)
-                    p = c * ci
-                    cur = nxt.get(w2)
-                    s = p if cur is None else cur + p
-                    if s.is_zero():
-                        nxt.pop(w2, None)
-                    else:
-                        nxt[w2] = s
-            words = nxt
-        acc = self.zero
-        for w, c in words.items():
-            val = self.bword(g_key, w)
-            if not val.is_zero():
-                acc = acc + val.scaled(c)
-        return acc
 
     # -- eigen-words ----------------------------------------------------------
 
@@ -501,17 +483,15 @@ def eta0_trace(group: Group, exp: tuple[int, ...], g_key, kappa: int,
             e[j] += 1
             quad[tuple(e)] = (quarter * c) if i == j else (half * c)
 
-    # truncated exp(Q): sum Q^k / k!, degrees capped at deg
-    series = {(0,) * n: Cyclotomic.one(m)}
+    # Q is homogeneous of degree 2, so of exp(Q) only Q^(deg/2) / (deg/2)!
+    # has degree deg; terms that exceed exp in some letter are dropped early
     power = {(0,) * n: Cyclotomic.one(m)}
-    for k in range(1, deg // 2 + 1):
+    for _ in range(deg // 2):
         nxt: dict = {}
         for e1, c1 in power.items():
-            if sum(e1) + 2 > deg:
-                continue
             for e2, c2 in quad.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                if sum(e) > deg:
+                if any(a > b for a, b in zip(e, exp)):
                     continue
                 prod = c1 * c2
                 cur = nxt.get(e)
@@ -521,40 +501,8 @@ def eta0_trace(group: Group, exp: tuple[int, ...], g_key, kappa: int,
                 else:
                     nxt[e] = s
         power = nxt
-        inv_fact = Cyclotomic.from_rational(Fraction(1, factorial(k)), m)
-        for e, c in power.items():
-            add = c * inv_fact
-            cur = series.get(e)
-            s = add if cur is None else cur + add
-            if s.is_zero():
-                series.pop(e, None)
-            else:
-                series[e] = s
-
-    coeff = series.get(tuple(exp), zero)
-    return coeff * Cyclotomic.from_rational(sp_g * factorial(deg), m)
-
-
-def symmetrized_monomial(algebra: Algebra, exp: tuple[int, ...]) -> AlgebraElement:
-    """Sum of all distinct letter orderings of the monomial with content
-    `exp` (so deg-2 cross terms look like a_1 a_2 + a_2 a_1)."""
-    from itertools import permutations
-
-    base = _letters(exp)
-    words = sorted(set(permutations(base)))
-    cache: dict[tuple, AlgebraElement] = {(): algebra.one()}
-
-    def product_of(word):
-        got = cache.get(word)
-        if got is None:
-            got = product_of(word[:-1]) * algebra.generator(word[-1])
-            cache[word] = got
-        return got
-
-    acc = algebra.zero()
-    for w in words:
-        acc = acc + product_of(w)
-    return acc
+    coeff = power.get(tuple(exp), zero)
+    return coeff * Cyclotomic.from_rational(sp_g * Fraction(factorial(deg), factorial(deg // 2)), m)
 
 
 # -- property checks -----------------------------------------------------------
@@ -572,15 +520,11 @@ def _random_definite(algebra: Algebra, rng, max_degree: int, keys) -> AlgebraEle
     out = algebra.zero()
     for _ in range(rng.randint(1, 2)):
         deg = rng.choice([d for d in range(max_degree + 1) if d % 2 == par])
-        term = algebra.group_element(rng.choice(keys))
-        for _ in range(deg):
-            term = algebra.generator(rng.randrange(n)) * term
-        out = out + term.scaled(rng.randint(-2, 2))
+        g_key = rng.choice(keys)
+        letters = [rng.randrange(n) for _ in range(deg)]
+        out = out + algebra.word(letters[::-1], g_key).scaled(rng.randint(-2, 2))
     if out.parity() is None or out.is_zero():
-        term = algebra.group_element(keys[0])
-        if par == 1:
-            term = algebra.generator(0) * term
-        out = term
+        out = algebra.word((0,) * par, keys[0])
     return out
 
 
@@ -610,9 +554,7 @@ def confluence_failures(fn: TraceFunctional, rng, samples: int,
     failures = []
     for _ in range(samples):
         word = [rng.randrange(n) for _ in range(rng.choice(degrees))]
-        el = algebra.group_element(rng.choice(keys))
-        for i in word:
-            el = algebra.generator(i) * el
+        el = algebra.word(word[::-1], rng.choice(keys))
         vals = {fn.evaluate(el, rs, ps) for rs in ("first", "last") for ps in ("first", "last")}
         if len(vals) != 1:
             failures.append(el)
@@ -691,6 +633,8 @@ def monomials_of_degree(n: int, d: int) -> list[tuple[int, ...]]:
 
 def even_monomials(n: int, max_degree: int) -> list[tuple[int, ...]]:
     """All exponent vectors of even total degree <= max_degree, grlex order."""
+    if max_degree < 0:
+        raise ValueError("degree cutoff must be >= 0")
     out = []
     for d in range(0, max_degree + 1, 2):
         out.extend(monomials_of_degree(n, d))
@@ -707,23 +651,16 @@ def gram(functional: TraceFunctional, degree: int,
     (default: first parameter 1, the rest 0); rational roots are reported in
     the univariate case.
     """
-    if degree < 0:
-        raise ValueError("degree cutoff must be >= 0")
     algebra = functional.algebra
     group = functional.group
+    monos = even_monomials(group.dim, degree)
     if assignment is None:
         assignment = [Fraction(1 if i == 0 else 0) for i in range(functional.nparams)]
     assignment = [Fraction(a) for a in assignment]
     if len(assignment) != functional.nparams:
         raise ValueError("free-parameter assignment arity mismatch")
-    monos = even_monomials(group.dim, degree)
     basis = [(e, ci) for e in monos for ci in range(len(group.classes))]
-    elements = []
-    for e, ci in basis:
-        el = algebra.group_element(group.class_rep[ci])
-        for i in _letters(e):
-            el = algebra.generator(i) * el
-        elements.append(el)
+    elements = [algebra.word(_letters(e)[::-1], group.class_rep[ci]) for e, ci in basis]
     nvars, m = group.n_eta, group.exponent
     mat = []
     for fa in elements:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import comb, factorial
 
 import pytest
@@ -11,7 +12,9 @@ from sra.algebra import (
     GroupMismatchError,
     IndefiniteParityError,
     kappa_commutator,
+    symmetrized_monomial,
 )
+from sra.traces import monomials_of_degree
 
 
 @pytest.fixture(scope="module")
@@ -240,3 +243,38 @@ def test_chart_coordinates_and_reflection_table(alg_name, request):
                 entries = chart.refl.get((x, y), [])
                 assert len(entries) == len(expected)
                 assert dict(entries) == expected
+
+
+@pytest.mark.parametrize("alg_name", ["z2", "z3", "a2"])
+def test_word_is_the_generator_product(alg_name, request):
+    alg = request.getfixturevalue(alg_name)
+    rng = random.Random(5)
+    n = alg.group.dim
+    keys = sorted(alg.group.elements)
+    for _ in range(8):
+        letters = [rng.randrange(n) for _ in range(rng.randint(0, 5))]
+        g_key = rng.choice(keys)
+        expected = alg.one()
+        for i in letters:
+            expected = expected * alg.generator(i)
+        assert alg.word(letters, g_key) == expected * alg.group_element(g_key)
+
+
+def _sum_of_distinct_orderings(alg, exp):
+    """Reference symmetrizer: multiply out every distinct letter ordering."""
+    letters = [i for i, e in enumerate(exp) for _ in range(e)]
+    acc = alg.zero()
+    for word in sorted(set(permutations(letters))):
+        term = alg.one()
+        for i in word:
+            term = term * alg.generator(i)
+        acc = acc + term
+    return acc
+
+
+@pytest.mark.parametrize("alg_name", ["z2", "z3", "a2"])
+def test_symmetrized_monomial_sums_distinct_orderings(alg_name, request):
+    alg = request.getfixturevalue(alg_name)
+    for d in range(5):
+        for exp in monomials_of_degree(alg.group.dim, d):
+            assert symmetrized_monomial(alg, exp) == _sum_of_distinct_orderings(alg, exp)

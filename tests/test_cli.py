@@ -136,3 +136,32 @@ def test_eval_word_with_many_inversions(capsys):
                          "--expr", "a2^32*a1^32")
     assert code == 0, err
     assert "a1^32*a2^32" in out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["oracle-check", "--builtin", "cyclic", "--n", "2", "--max-degree", "-1"],
+     "degree cutoff must be >= 0"),
+    (["selftest", "--groups", "cyclic:2", "--samples", "-1"], "--samples must be >= 0"),
+    (["gram", "--builtin", "cyclic", "--n", "2", "--degree", "-2"],
+     "degree cutoff must be >= 0"),
+])
+def test_negative_sizes_exit_1(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("kind,param", [("cyclic", "n"), ("dihedral", "n"),
+                                        ("doubled-A", "rank"), ("doubled-B", "rank"),
+                                        ("product", "factors")])
+def test_builtin_needs_its_parameter(capsys, kind, param):
+    code, _, err = run(capsys, "counts", "--builtin", kind)
+    assert code == 1
+    assert f"--builtin {kind} needs --{param}" in err
+
+
+def test_unknown_product_factor(capsys):
+    code, _, err = run(capsys, "counts", "--builtin", "product", "--factors", "cyclic:2,product:2")
+    assert code == 1
+    assert "unknown product factor 'product:2'" in err

@@ -222,6 +222,17 @@ def test_eta0_oracle_small(alg_name, kappa, request):
     assert checked == len(exponents) * len(group.class_rep)
 
 
+@pytest.mark.parametrize("alg_name", ["z2", "z3"])
+def test_eta0_oracle_degree_12(alg_name, request):
+    # 12 letters have up to 12! orderings; the symmetrizer must not walk them
+    alg = request.getfixturevalue(alg_name)
+    exponents = [(6, 6), (12, 0), (5, 7)]
+    for kappa in (1, -1):
+        checked, mismatches = oracle_mismatches(solve_glc(alg, kappa), exponents)
+        assert mismatches == []
+        assert checked == len(exponents) * len(alg.group.class_rep)
+
+
 def test_gram_d0_z2(z2):
     fn = solve_glc(z2, -1)
     report = gram(fn, 0)
