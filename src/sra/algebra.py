@@ -1,7 +1,7 @@
 """Normal-form arithmetic in the symplectic reflection algebra H_t,eta(G).
 
 Elements are stored with all generator letters left of the group element:
-a map  group element -> (exponent vector -> eta-polynomial coefficient),
+a map  (exponent vector, group element) -> eta-polynomial coefficient,
 monomials in graded-lexicographic order with a_1 < ... < a_2N.  Rewriting
 uses the defining relations
 
@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalar import Cyclotomic, EtaPolynomial
-from .linalg import Matrix, _dot, darboux_basis, eigen_decompose, form_value, inverse
+from .scalar import Cyclotomic, EtaPolynomial, accumulate
+from .linalg import Matrix, _dot, darboux_basis, form_value, inverse
 from .group import Group
 
 
@@ -43,16 +43,6 @@ def _letters(exp: tuple[int, ...]) -> tuple[int, ...]:
 
 def _shift(exp: tuple[int, ...], i: int, d: int) -> tuple[int, ...]:
     return exp[:i] + (exp[i] + d,) + exp[i + 1:]
-
-
-def _add(out: dict, key, poly: EtaPolynomial):
-    """out[key] += poly, dropping the key when the sum vanishes."""
-    cur = out.get(key)
-    s = poly if cur is None else cur + poly
-    if s.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = s
 
 
 def reflection_table(group: Group, vectors) -> dict:
@@ -84,9 +74,10 @@ class Frame:
 
     `pair[i][j]` is omega(x_i, x_j) (multiplied by t in the relation) and
     `refl[(i, j)]` lists (reflection key, omega_R(x_i, x_j)) with nonzero
-    value.  A normal form is a dict {(exponent, group key): coefficient}: the
-    group key collects the reflections produced by the corrections, and the
-    caller appends its own trailing group element on the right.
+    value.  A normal form is a dict {(exponent, group key): coefficient}, the
+    shape of AlgebraElement.terms: the group key collects the reflections
+    produced by the corrections, and the caller appends its own trailing
+    group element on the right.
 
     letter_times(j, alpha) = NF(x_j x^alpha), memoized on (j, alpha).  When no
     letter of alpha is smaller than j the product is already ordered;
@@ -143,11 +134,11 @@ class Frame:
             got = self.times(self.transform(ident)[k], self.letter_times(j, rest))
             scal = alg.t * self.pair[j][k]
             if not scal.is_zero():
-                _add(got, (rest, ident), alg.one_poly.scaled(scal))
+                accumulate(got, (rest, ident), alg.one_poly.scaled(scal))
             for rkey, val in self.refl.get((j, k), ()):
                 eta_coeff = alg.eta_poly(group.eta_var_of(rkey)).scaled(val)
                 for (e, r), c in self.conjugate(rkey, rest, self.zero_exp).items():
-                    _add(got, (e, group.mul(r, rkey)), c * eta_coeff)
+                    accumulate(got, (e, group.mul(r, rkey)), c * eta_coeff)
         self._nf_cache[key] = got
         return got
 
@@ -159,7 +150,7 @@ class Frame:
             for i, ci in col:
                 cc = c.scaled(ci)
                 for (e2, r2), c2 in self.letter_times(i, e).items():
-                    _add(out, (e2, group.mul(r2, r)), cc * c2)
+                    accumulate(out, (e2, group.mul(r2, r)), cc * c2)
         return out
 
     def conjugate(self, h_key, exp: tuple[int, ...], tail: tuple[int, ...]):
@@ -188,14 +179,12 @@ class EigenbasisChart:
     def __init__(self, algebra: "Algebra", g_key):
         group = algebra.group
         m = group.exponent
-        el = group.elements[g_key]
         self.g_key = g_key
-        decomp = eigen_decompose(el.matrix, m, order=el.order)
         lams: list[Cyclotomic] = []
         vectors = []
         plus_one = Cyclotomic.one(m)
         minus_one = Cyclotomic.from_rational(-1, m)
-        for lam, space in decomp:
+        for lam, space in group.spectrum(g_key):
             if lam == plus_one or lam == minus_one:
                 basis = darboux_basis(space, group.omega)
             else:
@@ -284,9 +273,7 @@ class Algebra:
         poly = self.coeff(c)
         if poly.is_zero():
             return self.zero()
-        e = self.group.identity_key()
-        zero_exp = (0,) * self.group.dim
-        return AlgebraElement(self, {e: {zero_exp: poly}})
+        return AlgebraElement(self, {((0,) * self.group.dim, self.group.identity_key()): poly})
 
     def one(self) -> "AlgebraElement":
         return self.scalar(1)
@@ -299,13 +286,11 @@ class Algebra:
         n = self.group.dim
         if not 0 <= i < n:
             raise IndexError(f"generator index {i} out of range 0..{n - 1}")
-        e = self.group.identity_key()
         exp = tuple(1 if j == i else 0 for j in range(n))
-        return AlgebraElement(self, {e: {exp: self.one_poly}})
+        return AlgebraElement(self, {(exp, self.group.identity_key()): self.one_poly})
 
     def group_element(self, g_key) -> "AlgebraElement":
-        zero_exp = (0,) * self.group.dim
-        return AlgebraElement(self, {g_key: {zero_exp: self.one_poly}})
+        return AlgebraElement(self, {((0,) * self.group.dim, g_key): self.one_poly})
 
     def word(self, letters, g_key) -> "AlgebraElement":
         """The normal form of x_(l1) ... x_(lk) g for letters (l1, ..., lk),
@@ -317,7 +302,8 @@ class Algebra:
 
 
 class AlgebraElement:
-    """Normal-form element: sum over g of (ordered polynomial in a_i) * g."""
+    """Normal-form element sum c x^alpha g, stored as the Frame normal form
+    {(exponent alpha, group key g): nonzero coefficient c}."""
 
     __slots__ = ("algebra", "terms")
 
@@ -339,21 +325,15 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check(other)
-        terms = {gk: dict(poly) for gk, poly in self.terms.items()}
-        for gk, poly in other.terms.items():
-            tgt = terms.setdefault(gk, {})
-            for e, c in poly.items():
-                _add(tgt, e, c)
-            if not tgt:
-                terms.pop(gk)
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            accumulate(terms, key, c)
         return AlgebraElement(self.algebra, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraElement(self.algebra,
-                              {gk: {e: -c for e, c in poly.items()}
-                               for gk, poly in self.terms.items()})
+        return AlgebraElement(self.algebra, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic, EtaPolynomial)):
@@ -369,16 +349,8 @@ class AlgebraElement:
         poly = self.algebra.coeff(c)
         if poly.is_zero():
             return self.algebra.zero()
-        out = {}
-        for gk, p in self.terms.items():
-            inner = {}
-            for e, cc in p.items():
-                s = cc * poly
-                if not s.is_zero():
-                    inner[e] = s
-            if inner:
-                out[gk] = inner
-        return AlgebraElement(self.algebra, out)
+        # eta-polynomials over a field have no zero divisors
+        return AlgebraElement(self.algebra, {key: c * poly for key, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic, EtaPolynomial)):
@@ -392,19 +364,16 @@ class AlgebraElement:
         ident = group.identity_key()
         out: dict = {}
         # (x^alpha g)(x^beta h) = NF(x^alpha NF(g x^beta g^-1)) g h
-        for g, poly1 in self.terms.items():
-            for h, poly2 in other.terms.items():
+        for (alpha, g), c1 in self.terms.items():
+            for (beta, h), c2 in other.terms.items():
                 gh = group.mul(g, h)
-                for beta, c2 in poly2.items():
-                    moved = frame.conjugate(g, beta, frame.zero_exp)
-                    for alpha, c1 in poly1.items():
-                        coeff = c1 * c2
-                        for (gamma, r), c in moved.items():
-                            cg = coeff * c
-                            rgh = group.mul(r, gh)
-                            for (exp, r2), c3 in frame.conjugate(ident, alpha, gamma).items():
-                                _add(out.setdefault(group.mul(r2, rgh), {}), exp, cg * c3)
-        return AlgebraElement(alg, {gk: p for gk, p in out.items() if p})
+                coeff = c1 * c2
+                for (gamma, r), c in frame.conjugate(g, beta, frame.zero_exp).items():
+                    cg = coeff * c
+                    rgh = group.mul(r, gh)
+                    for (exp, r2), c3 in frame.conjugate(ident, alpha, gamma).items():
+                        accumulate(out, (exp, group.mul(r2, rgh)), cg * c3)
+        return AlgebraElement(alg, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic, EtaPolynomial)):
@@ -425,9 +394,7 @@ class AlgebraElement:
         return self.algebra.group is other.algebra.group and self.terms == other.terms
 
     def __hash__(self):
-        return hash(tuple(sorted(
-            (gk, tuple(sorted(poly.items(), key=lambda t: t[0])))
-            for gk, poly in self.terms.items())))
+        return hash(tuple(sorted(self.terms.items(), key=lambda t: t[0])))
 
     # -- structure queries ------------------------------------------------------
 
@@ -435,21 +402,20 @@ class AlgebraElement:
         return not self.terms
 
     def degree(self) -> int:
-        return max((sum(e) for poly in self.terms.values() for e in poly), default=-1)
+        return max((sum(e) for e, _ in self.terms), default=-1)
 
     def parity(self):
         """0 or 1 when every monomial has that total degree mod 2, else None."""
-        seen = {sum(e) % 2 for poly in self.terms.values() for e in poly}
+        seen = {sum(e) % 2 for e, _ in self.terms}
         if len(seen) == 1:
             return seen.pop()
         return None if seen else 0
 
     def monomials(self):
-        """Deterministic iteration: (group key, exponent, coefficient)."""
-        for gk in sorted(self.terms):
-            poly = self.terms[gk]
-            for e in sorted(poly, key=lambda t: (sum(t), t)):
-                yield gk, e, poly[e]
+        """Deterministic iteration: (group key, exponent, coefficient), by
+        group key, then degree, then exponent."""
+        for e, gk in sorted(self.terms, key=lambda k: (k[1], sum(k[0]), k[0])):
+            yield gk, e, self.terms[(e, gk)]
 
 
 def kappa_commutator(f: AlgebraElement, h: AlgebraElement, kappa: int) -> AlgebraElement:

@@ -261,8 +261,8 @@ def cmd_gram(args):
 
 
 def cmd_selftest(args):
-    if args.samples < 0:
-        raise ValueError("--samples must be >= 0")
+    if args.samples < 1:
+        raise ValueError("--samples must be >= 1")
     rng = random.Random(args.seed)
     specs = [s.strip() for s in args.groups.split(",")]
     payload = {"seed": args.seed, "groups": {}}

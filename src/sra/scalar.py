@@ -499,6 +499,18 @@ def _divisors_of(n: int) -> list[int]:
     return sorted(divs)
 
 
+def accumulate(out: dict, key, value):
+    """out[key] += value, dropping the key when the sum vanishes, so that a
+    sparse map never stores a zero.  The one zero-dropping add of the package:
+    eta-polynomials, algebra elements and trace values all sum through it."""
+    cur = out.get(key)
+    s = value if cur is None else cur + value
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
 def _divides(d: int, v: int) -> bool:
     return v == 0 if d == 0 else v % d == 0
 
@@ -567,12 +579,7 @@ class EtaPolynomial:
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            cur = terms.get(e)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                terms.pop(e, None)
-            else:
-                terms[e] = s
+            accumulate(terms, e, c)
         return EtaPolynomial(self.nvars, self.m, terms)
 
     __radd__ = __add__
@@ -597,14 +604,7 @@ class EtaPolynomial:
         out: dict[tuple[int, ...], Cyclotomic] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                p = c1 * c2
-                cur = out.get(e)
-                s = p if cur is None else cur + p
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return EtaPolynomial(self.nvars, self.m, out)
 
     __rmul__ = __mul__
@@ -713,14 +713,9 @@ class EtaPolynomial:
                 raise ArithmeticError("non-exact eta-polynomial division")
             q = rem[e] * lead_c_inv
             out[diff] = q
+            neg_q = -q
             for e2, c2 in other.terms.items():
-                tgt = tuple(a + b for a, b in zip(diff, e2))
-                cur = rem.get(tgt, Cyclotomic.zero(self.m))
-                s = cur - q * c2
-                if s.is_zero():
-                    rem.pop(tgt, None)
-                else:
-                    rem[tgt] = s
+                accumulate(rem, tuple(a + b for a, b in zip(diff, e2)), neg_q * c2)
         return EtaPolynomial(self.nvars, self.m, out)
 
     def sorted_terms(self):

@@ -11,8 +11,8 @@ where every R g that contributes has E(R g) = E(g) - 1.  All remaining ground
 level equations are then verified to vanish identically.
 
 evaluate() reduces the kappa-trace of arbitrary normal-form elements with the
-regular step (a letter with eigenvalue != kappa is moved to the front and
-cyclically cancelled, dropping the degree by two) and the special step (all
+regular step (a letter with eigenvalue != kappa is cyclically cancelled in
+place, dropping the degree by two) and the special step (all
 letters with eigenvalue kappa: commuting one Darboux partner across the word
 trades the monomial for same-degree monomials over group elements of smaller
 E).  Both steps are exact; every division is by a nonzero cyclotomic scalar,
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .scalar import Cyclotomic, EtaPolynomial, literal
+from .scalar import Cyclotomic, EtaPolynomial, accumulate, literal
 from .linalg import Matrix, form_value, fraction_free_det, inverse
 from .group import Group
 from .algebra import Algebra, AlgebraElement, _letters, reflection_table, symmetrized_monomial
@@ -60,16 +60,8 @@ class TraceValue:
     def __add__(self, other: "TraceValue") -> "TraceValue":
         out = dict(self.coeffs)
         for i, c in other.coeffs.items():
-            cur = out.get(i)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                out.pop(i, None)
-            else:
-                out[i] = s
+            accumulate(out, i, c)
         return TraceValue(self.nparams, out)
-
-    def __sub__(self, other: "TraceValue") -> "TraceValue":
-        return self + other.scaled(-1)
 
     def scaled(self, c) -> "TraceValue":
         if isinstance(c, EtaPolynomial):
@@ -86,22 +78,16 @@ class TraceValue:
     def __hash__(self):
         return hash((self.nparams, tuple(sorted((i, hash(c)) for i, c in self.coeffs.items()))))
 
-    def substitute(self, assignment: list[Fraction]) -> EtaPolynomial:
-        """Collapse the free parameters to rationals, leaving eta symbolic."""
+    def substitute(self, assignment: list[Fraction], nvars: int, m: int) -> EtaPolynomial:
+        """Collapse the free parameters to rationals, leaving eta symbolic;
+        the zero value gives the zero polynomial in nvars variables over
+        Q(zeta_m)."""
         if len(assignment) != self.nparams:
             raise ValueError("assignment arity mismatch")
-        acc = None
+        acc = EtaPolynomial.zero(nvars, m)
         for i, p in self.coeffs.items():
-            term = p * Fraction(assignment[i])
-            acc = term if acc is None else acc + term
-        if acc is None:
-            raise ValueError("cannot substitute into the zero value without arity info")
+            acc = acc + p * Fraction(assignment[i])
         return acc
-
-    def substitute_or_zero(self, assignment, nvars: int, m: int) -> EtaPolynomial:
-        if self.is_zero():
-            return EtaPolynomial.zero(nvars, m)
-        return self.substitute(assignment)
 
     def __repr__(self):
         if self.is_zero():
@@ -251,7 +237,7 @@ class _Evaluator:
         self._bword: dict = {}
         self._vecs: dict = {}
         self._refl_vec: dict = {}
-        self._front_factor: dict = {}
+        self._regular_factors: dict = {}
 
     # -- public -------------------------------------------------------------
 
@@ -260,11 +246,10 @@ class _Evaluator:
             raise ValueError("element from a different group's algebra")
         letters = self.alg.letters
         acc = self.zero
-        for gk, poly in f.terms.items():
-            for exp, coeff in poly.items():
-                val = self.vectors(gk, tuple(letters[i] for i in _letters(exp)))
-                if not val.is_zero():
-                    acc = acc + val.scaled(coeff)
+        for (exp, gk), coeff in f.terms.items():
+            val = self.vectors(gk, tuple(letters[i] for i in _letters(exp)))
+            if not val.is_zero():
+                acc = acc + val.scaled(coeff)
         return acc
 
     def vectors(self, g_key, vecs: tuple) -> TraceValue:
@@ -280,14 +265,7 @@ class _Evaluator:
                 nxt: dict = {}
                 for w, c in words.items():
                     for i, ci in col:
-                        w2 = w + (i,)
-                        p = c * ci
-                        cur = nxt.get(w2)
-                        s = p if cur is None else cur + p
-                        if s.is_zero():
-                            nxt.pop(w2, None)
-                        else:
-                            nxt[w2] = s
+                        accumulate(nxt, w + (i,), c * ci)
                 words = nxt
             got = self.zero
             for w, c in words.items():
@@ -320,36 +298,36 @@ class _Evaluator:
         return got
 
     def _regular_step(self, g_key, word, regular_positions) -> TraceValue:
-        """Move the chosen regular letter to the front, then apply the
-        degree-lowering cyclic identity."""
+        """Cyclically cancel the chosen regular letter b_L (eigenvalue lambda
+        != kappa) at position s.  With rest the word without it and
+        c_j = sp(rest[:j] [rest_j, b_L] rest[j+1:] g),
+
+            sp(word g) = sum_(j<s) c_j / (1 - kappa lambda)
+                         + sum_(j>=s) kappa lambda c_j / (1 - kappa lambda),
+
+        which drops the degree by two."""
         s = regular_positions[0] if self.regular_strategy == "first" else regular_positions[-1]
         L = word[s]
         rest = word[:s] + word[s + 1:]
-        acc = self._front(g_key, L, rest)
-        for j in range(s):
-            acc = acc + self._comm(g_key, word[:j], word[j], L,
-                                   word[j + 1:s] + word[s + 1:])
-        return acc
-
-    def _front(self, g_key, L, rest) -> TraceValue:
-        """sp(b_L rest g) for lambda_L != kappa via
-        sp = kappa lambda / (1 - kappa lambda) * sp([rest, b_L] g)."""
-        chart = self.alg.chart(g_key)
-        lam = chart.lams[L]
-        factor = self._front_factor.get((g_key, L))
-        if factor is None:
-            kl = self.kappa_scalar * lam
+        factors = self._regular_factors.get((g_key, L))
+        if factors is None:
+            kl = self.kappa_scalar * self.alg.chart(g_key).lams[L]
             denom = Cyclotomic.one(self.alg.m) - kl
             if denom.is_zero():
                 raise ZeroDivisionError(
                     f"regular step on C{self.group.class_of[g_key]}: letter {L} "
                     f"has eigenvalue kappa = {self.kappa}")
-            factor = kl * denom.inverse()
-            self._front_factor[(g_key, L)] = factor
-        acc = self.zero
+            inv = denom.inverse()
+            factors = (inv, kl * inv)
+            self._regular_factors[(g_key, L)] = factors
+        before = after = self.zero
         for j in range(len(rest)):
-            acc = acc + self._comm(g_key, rest[:j], rest[j], L, rest[j + 1:])
-        return acc.scaled(factor)
+            c = self._comm(g_key, rest[:j], rest[j], L, rest[j + 1:])
+            if j < s:
+                before = before + c
+            else:
+                after = after + c
+        return before.scaled(factors[0]) + after.scaled(factors[1])
 
     def _comm(self, g_key, prefix, x, y, suffix) -> TraceValue:
         """sp(prefix [b_x, b_y] suffix g) with the full commutator
@@ -445,8 +423,7 @@ def eta0_form(group: Group, g_key, kappa: int) -> Matrix:
     return tilde
 
 
-def eta0_trace(group: Group, exp: tuple[int, ...], g_key, kappa: int,
-               sp_g: Fraction = Fraction(1)) -> Cyclotomic:
+def eta0_trace(group: Group, exp: tuple[int, ...], g_key, kappa: int) -> Cyclotomic:
     """kappa-trace of the symmetrized monomial of content `exp` times g in the
     undeformed algebra, as a multiple of sp(g).
 
@@ -467,7 +444,7 @@ def eta0_trace(group: Group, exp: tuple[int, ...], g_key, kappa: int,
     if group.e_grading(g_key, kappa)[0] != 0:
         return zero
     if deg == 0:
-        return Cyclotomic.from_rational(sp_g, m)
+        return Cyclotomic.one(m)
     tilde = eta0_form(group, g_key, kappa)
     n = group.dim
     half = Cyclotomic.from_rational(Fraction(-1, 2), m)
@@ -493,16 +470,10 @@ def eta0_trace(group: Group, exp: tuple[int, ...], g_key, kappa: int,
                 e = tuple(a + b for a, b in zip(e1, e2))
                 if any(a > b for a, b in zip(e, exp)):
                     continue
-                prod = c1 * c2
-                cur = nxt.get(e)
-                s = prod if cur is None else cur + prod
-                if s.is_zero():
-                    nxt.pop(e, None)
-                else:
-                    nxt[e] = s
+                accumulate(nxt, e, c1 * c2)
         power = nxt
     coeff = power.get(tuple(exp), zero)
-    return coeff * Cyclotomic.from_rational(sp_g * Fraction(factorial(deg), factorial(deg // 2)), m)
+    return coeff * Cyclotomic.from_rational(Fraction(factorial(deg), factorial(deg // 2)), m)
 
 
 # -- property checks -----------------------------------------------------------
@@ -667,7 +638,7 @@ def gram(functional: TraceFunctional, degree: int,
         row = []
         for fb in elements:
             val = functional.evaluate(fa * fb)
-            row.append(val.substitute_or_zero(assignment, nvars, m))
+            row.append(val.substitute(assignment, nvars, m))
         mat.append(row)
     determinant = None
     if compute_determinant:

@@ -59,6 +59,30 @@ def test_commutators_z2(z2):
         kappa_commutator(a1 + sigma, a2, -1)
 
 
+def test_equal_elements_in_any_term_order(z2):
+    a1, a2 = z2.generator(0), z2.generator(1)
+    g0 = z2.group_element(sigma_key(z2))
+    f = a1 * a2 + a2 * a1 * g0
+    h = a2 * a1 * g0 + a1 * a2
+    assert list(f.terms) != list(h.terms)
+    assert f == h
+    assert hash(f) == hash(h)
+    assert list(f.monomials()) == list(h.monomials())
+    assert (f - f).terms == {}
+    assert (f - h).is_zero()
+
+
+def test_monomials_by_group_then_degree_then_exponent(z2):
+    a1, a2 = z2.generator(0), z2.generator(1)
+    e, s = z2.group.identity_key(), sigma_key(z2)
+    g0 = z2.group_element(s)
+    # a2 a1 g0 = a1 a2 g0 - g0 - eta0
+    f = a2 * a2 * g0 + a1 * a2 * a2 + a2 * a1 * g0 + a1 + a2 * g0
+    by_group = {e: [(0, 0), (1, 0), (1, 2)], s: [(0, 0), (0, 1), (0, 2), (1, 1)]}
+    assert [(gk, exp) for gk, exp, _ in f.monomials()] == \
+        [(gk, exp) for gk in sorted(by_group) for exp in by_group[gk]]
+
+
 def test_group_mismatch(z2, z3):
     with pytest.raises(GroupMismatchError):
         _ = z2.generator(0) * z3.generator(0)
@@ -146,7 +170,7 @@ def test_leading_part_is_commutative_product(z2):
     h = a1 * a1
     prod = f * h
     # sigma twists a_1 -> -a_1, so leading term is (+1) a1^2 a2^2 sigma
-    lead = {e: c for e, c in prod.terms[sigma_key(z2)].items() if sum(e) == 4}
+    lead = {e: c for gk, e, c in prod.monomials() if gk == sigma_key(z2) and sum(e) == 4}
     assert set(lead) == {(2, 2)}
     const = lead[(2, 2)]
     assert const == EtaPolynomial.constant(1, z2.nvars, z2.m)
@@ -166,10 +190,8 @@ def test_skew_product_at_eta_zero(z2):
             return out
 
         prod = (pure_weyl() + pure_weyl()) * pure_weyl()
-        for gk, poly in prod.terms.items():
-            if gk == e:
-                continue
-            for c in poly.values():
+        for gk, _, c in prod.monomials():
+            if gk != e:
                 assert c.evaluate(zero_pt).is_zero()
 
 
@@ -191,7 +213,7 @@ def test_weyl_closed_form_high_inversions(z2):
     zero_pt = [Fraction(0)] * z2.nvars
     for k in (3, 12, 40):
         prod = z2.generator(1) ** k * z2.generator(0) ** k
-        got = {exp: coeff.evaluate(zero_pt) for exp, coeff in prod.terms[e].items()}
+        got = {exp: coeff.evaluate(zero_pt) for gk, exp, coeff in prod.monomials() if gk == e}
         got = {exp: v for exp, v in got.items() if not v.is_zero()}
         expected = {(k - j, k - j): c ** j * (factorial(j) * comb(k, j) ** 2)
                     for j in range(k + 1)}

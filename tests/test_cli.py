@@ -141,9 +141,10 @@ def test_eval_word_with_many_inversions(capsys):
 @pytest.mark.parametrize("argv,message", [
     (["oracle-check", "--builtin", "cyclic", "--n", "2", "--max-degree", "-1"],
      "degree cutoff must be >= 0"),
-    (["selftest", "--groups", "cyclic:2", "--samples", "-1"], "--samples must be >= 0"),
+    (["selftest", "--groups", "cyclic:2", "--samples", "-1"], "--samples must be >= 1"),
     (["gram", "--builtin", "cyclic", "--n", "2", "--degree", "-2"],
      "degree cutoff must be >= 0"),
+    (["selftest", "--groups", "cyclic:2", "--samples", "0"], "--samples must be >= 1"),
 ])
 def test_negative_sizes_exit_1(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from sra.scalar import (
     Cyclotomic,
     EtaPolynomial,
+    accumulate,
     cyc_inverse,
     cyc_normalize,
     cyclotomic_polynomial,
@@ -163,3 +164,31 @@ def test_exact_divide():
     assert p.exact_divide(one + eta) == (one - eta) * (one + eta)
     with pytest.raises(ArithmeticError):
         (eta * eta + one).exact_divide(eta)
+
+
+def test_accumulate_drops_vanishing_sums():
+    m = 3
+    z = Cyclotomic.root_of_unity(m)
+    out = {}
+    accumulate(out, "a", z)
+    accumulate(out, "b", Cyclotomic.zero(m))
+    assert out == {"a": z}
+    accumulate(out, "a", -z)
+    assert out == {}
+    # 1 + zeta + zeta^2 = 0 in Q(zeta_3): the third add empties the key
+    for k in range(3):
+        accumulate(out, "c", Cyclotomic.root_of_unity(m, k))
+    assert out == {}
+    accumulate(out, "d", Cyclotomic.one(m))
+    accumulate(out, "d", Cyclotomic.one(m))
+    assert out == {"d": Cyclotomic.from_rational(2, m)}
+
+
+def test_difference_with_itself_has_no_terms():
+    m = 4
+    eta0, eta1 = EtaPolynomial.variable(0, 2, m), EtaPolynomial.variable(1, 2, m)
+    f = (eta0 + Cyclotomic.root_of_unity(m)) * (eta0 - eta1) * eta1
+    assert len(f.terms) == 4
+    assert (f - f).terms == {}
+    assert (f * 0).terms == {}
+    assert (f * f).exact_divide(f) == f
