@@ -11,8 +11,6 @@ degeneracy of the induced invariant bilinear forms.
 from .scalar import (
     Cyclotomic,
     EtaPolynomial,
-    cyc_inverse,
-    cyc_normalize,
     cyclotomic_polynomial,
     literal,
     parse_literal,
@@ -21,7 +19,6 @@ from .linalg import (
     DecompositionIncompleteError,
     DegenerateRestrictionError,
     Matrix,
-    Subspace,
     darboux_basis,
     det,
     eigen_decompose,
@@ -67,7 +64,6 @@ from .traces import (
     even_monomials,
     functional_to_json,
     gram,
-    gram_to_json,
     solve_glc,
     verify_glc,
 )
@@ -81,13 +77,12 @@ __all__ = [
     "EigenbasisChart", "EtaPolynomial", "GramReport", "Group", "GroupElement",
     "GroupMismatchError", "InconsistentGLCError", "IndefiniteParityError",
     "KappaEigenvaluePresentError", "Matrix", "NotReflectionError",
-    "NotSymplecticError", "ParseError", "Subspace", "TraceFunctional",
-    "TraceValue", "builtin", "close", "cyc_inverse", "cyc_normalize",
-    "cyclic_sp2", "cyclotomic_polynomial", "darboux_basis", "det", "dihedral",
-    "direct_product", "doubled_coxeter", "eigen_decompose", "eta0_form",
-    "eta0_trace", "even_monomials", "form_value", "functional_to_json", "gram",
-    "gram_to_json", "group_from_dict", "group_to_dict", "kappa_commutator",
-    "kernel_basis", "literal", "load_group", "parse",
+    "NotSymplecticError", "ParseError", "TraceFunctional", "TraceValue",
+    "builtin", "close", "cyclic_sp2", "cyclotomic_polynomial", "darboux_basis",
+    "det", "dihedral", "direct_product", "doubled_coxeter", "eigen_decompose",
+    "eta0_form", "eta0_trace", "even_monomials", "form_value",
+    "functional_to_json", "gram", "group_from_dict", "group_to_dict",
+    "kappa_commutator", "kernel_basis", "literal", "load_group", "parse",
     "parse_literal", "print_element", "rank", "save_group", "solve_glc",
     "standard_omega", "symmetrized_monomial", "verify_glc",
 ]

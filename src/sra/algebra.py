@@ -179,24 +179,21 @@ class EigenbasisChart:
     def __init__(self, algebra: "Algebra", g_key):
         group = algebra.group
         m = group.exponent
-        self.g_key = g_key
         lams: list[Cyclotomic] = []
         vectors = []
         plus_one = Cyclotomic.one(m)
         minus_one = Cyclotomic.from_rational(-1, m)
         for lam, space in group.spectrum(g_key):
             if lam == plus_one or lam == minus_one:
-                basis = darboux_basis(space, group.omega)
-            else:
-                basis = list(space.basis)
-            for v in basis:
+                space = darboux_basis(space, group.omega)
+            for v in space:
                 lams.append(lam)
                 vectors.append(v)
         self.lams = tuple(lams)
         self.vectors = tuple(vectors)
         n = group.dim
-        self.M = Matrix.from_rows([[vectors[I][i] for I in range(n)] for i in range(n)])
-        self.Minv = inverse(self.M)
+        self.Minv = inverse(Matrix.from_rows([[vectors[I][i] for I in range(n)]
+                                              for i in range(n)]))
         self.gram = [[form_value(group.omega, vectors[a], vectors[b]) for b in range(n)]
                      for a in range(n)]
         self.refl = reflection_table(group, self.vectors)

@@ -35,8 +35,9 @@ from .traces import (
     gram,
     oracle_mismatches,
     solve_glc,
+    verify_glc,
 )
-from .expr import ParseError, parse, print_element
+from .expr import ParseError, _eta_poly_expr, parse, print_element
 
 DOMAIN_ERRORS = (
     NotSymplecticError,
@@ -250,7 +251,6 @@ def cmd_gram(args):
         lines.append(f"kappa = {kappa:+d}: Gram matrix on {len(report.basis)} basis "
                      f"elements (degree <= {args.degree})")
         if report.determinant is not None:
-            from .expr import _eta_poly_expr
             det_s, _ = _eta_poly_expr(report.determinant)
             lines.append(f"  det = {det_s}")
             if report.rational_roots is not None:
@@ -276,11 +276,11 @@ def cmd_selftest(args):
         report = {"group_invariants": inv_ok}
         for kappa in (1, -1):
             label = f"kappa{kappa:+d}"
+            fn = solve_glc(algebra, kappa, verify=False)
             try:
-                fn = solve_glc(algebra, kappa, verify=True)
+                verify_glc(fn)
                 glc_ok = True
             except InconsistentGLCError:
-                fn = solve_glc(algebra, kappa, verify=False)
                 glc_ok = False
             cyc_ok = not cyclicity_failures(fn, rng, args.samples, 3)
             conf_ok = not confluence_failures(fn, rng, args.samples, (2, 4))

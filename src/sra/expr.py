@@ -18,9 +18,10 @@ returns the original element.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
-from .scalar import Cyclotomic, EtaPolynomial
+from .scalar import Cyclotomic, EtaPolynomial, literal
 from .algebra import Algebra, AlgebraElement
 
 
@@ -228,24 +229,9 @@ def parse(text: str, algebra: Algebra) -> AlgebraElement:
 
 
 def _cyclotomic_expr(c: Cyclotomic) -> str:
-    """Render a cyclotomic in the expression grammar (z powers)."""
-    parts = []
-    for j, num in enumerate(c.num):
-        if num == 0:
-            continue
-        q = Fraction(num, c.den)
-        parts.append((j, q))
-    if not parts:
-        return "0"
-    bits = []
-    for idx, (j, q) in enumerate(parts):
-        mag = abs(q)
-        body = str(mag) if j == 0 else (f"{mag}*z" if j == 1 else f"{mag}*z^{j}")
-        if idx == 0:
-            bits.append(body if q > 0 else "-" + body)
-        else:
-            bits.append((" + " if q > 0 else " - ") + body)
-    return "".join(bits)
+    """Render a cyclotomic in the expression grammar: its literal, with the
+    first power of zeta written as a bare z."""
+    return re.sub(r"z\^1\b", "z", literal(c))
 
 
 def _eta_poly_expr(p: EtaPolynomial) -> tuple[str, bool]:

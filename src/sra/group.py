@@ -32,6 +32,7 @@ from .linalg import (
     det,
     eigen_decompose,
     form_value,
+    inverse,
     kernel_basis,
     rank,
 )
@@ -167,20 +168,21 @@ class Group:
     # -- spectral data ------------------------------------------------------
 
     def e_grading(self, key, kappa: int):
-        """E = dim Ker(g - kappa)/2 together with the cached kappa-eigenspace."""
+        """E = dim Ker(g - kappa)/2 together with a basis tuple of the
+        kappa-eigenspace, cached."""
         got = self._egrading.get((key, kappa))
         if got is None:
             g = self.elements[key].matrix
             scal = Cyclotomic.from_rational(kappa, self.exponent)
             space = kernel_basis(g - Matrix.identity(self.dim, self.exponent).scaled(scal))
-            if space.dim % 2 != 0:
+            if len(space) % 2 != 0:
                 raise ArithmeticError("odd-dimensional kappa-eigenspace (impossible in Sp(2N))")
-            got = (space.dim // 2, space)
+            got = (len(space) // 2, space)
             self._egrading[(key, kappa)] = got
         return got
 
     def spectrum(self, key):
-        """Eigen-decomposition [(lambda, Subspace)] of an element, cached."""
+        """Eigen-decomposition [(lambda, basis tuple)] of an element, cached."""
         got = self._spectrum.get(key)
         if got is None:
             el = self.elements[key]
@@ -204,8 +206,8 @@ class Group:
                 spec = self.spectrum(key)
             except DecompositionIncompleteError:
                 return False
-            mults = {lam.root_exponent(): s.dim for lam, s in spec}
-            return (sum(s.dim for _, s in spec) == self.dim
+            mults = {lam.root_exponent(): len(s) for lam, s in spec}
+            return (sum(len(s) for _, s in spec) == self.dim
                     and None not in mults
                     and all(mults.get((-k) % m) == d for k, d in mults.items())
                     and mults.get(0, 0) % 2 == 0
@@ -410,11 +412,10 @@ def _double_contragredient(g: Matrix) -> Matrix:
     Symplectic with respect to the standard omega for any invertible g; for
     the involutive Coxeter generators the momentum block is just g^T.
     """
-    from .linalg import inverse as mat_inverse
     n = g.rows
     m = g.order()
     zero = Cyclotomic.zero(m)
-    h = mat_inverse(g).transpose()
+    h = inverse(g).transpose()
     rows = []
     for i in range(n):
         rows.append(list(g.row(i)) + [zero] * n)

@@ -10,7 +10,7 @@ reproducible run to run.
 
 from __future__ import annotations
 
-from .scalar import Cyclotomic
+from .scalar import Cyclotomic, literal
 
 
 class DecompositionIncompleteError(Exception):
@@ -59,11 +59,6 @@ class Matrix:
     def identity(n: int, m: int) -> "Matrix":
         one, zero = Cyclotomic.one(m), Cyclotomic.zero(m)
         return Matrix(n, n, [one if i == j else zero for i in range(n) for j in range(n)])
-
-    @staticmethod
-    def zero(rows: int, cols: int, m: int) -> "Matrix":
-        z = Cyclotomic.zero(m)
-        return Matrix(rows, cols, [z] * (rows * cols))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -144,28 +139,9 @@ class Matrix:
         return tuple(x.key() for x in self.data)
 
     def __repr__(self):
-        from .scalar import literal
         rows = [" ".join(literal(self[i, j]) for j in range(self.cols))
                 for i in range(self.rows)]
         return "Matrix[" + "; ".join(rows) + "]"
-
-
-class Subspace:
-    """Subspace given by a linearly independent list of column vectors."""
-
-    __slots__ = ("ambient_dim", "basis")
-
-    def __init__(self, ambient_dim: int, basis: list[Vector], check: bool = True):
-        self.ambient_dim = ambient_dim
-        self.basis = tuple(basis)
-        if check and basis:
-            mat = Matrix.from_rows([list(v) for v in zip(*basis)])
-            if rank(mat) != len(basis):
-                raise ValueError("subspace basis is linearly dependent")
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
 
 def _same(x):
@@ -269,10 +245,10 @@ def _null_vectors(a, piv_cols, ncols: int, m: int) -> list[Vector]:
     return basis
 
 
-def kernel_basis(mat: Matrix) -> Subspace:
+def kernel_basis(mat: Matrix) -> tuple[Vector, ...]:
     """Exact basis of the right null space, deterministic."""
     a, piv_cols, _ = _echelon(map(mat.row, range(mat.rows)), _by_inverse)
-    return Subspace(mat.cols, _null_vectors(a, piv_cols, mat.cols, mat.order()), check=False)
+    return tuple(_null_vectors(a, piv_cols, mat.cols, mat.order()))
 
 
 def inverse(mat: Matrix) -> Matrix:
@@ -295,7 +271,7 @@ def inverse(mat: Matrix) -> Matrix:
 def eigen_decompose(g: Matrix, m: int, order: int | None = None):
     """Eigen-decomposition of a finite-order matrix over Q(zeta_m).
 
-    Returns a list of (eigenvalue, Subspace) pairs with nonzero eigenspaces,
+    Returns a list of (eigenvalue, basis tuple) pairs with nonzero eigenspaces,
     sorted by the root-of-unity exponent of the eigenvalue.  Raises
     DecompositionIncompleteError when the eigenspaces do not fill the space
     (i.e. the input is not of finite order dividing m).
@@ -308,9 +284,9 @@ def eigen_decompose(g: Matrix, m: int, order: int | None = None):
     for k in candidates:
         lam = Cyclotomic.root_of_unity(m, k)
         ker = kernel_basis(g - ident.scaled(lam))
-        if ker.dim:
+        if ker:
             out.append((lam, ker))
-            total += ker.dim
+            total += len(ker)
         if total == n:
             break
     if total != n:
@@ -332,14 +308,14 @@ def _dot(u: Vector, v: Vector) -> Cyclotomic:
     return acc
 
 
-def darboux_basis(space: Subspace, omega: Matrix) -> list[Vector]:
-    """Symplectic Gram-Schmidt: basis c_1, ..., c_2k of the subspace with
+def darboux_basis(basis, omega: Matrix) -> list[Vector]:
+    """Symplectic Gram-Schmidt: basis c_1, ..., c_2k of the span of `basis` with
     omega(c_{2i-1}, c_{2i}) = 1 and all other pairings zero.
 
     Deterministic for a fixed input basis.  Raises DegenerateRestrictionError
     when the restriction of omega to the subspace is singular.
     """
-    pending = list(space.basis)
+    pending = list(basis)
     out: list[Vector] = []
     while pending:
         c1 = pending.pop(0)

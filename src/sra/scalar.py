@@ -311,27 +311,6 @@ class Cyclotomic:
         return f"Cyclotomic({self.m}, {literal(self)!r})"
 
 
-def cyc_normalize(power_coeffs: dict[int, Fraction] | list, m: int) -> Cyclotomic:
-    """Canonical representative of a power sum sum_k c_k zeta^k modulo Phi_m.
-
-    Exponents are first folded with zeta^m = 1, then the result is reduced
-    modulo the m-th cyclotomic polynomial.
-    """
-    if isinstance(power_coeffs, dict):
-        items = power_coeffs.items()
-    else:
-        items = enumerate(power_coeffs)
-    acc = Cyclotomic.zero(m)
-    for k, c in items:
-        term = Cyclotomic.from_rational(Fraction(c), m) * Cyclotomic.root_of_unity(m, k)
-        acc = acc + term
-    return acc
-
-
-def cyc_inverse(x: Cyclotomic) -> Cyclotomic:
-    return x.inverse()
-
-
 # -- cyclotomic literals ---------------------------------------------------
 #
 # Grammar: rat | rat '*z^' int | sums/differences thereof, e.g. "1/2 + 1/2*z^3".
@@ -340,23 +319,16 @@ def cyc_inverse(x: Cyclotomic) -> Cyclotomic:
 
 def literal(x: Cyclotomic) -> str:
     """Render in the literal grammar; parse_literal round-trips exactly."""
-    parts = []
-    for j, c in enumerate(x.num):
-        if c == 0:
-            continue
-        q = Fraction(c, x.den)
-        parts.append((j, q))
-    if not parts:
-        return "0"
     out = []
-    for idx, (j, q) in enumerate(parts):
-        mag = abs(q)
-        s = str(mag) if j == 0 else (f"{mag}*z^{j}" if mag != 1 else f"1*z^{j}")
-        if idx == 0:
-            out.append(s if q > 0 else "-" + s)
-        else:
-            out.append(("+ " if q > 0 else "- ") + s)
-    return " ".join(out)
+    for j, c in enumerate(x.num):
+        if c:
+            q = Fraction(c, x.den)
+            s = str(abs(q)) if j == 0 else f"{abs(q)}*z^{j}"
+            if out:
+                out.append(("+ " if q > 0 else "- ") + s)
+            else:
+                out.append(s if q > 0 else "-" + s)
+    return " ".join(out) or "0"
 
 
 def parse_literal(text: str, m: int) -> Cyclotomic:
@@ -636,13 +608,10 @@ class EtaPolynomial:
             acc = acc + c * Cyclotomic.from_rational(q, self.m)
         return acc
 
-    def is_univariate(self) -> bool:
-        return self.nvars == 1
-
     def rational_roots(self) -> list[Fraction]:
         """All rational roots, via the rational root theorem on the primitive
         integer form.  Univariate with rational coefficients only."""
-        if not self.is_univariate():
+        if self.nvars != 1:
             raise ValueError("rational-root extraction needs a univariate polynomial")
         if self.is_zero():
             raise ValueError("zero polynomial has every root")

@@ -29,7 +29,9 @@ from math import factorial
 from .scalar import Cyclotomic, EtaPolynomial, accumulate, literal
 from .linalg import Matrix, form_value, fraction_free_det, inverse
 from .group import Group
-from .algebra import Algebra, AlgebraElement, _letters, reflection_table, symmetrized_monomial
+from .algebra import (Algebra, AlgebraElement, _letters, kappa_commutator, reflection_table,
+                      symmetrized_monomial)
+from .expr import _eta_poly_expr
 
 
 class InconsistentGLCError(Exception):
@@ -162,25 +164,36 @@ def solve_glc(algebra: Algebra, kappa: int, verify: bool = True) -> TraceFunctio
         table[ci] = TraceValue(nparams, {pi: algebra.one_poly})
     order = sorted((i for i in range(n_classes) if e_of_class[i] > 0),
                    key=lambda i: (e_of_class[i], i))
+    # the functional holds `table` itself, so each class sees the ones filled before it
+    functional = TraceFunctional(algebra, kappa, free_classes, table, e_of_class)
     t_inv = algebra.t.inverse()
     for ci in order:
         rep = group.class_rep[ci]
         pair = group.darboux_of_eigenspace(rep, kappa)[:2]
         w12 = form_value(group.omega, pair[0], pair[1])
-        acc = TraceValue.zero(nparams)
-        for rkey, w in reflection_table(group, pair).get((0, 1), ()):
-            rg = group.mul(rkey, rep)
-            sub = table.get(group.class_of[rg])
-            if sub is None:
-                raise InconsistentGLCError(
-                    f"group {group.name}, kappa {kappa}: sp(C{ci}) needs "
-                    f"sp(C{group.class_of[rg]}), which has E >= E(C{ci})")
-            acc = acc + sub.scaled(algebra.eta_poly(group.eta_var_of(rkey)).scaled(w))
+        acc = _reflection_sum(functional, rep, reflection_table(group, pair).get((0, 1), ()))
         table[ci] = acc.scaled(-(w12.inverse() * t_inv))
-    functional = TraceFunctional(algebra, kappa, free_classes, table, e_of_class)
     if verify:
         verify_glc(functional)
     return functional
+
+
+def _reflection_sum(functional: TraceFunctional, g_key, entries) -> TraceValue:
+    """sum_R eta_R omega_R(c_i, c_j) sp(R g) over the entries [(R, omega_R(c_i,
+    c_j))] of a reflection table, with sp(R g) read from the functional's
+    class table, which must already hold every class R g."""
+    group, algebra = functional.group, functional.algebra
+    acc = TraceValue.zero(functional.nparams)
+    for rkey, w in entries:
+        rc = group.class_of[group.mul(rkey, g_key)]
+        sub = functional.table.get(rc)
+        if sub is None:
+            ci = group.class_of[g_key]
+            raise InconsistentGLCError(
+                f"group {group.name}, kappa {functional.kappa}: sp(C{ci}) needs "
+                f"sp(C{rc}), which has E >= E(C{ci})")
+        acc = acc + sub.scaled(algebra.eta_poly(group.eta_var_of(rkey)).scaled(w))
+    return acc
 
 
 def verify_glc(functional: TraceFunctional):
@@ -205,11 +218,8 @@ def verify_glc(functional: TraceFunctional):
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
                 wij = form_value(group.omega, basis[i], basis[j])
-                residual = spg.scaled(algebra.t * wij)
-                for rkey, w in refl.get((i, j), ()):
-                    rg = group.mul(rkey, key)
-                    residual = residual + functional.element_value(rg).scaled(
-                        algebra.eta_poly(group.eta_var_of(rkey)).scaled(w))
+                residual = (spg.scaled(algebra.t * wij)
+                            + _reflection_sum(functional, key, refl.get((i, j), ())))
                 if not residual.is_zero():
                     raise InconsistentGLCError(
                         f"group {group.name}, kappa {kappa}: ground level condition "
@@ -436,15 +446,15 @@ def eta0_trace(group: Group, exp: tuple[int, ...], g_key, kappa: int) -> Cycloto
     deg-2 traces and the step-reduction route both confirm the 1/4.  Zero
     when E_kappa(g) != 0 or the degree is odd.
     """
-    m = group.exponent
-    zero = Cyclotomic.zero(m)
-    deg = sum(exp)
-    if deg % 2 == 1:
-        return zero
+    return _eta0_coefficient(_eta0_quadratic(group, g_key, kappa), exp, group.exponent)
+
+
+def _eta0_quadratic(group: Group, g_key, kappa: int):
+    """The exponent Q = -1/4 mu^i mu^j w~_ij of eta0_trace as {exponent:
+    coefficient}, or None when E_kappa(g) != 0 and every trace vanishes."""
     if group.e_grading(g_key, kappa)[0] != 0:
-        return zero
-    if deg == 0:
-        return Cyclotomic.one(m)
+        return None
+    m = group.exponent
     tilde = eta0_form(group, g_key, kappa)
     n = group.dim
     half = Cyclotomic.from_rational(Fraction(-1, 2), m)
@@ -459,10 +469,18 @@ def eta0_trace(group: Group, exp: tuple[int, ...], g_key, kappa: int) -> Cycloto
             e[i] += 1
             e[j] += 1
             quad[tuple(e)] = (quarter * c) if i == j else (half * c)
+    return quad
 
+
+def _eta0_coefficient(quad, exp: tuple[int, ...], m: int) -> Cyclotomic:
+    """|exp|! times the mu^exp coefficient of exp(Q), for Q from _eta0_quadratic."""
+    zero = Cyclotomic.zero(m)
+    deg = sum(exp)
+    if quad is None or deg % 2 == 1:
+        return zero
     # Q is homogeneous of degree 2, so of exp(Q) only Q^(deg/2) / (deg/2)!
     # has degree deg; terms that exceed exp in some letter are dropped early
-    power = {(0,) * n: Cyclotomic.one(m)}
+    power = {(0,) * len(exp): Cyclotomic.one(m)}
     for _ in range(deg // 2):
         nxt: dict = {}
         for e1, c1 in power.items():
@@ -502,14 +520,14 @@ def _random_definite(algebra: Algebra, rng, max_degree: int, keys) -> AlgebraEle
 def cyclicity_failures(fn: TraceFunctional, rng, samples: int,
                        max_degree: int) -> list[tuple[AlgebraElement, AlgebraElement]]:
     """The pairs (f, h), among `samples` random definite-parity pairs of degree
-    <= max_degree, with sp(f h) != kappa^(pi(f) pi(h)) sp(h f)."""
+    <= max_degree, with sp([f, h]_kappa) != 0, that is
+    sp(f h) != kappa^(pi(f) pi(h)) sp(h f)."""
     keys = sorted(fn.group.elements)
     failures = []
     for _ in range(samples):
         f = _random_definite(fn.algebra, rng, max_degree, keys)
         h = _random_definite(fn.algebra, rng, max_degree, keys)
-        sign = fn.kappa if f.parity() * h.parity() else 1
-        if fn.evaluate(f * h) != fn.evaluate(h * f).scaled(sign):
+        if not fn.evaluate(kappa_commutator(f, h, fn.kappa)).is_zero():
             failures.append((f, h))
     return failures
 
@@ -541,6 +559,7 @@ def oracle_mismatches(fn: TraceFunctional,
     disagree."""
     algebra, group = fn.algebra, fn.group
     zero_pt = [Fraction(0)] * group.n_eta
+    quads = [_eta0_quadratic(group, rep, fn.kappa) for rep in group.class_rep]
     checked = 0
     mismatches = []
     for exp in exponents:
@@ -551,11 +570,8 @@ def oracle_mismatches(fn: TraceFunctional,
                 at_zero = c.evaluate(zero_pt)
                 if not at_zero.is_zero():
                     got[i] = at_zero
-            mult = eta0_trace(group, exp, rep, fn.kappa)
-            if group.e_grading(rep, fn.kappa)[0] != 0 or mult.is_zero():
-                expected = {}
-            else:
-                expected = {fn.free_classes.index(ci): mult}
+            mult = _eta0_coefficient(quads[ci], exp, group.exponent)
+            expected = {} if mult.is_zero() else {fn.free_classes.index(ci): mult}
             checked += 1
             if got != expected:
                 mismatches.append((exp, f"C{ci}"))
@@ -673,7 +689,6 @@ def format_trace_value(tv: TraceValue) -> str:
     """Human rendering like '(1/2 - 1/2*eta0^2)*P0'."""
     if tv.is_zero():
         return "0"
-    from .expr import _eta_poly_expr
     bits = []
     for i, c in sorted(tv.coeffs.items()):
         s, needs = _eta_poly_expr(c)
@@ -686,9 +701,5 @@ def format_trace_value(tv: TraceValue) -> str:
     return " + ".join(bits)
 
 
-def functional_to_json(functional: TraceFunctional, indent: int | None = 2) -> str:
-    return json.dumps(functional.to_dict(), indent=indent, sort_keys=True)
-
-
-def gram_to_json(report: GramReport, indent: int | None = 2) -> str:
-    return json.dumps(report.to_dict(), indent=indent, sort_keys=True)
+def functional_to_json(functional: TraceFunctional) -> str:
+    return json.dumps(functional.to_dict(), indent=2, sort_keys=True)

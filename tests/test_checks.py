@@ -33,6 +33,19 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_has_no_function_level_imports():
+    # every import sits at the top of its module, where a reader and the
+    # import-time dependency order both see it
+    found = []
+    for path in sorted(Path(sra.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
+
+
 def test_cyclicity_and_oracle_report_a_corrupted_class_value():
     # Z_2 supertrace: str(sigma) = -eta0 P0; adding P0 makes it P0 at eta = 0
     alg = Algebra(cyclic_sp2(2))

@@ -12,7 +12,6 @@ from sra.linalg import (
     DecompositionIncompleteError,
     DegenerateRestrictionError,
     Matrix,
-    Subspace,
     darboux_basis,
     det,
     eigen_decompose,
@@ -44,13 +43,13 @@ def std_omega(n_half, m=1):
 
 def test_kernel_examples():
     m = 4
-    zero2 = Matrix.zero(2, 2, m)
-    assert kernel_basis(zero2).dim == 2
+    zero2 = mat([[0, 0], [0, 0]], m)
+    assert kernel_basis(zero2) == ((rat(1, m), rat(0, m)), (rat(0, m), rat(1, m)))
     minus2 = mat([[-2, 0], [0, -2]], m)
-    assert kernel_basis(minus2).dim == 0
+    assert kernel_basis(minus2) == ()
     z = Cyclotomic.root_of_unity(4)
     g = mat([[z, rat(0, 4)], [rat(0, 4), z ** 3]], 4)
-    assert kernel_basis(g - Matrix.identity(2, 4)).dim == 0
+    assert kernel_basis(g - Matrix.identity(2, 4)) == ()
 
 
 def test_kernel_vectors_annihilate():
@@ -61,8 +60,8 @@ def test_kernel_vectors_annihilate():
                  for _ in range(4)] for _ in range(3)]
         M = Matrix.from_rows(rows)
         ker = kernel_basis(M)
-        assert rank(M) + ker.dim == M.cols
-        for v in ker.basis:
+        assert rank(M) + len(ker) == M.cols
+        for v in ker:
             assert all(x.is_zero() for x in M.matvec(v))
 
 
@@ -150,18 +149,12 @@ def test_fraction_free_det_singular_and_empty_eta_matrices():
     assert fraction_free_det([], eta_divide_by, one) == one == leibniz_det([], one)
 
 
-def test_subspace_rejects_dependent():
-    m = 1
-    with pytest.raises(ValueError):
-        Subspace(2, [(rat(1), rat(2)), (rat(2), rat(4))])
-
-
 def test_eigen_identity():
     m = 4
     decomp = eigen_decompose(Matrix.identity(4, m), m)
     assert len(decomp) == 1
     lam, space = decomp[0]
-    assert lam == Cyclotomic.one(m) and space.dim == 4
+    assert lam == Cyclotomic.one(m) and len(space) == 4
 
 
 def test_eigen_diagonal():
@@ -169,9 +162,9 @@ def test_eigen_diagonal():
     z = Cyclotomic.root_of_unity(m)
     g = mat([[z, rat(0, m)], [rat(0, m), z ** 3]], m)
     decomp = eigen_decompose(g, m)
-    assert [(lam, s.dim) for lam, s in decomp] == [(z, 1), (z ** 3, 1)]
+    assert [(lam, len(s)) for lam, s in decomp] == [(z, 1), (z ** 3, 1)]
     for lam, space in decomp:
-        for v in space.basis:
+        for v in space:
             assert g.matvec(v) == tuple(x * lam for x in v)
 
 
@@ -185,7 +178,7 @@ def test_eigen_incomplete():
 def test_darboux_standard_plane():
     m = 1
     omega = std_omega(1, m)
-    W = Subspace(2, [(rat(1), rat(0)), (rat(0), rat(1))])
+    W = ((rat(1), rat(0)), (rat(0), rat(1)))
     c = darboux_basis(W, omega)
     assert len(c) == 2
     assert form_value(omega, c[0], c[1]) == rat(1)
@@ -193,7 +186,7 @@ def test_darboux_standard_plane():
 
 def test_darboux_empty():
     omega = std_omega(1)
-    assert darboux_basis(Subspace(2, []), omega) == []
+    assert darboux_basis((), omega) == []
 
 
 def test_darboux_scaled_and_mixed():
@@ -207,7 +200,7 @@ def test_darboux_scaled_and_mixed():
             M = Matrix.from_rows([list(v) for v in zip(*vecs)])
             if rank(M) == 4:
                 break
-        c = darboux_basis(Subspace(4, vecs, check=False), omega)
+        c = darboux_basis(vecs, omega)
         k = len(c) // 2
         for i in range(2 * k):
             for j in range(2 * k):
@@ -225,7 +218,7 @@ def test_darboux_degenerate_raises():
     m = 1
     omega = std_omega(2, m)
     # span{e1, e2}: omega vanishes identically on it
-    W = Subspace(4, [(rat(1), rat(0), rat(0), rat(0)),
-                     (rat(0), rat(1), rat(0), rat(0))])
+    W = ((rat(1), rat(0), rat(0), rat(0)),
+         (rat(0), rat(1), rat(0), rat(0)))
     with pytest.raises(DegenerateRestrictionError):
         darboux_basis(W, omega)

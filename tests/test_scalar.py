@@ -7,8 +7,6 @@ from sra.scalar import (
     Cyclotomic,
     EtaPolynomial,
     accumulate,
-    cyc_inverse,
-    cyc_normalize,
     cyclotomic_polynomial,
     literal,
     parse_literal,
@@ -24,37 +22,47 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
+def power_sum(coeffs: dict, m: int) -> Cyclotomic:
+    """sum_k c_k zeta_m^k, built from canonical powers of zeta_m."""
+    return sum((Fraction(c) * Cyclotomic.root_of_unity(m, k) for k, c in coeffs.items()),
+               Cyclotomic.zero(m))
+
+
 def test_normalize_power_sums():
     for m in (1, 2, 3, 4, 5, 6, 12):
-        assert cyc_normalize({m: Fraction(1)}, m) == Cyclotomic.one(m)
+        # zeta^m folds to 1, through the literal parser and through the powers
+        assert parse_literal(f"1*z^{m}", m) == Cyclotomic.one(m)
+        assert Cyclotomic.root_of_unity(m, m) == Cyclotomic.one(m)
+        assert Cyclotomic.root_of_unity(m, 2 * m + 1) == Cyclotomic.root_of_unity(m, 1)
     # Phi_4 = x^2 + 1 forces zeta^2 = -1
-    assert cyc_normalize({2: Fraction(1)}, 4) == Cyclotomic.from_rational(-1, 4)
+    assert parse_literal("z^2", 4) == Cyclotomic.from_rational(-1, 4)
     # 1 + zeta + zeta^2 = 0 for m = 3
-    assert cyc_normalize({0: 1, 1: 1, 2: 1}, 3).is_zero()
+    assert parse_literal("1 + z + z^2", 3).is_zero()
+    assert power_sum({0: 1, 1: 1, 2: 1}, 3).is_zero()
 
 
 def test_normalize_idempotent_and_additive():
     m = 12
-    x = cyc_normalize({0: Fraction(1, 2), 5: Fraction(-2, 3), 11: Fraction(7)}, m)
-    again = cyc_normalize({j: Fraction(c, x.den) for j, c in enumerate(x.num)}, m)
+    x = parse_literal("1/2 - 2/3*z^5 + 7*z^11", m)
+    assert x == power_sum({0: Fraction(1, 2), 5: Fraction(-2, 3), 11: 7}, m)
+    again = power_sum({j: Fraction(c, x.den) for j, c in enumerate(x.num)}, m)
     assert again == x
-    a = cyc_normalize({1: 1, 7: 2}, m)
-    b = cyc_normalize({1: 3, 4: -1}, m)
-    assert a + b == cyc_normalize({1: 4, 7: 2, 4: -1}, m)
+    a = power_sum({1: 1, 7: 2}, m)
+    b = power_sum({1: 3, 4: -1}, m)
+    assert a + b == power_sum({1: 4, 7: 2, 4: -1}, m)
 
 
 def test_inverse_examples():
     for m in (3, 4, 5, 12):
         z = Cyclotomic.root_of_unity(m)
-        assert cyc_inverse(z) == Cyclotomic.root_of_unity(m, m - 1)
+        assert z.inverse() == Cyclotomic.root_of_unity(m, m - 1)
     two = Cyclotomic.from_rational(2, 6)
-    assert cyc_inverse(two) == Cyclotomic.from_rational(Fraction(1, 2), 6)
+    assert two.inverse() == Cyclotomic.from_rational(Fraction(1, 2), 6)
     # (1 - zeta_4)^(-1) = 1/2 + 1/2 zeta_4
     x = Cyclotomic.one(4) - Cyclotomic.root_of_unity(4)
-    expected = cyc_normalize({0: Fraction(1, 2), 1: Fraction(1, 2)}, 4)
-    assert cyc_inverse(x) == expected
+    assert x.inverse() == parse_literal("1/2 + 1/2*z", 4)
     with pytest.raises(ZeroDivisionError):
-        cyc_inverse(Cyclotomic.zero(4))
+        Cyclotomic.zero(4).inverse()
 
 
 def test_embed():
@@ -83,7 +91,7 @@ def test_field_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a + b == b + a
     if not a.is_zero():
-        assert a * cyc_inverse(a) == Cyclotomic.one(12)
+        assert a * a.inverse() == Cyclotomic.one(12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -94,7 +102,7 @@ def test_literal_round_trip(x):
 
 def test_literal_forms():
     m = 6
-    assert parse_literal("1/2 + 1/2*z^3", m) == cyc_normalize({0: Fraction(1, 2), 3: Fraction(1, 2)}, m)
+    assert parse_literal("1/2 + 1/2*z^3", m) == power_sum({0: Fraction(1, 2), 3: Fraction(1, 2)}, m)
     assert parse_literal("-2", m) == Cyclotomic.from_rational(-2, m)
     assert parse_literal("0", m).is_zero()
     assert parse_literal("3*z", m) == Cyclotomic.from_rational(3, m) * Cyclotomic.root_of_unity(m)
