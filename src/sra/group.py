@@ -38,6 +38,7 @@ from .linalg import (
 )
 
 DEFAULT_CAP = 100_000
+GRAM_BASIS_CAP = 2000
 
 
 class NotSymplecticError(Exception):
@@ -49,7 +50,7 @@ class NotReflectionError(Exception):
 
 
 class CapExceededError(Exception):
-    """Closure would exceed the element cap."""
+    """Closure would exceed the element cap, or a Gram basis its size cap."""
 
 
 class GroupElement:

@@ -1,7 +1,8 @@
 """Exact linear algebra over Q(zeta_m): one fraction-free elimination behind
 rank, kernels, inverses and determinants (the determinant also over any exact
-ring, such as the eta-polynomials), eigen-decomposition of finite-order
-matrices, and symplectic (Darboux) bases of subspaces.
+ring, such as the eta-polynomials), the connected components that split a
+matrix into diagonal blocks, eigen-decomposition of finite-order matrices,
+and symplectic (Darboux) bases of subspaces.
 
 Pivoting is deterministic (first nonzero column, lowest row index), so every
 derived basis -- and everything downstream that consumes one -- is
@@ -215,6 +216,41 @@ def fraction_free_det(rows, divide_by, one):
         return one
     a, _, sign = _echelon(rows, divide_by)
     return a[-1][-1] if sign > 0 else -a[-1][-1]
+
+
+def components(rows) -> list[list[int]]:
+    """Connected components of the nonzero pattern of a square list of rows:
+    i and j are joined when entry (i, j) or (j, i) is nonzero.  Each component
+    is a sorted index list, and the components are ordered by least index.
+
+    Permuting rows and columns alike so that each component is contiguous
+    makes the matrix block diagonal, and det(P M P^T) = det M, so the
+    determinant is the product of the determinants of the blocks
+    [[rows[i][j] for j in c] for i in c].
+    """
+    n = len(rows)
+    neighbours = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if not x.is_zero():
+                neighbours[i].add(j)
+                neighbours[j].add(i)
+    seen = [False] * n
+    out = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block, stack = [], [start]
+        while stack:
+            i = stack.pop()
+            block.append(i)
+            for j in neighbours[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        out.append(sorted(block))
+    return out
 
 
 def det(mat: Matrix) -> Cyclotomic:

@@ -487,6 +487,52 @@ def _divides(d: int, v: int) -> bool:
     return v == 0 if d == 0 else v % d == 0
 
 
+def _rational_roots(coeffs: dict[int, Fraction]) -> list[Fraction]:
+    """All rational roots of the nonzero rational polynomial
+    {exponent: coefficient}, by the rational root theorem on its primitive
+    integer form."""
+    deg = max(coeffs)
+    low = min(coeffs)
+    roots = []
+    if low > 0:
+        roots.append(Fraction(0))
+    shifted = {e - low: q for e, q in coeffs.items()}
+    den_lcm = 1
+    for q in shifted.values():
+        den_lcm = den_lcm * q.denominator // gcd(den_lcm, q.denominator)
+    ints = {e: int(q * den_lcm) for e, q in shifted.items()}
+    content = 0
+    for v in ints.values():
+        content = gcd(content, v)
+    ints = {e: v // content for e, v in ints.items()}
+    a0 = abs(ints.get(0, 0))
+    an = abs(ints[deg - low])
+    if a0 == 0:
+        return sorted(set(roots))
+    d = deg - low
+    descending = [ints.get(e, 0) for e in range(d, -1, -1)]
+    # a root s/q in lowest terms makes q x - s divide P over Z, so q - s
+    # divides P(1) and q + s divides P(-1); a divisor 0 asks for a zero
+    at_one = sum(ints.values())
+    at_minus_one = sum(v if e % 2 == 0 else -v for e, v in ints.items())
+    numerators = _divisors_of(a0)
+    for q in _divisors_of(an):
+        q_powers = [q ** k for k in range(d + 1)]
+        for p in numerators:
+            if gcd(p, q) > 1:
+                continue
+            for s in (p, -p):
+                if not (_divides(q - s, at_one) and _divides(q + s, at_minus_one)):
+                    continue
+                # q^d * P(s/q) = sum_e a_e s^e q^(d-e), by Horner in s
+                val = 0
+                for a, qk in zip(descending, q_powers):
+                    val = val * s + a * qk
+                if val == 0:
+                    roots.append(Fraction(s, q))
+    return sorted(set(roots))
+
+
 # -- polynomials in the deformation parameters ------------------------------
 
 
@@ -609,57 +655,24 @@ class EtaPolynomial:
         return acc
 
     def rational_roots(self) -> list[Fraction]:
-        """All rational roots, via the rational root theorem on the primitive
-        integer form.  Univariate with rational coefficients only."""
+        """All rational roots of a univariate polynomial over Q(zeta_m).
+
+        At a rational r the value is sum_k zeta^k P_k(r), with P_k the
+        rational coordinate polynomials in the canonical zeta-basis, so r is
+        a root iff every P_k vanishes at r: the candidates are the rational
+        roots of the first nonzero P_k, and the others must vanish there."""
         if self.nvars != 1:
             raise ValueError("rational-root extraction needs a univariate polynomial")
         if self.is_zero():
             raise ValueError("zero polynomial has every root")
-        coeffs: dict[int, Fraction] = {}
-        for e, c in self.terms.items():
-            if not c.is_rational():
-                raise ValueError("rational-root extraction needs rational coefficients")
-            coeffs[e[0]] = c.as_rational()
-        deg = max(coeffs)
-        low = min(coeffs)
-        roots = []
-        if low > 0:
-            roots.append(Fraction(0))
-        shifted = {e - low: q for e, q in coeffs.items()}
-        den_lcm = 1
-        for q in shifted.values():
-            den_lcm = den_lcm * q.denominator // gcd(den_lcm, q.denominator)
-        ints = {e: int(q * den_lcm) for e, q in shifted.items()}
-        content = 0
-        for v in ints.values():
-            content = gcd(content, v)
-        ints = {e: v // content for e, v in ints.items()}
-        a0 = abs(ints.get(0, 0))
-        an = abs(ints[deg - low])
-        if a0 == 0:
-            return sorted(set(roots))
-        d = deg - low
-        descending = [ints.get(e, 0) for e in range(d, -1, -1)]
-        # a root s/q in lowest terms makes q x - s divide P over Z, so q - s
-        # divides P(1) and q + s divides P(-1); a divisor 0 asks for a zero
-        at_one = sum(ints.values())
-        at_minus_one = sum(v if e % 2 == 0 else -v for e, v in ints.items())
-        numerators = _divisors_of(a0)
-        for q in _divisors_of(an):
-            q_powers = [q ** k for k in range(d + 1)]
-            for p in numerators:
-                if gcd(p, q) > 1:
-                    continue
-                for s in (p, -p):
-                    if not (_divides(q - s, at_one) and _divides(q + s, at_minus_one)):
-                        continue
-                    # q^d * P(s/q) = sum_e a_e s^e q^(d-e), by Horner in s
-                    val = 0
-                    for a, qk in zip(descending, q_powers):
-                        val = val * s + a * qk
-                    if val == 0:
-                        roots.append(Fraction(s, q))
-        return sorted(set(roots))
+        coords: dict[int, dict[int, Fraction]] = {}
+        for (e,), c in self.terms.items():
+            for k, a in enumerate(c.num):
+                if a:
+                    coords.setdefault(k, {})[e] = Fraction(a, c.den)
+        first, *rest = (coords[k] for k in sorted(coords))
+        return [r for r in _rational_roots(first)
+                if all(sum(q * r ** e for e, q in p.items()) == 0 for p in rest)]
 
     def exact_divide(self, other: "EtaPolynomial") -> "EtaPolynomial":
         """Exact polynomial division (raises if the division is not exact)."""

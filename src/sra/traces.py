@@ -24,11 +24,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .scalar import Cyclotomic, EtaPolynomial, accumulate, literal
-from .linalg import Matrix, form_value, fraction_free_det, inverse
-from .group import Group
+from .linalg import Matrix, components, form_value, fraction_free_det, inverse
+from .group import GRAM_BASIS_CAP, CapExceededError, Group
 from .algebra import (Algebra, AlgebraElement, _letters, kappa_commutator, reflection_table,
                       symmetrized_monomial)
 from .expr import _eta_poly_expr
@@ -628,18 +628,36 @@ def even_monomials(n: int, max_degree: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _gram_basis_size(n: int, classes: int, degree: int) -> int:
+    """The Gram basis size, sum over even k <= degree of C(n + k - 1, k)
+    times the number of classes, summed only until it passes
+    GRAM_BASIS_CAP, so that a huge degree costs nothing."""
+    total = 0
+    for k in range(0, degree + 1, 2):
+        total += comb(n + k - 1, k) * classes
+        if total > GRAM_BASIS_CAP:
+            break
+    return total
+
+
 def gram(functional: TraceFunctional, degree: int,
          assignment: list[Fraction] | None = None,
          compute_determinant: bool = True) -> GramReport:
     """Gram matrix of B_sp(f, h) = sp(f h) over even monomials of degree <=
     `degree` paired with every class representative.
 
-    The determinant is taken after substituting the free-parameter assignment
-    (default: first parameter 1, the rest 0); rational roots are reported in
-    the univariate case.
+    The basis is even, so B is symmetric by cyclicity and only i <= j is
+    evaluated.  The determinant is taken after substituting the
+    free-parameter assignment (default: first parameter 1, the rest 0), as
+    the product of one fraction-free determinant per connected block of the
+    nonzero pattern.  Rational roots are reported in the univariate case
+    when the determinant is nonzero with rational coefficients; they are the
+    union of the blocks' rational roots.
     """
     algebra = functional.algebra
     group = functional.group
+    if _gram_basis_size(group.dim, len(group.classes), degree) > GRAM_BASIS_CAP:
+        raise CapExceededError(f"Gram basis at degree {degree} exceeds cap {GRAM_BASIS_CAP}")
     monos = even_monomials(group.dim, degree)
     if assignment is None:
         assignment = [Fraction(1 if i == 0 else 0) for i in range(functional.nparams)]
@@ -649,23 +667,24 @@ def gram(functional: TraceFunctional, degree: int,
     basis = [(e, ci) for e in monos for ci in range(len(group.classes))]
     elements = [algebra.word(_letters(e)[::-1], group.class_rep[ci]) for e, ci in basis]
     nvars, m = group.n_eta, group.exponent
-    mat = []
-    for fa in elements:
-        row = []
-        for fb in elements:
-            val = functional.evaluate(fa * fb)
-            row.append(val.substitute(assignment, nvars, m))
-        mat.append(row)
-    determinant = None
+    n = len(elements)
+    mat = [[None] * n for _ in range(n)]
+    for i, fa in enumerate(elements):
+        for j in range(i, n):
+            val = functional.evaluate(fa * elements[j])
+            mat[i][j] = mat[j][i] = val.substitute(assignment, nvars, m)
+    determinant = roots = None
     if compute_determinant:
-        determinant = fraction_free_det(mat, lambda p: lambda x: x.exact_divide(p),
-                                        EtaPolynomial.constant(1, nvars, m))
-    roots = None
-    if determinant is not None and nvars == 1 and not determinant.is_zero():
-        try:
-            roots = determinant.rational_roots()
-        except ValueError:
-            roots = None
+        one = EtaPolynomial.constant(1, nvars, m)
+        factors = [fraction_free_det([[mat[i][j] for j in block] for i in block],
+                                     lambda p: lambda x: x.exact_divide(p), one)
+                   for block in components(mat)]
+        determinant = one
+        for factor in factors:
+            determinant = determinant * factor
+        if (nvars == 1 and not determinant.is_zero()
+                and all(c.is_rational() for c in determinant.terms.values())):
+            roots = sorted(set().union(*(f.rational_roots() for f in factors)))
     return GramReport(group.name, functional.kappa, m, degree, assignment,
                       basis, mat, determinant, roots)
 

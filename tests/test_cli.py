@@ -130,6 +130,16 @@ def test_cap_exceeded_exit_1(tmp_path, capsys):
     assert "cap" in err
 
 
+def test_gram_huge_degree_exit_1(capsys):
+    # the basis size is bounded before any monomial is listed
+    code, out, err = run(capsys, "gram", "--builtin", "cyclic", "--n", "2",
+                         "--degree", "99999999")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: Gram basis at degree 99999999 exceeds cap")
+    assert "Traceback" not in err
+
+
 def test_eval_word_with_many_inversions(capsys):
     # 1024 inversions; normal ordering must not recurse once per swap
     code, out, err = run(capsys, "eval", "--builtin", "cyclic", "--n", "2",

@@ -12,6 +12,7 @@ from sra.linalg import (
     DecompositionIncompleteError,
     DegenerateRestrictionError,
     Matrix,
+    components,
     darboux_basis,
     det,
     eigen_decompose,
@@ -147,6 +148,70 @@ def test_fraction_free_det_singular_and_empty_eta_matrices():
     assert leibniz_det(rows, one).is_zero()
     assert fraction_free_det(rows, eta_divide_by, one).is_zero()
     assert fraction_free_det([], eta_divide_by, one) == one == leibniz_det([], one)
+
+
+def _interleaved(blocks, places, zero):
+    """The block-diagonal matrix of `blocks` with rows and columns permuted
+    alike: row and column i of block b land at places[b][i]."""
+    n = sum(len(p) for p in places)
+    rows = [[zero] * n for _ in range(n)]
+    for block, place in zip(blocks, places):
+        for i, row in enumerate(block):
+            for j, x in enumerate(row):
+                rows[place[i]][place[j]] = x
+    return rows
+
+
+def cyc_divide_by(p):
+    return p.inverse().__mul__
+
+
+def _cyclotomic_entry(rng, m=12):
+    root = Cyclotomic.root_of_unity(m, rng.randint(0, m - 1))
+    return rat(rng.choice([-3, -2, -1, 1, 2, 3]), m) * root
+
+
+def _eta_entry(rng, m=3, nvars=2):
+    one = EtaPolynomial.constant(1, nvars, m)
+    eta = [EtaPolynomial.variable(i, nvars, m) for i in range(nvars)]
+    root = Cyclotomic.root_of_unity(m, rng.randint(0, m - 1))
+    return (one.scaled(root) * rng.choice([-2, -1, 1, 2])
+            + eta[0] * rng.randint(-1, 1) + eta[1] * eta[0] * rng.randint(-1, 1))
+
+
+@pytest.mark.parametrize("ring,singular", [("cyclotomic", False), ("eta", False), ("eta", True)])
+def test_block_determinants_of_interleaved_blocks_match_leibniz(ring, singular):
+    rng = random.Random(11)
+    if ring == "cyclotomic":
+        entry, one, divide_by = _cyclotomic_entry, rat(1, 12), cyc_divide_by
+    else:
+        entry, one, divide_by = _eta_entry, EtaPolynomial.constant(1, 2, 3), eta_divide_by
+    # dense blocks of nonzero entries, so each block is one component
+    blocks = [[[entry(rng) for _ in range(k)] for _ in range(k)] for k in (3, 2, 1)]
+    if singular:
+        blocks[0][2] = [x * blocks[0][0][0] for x in blocks[0][1]]   # a multiple of row 1
+    places = [[4, 0, 2], [5, 1], [3]]
+    rows = _interleaved(blocks, places, one - one)
+    found = components(rows)
+    assert found == [[0, 2, 4], [1, 5], [3]]
+    product = one
+    for block, comp in zip(blocks, found):
+        sub = [[rows[i][j] for j in comp] for i in comp]
+        factor = fraction_free_det(sub, divide_by, one)
+        assert factor == leibniz_det(sub, one)
+        assert factor == leibniz_det(block, one)   # the block, permuted alike on both sides
+        assert factor.is_zero() == (singular and len(comp) == 3)
+        product = product * factor
+    assert product == leibniz_det(rows, one) == fraction_free_det(rows, divide_by, one)
+    assert product.is_zero() == singular
+
+
+def test_components_of_empty_and_diagonal_patterns():
+    zero, one = rat(0), rat(1)
+    assert components([]) == []
+    assert components([[zero, zero], [zero, zero]]) == [[0], [1]]
+    # a one-sided entry joins its row and column
+    assert components([[one, zero, zero], [zero, one, zero], [one, zero, zero]]) == [[0, 2], [1]]
 
 
 def test_eigen_identity():

@@ -144,6 +144,18 @@ def test_eta_root_edge_cases():
     assert p2.rational_roots() == [Fraction(1, 2)]
 
 
+def test_rational_roots_over_cyclotomics():
+    # (eta - 2)(eta - zeta_3) = (eta^2 - 2 eta) + zeta_3 (2 - eta): the first
+    # coordinate polynomial has roots 0 and 2, and only 2 is a root of both
+    m = 3
+    eta = EtaPolynomial.variable(0, 1, m)
+    zeta = Cyclotomic.root_of_unity(m)
+    p = (eta - EtaPolynomial.constant(2, 1, m)) * (eta - EtaPolynomial.constant(zeta, 1, m))
+    assert p.rational_roots() == [Fraction(2)]
+    assert (p * eta).rational_roots() == [Fraction(0), Fraction(2)]
+    assert EtaPolynomial.constant(zeta, 1, m).rational_roots() == []
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(-5, 5), st.integers(0, 3)), max_size=4),

@@ -5,7 +5,7 @@ import pytest
 
 from sra.scalar import Cyclotomic
 from sra.group import cyclic_sp2, doubled_coxeter
-from sra.algebra import Algebra
+from sra.algebra import Algebra, _letters
 from sra.traces import (
     InconsistentGLCError,
     KappaEigenvaluePresentError,
@@ -258,13 +258,30 @@ def test_gram_zero_functional(z2):
 
 
 def test_gram_symmetry(z2):
+    # gram evaluates only i <= j; check the mirrored half against B(f_j, f_i)
+    # evaluated here on its own
     for kappa in (+1, -1):
         fn = solve_glc(z2, kappa)
         report = gram(fn, 2, compute_determinant=False)
+        elements = [z2.word(_letters(e)[::-1], z2.group.class_rep[ci]) for e, ci in report.basis]
         n = len(report.basis)
         for i in range(n):
             for j in range(n):
-                assert report.matrix[i][j] == report.matrix[j][i]
+                direct = fn.evaluate(elements[j] * elements[i])
+                assert report.matrix[i][j] == direct.substitute(report.assignment, z2.nvars, z2.m)
+
+
+@pytest.mark.parametrize("alg_name,kappas,degree,roots", [
+    ("a2", (-1,), 2, (Fraction(-4, 3), 0, Fraction(4, 3))),
+    ("z2", (1, -1), 6, (-7, -5, -3, -1, 1, 3, 5, 7)),
+], ids=["s3_d2", "z2_d6"])
+def test_gram_rational_roots_of_larger_bases(alg_name, kappas, degree, roots, request):
+    alg = request.getfixturevalue(alg_name)
+    for kappa in kappas:
+        report = gram(solve_glc(alg, kappa), degree)
+        assert report.rational_roots == [Fraction(r) for r in roots]
+        for r in roots:
+            assert report.determinant.evaluate([Fraction(r)]).is_zero()
 
 
 @pytest.mark.parametrize("alg_name", ["z2", "z3"])
