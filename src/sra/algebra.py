@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .scalar import Cyclotomic, EtaPolynomial, accumulate
 from .linalg import Matrix, _dot, darboux_basis, form_value, inverse
-from .group import Group
+from .group import POWER_CAP, CapExceededError, Group
 
 
 class GroupMismatchError(Exception):
@@ -380,6 +380,8 @@ class AlgebraElement:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers are not defined")
+        if k > POWER_CAP:
+            raise CapExceededError(f"exponent {k} exceeds cap {POWER_CAP}")
         out = self.algebra.one()
         for _ in range(k):
             out = out * self

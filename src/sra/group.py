@@ -39,6 +39,7 @@ from .linalg import (
 
 DEFAULT_CAP = 100_000
 GRAM_BASIS_CAP = 2000
+POWER_CAP = 64        # largest exponent of an algebra element power
 
 
 class NotSymplecticError(Exception):
@@ -50,7 +51,8 @@ class NotReflectionError(Exception):
 
 
 class CapExceededError(Exception):
-    """Closure would exceed the element cap, or a Gram basis its size cap."""
+    """Closure would exceed the element cap, a Gram basis its size cap, or an
+    algebra power its exponent cap."""
 
 
 class GroupElement:
@@ -174,8 +176,7 @@ class Group:
         got = self._egrading.get((key, kappa))
         if got is None:
             g = self.elements[key].matrix
-            scal = Cyclotomic.from_rational(kappa, self.exponent)
-            space = kernel_basis(g - Matrix.identity(self.dim, self.exponent).scaled(scal))
+            space = kernel_basis(g.minus_scalar(Cyclotomic.from_rational(kappa, self.exponent)))
             if len(space) % 2 != 0:
                 raise ArithmeticError("odd-dimensional kappa-eigenspace (impossible in Sp(2N))")
             got = (len(space) // 2, space)
@@ -243,7 +244,7 @@ class Group:
         got = self._omega_r.get(refl_key)
         if got is None:
             R = self.elements[refl_key].matrix
-            diff = R - Matrix.identity(self.dim, self.exponent)
+            diff = R.minus_scalar(Cyclotomic.one(self.exponent))
             cols = [diff.col(j) for j in range(self.dim)]
             v1 = next(c for c in cols if any(not x.is_zero() for x in c))
             v2 = None
@@ -298,12 +299,13 @@ def close(generators: list[Matrix], omega: Matrix, cap: int = DEFAULT_CAP,
         raise ValueError("omega must be nondegenerate and antisymmetric")
     gens = [g.embed(m0) for g in generators]
     ident0 = Matrix.identity(dim, m0)
+    one0 = Cyclotomic.one(m0)
     for i, g in enumerate(gens):
         if not (g.transpose() * omega0 * g == omega0):
             raise NotSymplecticError(f"generator {i} does not preserve omega")
-        if strict_reflections and rank(g - ident0) != 2:
+        if strict_reflections and rank(g.minus_scalar(one0)) != 2:
             raise NotReflectionError(
-                f"generator {i} has rank(g-1) = {rank(g - ident0)}, not 2")
+                f"generator {i} has rank(g-1) = {rank(g.minus_scalar(one0))}, not 2")
 
     # BFS closure at the entry order, recording right[gi][i] = i * gens[gi]
     found = {ident0.key(): 0}
@@ -334,7 +336,7 @@ def close(generators: list[Matrix], omega: Matrix, cap: int = DEFAULT_CAP,
         orders.append(d)
     m = lcm(m0, *orders)
     # rank does not change under the field embedding, so test at the entry order
-    reflections = [k for k, mat in enumerate(mats) if rank(mat - ident0) == 2]
+    reflections = [k for k, mat in enumerate(mats) if rank(mat.minus_scalar(one0)) == 2]
 
     # re-embed into the session order and renumber in canonical key order
     embedded = [mat.embed(m) for mat in mats]

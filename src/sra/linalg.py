@@ -89,24 +89,31 @@ class Matrix:
     def scaled(self, c: Cyclotomic) -> "Matrix":
         return Matrix(self.rows, self.cols, [a * c for a in self.data])
 
+    def minus_scalar(self, c: Cyclotomic) -> "Matrix":
+        """M - c I for a square M, subtracting on the diagonal only."""
+        data = list(self.data)
+        for i in range(0, len(data), self.cols + 1):
+            data[i] = data[i] - c
+        return Matrix(self.rows, self.cols, data)
+
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """Sparse product: each row's nonzero entries are listed once, and
+        only products of two nonzero entries are formed."""
         if self.cols != other.rows:
             raise ValueError("matrix dimension mismatch")
-        n, k, p = self.rows, self.cols, other.cols
+        p = other.cols
         zero = Cyclotomic.zero(self.order())
+        other_rows = [[(j, b) for j, b in enumerate(other.row(t)) if not b.is_zero()]
+                      for t in range(other.rows)]
         out = []
-        for i in range(n):
-            ri = self.row(i)
-            for j in range(p):
-                acc = zero
-                for t in range(k):
-                    a = ri[t]
-                    if not a.is_zero():
-                        b = other.data[t * p + j]
-                        if not b.is_zero():
-                            acc = acc + a * b
-                out.append(acc)
-        return Matrix(n, p, out)
+        for i in range(self.rows):
+            acc = [zero] * p
+            for t, a in enumerate(self.row(i)):
+                if not a.is_zero():
+                    for j, b in other_rows[t]:
+                        acc[j] = acc[j] + a * b
+            out.extend(acc)
+        return Matrix(self.rows, p, out)
 
     def matvec(self, v: Vector) -> Vector:
         zero = Cyclotomic.zero(self.order())
@@ -316,10 +323,9 @@ def eigen_decompose(g: Matrix, m: int, order: int | None = None):
     candidates = range(m) if order is None else range(0, m, m // order) if m % order == 0 else range(m)
     out = []
     total = 0
-    ident = Matrix.identity(n, m)
     for k in candidates:
         lam = Cyclotomic.root_of_unity(m, k)
-        ker = kernel_basis(g - ident.scaled(lam))
+        ker = kernel_basis(g.minus_scalar(lam))
         if ker:
             out.append((lam, ker))
             total += len(ker)

@@ -49,8 +49,9 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 class _CycContext:
-    """Per-order tables: Phi_m, reduction rows for x^j with j >= phi, and the
-    canonical coordinates of every power zeta^k."""
+    """Per-order tables: Phi_m, reduction rows for x^j with j >= phi, the
+    canonical coordinates of every power zeta^k, and the one shared instance
+    each of 0 and 1."""
 
     def __init__(self, m: int):
         self.m = m
@@ -68,6 +69,8 @@ class _CycContext:
             cur = self._times_x(cur)
         self.powers = powers
         self.power_index = {p: k for k, p in enumerate(powers)}
+        self.zero = Cyclotomic(m, (0,) * self.deg, 1, _canonical=True)
+        self.one = Cyclotomic(m, powers[0], 1, _canonical=True)
 
     def _times_x(self, vec: list[int]) -> list[int]:
         """Multiply a reduced coefficient vector by x, then reduce."""
@@ -115,6 +118,8 @@ def _zeta_substitute(num, big: _CycContext, step: int) -> list[int]:
 
 
 def _normalize(m: int, num: list[int] | tuple[int, ...], den: int):
+    if den == 1:
+        return tuple(num), 1
     if den < 0:
         den = -den
         num = [-c for c in num]
@@ -147,20 +152,28 @@ class Cyclotomic:
 
     @staticmethod
     def from_rational(q, m: int = 1) -> "Cyclotomic":
-        q = Fraction(q)
+        """q in Q(zeta_m); 0 and 1 are the shared instances of the order."""
         ctx = _context(m)
-        num = [0] * ctx.deg
-        num[0] = q.numerator
-        num, den = _normalize(m, num, q.denominator)
-        return Cyclotomic(m, num, den, _canonical=True)
+        if type(q) is not int:
+            q = Fraction(q)
+            if q.denominator != 1:
+                # a Fraction is in lowest terms with a positive denominator
+                return Cyclotomic(m, (q.numerator,) + ctx.zero.num[1:], q.denominator,
+                                  _canonical=True)
+            q = q.numerator
+        if q == 0:
+            return ctx.zero
+        if q == 1:
+            return ctx.one
+        return Cyclotomic(m, (q,) + ctx.zero.num[1:], 1, _canonical=True)
 
     @staticmethod
     def zero(m: int = 1) -> "Cyclotomic":
-        return Cyclotomic.from_rational(0, m)
+        return _context(m).zero
 
     @staticmethod
     def one(m: int = 1) -> "Cyclotomic":
-        return Cyclotomic.from_rational(1, m)
+        return _context(m).one
 
     @staticmethod
     def root_of_unity(m: int, k: int = 1) -> "Cyclotomic":
@@ -212,42 +225,78 @@ class Cyclotomic:
             return Cyclotomic.from_rational(other, self.m)
         return None
 
+    # +, - and * take a direct branch for a Cyclotomic of the same order and
+    # coerce anything else.  They return early on a zero operand, and * also
+    # on a unit operand, and a result with denominator 1 skips the gcd of
+    # `_normalize`: each of these results is canonical already.
+
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Cyclotomic or other.m != self.m:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         a, b = self, other
-        num = [x * b.den + y * a.den for x, y in zip(a.num, b.num)]
-        n, d = _normalize(self.m, num, a.den * b.den)
-        return Cyclotomic(self.m, n, d, _canonical=True)
+        if not any(b.num):
+            return a
+        if not any(a.num):
+            return b
+        if a.den == b.den == 1:
+            return Cyclotomic(a.m, tuple([x + y for x, y in zip(a.num, b.num)]), 1,
+                              _canonical=True)
+        ad, bd = a.den, b.den
+        n, d = _normalize(a.m, [x * bd + y * ad for x, y in zip(a.num, b.num)], ad * bd)
+        return Cyclotomic(a.m, n, d, _canonical=True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.m, tuple(-c for c in self.num), self.den, _canonical=True)
+        return Cyclotomic(self.m, tuple([-c for c in self.num]), self.den, _canonical=True)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not Cyclotomic or other.m != self.m:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self, other
+        if not any(b.num):
+            return a
+        if not any(a.num):
+            return -b
+        if a.den == b.den == 1:
+            return Cyclotomic(a.m, tuple([x - y for x, y in zip(a.num, b.num)]), 1,
+                              _canonical=True)
+        ad, bd = a.den, b.den
+        n, d = _normalize(a.m, [x * bd - y * ad for x, y in zip(a.num, b.num)], ad * bd)
+        return Cyclotomic(a.m, n, d, _canonical=True)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Cyclotomic or other.m != self.m:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         a, b = self, other
-        if a.is_rational():
-            if a.num[0] == 0:
-                return Cyclotomic.zero(self.m)
-            num = [a.num[0] * c for c in b.num]
-            n, d = _normalize(self.m, num, a.den * b.den)
-            return Cyclotomic(self.m, n, d, _canonical=True)
-        if b.is_rational():
-            return b * a
+        if any(b.num[1:]):
+            if any(a.num[1:]):
+                return a._convolve(b)
+            a, b = b, a
+        # b is rational: scale a by it
+        c = b.num[0]
+        if c == 0:
+            return b
+        if c == 1 and b.den == 1:
+            return a
+        n, d = _normalize(a.m, [c * x for x in a.num], a.den * b.den)
+        return Cyclotomic(a.m, n, d, _canonical=True)
+
+    __rmul__ = __mul__
+
+    def _convolve(self, other: "Cyclotomic") -> "Cyclotomic":
+        """Product of two irrational values: the polynomial product of the
+        coordinate vectors, reduced mod Phi_m."""
+        a, b = self, other
         deg = len(a.num)
         conv = [0] * (2 * deg - 1)
         for i, x in enumerate(a.num):
@@ -255,9 +304,9 @@ class Cyclotomic:
                 for j, y in enumerate(b.num):
                     if y:
                         conv[i + j] += x * y
-        red = _context(self.m).reduce(conv)
-        n, d = _normalize(self.m, red, a.den * b.den)
-        return Cyclotomic(self.m, n, d, _canonical=True)
+        red = _context(a.m).reduce(conv)
+        n, d = _normalize(a.m, red, a.den * b.den)
+        return Cyclotomic(a.m, n, d, _canonical=True)
 
     __rmul__ = __mul__
 

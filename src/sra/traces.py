@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .scalar import Cyclotomic, EtaPolynomial, accumulate, literal
-from .linalg import Matrix, components, form_value, fraction_free_det, inverse
+from .linalg import Matrix, _dot, components, form_value, fraction_free_det, inverse
 from .group import GRAM_BASIS_CAP, CapExceededError, Group
 from .algebra import (Algebra, AlgebraElement, _letters, kappa_commutator, reflection_table,
                       symmetrized_monomial)
@@ -213,11 +213,12 @@ def verify_glc(functional: TraceFunctional):
         if e_val == 0:
             continue
         basis = group.darboux_of_eigenspace(key, kappa)
+        omega_basis = [group.omega.matvec(v) for v in basis]
         refl = reflection_table(group, basis)
         spg = functional.element_value(key)
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
-                wij = form_value(group.omega, basis[i], basis[j])
+                wij = _dot(basis[i], omega_basis[j])
                 residual = (spg.scaled(algebra.t * wij)
                             + _reflection_sum(functional, key, refl.get((i, j), ())))
                 if not residual.is_zero():

@@ -6,7 +6,7 @@ from math import comb, factorial
 import pytest
 
 from sra.scalar import Cyclotomic, EtaPolynomial
-from sra.group import cyclic_sp2, doubled_coxeter
+from sra.group import POWER_CAP, CapExceededError, cyclic_sp2, doubled_coxeter
 from sra.algebra import (
     Algebra,
     GroupMismatchError,
@@ -201,6 +201,9 @@ def test_pow(z2):
     assert a1 ** 3 == a1 * a1 * a1
     with pytest.raises(ValueError):
         a1 ** -1
+    assert a1 ** POWER_CAP == a1 ** (POWER_CAP - 1) * a1
+    with pytest.raises(CapExceededError):
+        a1 ** (POWER_CAP + 1)
 
 
 def test_weyl_closed_form_high_inversions(z2):

@@ -8,12 +8,15 @@ import ast
 import random
 from pathlib import Path
 
+import pytest
+
 import sra
 from sra.scalar import Cyclotomic
 from sra.linalg import Matrix
-from sra.group import cyclic_sp2
+from sra.group import cyclic_sp2, doubled_coxeter
 from sra.algebra import Algebra
 from sra.traces import (
+    InconsistentGLCError,
     TraceFunctional,
     TraceValue,
     confluence_failures,
@@ -21,6 +24,7 @@ from sra.traces import (
     even_monomials,
     oracle_mismatches,
     solve_glc,
+    verify_glc,
 )
 
 
@@ -94,3 +98,35 @@ def test_invariant_failures_report_planted_elements():
     group.elements[flip].matrix = Matrix.from_rows([[one, zero], [zero, -one]])
     group.elements[shear].matrix = Matrix.from_rows([[one, one], [zero, one]])
     assert group.invariant_failures() == sorted([flip, shear])
+
+
+class _OneElementShifted(TraceFunctional):
+    """Adds P0 to sp(g) at one group element only, not at the rest of its
+    class."""
+
+    def __init__(self, fn, target):
+        super().__init__(fn.algebra, fn.kappa, fn.free_classes, fn.table, fn.e_of_class)
+        self.target = target
+
+    def element_value(self, g_key):
+        val = super().element_value(g_key)
+        if g_key == self.target:
+            val = val + TraceValue(self.nparams, {0: self.algebra.one_poly})
+        return val
+
+
+@pytest.mark.parametrize("kappa", [1, -1])
+def test_verify_glc_checks_every_element_not_only_class_representatives(kappa):
+    # S_3: the transpositions are one class of size 3 with E = 1 for both
+    # kappa; a fault planted at a transposition that is not the class
+    # representative is seen only by a check that visits that element
+    alg = Algebra(doubled_coxeter("A", 3))
+    fn = solve_glc(alg, kappa)
+    group = alg.group
+    ci = next(i for i, cls in enumerate(group.classes)
+              if len(cls) > 1 and fn.e_of_class[i] > 0)
+    rep, target = group.class_rep[ci], group.classes[ci][-1]
+    assert target != rep
+    verify_glc(fn)
+    with pytest.raises(InconsistentGLCError, match=f"fails on C{ci} "):
+        verify_glc(_OneElementShifted(fn, target))

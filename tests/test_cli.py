@@ -3,6 +3,7 @@ import json
 import pytest
 
 from sra.cli import main
+from sra.group import POWER_CAP
 
 
 def run(capsys, *argv):
@@ -137,6 +138,16 @@ def test_gram_huge_degree_exit_1(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: Gram basis at degree 99999999 exceeds cap")
+    assert "Traceback" not in err
+
+
+def test_eval_huge_power_exit_1(capsys):
+    # the exponent is bounded before the first multiplication
+    code, out, err = run(capsys, "eval", "--builtin", "cyclic", "--n", "2",
+                         "--expr", "a1^99999999999")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: exponent 99999999999 exceeds cap {POWER_CAP}")
     assert "Traceback" not in err
 
 

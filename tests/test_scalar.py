@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,3 +213,70 @@ def test_difference_with_itself_has_no_terms():
     assert (f - f).terms == {}
     assert (f * 0).terms == {}
     assert (f * f).exact_divide(f) == f
+
+
+# -- the same-order fast branches of +, - and * ------------------------------
+
+BRANCH_ORDERS = (1, 2, 3, 4, 5, 8, 12, 24, 60)
+
+
+@st.composite
+def _order_and_operands(draw):
+    """An order m and two operands of it, each drawn as a raw (num, den)
+    pair: zero, one, a rational with a unit or non-unit denominator, or an
+    irrational value with a unit or non-unit denominator."""
+    m = draw(st.sampled_from(BRANCH_ORDERS))
+    deg = len(cyclotomic_polynomial(m)) - 1
+    rest = [0] * (deg - 1)
+
+    def operand():
+        kind = draw(st.sampled_from(["zero", "one", "rational", "irrational"]))
+        den = draw(st.sampled_from([1, 1, 2, 3, 6, 10]))
+        if kind == "zero":
+            return Cyclotomic(m, [0] * deg, den)
+        if kind == "one":
+            return Cyclotomic(m, [den] + rest, den)
+        if kind == "rational":
+            return Cyclotomic(m, [draw(st.integers(-12, 12))] + rest, den)
+        return Cyclotomic(m, draw(st.lists(st.integers(-6, 6), min_size=deg, max_size=deg)), den)
+
+    return m, operand(), operand()
+
+
+def _is_canonical(x: Cyclotomic) -> bool:
+    return (type(x.num) is tuple and len(x.num) == len(cyclotomic_polynomial(x.m)) - 1
+            and x.den > 0 and gcd(x.den, *x.num) == 1)
+
+
+def _same(x: Cyclotomic, y: Cyclotomic) -> bool:
+    return (x.m, x.num, x.den) == (y.m, y.num, y.den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_order_and_operands())
+def test_fast_branches_match_the_constructor(case):
+    # each result equals the constructor's reduction of the raw numerator
+    # over the product of the denominators, field by field
+    m, a, b = case
+    raw_sum = [x * b.den + y * a.den for x, y in zip(a.num, b.num)]
+    raw_diff = [x * b.den - y * a.den for x, y in zip(a.num, b.num)]
+    raw_prod = [0] * (2 * len(a.num) - 1)
+    for i, x in enumerate(a.num):
+        for j, y in enumerate(b.num):
+            raw_prod[i + j] += x * y
+    den = a.den * b.den
+    for got, raw in ((a + b, raw_sum), (a - b, raw_diff), (a * b, raw_prod), (b * a, raw_prod)):
+        assert _same(got, Cyclotomic(m, raw, den))
+        assert _is_canonical(got)
+
+
+@pytest.mark.parametrize("m", BRANCH_ORDERS)
+def test_shared_zero_and_one(m):
+    deg = len(cyclotomic_polynomial(m)) - 1
+    zero, one = Cyclotomic.zero(m), Cyclotomic.one(m)
+    assert _same(zero, Cyclotomic(m, [0] * deg, 1))
+    assert _same(one, Cyclotomic(m, [1] + [0] * (deg - 1), 1))
+    assert _is_canonical(zero) and _is_canonical(one)
+    # one instance per order, whatever the route
+    assert Cyclotomic.zero(m) is zero and Cyclotomic.from_rational(0, m) is zero
+    assert Cyclotomic.one(m) is one and Cyclotomic.from_rational(Fraction(1), m) is one
