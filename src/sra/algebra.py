@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalar import Cyclotomic, EtaPolynomial, accumulate
-from .linalg import Matrix, _dot, darboux_basis, form_value, inverse
+from .linalg import Matrix, _dot, inverse
 from .group import POWER_CAP, CapExceededError, Group
 
 
@@ -45,39 +45,49 @@ def _shift(exp: tuple[int, ...], i: int, d: int) -> tuple[int, ...]:
     return exp[:i] + (exp[i] + d,) + exp[i + 1:]
 
 
-def reflection_table(group: Group, vectors) -> dict:
-    """{(i, j): [(reflection key, omega_R(v_i, v_j))]} over the reflections
-    with nonzero value, in group.reflections order, for the letters v_0,
-    v_1, ... given as vectors.  Each letter is dotted with each reflection's
-    covectors once; (j, i) holds the negated entries of (i, j), and the
-    diagonal, where omega_R vanishes, is absent."""
-    dots = []
+def relation_table(algebra: "Algebra", vectors):
+    """The defining relation on the letters v_0, v_1, ... given as vectors,
+
+        [v_i, v_j] = scalar[i][j] + sum over (R, c) in refl[(i, j)] of c R,
+
+    returned as (scalar, refl): scalar[i][j] = t omega(v_i, v_j), and
+    refl[(i, j)] lists (reflection key, eta_R omega_R(v_i, v_j)) over the
+    reflections with nonzero value, in group.reflections order.  Each letter
+    is dotted with omega and with each reflection's covectors once; (j, i)
+    holds the negated entries of (i, j), and the diagonal is zero."""
+    group = algebra.group
+    n = len(vectors)
+    omega_vecs = [group.omega.matvec(v) for v in vectors]
+    table = []
     for rkey in group.reflections:
         a_cov, b_cov = group.omega_r_covectors(rkey)
-        dots.append((rkey, [_dot(v, a_cov) for v in vectors], [_dot(v, b_cov) for v in vectors]))
-    table = {}
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
+        table.append((rkey, algebra.eta_poly(group.eta_var_of(rkey)),
+                      [_dot(v, a_cov) for v in vectors], [_dot(v, b_cov) for v in vectors]))
+    scalar = [[Cyclotomic.zero(algebra.m)] * n for _ in range(n)]
+    refl = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            scalar[i][j] = algebra.t * _dot(vectors[i], omega_vecs[j])
+            scalar[j][i] = -scalar[i][j]
             entries = []
-            for rkey, va, vb in dots:
+            for rkey, eta, va, vb in table:
                 val = vb[i] * va[j] - va[i] * vb[j]
                 if not val.is_zero():
-                    entries.append((rkey, val))
+                    entries.append((rkey, eta.scaled(val)))
             if entries:
-                table[(i, j)] = entries
-                table[(j, i)] = [(rkey, -val) for rkey, val in entries]
-    return table
+                refl[(i, j)] = entries
+                refl[(j, i)] = [(rkey, -c) for rkey, c in entries]
+    return scalar, refl
 
 
 class Frame:
     """The standard letters x_i = a_(i+1) and the normal-ordering rules.
 
-    `pair[i][j]` is omega(x_i, x_j) (multiplied by t in the relation) and
-    `refl[(i, j)]` lists (reflection key, omega_R(x_i, x_j)) with nonzero
-    value.  A normal form is a dict {(exponent, group key): coefficient}, the
-    shape of AlgebraElement.terms: the group key collects the reflections
-    produced by the corrections, and the caller appends its own trailing
-    group element on the right.
+    `scalar` and `refl` are the relation table of the letters (see
+    relation_table).  A normal form is a dict {(exponent, group key):
+    coefficient}, the shape of AlgebraElement.terms: the group key collects
+    the reflections produced by the corrections, and the caller appends its
+    own trailing group element on the right.
 
     letter_times(j, alpha) = NF(x_j x^alpha), memoized on (j, alpha).  When no
     letter of alpha is smaller than j the product is already ordered;
@@ -95,13 +105,11 @@ class Frame:
     """
 
     def __init__(self, algebra: "Algebra"):
-        group = algebra.group
-        n = group.dim
+        n = algebra.group.dim
         self.algebra = algebra
         self.n = n
         self.zero_exp = (0,) * n
-        self.pair = [[group.omega[i, j] for j in range(n)] for i in range(n)]
-        self.refl = reflection_table(group, algebra.letters)
+        self.scalar, self.refl = relation_table(algebra, algebra.letters)
         self._transform_cache: dict = {}
         self._nf_cache: dict = {}
         self._conj_cache: dict = {}
@@ -132,11 +140,10 @@ class Frame:
             # x_j x_k = x_k x_j + t omega_jk + sum_R eta_R omega_R(x_j, x_k) R
             rest = _shift(exp, k, -1)
             got = self.times(self.transform(ident)[k], self.letter_times(j, rest))
-            scal = alg.t * self.pair[j][k]
+            scal = self.scalar[j][k]
             if not scal.is_zero():
                 accumulate(got, (rest, ident), alg.one_poly.scaled(scal))
-            for rkey, val in self.refl.get((j, k), ()):
-                eta_coeff = alg.eta_poly(group.eta_var_of(rkey)).scaled(val)
+            for rkey, eta_coeff in self.refl.get((j, k), ()):
                 for (e, r), c in self.conjugate(rkey, rest, self.zero_exp).items():
                     accumulate(got, (e, group.mul(r, rkey)), c * eta_coeff)
         self._nf_cache[key] = got
@@ -171,10 +178,11 @@ class Frame:
 class EigenbasisChart:
     """Eigenbasis of one group element: b_I = sum_i M^i_I a_i with
     g(b_I) = lambda_I b_I; the +1 and -1 eigenvalue blocks are Darboux bases
-    of their eigenspaces, so the kappa-block Gram matrix is the normal shape.
-    `refl` is the reflection table of the b letters (see reflection_table);
-    `coords(v)` gives the chart coordinates of any standard vector v, the
-    standard letters `Algebra.letters` included."""
+    of their eigenspaces (Group.e_grading), so the kappa-block relation
+    table is the normal shape.  `scalar` and `refl` are the relation table of
+    the b letters (see relation_table); `coords(v)` gives the chart
+    coordinates of any standard vector v, the standard letters
+    `Algebra.letters` included."""
 
     def __init__(self, algebra: "Algebra", g_key):
         group = algebra.group
@@ -184,8 +192,10 @@ class EigenbasisChart:
         plus_one = Cyclotomic.one(m)
         minus_one = Cyclotomic.from_rational(-1, m)
         for lam, space in group.spectrum(g_key):
-            if lam == plus_one or lam == minus_one:
-                space = darboux_basis(space, group.omega)
+            if lam == plus_one:
+                space = group.e_grading(g_key, +1)[1]
+            elif lam == minus_one:
+                space = group.e_grading(g_key, -1)[1]
             for v in space:
                 lams.append(lam)
                 vectors.append(v)
@@ -194,9 +204,7 @@ class EigenbasisChart:
         n = group.dim
         self.Minv = inverse(Matrix.from_rows([[vectors[I][i] for I in range(n)]
                                               for i in range(n)]))
-        self.gram = [[form_value(group.omega, vectors[a], vectors[b]) for b in range(n)]
-                     for a in range(n)]
-        self.refl = reflection_table(group, self.vectors)
+        self.scalar, self.refl = relation_table(algebra, self.vectors)
         self._coords: dict = {}
         self.kappa_pairs = {}
         for kappa, lam_val in ((+1, plus_one), (-1, minus_one)):
@@ -229,7 +237,6 @@ class Algebra:
         self.t = t
         self.nvars = group.n_eta
         self.one_poly = EtaPolynomial.constant(1, self.nvars, self.m)
-        self.zero_poly = EtaPolynomial.zero(self.nvars, self.m)
         self._eta_polys = [EtaPolynomial.variable(i, self.nvars, self.m)
                            for i in range(self.nvars)]
         one, zero = Cyclotomic.one(self.m), Cyclotomic.zero(self.m)

@@ -85,7 +85,7 @@ def _make_group(args):
         raise ValueError(f"--builtin {kind} needs --{param}")
     if kind == "product":
         value = [_parse_factor(s) for s in value.split(",")]
-    return builtin(kind, **{param: value})
+    return builtin(kind, cap=args.cap, **{param: value})
 
 
 def _kappas(arg: str):

@@ -20,6 +20,7 @@ spectral data (E-grading, eigenspaces, omega_R, charts).
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -35,6 +36,8 @@ from .linalg import (
     inverse,
     kernel_basis,
     rank,
+    vec_is_zero,
+    vec_scale,
 )
 
 DEFAULT_CAP = 100_000
@@ -103,7 +106,6 @@ class Group:
         self.class_of = {k: i for i, cls in enumerate(self.classes) for k in cls}
         refl_classes = sorted({self.class_of[r] for r in self.reflections})
         self.eta_vars = {ci: vi for vi, ci in enumerate(refl_classes)}
-        self.reflection_classes = refl_classes
         self.eta_assignment: dict[int, Fraction] | None = None  # optional, from files
         self._egrading: dict = {}
         self._omega_r: dict = {}
@@ -136,8 +138,7 @@ class Group:
         return self.power(a, self.elements[a].order - 1)
 
     def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(a), -k)
+        """Index of (element a)^k for k >= 0."""
         acc = self._identity
         for _ in range(k):
             acc = self.mul(acc, a)
@@ -171,7 +172,7 @@ class Group:
     # -- spectral data ------------------------------------------------------
 
     def e_grading(self, key, kappa: int):
-        """E = dim Ker(g - kappa)/2 together with a basis tuple of the
+        """E = dim Ker(g - kappa)/2 together with a Darboux basis of the
         kappa-eigenspace, cached."""
         got = self._egrading.get((key, kappa))
         if got is None:
@@ -179,7 +180,7 @@ class Group:
             space = kernel_basis(g.minus_scalar(Cyclotomic.from_rational(kappa, self.exponent)))
             if len(space) % 2 != 0:
                 raise ArithmeticError("odd-dimensional kappa-eigenspace (impossible in Sp(2N))")
-            got = (len(space) // 2, space)
+            got = (len(space) // 2, tuple(darboux_basis(space, self.omega)))
             self._egrading[(key, kappa)] = got
         return got
 
@@ -239,25 +240,23 @@ class Group:
         """Covectors (A, B) with omega_R(x, y) = (x.B)(y.A) - (x.A)(y.B).
 
         Built from a Darboux pair of V_R = Im(R - 1); omega_R projects onto
-        V_R along Z_R and evaluates omega there.
+        V_R along Z_R and evaluates omega there.  V_R is a symplectic plane,
+        so its second vector is the first column c of R - 1 with
+        omega(v_1, c) != 0.
         """
         got = self._omega_r.get(refl_key)
         if got is None:
             R = self.elements[refl_key].matrix
             diff = R.minus_scalar(Cyclotomic.one(self.exponent))
             cols = [diff.col(j) for j in range(self.dim)]
-            v1 = next(c for c in cols if any(not x.is_zero() for x in c))
-            v2 = None
-            for c in cols:
-                if rank(Matrix.from_rows([list(v) for v in zip(v1, c)])) == 2:
-                    v2 = c
+            v1 = next(c for c in cols if not vec_is_zero(c))
+            for v2 in cols:
+                s = form_value(self.omega, v1, v2)
+                if not s.is_zero():
                     break
-            if v2 is None:
-                raise NotReflectionError("Im(R-1) is not 2-dimensional")
-            s = form_value(self.omega, v1, v2)
-            if s.is_zero():
+            else:
                 raise ArithmeticError("omega degenerate on Im(R-1)")
-            v2 = tuple(x * s.inverse() for x in v2)
+            v2 = vec_scale(v2, s.inverse())
             a_cov = self.omega.matvec(v2)
             b_cov = self.omega.matvec(v1)
             got = (a_cov, b_cov)
@@ -265,15 +264,10 @@ class Group:
         return got
 
     def omega_r(self, refl_key, x, y) -> Cyclotomic:
-        """omega_R(x, y) for one pair of vectors; algebra.reflection_table
-        computes it for every pair of a list of letters at once."""
+        """omega_R(x, y) for one pair of vectors; algebra.relation_table
+        computes eta_R omega_R for every pair of a list of letters at once."""
         a_cov, b_cov = self.omega_r_covectors(refl_key)
         return _dot(x, b_cov) * _dot(y, a_cov) - _dot(x, a_cov) * _dot(y, b_cov)
-
-    def darboux_of_eigenspace(self, key, kappa: int):
-        """Darboux basis of Ker(g - kappa), deterministic."""
-        _, space = self.e_grading(key, kappa)
-        return darboux_basis(space, self.omega)
 
 
 # -- closure ----------------------------------------------------------------
@@ -370,7 +364,7 @@ def standard_omega(n_half: int, m: int = 1) -> Matrix:
     return Matrix.from_rows(rows)
 
 
-def cyclic_sp2(n: int) -> Group:
+def cyclic_sp2(n: int, cap: int = DEFAULT_CAP) -> Group:
     """The cyclic group generated by diag(zeta_n, zeta_n^-1) in Sp(2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -378,7 +372,7 @@ def cyclic_sp2(n: int) -> Group:
     z = Cyclotomic.root_of_unity(m, 1)
     zero = Cyclotomic.zero(m)
     gen = Matrix.from_rows([[z, zero], [zero, z ** (n - 1)]])
-    return close([gen], standard_omega(1, m), strict_reflections=(n >= 2),
+    return close([gen], standard_omega(1, m), cap=cap, strict_reflections=(n >= 2),
                  name=f"cyclic_sp2({n})")
 
 
@@ -427,7 +421,7 @@ def _double_contragredient(g: Matrix) -> Matrix:
     return Matrix.from_rows(rows)
 
 
-def doubled_coxeter(family: str, rank: int) -> Group:
+def doubled_coxeter(family: str, rank: int, cap: int = DEFAULT_CAP) -> Group:
     """Doubled Coxeter group of type A_(rank-1) or B_rank acting on
     coordinates and momenta with the standard symplectic form.
 
@@ -448,10 +442,10 @@ def doubled_coxeter(family: str, rank: int) -> Group:
         raise ValueError(f"unknown Coxeter family {family!r}")
     gens = [_double_contragredient(s) for s in _simple_reflection_matrices(gram)]
     n_half = len(gram)
-    return close(gens, standard_omega(n_half, 1), name=name)
+    return close(gens, standard_omega(n_half, 1), cap=cap, name=name)
 
 
-def dihedral(n: int) -> Group:
+def dihedral(n: int, cap: int = DEFAULT_CAP) -> Group:
     """Doubled dihedral group I_2(n) of order 2n, realized over Q(zeta_n)."""
     if n < 2:
         raise ValueError("dihedral needs n >= 2")
@@ -461,10 +455,10 @@ def dihedral(n: int) -> Group:
     s1 = Matrix.from_rows([[zero, one], [one, zero]])
     s2 = Matrix.from_rows([[zero, z ** (n - 1)], [z, zero]])
     gens = [_double_contragredient(s) for s in (s1, s2)]
-    return close(gens, standard_omega(2, m), name=f"dihedral({n})")
+    return close(gens, standard_omega(2, m), cap=cap, name=f"dihedral({n})")
 
 
-def direct_product(g1: Group, g2: Group) -> Group:
+def direct_product(g1: Group, g2: Group, cap: int = DEFAULT_CAP) -> Group:
     """Direct product, embedded block-diagonally with omega = diag(w1, w2)."""
     m = lcm(g1.exponent, g2.exponent)
     n1, n2 = g1.dim, g2.dim
@@ -483,7 +477,7 @@ def direct_product(g1: Group, g2: Group) -> Group:
     omega = blk(g1.omega, g2.omega)
     gens = [blk(g1.elements[k].matrix, None) for k in g1.generator_keys]
     gens += [blk(None, g2.elements[k].matrix) for k in g2.generator_keys]
-    return close(gens, omega, name=f"{g1.name}x{g2.name}")
+    return close(gens, omega, cap=cap, name=f"{g1.name}x{g2.name}")
 
 
 # builtin kind -> the name of its one parameter
@@ -491,27 +485,28 @@ BUILTINS = {"cyclic": "n", "doubled-A": "rank", "doubled-B": "rank", "dihedral":
             "product": "factors"}
 
 
-def builtin(kind: str, **params) -> Group:
+def builtin(kind: str, cap: int = DEFAULT_CAP, **params) -> Group:
     """Construct a builtin group by name, with the one parameter BUILTINS
     names for it: the rank of doubled-A is the n of S_n, and product takes a
-    list of (kind, params) factor pairs.
+    list of (kind, params) factor pairs.  Every closure, the factors' too,
+    stops at `cap` elements.
     """
     if kind == "cyclic":
-        return cyclic_sp2(int(params["n"]))
+        return cyclic_sp2(int(params["n"]), cap=cap)
     if kind == "doubled-A":
-        return doubled_coxeter("A", int(params["rank"]))
+        return doubled_coxeter("A", int(params["rank"]), cap=cap)
     if kind == "doubled-B":
-        return doubled_coxeter("B", int(params["rank"]))
+        return doubled_coxeter("B", int(params["rank"]), cap=cap)
     if kind == "dihedral":
-        return dihedral(int(params["n"]))
+        return dihedral(int(params["n"]), cap=cap)
     if kind == "product":
         factors = params["factors"]
-        groups = [builtin(k, **p) for k, p in factors]
+        groups = [builtin(k, cap=cap, **p) for k, p in factors]
         if len(groups) < 2:
             raise ValueError("product needs at least two factors")
         out = groups[0]
         for g in groups[1:]:
-            out = direct_product(out, g)
+            out = direct_product(out, g, cap=cap)
         return out
     raise ValueError(f"unknown builtin group {kind!r}")
 
@@ -561,7 +556,7 @@ def group_from_dict(d: dict, cap: int = DEFAULT_CAP) -> Group:
     if "eta" in d:
         assignment = {}
         for label, val in d["eta"].items():
-            if not label.startswith("R"):
+            if not re.fullmatch(r"R[0-9]+", label):
                 raise ValueError(f"bad reflection-class label {label!r}")
             vi = int(label[1:])
             if vi >= group.n_eta:

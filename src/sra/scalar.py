@@ -49,17 +49,16 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 class _CycContext:
-    """Per-order tables: Phi_m, reduction rows for x^j with j >= phi, the
-    canonical coordinates of every power zeta^k, and the one shared instance
-    each of 0 and 1."""
+    """Per-order tables: Phi_m, the canonical coordinates of every power
+    zeta^k (x^k mod Phi_m for k < m), and the one shared instance each of 0
+    and 1."""
 
     def __init__(self, m: int):
         self.m = m
         self.phi_poly = cyclotomic_polynomial(m)
         self.deg = len(self.phi_poly) - 1
-        # x^j mod Phi_m for j >= deg, as integer rows of length deg
+        # x^deg mod Phi_m, as an integer row of length deg
         self._top = [-c for c in self.phi_poly[: self.deg]]
-        self.reduce_rows = [list(self._top)]
         # zeta^k for k in [0, m)
         powers = []
         cur = [0] * self.deg
@@ -81,21 +80,15 @@ class _CycContext:
                 out[i] += lead * self._top[i]
         return out
 
-    def _row(self, j: int) -> list[int]:
-        """Coefficients of x^j mod Phi_m for j >= deg."""
-        rows = self.reduce_rows
-        while len(rows) <= j - self.deg:
-            rows.append(self._times_x(rows[-1]))
-        return rows[j - self.deg]
-
     def reduce(self, coeffs: list[int]) -> tuple[int, ...]:
-        """Reduce an integer coefficient vector of any length mod Phi_m."""
+        """Reduce an integer coefficient vector of any length mod Phi_m,
+        through x^j = x^(j mod m) mod Phi_m."""
         deg = self.deg
         out = list(coeffs[:deg]) + [0] * max(0, deg - len(coeffs))
         for j in range(len(coeffs) - 1, deg - 1, -1):
             c = coeffs[j]
             if c:
-                row = self._row(j)
+                row = self.powers[j % self.m]
                 for i in range(deg):
                     out[i] += c * row[i]
         return tuple(out)
@@ -307,8 +300,6 @@ class Cyclotomic:
         red = _context(a.m).reduce(conv)
         n, d = _normalize(a.m, red, a.den * b.den)
         return Cyclotomic(a.m, n, d, _canonical=True)
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
         """Multiplicative inverse; raises ZeroDivisionError on zero.

@@ -27,9 +27,9 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .scalar import Cyclotomic, EtaPolynomial, accumulate, literal
-from .linalg import Matrix, _dot, components, form_value, fraction_free_det, inverse
+from .linalg import Matrix, components, fraction_free_det, inverse
 from .group import GRAM_BASIS_CAP, CapExceededError, Group
-from .algebra import (Algebra, AlgebraElement, _letters, kappa_commutator, reflection_table,
+from .algebra import (Algebra, AlgebraElement, _letters, kappa_commutator, relation_table,
                       symmetrized_monomial)
 from .expr import _eta_poly_expr
 
@@ -166,25 +166,23 @@ def solve_glc(algebra: Algebra, kappa: int, verify: bool = True) -> TraceFunctio
                    key=lambda i: (e_of_class[i], i))
     # the functional holds `table` itself, so each class sees the ones filled before it
     functional = TraceFunctional(algebra, kappa, free_classes, table, e_of_class)
-    t_inv = algebra.t.inverse()
     for ci in order:
         rep = group.class_rep[ci]
-        pair = group.darboux_of_eigenspace(rep, kappa)[:2]
-        w12 = form_value(group.omega, pair[0], pair[1])
-        acc = _reflection_sum(functional, rep, reflection_table(group, pair).get((0, 1), ()))
-        table[ci] = acc.scaled(-(w12.inverse() * t_inv))
+        scalar, refl = relation_table(algebra, group.e_grading(rep, kappa)[1][:2])
+        acc = _reflection_sum(functional, rep, refl.get((0, 1), ()))
+        table[ci] = acc.scaled(-scalar[0][1].inverse())
     if verify:
         verify_glc(functional)
     return functional
 
 
 def _reflection_sum(functional: TraceFunctional, g_key, entries) -> TraceValue:
-    """sum_R eta_R omega_R(c_i, c_j) sp(R g) over the entries [(R, omega_R(c_i,
-    c_j))] of a reflection table, with sp(R g) read from the functional's
-    class table, which must already hold every class R g."""
-    group, algebra = functional.group, functional.algebra
+    """sum_R eta_R omega_R(c_i, c_j) sp(R g) over the entries [(R, eta_R
+    omega_R(c_i, c_j))] of a relation table, with sp(R g) read from the
+    functional's class table, which must already hold every class R g."""
+    group = functional.group
     acc = TraceValue.zero(functional.nparams)
-    for rkey, w in entries:
+    for rkey, coeff in entries:
         rc = group.class_of[group.mul(rkey, g_key)]
         sub = functional.table.get(rc)
         if sub is None:
@@ -192,7 +190,7 @@ def _reflection_sum(functional: TraceFunctional, g_key, entries) -> TraceValue:
             raise InconsistentGLCError(
                 f"group {group.name}, kappa {functional.kappa}: sp(C{ci}) needs "
                 f"sp(C{rc}), which has E >= E(C{ci})")
-        acc = acc + sub.scaled(algebra.eta_poly(group.eta_var_of(rkey)).scaled(w))
+        acc = acc + sub.scaled(coeff)
     return acc
 
 
@@ -206,20 +204,16 @@ def verify_glc(functional: TraceFunctional):
     upstream.
     """
     group = functional.group
-    algebra = functional.algebra
     kappa = functional.kappa
     for key in group.sorted_keys():
-        e_val, _ = group.e_grading(key, kappa)
+        e_val, basis = group.e_grading(key, kappa)
         if e_val == 0:
             continue
-        basis = group.darboux_of_eigenspace(key, kappa)
-        omega_basis = [group.omega.matvec(v) for v in basis]
-        refl = reflection_table(group, basis)
+        scalar, refl = relation_table(functional.algebra, basis)
         spg = functional.element_value(key)
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
-                wij = _dot(basis[i], omega_basis[j])
-                residual = (spg.scaled(algebra.t * wij)
+                residual = (spg.scaled(scalar[i][j])
                             + _reflection_sum(functional, key, refl.get((i, j), ())))
                 if not residual.is_zero():
                     raise InconsistentGLCError(
@@ -292,11 +286,8 @@ class _Evaluator:
         got = self._bword.get((g_key, word))
         if got is not None:
             return got
-        k = len(word)
-        if k == 0:
+        if not word:
             got = self.fn.element_value(g_key)
-        elif k % 2 == 1:
-            got = self.zero
         else:
             chart = self.alg.chart(g_key)
             regular = [s for s, letter in enumerate(word)
@@ -345,7 +336,7 @@ class _Evaluator:
         [b_x, b_y] = t C_xy + sum_R eta_R omega_R(b_x, b_y) R."""
         chart = self.alg.chart(g_key)
         acc = self.zero
-        scal = self.alg.t * chart.gram[x][y]
+        scal = chart.scalar[x][y]
         if not scal.is_zero():
             acc = acc + self.bword(g_key, prefix + suffix).scaled(scal)
         return acc + self._refl_part(g_key, prefix, x, y, suffix)
@@ -358,14 +349,13 @@ class _Evaluator:
         if not entries:
             return self.zero
         acc = self.zero
-        for rkey, w in entries:
+        for rkey, coeff in entries:
             rg = self.group.mul(rkey, g_key)
             vecs = tuple(chart.vectors[p] for p in prefix) + \
                 tuple(self._transformed(rkey, chart.vectors[sfx]) for sfx in suffix)
             val = self.vectors(rg, vecs)
             if not val.is_zero():
-                acc = acc + val.scaled(
-                    self.alg.eta_poly(self.group.eta_var_of(rkey)).scaled(w))
+                acc = acc + val.scaled(coeff)
         return acc
 
     def _transformed(self, rkey, vec):
@@ -411,7 +401,7 @@ class _Evaluator:
                 g_key, (I,) * (p + 1) + (J,) * q + others[:s], others[s], J,
                 others[s + 1:])
         scale = -(Cyclotomic.from_rational(Fraction(1, p + 1), self.alg.m)
-                  * self.alg.t.inverse())
+                  * chart.scalar[I][J].inverse())
         return acc + ssum.scaled(scale)
 
 
@@ -589,7 +579,8 @@ class GramReport:
     cyclotomic_order: int
     degree: int
     assignment: list[Fraction]
-    basis: list[tuple[tuple[int, ...], int]]   # (exponent, class index of rep)
+    # (exponent alpha, class index of rep g), the element a_2N^alpha_2N ... a_1^alpha_1 g
+    basis: list[tuple[tuple[int, ...], int]]
     matrix: list[list[EtaPolynomial]]
     determinant: EtaPolynomial | None
     rational_roots: list[Fraction] | None
@@ -646,6 +637,10 @@ def gram(functional: TraceFunctional, degree: int,
          compute_determinant: bool = True) -> GramReport:
     """Gram matrix of B_sp(f, h) = sp(f h) over even monomials of degree <=
     `degree` paired with every class representative.
+
+    The basis element of exponent alpha and representative g is the
+    descending product a_2N^alpha_2N ... a_1^alpha_1 g, not the ordered
+    monomial: on Z_2, exponent (1, 1) is a2*a1 = a1*a2 - 1 - eta0*g0.
 
     The basis is even, so B is symmetric by cyclicity and only i <= j is
     evaluated.  The determinant is taken after substituting the

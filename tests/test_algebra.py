@@ -232,7 +232,7 @@ def test_chart_diagonalizes(a2):
         # kappa blocks form Darboux pairs
         for kappa in (+1, -1):
             for (i, j) in chart.kappa_pairs[kappa]:
-                assert chart.gram[i][j] == Cyclotomic.one(a2.m)
+                assert chart.scalar[i][j] == a2.t
 
 
 def test_chart_of_diagonal_element(z3):
@@ -257,14 +257,15 @@ def test_chart_coordinates_and_reflection_table(alg_name, request):
             for big_i, coeff in chart.coords(e_i):
                 acc = [a + coeff * v for a, v in zip(acc, chart.vectors[big_i])]
             assert tuple(acc) == e_i
-        # refl[(x, y)] lists exactly the R with omega_R(b_x, b_y) != 0
+        # refl[(x, y)] lists exactly the R with omega_R(b_x, b_y) != 0, each
+        # with the coefficient eta_R omega_R(b_x, b_y)
         for x in range(n):
             for y in range(n):
                 expected = {}
                 for rkey in group.reflections:
                     val = group.omega_r(rkey, chart.vectors[x], chart.vectors[y])
                     if not val.is_zero():
-                        expected[rkey] = val
+                        expected[rkey] = alg.eta_poly(group.eta_var_of(rkey)).scaled(val)
                 entries = chart.refl.get((x, y), [])
                 assert len(entries) == len(expected)
                 assert dict(entries) == expected

@@ -1,9 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from sra.algebra import Algebra
 from sra.cli import main
-from sra.group import POWER_CAP
+from sra.group import POWER_CAP, cyclic_sp2
+from sra.traces import gram, solve_glc
 
 
 def run(capsys, *argv):
@@ -129,6 +132,38 @@ def test_cap_exceeded_exit_1(tmp_path, capsys):
     code, _, err = run(capsys, "counts", "--group", str(path), "--cap", "50")
     assert code == 1
     assert "cap" in err
+
+
+@pytest.mark.parametrize("group_args", [
+    ("--builtin", "doubled-A", "--rank", "5"),
+    ("--builtin", "product", "--factors", "cyclic:2,doubled-A:5"),
+])
+def test_builtin_cap_exceeded_exit_1(group_args, capsys):
+    code, _, err = run(capsys, "counts", *group_args, "--cap", "50")
+    assert code == 1
+    assert "group closure exceeds cap 50" in err
+
+
+def test_negative_eta_label_exit_1(tmp_path, capsys):
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps({
+        "name": "Z2", "N": 1, "cyclotomic_order": 2,
+        "generators": [[["-1", "0"], ["0", "-1"]]],
+        "eta": {"R-1": "1/2"},
+    }))
+    code, _, err = run(capsys, "eval", "--group", str(path), "--expr", "a1*a2")
+    assert code == 1
+    assert "'R-1'" in err
+
+
+def test_gram_cli_assignment_and_t(capsys):
+    code, out, _ = run(capsys, "--json", "gram", "--builtin", "cyclic", "--n", "3",
+                       "--degree", "2", "--assignment", "1,2,-1", "--t", "3/2")
+    assert code == 0
+    fn = solve_glc(Algebra(cyclic_sp2(3), Fraction(3, 2)), -1)
+    report = gram(fn, 2, [Fraction(1), Fraction(2), Fraction(-1)])
+    assert report.determinant is not None and not report.determinant.is_zero()
+    assert json.loads(out)["kappa"]["-1"] == json.loads(json.dumps(report.to_dict()))
 
 
 def test_gram_huge_degree_exit_1(capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from sra.group import (
     doubled_coxeter,
     group_from_dict,
     group_to_dict,
+    load_group,
+    save_group,
     standard_omega,
 )
 
@@ -247,6 +250,29 @@ def test_group_file_eta_and_omega(tmp_path):
     from sra.group import load_group
     g2 = load_group(str(p))
     assert len(g2) == 2
+
+
+def test_group_file_eta_round_trip(tmp_path):
+    g = doubled_coxeter("B", 2)
+    assert g.n_eta == 2
+    g.eta_assignment = {1: Fraction(-3, 4)}
+    assert group_to_dict(g)["eta"] == {"R0": "symbolic", "R1": "-3/4"}
+    path = tmp_path / "b2.json"
+    save_group(g, str(path))
+    g2 = load_group(str(path))
+    assert g2.eta_assignment == {1: Fraction(-3, 4)}
+    assert group_to_dict(g2) == group_to_dict(g)
+
+
+@pytest.mark.parametrize("label", ["R-1", "R+1", "R", "Rx", "r0", "R0 ", "R1.0"])
+def test_group_file_rejects_bad_eta_labels(label):
+    d = {
+        "name": "Z2", "N": 1, "cyclotomic_order": 2,
+        "generators": [[["-1", "0"], ["0", "-1"]]],
+        "eta": {label: "1/2"},
+    }
+    with pytest.raises(ValueError, match=re.escape(f"label {label!r}")):
+        group_from_dict(d)
 
 
 def test_group_file_nonstandard_omega():

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from sra.scalar import (
     Cyclotomic,
     EtaPolynomial,
+    _context,
+    _divisors_of,
     accumulate,
     cyclotomic_polynomial,
     literal,
@@ -155,6 +157,32 @@ def test_rational_roots_over_cyclotomics():
     assert p.rational_roots() == [Fraction(2)]
     assert (p * eta).rational_roots() == [Fraction(0), Fraction(2)]
     assert EtaPolynomial.constant(zeta, 1, m).rational_roots() == []
+
+
+def test_large_prime_factors_take_pollard_rho():
+    # both primes lie beyond the trial-division bound of 100000
+    p, q = 100003, 1000003
+    assert _divisors_of(p * q) == [1, p, q, p * q]
+    assert _divisors_of(-4 * p * q) == sorted(d * k for d in (1, p, q, p * q) for k in (1, 2, 4))
+    eta = EtaPolynomial.variable(0, 1, 1)
+    poly = (eta * p - 7) * (eta * q + 11)
+    assert poly.rational_roots() == [Fraction(-11, q), Fraction(7, p)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 8, 12, 15, 24, 60])
+def test_reduce_is_the_remainder_mod_phi(m):
+    # x^j mod Phi_m by long division, against the table of powers of zeta
+    phi = cyclotomic_polynomial(m)
+    deg = len(phi) - 1
+    ctx = _context(m)
+    for j in range(3 * m + 5):
+        rem = [0] * j + [1]
+        for top in range(j, deg - 1, -1):
+            c = rem[top]
+            for i in range(deg + 1):
+                rem[top - deg + i] -= c * phi[i]
+        expected = tuple(rem[:deg]) + (0,) * max(0, deg - len(rem))
+        assert ctx.reduce([0] * j + [1]) == expected, (m, j)
 
 
 @settings(max_examples=40, deadline=None)

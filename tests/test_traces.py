@@ -154,7 +154,7 @@ def test_glc_evaluator_consistency(a2):
         for key in group.class_rep:
             if group.e_grading(key, kappa)[0] == 0:
                 continue
-            basis = group.darboux_of_eigenspace(key, kappa)
+            basis = group.e_grading(key, kappa)[1]
             g_el = a2.group_element(key)
 
             def vec_el(v):
