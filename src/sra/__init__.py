@@ -9,6 +9,7 @@ degeneracy of the induced invariant bilinear forms.
 """
 
 from .scalar import (
+    CapExceededError,
     Cyclotomic,
     EtaPolynomial,
     cyclotomic_polynomial,
@@ -27,7 +28,6 @@ from .linalg import (
     rank,
 )
 from .group import (
-    CapExceededError,
     Group,
     GroupElement,
     NotReflectionError,

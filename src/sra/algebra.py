@@ -21,16 +21,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalar import Cyclotomic, EtaPolynomial, accumulate
+from .scalar import POWER_CAP, CapExceededError, Cyclotomic, EtaPolynomial, accumulate
 from .linalg import Matrix, _dot, inverse
-from .group import POWER_CAP, CapExceededError, Group
+from .group import Group
 
 
-class GroupMismatchError(Exception):
+class GroupMismatchError(ValueError):
     """Operands live in algebras over different groups (or different t)."""
 
 
-class IndefiniteParityError(Exception):
+class IndefiniteParityError(ValueError):
     """The kappa-bracket needs operands of definite parity."""
 
 
@@ -182,10 +182,12 @@ class EigenbasisChart:
     table is the normal shape.  `scalar` and `refl` are the relation table of
     the b letters (see relation_table); `coords(v)` gives the chart
     coordinates of any standard vector v, the standard letters
-    `Algebra.letters` included."""
+    `Algebra.letters` included.  The chart is shared by every evaluator of the
+    algebra, and it memoizes the letters moved by a group element h
+    (`moved`) and the regular-step factors of a letter (`regular_factors`)."""
 
     def __init__(self, algebra: "Algebra", g_key):
-        group = algebra.group
+        self.group = group = algebra.group
         m = group.exponent
         lams: list[Cyclotomic] = []
         vectors = []
@@ -206,11 +208,15 @@ class EigenbasisChart:
                                               for i in range(n)]))
         self.scalar, self.refl = relation_table(algebra, self.vectors)
         self._coords: dict = {}
+        self._moved: dict = {}
+        self._factors: dict = {}
         self.kappa_pairs = {}
+        self.kappa_letters = {}
         for kappa, lam_val in ((+1, plus_one), (-1, minus_one)):
             idxs = [i for i, lv in enumerate(lams) if lv == lam_val]
             self.kappa_pairs[kappa] = [(idxs[2 * r], idxs[2 * r + 1])
                                        for r in range(len(idxs) // 2)]
+            self.kappa_letters[kappa] = frozenset(idxs)
 
     def coords(self, v):
         """Sparse chart coordinates ((index, coeff), ...) of a standard vector,
@@ -219,6 +225,26 @@ class EigenbasisChart:
         if got is None:
             got = tuple((i, c) for i, c in enumerate(self.Minv.matvec(v)) if not c.is_zero())
             self._coords[v] = got
+        return got
+
+    def moved(self, h_key):
+        """The letters moved by the group element h, (h(b_0), h(b_1), ...) as
+        standard vectors, memoized per h."""
+        got = self._moved.get(h_key)
+        if got is None:
+            hmat = self.group.elements[h_key].matrix
+            got = self._moved[h_key] = tuple(map(hmat.matvec, self.vectors))
+        return got
+
+    def regular_factors(self, kappa: int, L: int):
+        """(1, kappa lambda_L) / (1 - kappa lambda_L) for a letter b_L with
+        lambda_L != kappa, the factors of the regular step, memoized per
+        (kappa, L)."""
+        got = self._factors.get((kappa, L))
+        if got is None:
+            kl = self.lams[L] * kappa
+            inv = (Cyclotomic.one(kl.m) - kl).inverse()
+            got = self._factors[(kappa, L)] = (inv, kl * inv)
         return got
 
 
@@ -334,8 +360,6 @@ class AlgebraElement:
             accumulate(terms, key, c)
         return AlgebraElement(self.algebra, terms)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return AlgebraElement(self.algebra, {key: -c for key, c in self.terms.items()})
 
@@ -345,9 +369,6 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def scaled(self, c) -> "AlgebraElement":
         poly = self.algebra.coeff(c)
@@ -378,11 +399,6 @@ class AlgebraElement:
                     for (exp, r2), c3 in frame.conjugate(ident, alpha, gamma).items():
                         accumulate(out, (exp, group.mul(r2, rgh)), cg * c3)
         return AlgebraElement(alg, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic, EtaPolynomial)):
-            return self.scaled(other)
-        return NotImplemented
 
     def __pow__(self, k: int):
         if k < 0:

@@ -12,21 +12,11 @@ import random
 import sys
 from fractions import Fraction
 
-from .scalar import literal
-from .group import (
-    BUILTINS,
-    CapExceededError,
-    DEFAULT_CAP,
-    NotReflectionError,
-    NotSymplecticError,
-    builtin,
-    load_group,
-    save_group,
-)
-from .algebra import Algebra, GroupMismatchError, IndefiniteParityError
+from .scalar import DEFAULT_CAP, literal
+from .group import BUILTINS, builtin, load_group, save_group
+from .algebra import Algebra
 from .traces import (
     InconsistentGLCError,
-    KappaEigenvaluePresentError,
     _trace_value_json,
     confluence_failures,
     cyclicity_failures,
@@ -37,21 +27,11 @@ from .traces import (
     solve_glc,
     verify_glc,
 )
-from .expr import ParseError, _eta_poly_expr, parse, print_element
+from .expr import _eta_poly_expr, parse, print_element
 
-DOMAIN_ERRORS = (
-    NotSymplecticError,
-    NotReflectionError,
-    CapExceededError,
-    GroupMismatchError,
-    IndefiniteParityError,
-    InconsistentGLCError,
-    KappaEigenvaluePresentError,
-    ParseError,
-    FileNotFoundError,
-    ValueError,
-    ZeroDivisionError,
-)
+# every domain error of the package is a ValueError; a file that cannot be
+# read is an OSError
+DOMAIN_ERRORS = (ValueError, OSError, ZeroDivisionError, InconsistentGLCError)
 
 
 def _add_group_args(p: argparse.ArgumentParser):

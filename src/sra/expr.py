@@ -25,7 +25,7 @@ from .scalar import Cyclotomic, EtaPolynomial, literal
 from .algebra import Algebra, AlgebraElement
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} at position {position}")
         self.message = message
@@ -279,8 +279,6 @@ def print_element(f: AlgebraElement) -> str:
             factors.append(mono)
         if gstr:
             factors.append(gstr)
-        if factors and factors[0] == "1" and len(factors) > 1:
-            factors = factors[1:]
         bits.append("*".join(factors))
     if not bits:
         return "0"

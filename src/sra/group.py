@@ -24,7 +24,9 @@ import re
 from fractions import Fraction
 from math import lcm
 
-from .scalar import Cyclotomic, literal, parse_literal
+# the caps and CapExceededError live in sra.scalar; sra.group re-exports them
+from .scalar import (DEFAULT_CAP, GRAM_BASIS_CAP, POWER_CAP, CapExceededError, Cyclotomic,
+                     literal, parse_literal)
 from .linalg import (
     DecompositionIncompleteError,
     Matrix,
@@ -40,22 +42,12 @@ from .linalg import (
     vec_scale,
 )
 
-DEFAULT_CAP = 100_000
-GRAM_BASIS_CAP = 2000
-POWER_CAP = 64        # largest exponent of an algebra element power
-
-
-class NotSymplecticError(Exception):
+class NotSymplecticError(ValueError):
     """A generator does not preserve the symplectic form."""
 
 
-class NotReflectionError(Exception):
+class NotReflectionError(ValueError):
     """A generator is not a symplectic reflection (rank(g-1) != 2)."""
-
-
-class CapExceededError(Exception):
-    """Closure would exceed the element cap, a Gram basis its size cap, or an
-    algebra power its exponent cap."""
 
 
 class GroupElement:
@@ -135,12 +127,9 @@ class Group:
         return _walk(self.right, a, self.elements[b].word)
 
     def inv(self, a: int) -> int:
-        return self.power(a, self.elements[a].order - 1)
-
-    def power(self, a: int, k: int) -> int:
-        """Index of (element a)^k for k >= 0."""
+        """Index of (element a)^(order - 1)."""
         acc = self._identity
-        for _ in range(k):
+        for _ in range(self.elements[a].order - 1):
             acc = self.mul(acc, a)
         return acc
 
@@ -403,22 +392,20 @@ def _simple_reflection_matrices(gram) -> list[Matrix]:
     return mats
 
 
+def _block_diagonal(a: Matrix, b: Matrix) -> Matrix:
+    """diag(a, b) for square a and b over the same field."""
+    zero = Cyclotomic.zero(a.order())
+    return Matrix.from_rows([list(a.row(i)) + [zero] * b.rows for i in range(a.rows)]
+                            + [[zero] * a.rows + list(b.row(i)) for i in range(b.rows)])
+
+
 def _double_contragredient(g: Matrix) -> Matrix:
     """Block-diagonal action on coordinates and momenta: g + (g^-1)^T.
 
     Symplectic with respect to the standard omega for any invertible g; for
     the involutive Coxeter generators the momentum block is just g^T.
     """
-    n = g.rows
-    m = g.order()
-    zero = Cyclotomic.zero(m)
-    h = inverse(g).transpose()
-    rows = []
-    for i in range(n):
-        rows.append(list(g.row(i)) + [zero] * n)
-    for i in range(n):
-        rows.append([zero] * n + list(h.row(i)))
-    return Matrix.from_rows(rows)
+    return _block_diagonal(g, inverse(g).transpose())
 
 
 def doubled_coxeter(family: str, rank: int, cap: int = DEFAULT_CAP) -> Group:
@@ -461,22 +448,14 @@ def dihedral(n: int, cap: int = DEFAULT_CAP) -> Group:
 def direct_product(g1: Group, g2: Group, cap: int = DEFAULT_CAP) -> Group:
     """Direct product, embedded block-diagonally with omega = diag(w1, w2)."""
     m = lcm(g1.exponent, g2.exponent)
-    n1, n2 = g1.dim, g2.dim
-    zero = Cyclotomic.zero(m)
+    one1, one2 = Matrix.identity(g1.dim, m), Matrix.identity(g2.dim, m)
 
-    def blk(a: Matrix | None, b: Matrix | None) -> Matrix:
-        am = (a if a is not None else Matrix.identity(n1, m)).embed(m)
-        bm = (b if b is not None else Matrix.identity(n2, m)).embed(m)
-        rows = []
-        for i in range(n1):
-            rows.append(list(am.row(i)) + [zero] * n2)
-        for i in range(n2):
-            rows.append([zero] * n1 + list(bm.row(i)))
-        return Matrix.from_rows(rows)
+    def blk(a: Matrix, b: Matrix) -> Matrix:
+        return _block_diagonal(a.embed(m), b.embed(m))
 
     omega = blk(g1.omega, g2.omega)
-    gens = [blk(g1.elements[k].matrix, None) for k in g1.generator_keys]
-    gens += [blk(None, g2.elements[k].matrix) for k in g2.generator_keys]
+    gens = [blk(g1.elements[k].matrix, one2) for k in g1.generator_keys]
+    gens += [blk(one1, g2.elements[k].matrix) for k in g2.generator_keys]
     return close(gens, omega, cap=cap, name=f"{g1.name}x{g2.name}")
 
 
@@ -535,10 +514,40 @@ def group_to_dict(group: Group) -> dict:
     return d
 
 
+def _check_shape(d):
+    """Raise a ValueError naming the first field of a group file whose JSON
+    type is wrong, before anything is parsed or built."""
+    if not isinstance(d, dict):
+        raise ValueError("a group file must hold a JSON object")
+    for field in ("N", "generators"):
+        if field not in d:
+            raise ValueError(f"group file lacks the field {field!r}")
+
+    def is_matrix(x):
+        return isinstance(x, list) and all(
+            isinstance(row, list) and all(isinstance(e, str) for e in row) for row in x)
+
+    shapes = {
+        "N": ("a positive int", lambda x: type(x) is int and x > 0),
+        "cyclotomic_order": ("a positive int", lambda x: type(x) is int and x > 0),
+        "omega": ("a list of lists of strings", is_matrix),
+        "generators": ("a nonempty list of matrices, each a list of lists of strings",
+                       lambda x: isinstance(x, list) and x and all(map(is_matrix, x))),
+        "eta": ("an object of strings",
+                lambda x: isinstance(x, dict) and all(isinstance(v, str) for v in x.values())),
+        "allow_non_reflections": ("true or false", lambda x: type(x) is bool),
+        "name": ("a string", lambda x: isinstance(x, str)),
+    }
+    for field, (shape, ok) in shapes.items():
+        if field in d and not ok(d[field]):
+            raise ValueError(f"group file field {field!r} must be {shape}")
+
+
 def group_from_dict(d: dict, cap: int = DEFAULT_CAP) -> Group:
-    n_half = int(d["N"])
+    _check_shape(d)
+    n_half = d["N"]
     dim = 2 * n_half
-    m0 = int(d.get("cyclotomic_order", 1))
+    m0 = d.get("cyclotomic_order", 1)
 
     def parse_matrix(rows) -> Matrix:
         if len(rows) != dim or any(len(r) != dim for r in rows):
@@ -548,8 +557,9 @@ def group_from_dict(d: dict, cap: int = DEFAULT_CAP) -> Group:
                 "literals use z but the file declares no cyclotomic_order")
         return Matrix.from_rows([[parse_literal(x, m0) for x in row] for row in rows])
 
-    omega = parse_matrix(d["omega"]) if "omega" in d else standard_omega(n_half, m0)
+    # the generators are checked against 2N first, so a huge N builds nothing
     gens = [parse_matrix(g) for g in d["generators"]]
+    omega = parse_matrix(d["omega"]) if "omega" in d else standard_omega(n_half, m0)
     strict = not d.get("allow_non_reflections", False)
     group = close(gens, omega, cap=cap, strict_reflections=strict,
                   name=d.get("name", "group"))

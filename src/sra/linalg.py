@@ -25,12 +25,6 @@ class DegenerateRestrictionError(Exception):
 Vector = tuple[Cyclotomic, ...]
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
 def vec_scale(u: Vector, c: Cyclotomic) -> Vector:
     return tuple(a * c for a in u)
 
@@ -138,9 +132,6 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
 
     def key(self):
         """Canonical key: coefficient data of all entries in row-major order."""
@@ -379,9 +370,7 @@ def darboux_basis(basis, omega: Matrix) -> list[Vector]:
         for v in pending:
             a = form_value(omega, c2, v)
             b = form_value(omega, c1, v)
-            v2 = vec_add(v, vec_scale(c1, a))
-            v2 = vec_sub(v2, vec_scale(c2, b))
-            rest.append(v2)
+            rest.append(tuple(x + y * a - z * b for x, y, z in zip(v, c1, c2)))
         out.extend([c1, c2])
         pending = rest
     return out

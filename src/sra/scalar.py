@@ -13,7 +13,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
+
+# every size budget of the package; exceeding one raises CapExceededError
+DEFAULT_CAP = 100_000     # elements of a group closure
+GRAM_BASIS_CAP = 2000     # elements of a Gram basis
+POWER_CAP = 64            # largest exponent of an algebra element power
+FIELD_DEGREE_CAP = 256    # largest degree phi(m) of a field Q(zeta_m)
+
+
+class CapExceededError(ValueError):
+    """Closure would exceed the element cap, a Gram basis its size cap, an
+    algebra power its exponent cap, or a cyclotomic field its degree cap."""
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
@@ -39,9 +50,15 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_m, ascending, monic."""
+    """Integer coefficients of Phi_m, ascending, monic.  Raises
+    CapExceededError when phi(m) exceeds FIELD_DEGREE_CAP."""
     if m < 1:
         raise ValueError("order must be >= 1")
+    # phi(m) >= sqrt(m/2), so a larger order is over the cap unfactored
+    if (m > 2 * FIELD_DEGREE_CAP ** 2
+            or prod(p ** (e - 1) * (p - 1) for p, e in _factorize(m).items()) > FIELD_DEGREE_CAP):
+        raise CapExceededError(
+            f"cyclotomic order {m} exceeds the field degree cap {FIELD_DEGREE_CAP}")
     poly = [-1] + [0] * (m - 1) + [1]
     for d in _divisors_of(m)[:-1]:
         poly = _poly_div_exact(poly, list(cyclotomic_polynomial(d)))
@@ -240,8 +257,6 @@ class Cyclotomic:
         n, d = _normalize(a.m, [x * bd + y * ad for x, y in zip(a.num, b.num)], ad * bd)
         return Cyclotomic(a.m, n, d, _canonical=True)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Cyclotomic(self.m, tuple([-c for c in self.num]), self.den, _canonical=True)
 
@@ -261,9 +276,6 @@ class Cyclotomic:
         ad, bd = a.den, b.den
         n, d = _normalize(a.m, [x * bd - y * ad for x, y in zip(a.num, b.num)], ad * bd)
         return Cyclotomic(a.m, n, d, _canonical=True)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if type(other) is not Cyclotomic or other.m != self.m:
@@ -640,8 +652,6 @@ class EtaPolynomial:
             accumulate(terms, e, c)
         return EtaPolynomial(self.nvars, self.m, terms)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return EtaPolynomial(self.nvars, self.m, {e: -c for e, c in self.terms.items()})
 
@@ -650,9 +660,6 @@ class EtaPolynomial:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -664,8 +671,6 @@ class EtaPolynomial:
             for e2, c2 in other.terms.items():
                 accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return EtaPolynomial(self.nvars, self.m, out)
-
-    __rmul__ = __mul__
 
     def scaled(self, c: Cyclotomic) -> "EtaPolynomial":
         if c.is_zero():

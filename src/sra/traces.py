@@ -26,9 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .scalar import Cyclotomic, EtaPolynomial, accumulate, literal
+from .scalar import (GRAM_BASIS_CAP, CapExceededError, Cyclotomic, EtaPolynomial, accumulate,
+                     literal)
 from .linalg import Matrix, components, fraction_free_det, inverse
-from .group import GRAM_BASIS_CAP, CapExceededError, Group
+from .group import Group
 from .algebra import (Algebra, AlgebraElement, _letters, kappa_commutator, relation_table,
                       symmetrized_monomial)
 from .expr import _eta_poly_expr
@@ -38,7 +39,7 @@ class InconsistentGLCError(Exception):
     """A redundant ground level equation failed to vanish (implementation bug trap)."""
 
 
-class KappaEigenvaluePresentError(Exception):
+class KappaEigenvaluePresentError(ValueError):
     """eta0_form needs E_kappa(g) = 0 so that kappa - g is invertible."""
 
 
@@ -235,14 +236,11 @@ class _Evaluator:
         self.alg = functional.algebra
         self.group = functional.group
         self.kappa = functional.kappa
-        self.kappa_scalar = Cyclotomic.from_rational(functional.kappa, self.alg.m)
         self.regular_strategy = regular_strategy
         self.pair_strategy = pair_strategy
         self.zero = TraceValue.zero(functional.nparams)
         self._bword: dict = {}
         self._vecs: dict = {}
-        self._refl_vec: dict = {}
-        self._regular_factors: dict = {}
 
     # -- public -------------------------------------------------------------
 
@@ -289,9 +287,8 @@ class _Evaluator:
         if not word:
             got = self.fn.element_value(g_key)
         else:
-            chart = self.alg.chart(g_key)
-            regular = [s for s, letter in enumerate(word)
-                       if chart.lams[letter] != self.kappa_scalar]
+            kappa_letters = self.alg.chart(g_key).kappa_letters[self.kappa]
+            regular = [s for s, letter in enumerate(word) if letter not in kappa_letters]
             if regular:
                 got = self._regular_step(g_key, word, regular)
             else:
@@ -311,17 +308,6 @@ class _Evaluator:
         s = regular_positions[0] if self.regular_strategy == "first" else regular_positions[-1]
         L = word[s]
         rest = word[:s] + word[s + 1:]
-        factors = self._regular_factors.get((g_key, L))
-        if factors is None:
-            kl = self.kappa_scalar * self.alg.chart(g_key).lams[L]
-            denom = Cyclotomic.one(self.alg.m) - kl
-            if denom.is_zero():
-                raise ZeroDivisionError(
-                    f"regular step on C{self.group.class_of[g_key]}: letter {L} "
-                    f"has eigenvalue kappa = {self.kappa}")
-            inv = denom.inverse()
-            factors = (inv, kl * inv)
-            self._regular_factors[(g_key, L)] = factors
         before = after = self.zero
         for j in range(len(rest)):
             c = self._comm(g_key, rest[:j], rest[j], L, rest[j + 1:])
@@ -329,7 +315,8 @@ class _Evaluator:
                 before = before + c
             else:
                 after = after + c
-        return before.scaled(factors[0]) + after.scaled(factors[1])
+        first, second = self.alg.chart(g_key).regular_factors(self.kappa, L)
+        return before.scaled(first) + after.scaled(second)
 
     def _comm(self, g_key, prefix, x, y, suffix) -> TraceValue:
         """sp(prefix [b_x, b_y] suffix g) with the full commutator
@@ -349,21 +336,13 @@ class _Evaluator:
         if not entries:
             return self.zero
         acc = self.zero
+        head = tuple(chart.vectors[p] for p in prefix)
         for rkey, coeff in entries:
-            rg = self.group.mul(rkey, g_key)
-            vecs = tuple(chart.vectors[p] for p in prefix) + \
-                tuple(self._transformed(rkey, chart.vectors[sfx]) for sfx in suffix)
-            val = self.vectors(rg, vecs)
+            moved = chart.moved(rkey)
+            val = self.vectors(self.group.mul(rkey, g_key), head + tuple(moved[s] for s in suffix))
             if not val.is_zero():
                 acc = acc + val.scaled(coeff)
         return acc
-
-    def _transformed(self, rkey, vec):
-        got = self._refl_vec.get((rkey, vec))
-        if got is None:
-            got = self.group.elements[rkey].matrix.matvec(vec)
-            self._refl_vec[(rkey, vec)] = got
-        return got
 
     def _special_step(self, g_key, word) -> TraceValue:
         """All letters lie in Ker(g - kappa): reorder onto the chosen Darboux

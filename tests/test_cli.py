@@ -1,12 +1,19 @@
+import io
 import json
+import os
+import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import sra
 from sra.algebra import Algebra
-from sra.cli import main
+from sra.cli import DOMAIN_ERRORS, main
 from sra.group import POWER_CAP, cyclic_sp2
-from sra.traces import gram, solve_glc
+from sra.traces import InconsistentGLCError, gram, solve_glc
 
 
 def run(capsys, *argv):
@@ -222,3 +229,103 @@ def test_unknown_product_factor(capsys):
     code, _, err = run(capsys, "counts", "--builtin", "product", "--factors", "cyclic:2,product:2")
     assert code == 1
     assert "unknown product factor 'product:2'" in err
+
+
+def test_domain_errors_are_value_errors():
+    assert DOMAIN_ERRORS == (ValueError, OSError, ZeroDivisionError, InconsistentGLCError)
+    for exc in (sra.NotSymplecticError, sra.NotReflectionError, sra.CapExceededError,
+                sra.GroupMismatchError, sra.IndefiniteParityError,
+                sra.KappaEigenvaluePresentError, sra.ParseError):
+        assert issubclass(exc, ValueError)
+
+
+_Z2 = [[["-1", "0"], ["0", "-1"]]]
+
+
+@pytest.mark.parametrize("content,field", [
+    ({"N": 1}, "'generators'"),
+    ([], "object"),
+    ("x", "object"),
+    ({"N": 1, "generators": 5}, "'generators'"),
+    ({"N": 1, "generators": [[[1, 0], [0, 1]]]}, "'generators'"),
+    ({"N": 1, "generators": _Z2, "omega": 5}, "'omega'"),
+    ({"N": 1, "generators": _Z2, "cyclotomic_order": None}, "'cyclotomic_order'"),
+    ({"N": 1, "generators": _Z2, "eta": {"R0": None}}, "'eta'"),
+    ({"N": 1, "generators": _Z2, "eta": [1]}, "'eta'"),
+])
+def test_malformed_group_file_exit_1(tmp_path, capsys, content, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run(capsys, "counts", "--group", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and field in err
+
+
+def test_group_file_is_a_directory_exit_1(tmp_path, capsys):
+    code, _, err = run(capsys, "counts", "--group", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error:") and "Is a directory" in err
+
+
+def test_large_cyclotomic_order_exit_1_fast(tmp_path, capsys):
+    # Q(zeta_100000) has degree 40000: refused before Phi_m or a power table is built
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"N": 1, "cyclotomic_order": 100_000, "generators": _Z2}))
+    for group_args in (("--group", str(path)), ("--builtin", "cyclic", "--n", "100000")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "counts", *group_args)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert err.startswith("error: cyclotomic order 100000 exceeds the field degree cap 256")
+
+
+_LITERAL = st.sampled_from(["1", "-1", "0", "2", "-1/2", "z", "z^2", "1/2*z^3", "1 + z", "x", ""])
+_LEAF = st.one_of(st.integers(-2, 6), st.text(max_size=3), st.none(), st.booleans(), _LITERAL)
+_MATRIX = st.lists(st.lists(_LITERAL, min_size=2, max_size=2), min_size=2, max_size=2)
+_VALUE = st.one_of(
+    _LEAF, _MATRIX, st.lists(_MATRIX, max_size=2),
+    st.recursive(_LEAF, lambda inner: st.lists(inner, max_size=3), max_leaves=8),
+    st.dictionaries(st.sampled_from(["R0", "R1", "R-1", "x"]), _LEAF, max_size=2))
+
+
+def _mostly(near):
+    """Three draws in four from `near`, the fourth from any value."""
+    return st.sampled_from([near, near, near, _VALUE]).flatmap(lambda s: s)
+
+
+_GENERATOR = st.one_of(st.sampled_from([[["-1", "0"], ["0", "-1"]], [["0", "1"], ["-1", "0"]],
+                                          [["z", "0"], ["0", "z^2"]], [["1", "1"], ["0", "1"]]]),
+                       _MATRIX)
+_FIELDS = {
+    "N": _mostly(st.just(1)),
+    "cyclotomic_order": _mostly(st.sampled_from([1, 2, 3, 4, 6])),
+    "omega": _mostly(st.one_of(st.just([["0", "1"], ["-1", "0"]]), _MATRIX)),
+    "generators": _mostly(st.lists(_GENERATOR, min_size=1, max_size=2)),
+    "eta": _mostly(st.dictionaries(st.sampled_from(["R0", "R1", "R-1", "x"]),
+                                   st.sampled_from(["1/2", "symbolic", "-3", "z", ""]),
+                                   max_size=2)),
+    "allow_non_reflections": _mostly(st.booleans()),
+    "name": _mostly(st.text(max_size=3)),
+}
+# mostly objects near the group-file shape, some far from it, some not objects
+_GROUP_FILE = _mostly(st.one_of(
+    st.fixed_dictionaries({k: _FIELDS[k] for k in ("N", "generators")},
+                          optional={k: v for k, v in _FIELDS.items()
+                                    if k not in ("N", "generators")}),
+    st.dictionaries(st.sampled_from(sorted(_FIELDS)), _VALUE, max_size=7)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_GROUP_FILE)
+def test_group_file_fuzz_fails_closed(content):
+    # every group file that parses as JSON ends in exit 0 or a domain error
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(content, fh)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(["--json", "counts", "--group", path, "--cap", "50"])
+    finally:
+        os.unlink(path)
+    assert code in (0, 1)

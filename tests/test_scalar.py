@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sra.scalar import (
+    FIELD_DEGREE_CAP,
+    CapExceededError,
     Cyclotomic,
     EtaPolynomial,
     _context,
@@ -23,6 +25,15 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def test_field_degree_cap():
+    # phi(257) = 256 is the largest degree allowed; phi(263) = 262 is over it,
+    # and an order past 2 * 256^2 is refused without being factored
+    assert len(cyclotomic_polynomial(257)) - 1 == FIELD_DEGREE_CAP
+    for m in (263, 100_000, (10**30 + 57) * (10**30 + 91)):
+        with pytest.raises(CapExceededError, match=f"cyclotomic order {m} exceeds"):
+            cyclotomic_polynomial(m)
 
 
 def power_sum(coeffs: dict, m: int) -> Cyclotomic:
