@@ -177,9 +177,10 @@ class Frame:
 
 class EigenbasisChart:
     """Eigenbasis of one group element: b_I = sum_i M^i_I a_i with
-    g(b_I) = lambda_I b_I; the +1 and -1 eigenvalue blocks are Darboux bases
-    of their eigenspaces (Group.e_grading), so the kappa-block relation
-    table is the normal shape.  `scalar` and `refl` are the relation table of
+    g(b_I) = lambda_I b_I and lambda_I = zeta_m^(e_I), e_I in `exponents`;
+    the +1 and -1 eigenvalue blocks are Darboux bases of their eigenspaces
+    (Group.e_grading), so the kappa-block relation table is the normal
+    shape.  `scalar` and `refl` are the relation table of
     the b letters (see relation_table); `coords(v)` gives the chart
     coordinates of any standard vector v, the standard letters
     `Algebra.letters` included.  The chart is shared by every evaluator of the
@@ -202,6 +203,11 @@ class EigenbasisChart:
                 lams.append(lam)
                 vectors.append(v)
         self.lams = tuple(lams)
+        exponents = tuple(lam.root_exponent() for lam in lams)
+        if None in exponents:
+            raise ArithmeticError(
+                f"C{group.class_of[g_key]} has an eigenvalue that is not a power of zeta_{m}")
+        self.exponents = exponents
         self.vectors = tuple(vectors)
         n = group.dim
         self.Minv = inverse(Matrix.from_rows([[vectors[I][i] for I in range(n)]

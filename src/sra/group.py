@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import lcm
+from math import cos, hypot, lcm, pi, sin
 
 # the caps and CapExceededError live in sra.scalar; sra.group re-exports them
 from .scalar import (DEFAULT_CAP, GRAM_BASIS_CAP, POWER_CAP, CapExceededError, Cyclotomic,
@@ -262,6 +262,21 @@ class Group:
 # -- closure ----------------------------------------------------------------
 
 
+def _beyond(x: Cyclotomic, bound: int) -> bool:
+    """Whether |x| > bound at zeta_m = exp(2 pi i / m).  The float sum only
+    answers True beyond a margin far above its rounding error.  Every
+    eigenvalue of a finite-order g is a root of unity, so under any
+    embedding |tr g| <= 2N: a finite group's generator is never refused."""
+    try:
+        coords = [float(Fraction(c, x.den)) for c in x.num]
+    except OverflowError:
+        return True      # no sum of 2N powers of zeta_m comes near the float range
+    angles = [2 * pi * k / x.m for k in range(len(coords))]
+    real = sum(c * cos(a) for c, a in zip(coords, angles))
+    imag = sum(c * sin(a) for c, a in zip(coords, angles))
+    return hypot(real, imag) > bound + 1e-9 * (1 + sum(map(abs, coords)))
+
+
 def close(generators: list[Matrix], omega: Matrix, cap: int = DEFAULT_CAP,
           strict_reflections: bool = True, name: str = "group") -> Group:
     """Breadth-first closure of symplectic generators into a Group.
@@ -286,6 +301,10 @@ def close(generators: list[Matrix], omega: Matrix, cap: int = DEFAULT_CAP,
     for i, g in enumerate(gens):
         if not (g.transpose() * omega0 * g == omega0):
             raise NotSymplecticError(f"generator {i} does not preserve omega")
+        trace = sum((g[k, k] for k in range(dim)), Cyclotomic.zero(m0))
+        if _beyond(trace, dim):
+            raise ValueError(f"generator {i} has trace {literal(trace)}, of absolute value "
+                             f"above 2N = {dim}: it has infinite order")
         if strict_reflections and rank(g.minus_scalar(one0)) != 2:
             raise NotReflectionError(
                 f"generator {i} has rank(g-1) = {rank(g.minus_scalar(one0))}, not 2")

@@ -17,6 +17,12 @@ letters with eigenvalue kappa: commuting one Darboux partner across the word
 trades the monomial for same-degree monomials over group elements of smaller
 E).  Both steps are exact; every division is by a nonzero cyclotomic scalar,
 so trace values stay polynomial in eta.
+
+Each monomial x_(l1) ... x_(lk) g is expanded in the eigenbasis b_I of g,
+with g b_I g^-1 = lambda_I b_I.  A kappa-trace is invariant under
+conjugation by group elements, so sp(b_(I1) ... b_(Ik) g) =
+lambda_(I1) ... lambda_(Ik) sp(b_(I1) ... b_(Ik) g): the trace is zero unless
+the product of the eigenvalues is 1, and only those eigen-words are built.
 """
 
 from __future__ import annotations
@@ -257,24 +263,39 @@ class _Evaluator:
 
     def vectors(self, g_key, vecs: tuple) -> TraceValue:
         """Trace of a word of arbitrary vector letters times g: the word is
-        expanded in the eigenbasis of g into eigen-words."""
+        expanded in the eigenbasis of g into eigen-words.
+
+        Only the eigen-words b_(I1) ... b_(Ik) with lambda_(I1) ... lambda_(Ik)
+        = 1 are built: the last letter keeps the coordinates I with
+        e_I = -(e_(I1) + ... + e_(I(k-1))) mod m.  Conjugation by g scales
+        every other eigen-word by its product of eigenvalues, so its trace
+        is zero."""
         if len(vecs) % 2 == 1:
             return self.zero             # every nonzero kappa-trace is even
+        if not vecs:
+            return self.bword(g_key, ())
         got = self._vecs.get((g_key, vecs))
         if got is None:
-            words = {(): Cyclotomic.one(self.alg.m)}
-            for v in vecs:
-                col = self.alg.chart(g_key).coords(v)
+            chart = self.alg.chart(g_key)
+            exps, m = chart.exponents, self.alg.m
+            words = {(): Cyclotomic.one(m)}
+            for v in vecs[:-1]:
+                col = chart.coords(v)
                 nxt: dict = {}
                 for w, c in words.items():
                     for i, ci in col:
                         accumulate(nxt, w + (i,), c * ci)
                 words = nxt
+            # distinct prefixes give distinct words, so nothing is left to collect
+            last = chart.coords(vecs[-1])
             got = self.zero
             for w, c in words.items():
-                val = self.bword(g_key, w)
-                if not val.is_zero():
-                    got = got + val.scaled(c)
+                need = -sum(exps[i] for i in w) % m
+                for i, ci in last:
+                    if exps[i] == need:
+                        val = self.bword(g_key, w + (i,))
+                        if not val.is_zero():
+                            got = got + val.scaled(c * ci)
             self._vecs[(g_key, vecs)] = got
         return got
 

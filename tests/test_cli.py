@@ -280,6 +280,29 @@ def test_large_cyclotomic_order_exit_1_fast(tmp_path, capsys):
         assert err.startswith("error: cyclotomic order 100000 exceeds the field degree cap 256")
 
 
+def test_infinite_order_generator_exit_1_fast(tmp_path, capsys):
+    # diag(2, 1/2) is symplectic and passes the reflection test, but its trace
+    # 5/2 exceeds 2N = 2, so it has infinite order and the closure never ends
+    path = tmp_path / "infinite.json"
+    path.write_text(json.dumps({"N": 1, "generators": [[["2", "0"], ["0", "1/2"]]]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "counts", "--group", str(path))
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out == ""
+    assert err.startswith("error: generator 0 has trace 5/2")
+
+
+@pytest.mark.parametrize("generator", [[["1", "0"], ["0", "1"]], [["-1", "0"], ["0", "-1"]],
+                                       [["z", "0"], ["0", "z^5"]]])
+def test_trace_on_the_bound_is_finite(tmp_path, capsys, generator):
+    # |tr g| = 2N, and 2 cos(2 pi / 6) for zeta_6, are finite orders, never refused
+    path = tmp_path / "finite.json"
+    path.write_text(json.dumps({"N": 1, "cyclotomic_order": 6, "generators": [generator],
+                                "allow_non_reflections": True}))
+    code, _, err = run(capsys, "counts", "--group", str(path))
+    assert code == 0, err
+
+
 _LITERAL = st.sampled_from(["1", "-1", "0", "2", "-1/2", "z", "z^2", "1/2*z^3", "1 + z", "x", ""])
 _LEAF = st.one_of(st.integers(-2, 6), st.text(max_size=3), st.none(), st.booleans(), _LITERAL)
 _MATRIX = st.lists(st.lists(_LITERAL, min_size=2, max_size=2), min_size=2, max_size=2)

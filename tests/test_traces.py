@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from sra.traces import (
     KappaEigenvaluePresentError,
     TraceFunctional,
     TraceValue,
+    _Evaluator,
     _random_definite,
     confluence_failures,
     cyclicity_failures,
@@ -43,6 +45,11 @@ def z4():
 @pytest.fixture(scope="module")
 def a2():
     return Algebra(doubled_coxeter("A", 3))
+
+
+@pytest.fixture(scope="module")
+def b2():
+    return Algebra(doubled_coxeter("B", 2))
 
 
 def sigma_key(alg):
@@ -144,6 +151,57 @@ def test_confluence_strategies(kappa, z2, z3):
     for alg in (z2, z3):
         fn = solve_glc(alg, kappa)
         assert confluence_failures(fn, rng, 10, (2, 4)) == []
+
+
+@pytest.mark.parametrize("kappa", [1, -1])
+@pytest.mark.parametrize("alg_name", ["a2", "b2", "z3", "z4"])
+def test_off_rule_eigen_words_vanish(alg_name, kappa, request):
+    # g b_I g^-1 = lambda_I b_I and sp is conjugation invariant, so an
+    # eigen-word with lambda_(I1) ... lambda_(Ik) != 1 has trace zero; bword
+    # reduces every word in full, so this checks the rule vectors prunes by
+    alg = request.getfixturevalue(alg_name)
+    ev = _Evaluator(solve_glc(alg, kappa), "first", "first")
+    off_rule = 0
+    for g_key in alg.group.sorted_keys():
+        exps = alg.chart(g_key).exponents
+        for k in range(1, 5):
+            for word in itertools.product(range(alg.group.dim), repeat=k):
+                if sum(exps[i] for i in word) % alg.m:
+                    off_rule += 1
+                    assert ev.bword(g_key, word).is_zero(), (g_key, word)
+    assert off_rule > 0
+
+
+def _unpruned_value(fn: TraceFunctional, f) -> TraceValue:
+    """sp(f) as the sum over every eigen-word of every term of f, with no
+    selection rule on the expansion."""
+    alg = fn.algebra
+    ev = _Evaluator(fn, "first", "first")
+    acc = TraceValue.zero(fn.nparams)
+    for (exp, g_key), coeff in f.terms.items():
+        chart = alg.chart(g_key)
+        words = {(): Cyclotomic.one(alg.m)}
+        for letter in _letters(exp):
+            nxt = {}
+            for w, c in words.items():
+                for i, ci in chart.coords(alg.letters[letter]):
+                    nxt[w + (i,)] = nxt.get(w + (i,), Cyclotomic.zero(alg.m)) + c * ci
+            words = nxt
+        for w, c in words.items():
+            acc = acc + ev.bword(g_key, w).scaled(c).scaled(coeff)
+    return acc
+
+
+@pytest.mark.parametrize("kappa", [1, -1])
+@pytest.mark.parametrize("alg_name", ["a2", "b2", "z3", "z4"])
+def test_evaluate_matches_unpruned_expansion(alg_name, kappa, request):
+    alg = request.getfixturevalue(alg_name)
+    fn = solve_glc(alg, kappa)
+    rng = random.Random(31 + kappa)
+    keys = sorted(alg.group.elements)
+    for _ in range(8):
+        f = _random_definite(alg, rng, 6, keys)
+        assert fn.evaluate(f) == _unpruned_value(fn, f)
 
 
 def test_glc_evaluator_consistency(a2):
