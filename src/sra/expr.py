@@ -4,7 +4,7 @@ Grammar (positions in errors are 1-based):
 
     expr   := term (('+' | '-') term)*
     term   := unary ('*' unary)*
-    unary  := '-' unary | power
+    unary  := '-'* power
     power  := atom ('^' NAT)?
     atom   := RATIONAL | 'z' | 'e' | 'a'<i> | 'g'<i> | 'eta'<i> | '(' expr ')'
 
@@ -12,89 +12,31 @@ Grammar (positions in errors are 1-based):
 generators a_1 .. a_2N (1-based), `g<i>` the group generators as listed in
 the group file (0-based), `eta<i>` the deformation parameters (0-based).
 Multiplication is always explicit; exponents are nonnegative integer
-literals.  The printer emits the same grammar, and parsing its output
-returns the original element.
+literals, and parentheses nest at most EXPR_DEPTH_CAP deep.  The lexer is
+`sra.scalar.tokenize`, shared with the cyclotomic literals.  The printer
+emits the same grammar, and parsing its output returns the original element.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
-from .scalar import Cyclotomic, EtaPolynomial, literal
+from .scalar import (EXPR_DEPTH_CAP, Cyclotomic, EtaPolynomial, ParseError, join_signed,
+                     literal, tokenize)
 from .algebra import Algebra, AlgebraElement
 
 
-class ParseError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} at position {position}")
-        self.message = message
-        self.position = position
-
-
-_OPS = set("+-*^()")
-
-
-def tokenize(text: str):
-    """Tokens are (kind, value, 1-based position)."""
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        pos = i + 1
-        if c in _OPS:
-            out.append(("op", c, pos))
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "/":
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                if k == j + 1:
-                    raise ParseError("expected denominator digits", j + 2)
-                out.append(("number", Fraction(text[i:k]), pos))
-                i = k
-            else:
-                out.append(("number", Fraction(text[i:j]), pos))
-                i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and text[j].isalpha():
-                j += 1
-            name = text[i:j]
-            k = j
-            while k < n and text[k].isdigit():
-                k += 1
-            index = text[j:k]
-            if name in ("a", "g", "eta") and index:
-                out.append((name, int(index), pos))
-                i = k
-                continue
-            if name in ("z", "e") and not index:
-                out.append((name, None, pos))
-                i = j
-                continue
-            raise ParseError(f"unknown symbol {text[i:k]!r}", pos)
-        raise ParseError(f"unexpected character {c!r}", pos)
-    out.append(("end", None, n + 1))
-    return out
-
-
 class _Parser:
-    """Builds the AST as nested tuples, validating indices against the group."""
+    """Builds the AST as nested tuples, validating indices against the group.
+    A chain of '+'/'-' is one flat ('sum', first, ((op, term), ...)) node and
+    a chain of '*' one ('prod', (factor, ...)) node, so the tree is only as
+    deep as the parentheses, which EXPR_DEPTH_CAP bounds."""
 
     def __init__(self, text: str, algebra: Algebra):
+        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.algebra = algebra
 
     def peek(self):
@@ -105,59 +47,49 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect_op(self, op: str):
-        kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
-        return self.advance()
+    def at_op(self, ops: str) -> bool:
+        kind, val, _ = self.peek()
+        return kind == "op" and val in ops
 
     def parse(self):
         node = self.expr()
-        kind, val, pos = self.peek()
+        kind, _, pos = self.peek()
         if kind != "end":
-            raise ParseError(f"unexpected trailing input {val!r}", pos)
+            raise ParseError(f"unexpected trailing input {self.text[pos - 1:]!r}", pos)
         return node
 
     def expr(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                rhs = self.term()
-                node = ("add" if val == "+" else "sub", node, rhs)
-            else:
-                return node
+        first, rest = self.term(), []
+        while self.at_op("+-"):
+            rest.append((self.advance()[1], self.term()))
+        return ("sum", first, tuple(rest)) if rest else first
 
     def term(self):
-        node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.advance()
-                node = ("mul", node, self.unary())
-            else:
-                return node
+        factors = [self.unary()]
+        while self.at_op("*"):
+            self.advance()
+            factors.append(self.unary())
+        return ("prod", tuple(factors)) if len(factors) > 1 else factors[0]
 
     def unary(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
+        negate = False
+        while self.at_op("-"):
             self.advance()
-            return ("neg", self.unary())
-        return self.power()
+            negate = not negate
+        node = self.power()
+        return ("neg", node) if negate else node
 
     def power(self):
         node = self.atom()
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
+        if self.at_op("^"):
             self.advance()
-            kind2, val2, pos2 = self.peek()
-            if kind2 == "op" and val2 == "-":
-                raise ParseError("exponent must be a nonnegative integer", pos2)
-            if kind2 != "number" or val2.denominator != 1:
-                raise ParseError("expected integer exponent", pos2)
+            kind, val, pos = self.peek()
+            if kind == "op" and val == "-":
+                raise ParseError("exponent must be a nonnegative integer", pos)
+            if kind != "number" or val.denominator != 1:
+                raise ParseError("expected integer exponent", pos)
             self.advance()
-            node = ("pow", node, int(val2))
+            node = ("pow", node, int(val))
         return node
 
     def atom(self):
@@ -186,8 +118,14 @@ class _Parser:
                     f"eta{val} out of range: group has {alg.nvars} reflection classes", pos)
             return ("eta", val)
         if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > EXPR_DEPTH_CAP:
+                raise ParseError(f"parentheses nested deeper than {EXPR_DEPTH_CAP}", pos)
             node = self.expr()
-            self.expect_op(")")
+            kind, val, pos = self.advance()
+            if kind != "op" or val != ")":
+                raise ParseError("expected ')'", pos)
+            self.depth -= 1
             return node
         raise ParseError("expected a value", pos)
 
@@ -206,12 +144,17 @@ def eval_ast(node, algebra: Algebra) -> AlgebraElement:
         return algebra.group_element(algebra.group.generator_keys[node[1]])
     if kind == "eta":
         return algebra.eta_scalar(node[1])
-    if kind == "add":
-        return eval_ast(node[1], algebra) + eval_ast(node[2], algebra)
-    if kind == "sub":
-        return eval_ast(node[1], algebra) - eval_ast(node[2], algebra)
-    if kind == "mul":
-        return eval_ast(node[1], algebra) * eval_ast(node[2], algebra)
+    if kind == "sum":
+        acc = eval_ast(node[1], algebra)
+        for op, term in node[2]:
+            value = eval_ast(term, algebra)
+            acc = acc + value if op == "+" else acc - value
+        return acc
+    if kind == "prod":
+        acc = eval_ast(node[1][0], algebra)
+        for factor in node[1][1:]:
+            acc = acc * eval_ast(factor, algebra)
+        return acc
     if kind == "neg":
         return -eval_ast(node[1], algebra)
     if kind == "pow":
@@ -221,7 +164,8 @@ def eval_ast(node, algebra: Algebra) -> AlgebraElement:
 
 def parse(text: str, algebra: Algebra) -> AlgebraElement:
     """Parse an expression into normal form; raises ParseError with a 1-based
-    position on any lexical, symbol, range, or exponent problem."""
+    position on any lexical, symbol, range, exponent or nesting problem,
+    before any arithmetic runs."""
     return eval_ast(_Parser(text, algebra).parse(), algebra)
 
 
@@ -229,24 +173,25 @@ def parse(text: str, algebra: Algebra) -> AlgebraElement:
 
 
 def _cyclotomic_expr(c: Cyclotomic) -> str:
-    """Render a cyclotomic in the expression grammar: its literal, with the
-    first power of zeta written as a bare z."""
-    return re.sub(r"z\^1\b", "z", literal(c))
+    """Render a cyclotomic in the expression grammar: its literal, with a unit
+    coefficient before a power of zeta dropped and zeta^1 written as z."""
+    return re.sub(r"(?<![\d/])1\*(?=z)|(?<=z)\^1\b", "", literal(c))
+
+
+def _is_sum(text: str) -> bool:
+    return " + " in text or " - " in text
 
 
 def _eta_poly_expr(p: EtaPolynomial) -> tuple[str, bool]:
     """Render an eta-polynomial; second value says whether it is a sum that
     needs parentheses inside a product."""
-    if p.is_zero():
-        return "0", False
     bits = []
     for e, c in p.sorted_terms():
         mono = "*".join(f"eta{i}^{k}" if k > 1 else f"eta{i}"
                         for i, k in enumerate(e) if k)
         cyc = _cyclotomic_expr(c)
-        cyc_is_sum = " + " in cyc or " - " in cyc
         if mono:
-            factor = f"({cyc})" if cyc_is_sum else cyc
+            factor = f"({cyc})" if _is_sum(cyc) else cyc
             if factor == "1":
                 bits.append(mono)
             elif factor == "-1":
@@ -255,10 +200,8 @@ def _eta_poly_expr(p: EtaPolynomial) -> tuple[str, bool]:
                 bits.append(f"{factor}*{mono}")
         else:
             bits.append(cyc)
-    out = bits[0]
-    for b in bits[1:]:
-        out += " + " + b if not b.startswith("-") else " - " + b[1:]
-    return out, (len(bits) > 1 or (" + " in bits[0] or " - " in bits[0]))
+    out = join_signed(bits)
+    return out, _is_sum(out)
 
 
 def print_element(f: AlgebraElement) -> str:
@@ -280,12 +223,4 @@ def print_element(f: AlgebraElement) -> str:
         if gstr:
             factors.append(gstr)
         bits.append("*".join(factors))
-    if not bits:
-        return "0"
-    out = bits[0]
-    for b in bits[1:]:
-        if b.startswith("-"):
-            out += " - " + b[1:]
-        else:
-            out += " + " + b
-    return out
+    return join_signed(bits)

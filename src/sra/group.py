@@ -78,25 +78,29 @@ class Group:
     `elements` maps an index to its GroupElement, `index_of` maps a matrix
     key back to its index, and `right[gi][i]` is the index of (element i) *
     (generator gi).  `generator_keys`, `classes`, `class_rep`, `class_of`
-    and `reflections` all hold indices.
+    and `reflections` all hold indices.  rank(g - 1) is constant on a
+    conjugacy class, so the reflections are decided once per class.
     """
 
     def __init__(self, N, omega, elements, index_of, right, generator_keys,
-                 reflections, exponent, name):
+                 exponent, name):
         self.N = N
         self.omega = omega
         self.elements: dict[int, GroupElement] = elements
         self.index_of: dict = index_of
         self.right: list[list[int]] = right
         self.generator_keys: list[int] = generator_keys
-        self.reflections: list[int] = reflections   # sorted
-        self.exponent = exponent                    # session cyclotomic order m
+        self.exponent = exponent  # session cyclotomic order m
         self.name = name
         self._identity = index_of[Matrix.identity(self.dim, exponent).key()]
         self.classes: list[tuple[int, ...]] = self._conjugacy_classes()
         self.class_rep = [cls[0] for cls in self.classes]
         self.class_of = {k: i for i, cls in enumerate(self.classes) for k in cls}
-        refl_classes = sorted({self.class_of[r] for r in self.reflections})
+        one = Cyclotomic.one(exponent)
+        refl_classes = [ci for ci, rep in enumerate(self.class_rep)
+                        if rank(elements[rep].matrix.minus_scalar(one)) == 2]
+        self.reflections: list[int] = sorted(
+            k for ci in refl_classes for k in self.classes[ci])
         self.eta_vars = {ci: vi for vi, ci in enumerate(refl_classes)}
         self.eta_assignment: dict[int, Fraction] | None = None  # optional, from files
         self._egrading: dict = {}
@@ -337,8 +341,6 @@ def close(generators: list[Matrix], omega: Matrix, cap: int = DEFAULT_CAP,
             d += 1
         orders.append(d)
     m = lcm(m0, *orders)
-    # rank does not change under the field embedding, so test at the entry order
-    reflections = [k for k, mat in enumerate(mats) if rank(mat.minus_scalar(one0)) == 2]
 
     # re-embed into the session order and renumber in canonical key order
     embedded = [mat.embed(m) for mat in mats]
@@ -352,10 +354,7 @@ def close(generators: list[Matrix], omega: Matrix, cap: int = DEFAULT_CAP,
     index_of = {keys[k]: idx for idx, k in enumerate(by_key)}
     gen_keys = [new_of[row[0]] for row in right]
     right = [[new_of[row[k]] for k in by_key] for row in right]
-
-    reflections = sorted(new_of[k] for k in reflections)
-    return Group(dim // 2, omega0.embed(m), elements, index_of, right, gen_keys,
-                 reflections, m, name)
+    return Group(dim // 2, omega0.embed(m), elements, index_of, right, gen_keys, m, name)
 
 
 # -- builtin constructors ----------------------------------------------------

@@ -11,6 +11,7 @@ deterministic sort keys.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
@@ -20,6 +21,7 @@ DEFAULT_CAP = 100_000     # elements of a group closure
 GRAM_BASIS_CAP = 2000     # elements of a Gram basis
 POWER_CAP = 64            # largest exponent of an algebra element power
 FIELD_DEGREE_CAP = 256    # largest degree phi(m) of a field Q(zeta_m)
+EXPR_DEPTH_CAP = 100      # deepest nesting of parentheses in an expression
 
 
 class CapExceededError(ValueError):
@@ -363,88 +365,107 @@ class Cyclotomic:
         return f"Cyclotomic({self.m}, {literal(self)!r})"
 
 
-# -- cyclotomic literals ---------------------------------------------------
+# -- the text lexer and cyclotomic literals -----------------------------------
 #
-# Grammar: rat | rat '*z^' int | sums/differences thereof, e.g. "1/2 + 1/2*z^3".
+# One lexer reads both cyclotomic literals and algebra expressions (sra.expr).
+# Literal grammar: terms [+|-] [RATIONAL ['*']] [z ['^' NAT]], with a sign
+# before every term but the first, e.g. "1/2 + 1/2*z^3", "-z", "2z".
 # `z` denotes zeta_m with m fixed by the enclosing file or session.
+
+
+class ParseError(ValueError):
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} at position {position}")
+        self.message = message
+        self.position = position
+
+
+# a number with an optional denominator, a name with an optional index, or any
+# other single character; whitespace separates tokens and is skipped
+_TOKEN = re.compile(r"(\d+)(/\d*)?|([^\W\d_]+)(\d*)|(\S)")
+
+
+def tokenize(text: str):
+    """Tokens are (kind, value, 1-based position); a number is an int when it
+    is written as digits alone and a Fraction when it has a denominator."""
+    out = []
+    for match in _TOKEN.finditer(text):
+        num, den, name, index, char = match.groups()
+        pos = match.start() + 1
+        if num:
+            if den == "/":
+                raise ParseError("expected denominator digits", match.end() + 1)
+            if den and not int(den[1:]):
+                raise ParseError("zero denominator", pos + len(num) + 1)
+            out.append(("number", Fraction(num + den) if den else int(num), pos))
+        elif name in ("a", "g", "eta") and index:
+            out.append((name, int(index), pos))
+        elif name in ("z", "e") and not index:
+            out.append((name, None, pos))
+        elif name:
+            raise ParseError(f"unknown symbol {name + index!r}", pos)
+        elif char in "+-*^()":
+            out.append(("op", char, pos))
+        else:
+            raise ParseError(f"unexpected character {char!r}", pos)
+    out.append(("end", None, len(text) + 1))
+    return out
+
+
+def join_signed(terms: list[str]) -> str:
+    """'a + b - c' from the terms ['a', 'b', '-c']; '0' when there are none."""
+    if not terms:
+        return "0"
+    return terms[0] + "".join(f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+                              for t in terms[1:])
 
 
 def literal(x: Cyclotomic) -> str:
     """Render in the literal grammar; parse_literal round-trips exactly."""
-    out = []
+    terms = []
     for j, c in enumerate(x.num):
         if c:
             q = Fraction(c, x.den)
-            s = str(abs(q)) if j == 0 else f"{abs(q)}*z^{j}"
-            if out:
-                out.append(("+ " if q > 0 else "- ") + s)
-            else:
-                out.append(s if q > 0 else "-" + s)
-    return " ".join(out) or "0"
+            terms.append(f"{q}*z^{j}" if j else str(q))
+    return join_signed(terms)
 
 
 def parse_literal(text: str, m: int) -> Cyclotomic:
-    """Parse the cyclotomic literal grammar; inverse of :func:`literal`."""
-    s = text.strip()
-    if not s:
-        raise ValueError("empty cyclotomic literal")
-    pos = 0
-    acc = Cyclotomic.zero(m)
-    sign = 1
-    first = True
-
-    def skip_ws(p):
-        while p < len(s) and s[p].isspace():
-            p += 1
-        return p
-
-    while True:
-        pos = skip_ws(pos)
-        if pos >= len(s):
-            if first:
-                raise ValueError(f"bad cyclotomic literal {text!r}")
-            break
-        if s[pos] in "+-":
-            sign = 1 if s[pos] == "+" else -1
-            pos += 1
-            pos = skip_ws(pos)
-        elif not first:
-            raise ValueError(f"expected '+' or '-' at position {pos} in {text!r}")
-        start = pos
-        while pos < len(s) and (s[pos].isdigit() or s[pos] == "/"):
-            pos += 1
-        if start == pos:
-            if pos < len(s) and s[pos] == "z":
-                q = Fraction(sign)  # bare z^k term, unit coefficient
-            else:
-                raise ValueError(f"expected rational at position {start + 1} in {text!r}")
-        else:
-            q = Fraction(s[start:pos]) * sign
-        k = 0
-        pos = skip_ws(pos)
-        saw_star = False
-        if pos < len(s) and s[pos] == "*":
-            saw_star = True
-            pos += 1
-            pos = skip_ws(pos)
-        if saw_star and (pos >= len(s) or s[pos] != "z"):
-            raise ValueError(f"expected 'z' at position {pos + 1} in {text!r}")
-        if pos < len(s) and s[pos] == "z":
-            pos += 1
-            if pos < len(s) and s[pos] == "^":
-                pos += 1
-                start = pos
-                while pos < len(s) and s[pos].isdigit():
-                    pos += 1
-                if start == pos:
-                    raise ValueError(f"expected exponent at position {start + 1} in {text!r}")
-                k = int(s[start:pos])
-            else:
-                k = 1
-        acc = acc + Cyclotomic.from_rational(q, m) * Cyclotomic.root_of_unity(m, k)
-        sign = 1
-        first = False
-    return acc
+    """Parse the literal grammar; inverse of :func:`literal`.  Raises a
+    ParseError naming the literal and the 1-based position."""
+    acc, i = Cyclotomic.zero(m), 0
+    try:
+        toks = tokenize(text)
+        while True:
+            kind, val, pos = toks[i]
+            q, k = Fraction(1), 0
+            if kind == "op" and val in "+-":
+                q, i = Fraction(-1 if val == "-" else 1), i + 1
+            elif i:
+                raise ParseError("expected '+' or '-'", pos)
+            kind, val, pos = toks[i]
+            if kind == "number":
+                q, i = q * val, i + 1
+                if toks[i][:2] == ("op", "*"):
+                    i += 1
+                    if toks[i][0] != "z":
+                        raise ParseError("expected 'z'", toks[i][2])
+            elif kind != "z":
+                raise ParseError("expected a rational or 'z'", pos)
+            kind, _, zpos = toks[i]
+            if kind == "z":
+                k, i = 1, i + 1
+                # z^NAT is written without spaces
+                if toks[i] == ("op", "^", zpos + 1):
+                    kind, k, pos = toks[i + 1]
+                    if kind != "number" or type(k) is not int or pos != zpos + 2:
+                        raise ParseError("expected exponent digits", zpos + 2)
+                    i += 2
+            acc = acc + Cyclotomic.from_rational(q, m) * Cyclotomic.root_of_unity(m, k)
+            if toks[i][0] == "end":
+                return acc
+    except ParseError as exc:
+        raise ParseError(f"{exc.message} in literal {text!r}", exc.position) from None
 
 
 def _factorize(n: int) -> dict[int, int]:

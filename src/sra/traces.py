@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .scalar import (GRAM_BASIS_CAP, CapExceededError, Cyclotomic, EtaPolynomial, accumulate,
-                     literal)
+                     join_signed, literal)
 from .linalg import Matrix, components, fraction_free_det, inverse
 from .group import Group
 from .algebra import (Algebra, AlgebraElement, _letters, kappa_commutator, relation_table,
@@ -701,9 +701,7 @@ def _trace_value_json(v: TraceValue):
 
 
 def format_trace_value(tv: TraceValue) -> str:
-    """Human rendering like '(1/2 - 1/2*eta0^2)*P0'."""
-    if tv.is_zero():
-        return "0"
+    """Human rendering like '(1/2 - 1/2*eta0^2)*P0 - eta0*P1'."""
     bits = []
     for i, c in sorted(tv.coeffs.items()):
         s, needs = _eta_poly_expr(c)
@@ -713,7 +711,7 @@ def format_trace_value(tv: TraceValue) -> str:
             bits.append(f"-P{i}")
         else:
             bits.append(f"({s})*P{i}" if needs else f"{s}*P{i}")
-    return " + ".join(bits)
+    return join_signed(bits)
 
 
 def functional_to_json(functional: TraceFunctional) -> str:

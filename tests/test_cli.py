@@ -201,6 +201,35 @@ def test_eval_word_with_many_inversions(capsys):
     assert "a1^32*a2^32" in out
 
 
+@pytest.mark.parametrize("expr, code, result", [
+    ("(" * 400 + "1" + ")" * 400, 1, "parentheses nested deeper than 100"),
+    ("+".join(["1"] * 2000), 0, "expr: 2000"),
+    ("*".join(["1"] * 2000), 0, "expr: 1"),
+    ("-" * 3000 + "1", 0, "expr: 1"),
+    ("-" * 2999 + "1", 0, "expr: -1"),
+], ids=["parens-400", "sum-2000", "product-2000", "minus-3000", "minus-2999"])
+def test_eval_deep_input_fails_closed(capsys, expr, code, result):
+    # the tree is as deep as its parentheses, and those are capped before evaluation
+    got, out, err = run(capsys, "eval", "--builtin", "cyclic", "--n", "2", f"--expr={expr}")
+    assert got == code
+    assert result in (out if code == 0 else err)
+
+
+_EXPR_TOKENS = st.sampled_from(
+    ["a1", "a2", "a3", "g0", "g1", "e", "z", "eta0", "eta1", "eta2", "0", "1", "2", "1/2", "2z",
+     "+", "-", "*", "(", ")", "^", "^", "1/0", "$"])
+_EXPONENT = st.sampled_from(["0", "1", "2", "3", "65", str(10 ** 12)])
+
+
+@settings(max_examples=150, deadline=5000, derandomize=True)
+@given(st.lists(st.one_of(_EXPR_TOKENS, _EXPONENT), max_size=12))
+def test_expression_fuzz_fails_closed(tokens):
+    # every expression ends in exit 0 or a domain error, at most 12 tokens on Z_3
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(["eval", "--builtin", "cyclic", "--n", "3", f"--expr={' '.join(tokens)}"])
+    assert code in (0, 1)
+
+
 @pytest.mark.parametrize("argv,message", [
     (["oracle-check", "--builtin", "cyclic", "--n", "2", "--max-degree", "-1"],
      "degree cutoff must be >= 0"),

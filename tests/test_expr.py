@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from sra.scalar import Cyclotomic
+import sra
+import sra.scalar
+from sra.scalar import EXPR_DEPTH_CAP, CapExceededError, Cyclotomic, EtaPolynomial
 from sra.group import cyclic_sp2, doubled_coxeter
 from sra.algebra import Algebra
-from sra.expr import ParseError, parse, print_element, tokenize
+from sra.expr import ParseError, _Parser, parse, print_element, tokenize
+from sra.traces import TraceValue, format_trace_value
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +31,46 @@ def test_tokens():
         tokenize("a1 $ a2")
     with pytest.raises(ParseError):
         tokenize("foo1")
+    with pytest.raises(ParseError, match="zero denominator at position 3"):
+        tokenize("1/0")
+
+
+def test_one_lexer_for_literals_and_expressions():
+    assert tokenize is sra.scalar.tokenize
+    assert ParseError is sra.ParseError is sra.scalar.ParseError
+    # digits alone lex to an int, a fraction to a Fraction
+    assert [t[1] for t in tokenize("2 4/2")[:2]] == [2, Fraction(2)]
+    assert type(tokenize("2")[0][1]) is int
+
+
+def test_chains_parse_flat(z2):
+    assert _Parser("1 - 2 + a1", z2).parse() == (
+        "sum", ("num", 1), (("-", ("num", 2)), ("+", ("gen", 0))))
+    assert _Parser("a1*a2*2", z2).parse() == ("prod", (("gen", 0), ("gen", 1), ("num", 2)))
+    assert _Parser("---a1", z2).parse() == ("neg", ("gen", 0))
+    assert _Parser("--(a1)", z2).parse() == ("gen", 0)
+
+
+def test_nesting_cap(z2):
+    # every operator at every level of the deepest nesting allowed
+    text = "a1"
+    for _ in range(EXPR_DEPTH_CAP):
+        text = f"-({text})^1*1 + 1"
+    assert parse(text, z2) == parse("a1", z2)
+    deeper = "(" * (EXPR_DEPTH_CAP + 1) + "1" + ")" * (EXPR_DEPTH_CAP + 1)
+    with pytest.raises(ParseError, match=f"nested deeper than {EXPR_DEPTH_CAP}"):
+        parse(deeper, z2)
+    # the cap is checked before any arithmetic: the power cap is never reached
+    with pytest.raises(ParseError):
+        parse("a1^99999999999 + " + deeper, z2)
+    with pytest.raises(CapExceededError):
+        parse("a1^99999999999 + (1)", z2)
+
+
+def test_trailing_input_is_named(z2):
+    with pytest.raises(ParseError) as e:
+        parse("2z", z2)
+    assert str(e.value) == "unexpected trailing input 'z' at position 2"
 
 
 def test_parse_basic(z2):
@@ -82,6 +125,20 @@ def test_parse_errors(z2):
         parse("(a1", z2)
     with pytest.raises(ParseError):
         parse("a1 a2", z2)
+
+
+def test_unit_powers_of_zeta_print_bare():
+    z5 = Algebra(cyclic_sp2(5))
+    f = parse("z*a1 - z^3*a2 + 1/2*z^2*e", z5)
+    text = print_element(f)
+    assert text == "1/2*z^2 - z^3*a2 + z*a1"
+    assert parse(text, z5) == f
+
+
+def test_trace_values_join_signed_terms():
+    eta = [EtaPolynomial.variable(i, 2, 1) for i in range(2)]
+    assert format_trace_value(TraceValue(2, {0: -eta[1], 1: -eta[0]})) == "-eta1*P0 - eta0*P1"
+    assert format_trace_value(TraceValue(2, {})) == "0"
 
 
 def test_positions_point_into_text(z2):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sra.scalar import Cyclotomic
-from sra.linalg import Matrix, form_value, kernel_basis
+from sra.linalg import Matrix, form_value, kernel_basis, rank
 from sra.group import (
     CapExceededError,
     NotReflectionError,
@@ -122,6 +122,22 @@ def test_identity_egrading():
 ])
 def test_proposition_collect_invariants(make):
     assert make().invariant_failures() == []
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("cyclic", {"n": 1}),
+    ("cyclic", {"n": 4}),
+    ("doubled-A", {"rank": 4}),
+    ("doubled-B", {"rank": 3}),
+    ("dihedral", {"n": 6}),
+    ("product", {"factors": [("cyclic", {"n": 2}), ("doubled-A", {"rank": 3})]}),
+])
+def test_reflections_decided_per_class_match_every_element(kind, params):
+    # the class representatives decide the reflections; test each element itself
+    g = builtin(kind, **params)
+    one = Cyclotomic.one(g.exponent)
+    assert g.reflections == [k for k in sorted(g.elements)
+                             if rank(g.elements[k].matrix.minus_scalar(one)) == 2]
 
 
 def test_class_functions_constant():

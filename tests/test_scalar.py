@@ -17,6 +17,10 @@ from sra.scalar import (
     parse_literal,
 )
 
+# the tokens the literal fuzz draws: pieces of the grammar and of near misses
+_LITERAL_TOKENS = ["z", "^", "*", "+", "-", "0", "1", "2", "1/2", "3/4", "1/0", "z^2", "2z",
+                   "a1", "e", "(", ")", "/", "65", str(10 ** 12)]
+
 
 def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(1) == (-1, 1)
@@ -124,6 +128,35 @@ def test_literal_forms():
         parse_literal("1 + + 2", m)
     with pytest.raises(ValueError):
         parse_literal("z^", m)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1/2 + 1/2*z^3", {0: Fraction(1, 2), 3: Fraction(1, 2)}),
+    ("-z", {1: -1}),
+    ("z^2", {2: 1}),
+    ("2z", {1: 2}),
+    ("3*z", {1: 3}),
+    ("0", {}),
+])
+def test_literal_accepts(text, value):
+    assert parse_literal(text, 6) == power_sum(value, 6)
+
+
+@pytest.mark.parametrize("text", ["", "1 + + 2", "z^", "z2", "z^-1", "a1"])
+def test_literal_rejects(text):
+    with pytest.raises(ValueError):
+        parse_literal(text, 6)
+
+
+@settings(max_examples=300, deadline=1000, derandomize=True)
+@given(st.lists(st.sampled_from(_LITERAL_TOKENS), max_size=12), st.sampled_from(["", " "]))
+def test_literal_fuzz_fails_closed(tokens, sep):
+    # any text is a cyclotomic or a ValueError, never another exception
+    try:
+        x = parse_literal(sep.join(tokens), 6)
+    except ValueError:
+        return
+    assert parse_literal(literal(x), 6) == x
 
 
 def test_eta_polynomial_basics():
