@@ -12,7 +12,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .scalar import DEFAULT_CAP, literal
+from .scalar import DEFAULT_CAP, literal, render_cyclotomic, render_eta
 from .group import BUILTINS, builtin, load_group, save_group
 from .algebra import Algebra
 from .traces import (
@@ -27,7 +27,7 @@ from .traces import (
     solve_glc,
     verify_glc,
 )
-from .expr import _eta_poly_expr, parse, print_element
+from .expr import GRAMMAR, parse, print_element
 
 # every domain error of the package is a ValueError; a file that cannot be
 # read is an OSError
@@ -181,14 +181,14 @@ def cmd_eval(args):
                  "value": _trace_value_json(val)}
         if group.eta_assignment is not None and group.n_eta:
             point = [group.eta_assignment.get(i, Fraction(0)) for i in range(group.n_eta)]
+            at_eta = {f"P{i}": c.evaluate(point) for i, c in sorted(val.coeffs.items())}
             entry["eta_point"] = [str(x) for x in point]
-            entry["value_at_eta"] = {
-                f"P{i}": literal(c.evaluate(point)) for i, c in sorted(val.coeffs.items())}
+            entry["value_at_eta"] = {k: literal(c) for k, c in at_eta.items()}
         payload["kappa"][str(kappa)] = entry
         word = "tr" if kappa == 1 else "str"
         lines.append(f"kappa = {kappa:+d}: {word}(expr) = {_tv_human(val)}")
         if "value_at_eta" in entry:
-            at = ", ".join(f"{k}: {v}" for k, v in sorted(entry["value_at_eta"].items()))
+            at = ", ".join(f"{k}: {render_cyclotomic(c)[0]}" for k, c in sorted(at_eta.items()))
             lines.append(f"  at eta = ({', '.join(entry['eta_point'])}): {at or '0'}")
     _emit(payload, args, lines)
     return 0
@@ -231,8 +231,7 @@ def cmd_gram(args):
         lines.append(f"kappa = {kappa:+d}: Gram matrix on {len(report.basis)} basis "
                      f"elements (degree <= {args.degree})")
         if report.determinant is not None:
-            det_s, _ = _eta_poly_expr(report.determinant)
-            lines.append(f"  det = {det_s}")
+            lines.append(f"  det = {render_eta(report.determinant)[0]}")
             if report.rational_roots is not None:
                 roots = ", ".join(str(r) for r in report.rational_roots) or "(none)"
                 lines.append(f"  rational roots: {roots}")
@@ -307,15 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "eval", help="evaluate the kappa-trace of an expression",
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="expression grammar:\n"
-               "  expr  := term (('+' | '-') term)*\n"
-               "  term  := unary ('*' unary)*        (multiplication is explicit)\n"
-               "  unary := '-' unary | power\n"
-               "  power := atom ('^' NAT)?           (nonnegative integer exponents)\n"
-               "  atom  := RATIONAL | 'z' | 'e' | 'a<i>' | 'g<i>' | 'eta<i>' | '(' expr ')'\n"
-               "with a1..a2N the algebra generators, g0, g1, ... the group\n"
-               "generators, e the identity, eta0, ... the deformation parameters,\n"
-               "z the session root of unity, rationals like 3/2.")
+        epilog="expression grammar:\n" + GRAMMAR)
     _add_group_args(sp)
     sp.add_argument("--kappa", choices=["1", "-1", "both"], default="both")
     sp.add_argument("--t", default="1")
@@ -348,9 +339,24 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# argparse reads the value of "--t -1/2" as an option, so a value with one
+# leading minus sign is attached to these options as "--t=-1/2" before parsing
+_SIGNED_VALUE_OPTIONS = ("--expr", "--assignment", "--t")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except DOMAIN_ERRORS as exc:

@@ -1,29 +1,27 @@
-"""Recursive-descent parser and canonical printer for algebra expressions.
-
-Grammar (positions in errors are 1-based):
-
-    expr   := term (('+' | '-') term)*
-    term   := unary ('*' unary)*
-    unary  := '-'* power
-    power  := atom ('^' NAT)?
-    atom   := RATIONAL | 'z' | 'e' | 'a'<i> | 'g'<i> | 'eta'<i> | '(' expr ')'
-
-`z` is the session root of unity zeta_m, `e` the group identity, `a<i>` the
-generators a_1 .. a_2N (1-based), `g<i>` the group generators as listed in
-the group file (0-based), `eta<i>` the deformation parameters (0-based).
-Multiplication is always explicit; exponents are nonnegative integer
-literals, and parentheses nest at most EXPR_DEPTH_CAP deep.  The lexer is
-`sra.scalar.tokenize`, shared with the cyclotomic literals.  The printer
-emits the same grammar, and parsing its output returns the original element.
+"""Recursive-descent parser and canonical printer for the expressions of
+GRAMMAR (error positions are 1-based).  The lexer is `sra.scalar.tokenize`,
+shared with the cyclotomic literals; the printer writes the grammar through
+the renderer of `sra.scalar`, and parsing its output returns the element.
 """
 
 from __future__ import annotations
 
-import re
-
-from .scalar import (EXPR_DEPTH_CAP, Cyclotomic, EtaPolynomial, ParseError, join_signed,
-                     literal, tokenize)
+from .scalar import (EXPR_DEPTH_CAP, Cyclotomic, ParseError, join_signed, render_eta,
+                     render_monomial, render_term, tokenize)
 from .algebra import Algebra, AlgebraElement
+
+GRAMMAR = f"""\
+  expr  := term (('+' | '-') term)*
+  term  := unary ('*' unary)*
+  unary := '-'* power
+  power := atom ('^' NAT)?
+  atom  := RATIONAL | 'z' | 'e' | 'a'<i> | 'g'<i> | 'eta'<i> | '(' expr ')'
+
+z is the session root of unity zeta_m, e the group identity, a<i> the
+generators a1 .. a2N (1-based), g<i> the group generators as listed in the
+group file (0-based), eta<i> the deformation parameters (0-based), rationals
+like 3/2.  Multiplication is always explicit, exponents are nonnegative
+integers, and parentheses nest at most {EXPR_DEPTH_CAP} deep."""
 
 
 class _Parser:
@@ -172,55 +170,21 @@ def parse(text: str, algebra: Algebra) -> AlgebraElement:
 # -- canonical printer ---------------------------------------------------------
 
 
-def _cyclotomic_expr(c: Cyclotomic) -> str:
-    """Render a cyclotomic in the expression grammar: its literal, with a unit
-    coefficient before a power of zeta dropped and zeta^1 written as z."""
-    return re.sub(r"(?<![\d/])1\*(?=z)|(?<=z)\^1\b", "", literal(c))
-
-
-def _is_sum(text: str) -> bool:
-    return " + " in text or " - " in text
-
-
-def _eta_poly_expr(p: EtaPolynomial) -> tuple[str, bool]:
-    """Render an eta-polynomial; second value says whether it is a sum that
-    needs parentheses inside a product."""
-    bits = []
-    for e, c in p.sorted_terms():
-        mono = "*".join(f"eta{i}^{k}" if k > 1 else f"eta{i}"
-                        for i, k in enumerate(e) if k)
-        cyc = _cyclotomic_expr(c)
-        if mono:
-            factor = f"({cyc})" if _is_sum(cyc) else cyc
-            if factor == "1":
-                bits.append(mono)
-            elif factor == "-1":
-                bits.append("-" + mono)
-            else:
-                bits.append(f"{factor}*{mono}")
-        else:
-            bits.append(cyc)
-    out = join_signed(bits)
-    return out, _is_sum(out)
-
-
 def print_element(f: AlgebraElement) -> str:
-    """Canonical rendering; parse(print_element(f)) == f."""
-    alg = f.algebra
-    group = alg.group
+    """Canonical rendering; parse(print_element(f)) == f.  Beyond the rules of
+    `render_term`, a coefficient -1 stays written before a monomial and a
+    constant sum keeps its parentheses, bytes that the normal-order digests
+    of the benchmark fix."""
+    group = f.algebra.group
     bits = []
     for gk, exp, coeff in f.monomials():
-        mono = "*".join(f"a{i + 1}^{k}" if k > 1 else f"a{i + 1}"
-                        for i, k in enumerate(exp) if k)
-        word = group.elements[gk].word
-        gstr = "*".join(f"g{i}" for i in word) if word else ""
-        coeff_str, needs_parens = _eta_poly_expr(coeff)
-        factors = []
-        if coeff_str not in ("1",) or (not mono and not gstr):
-            factors.append(f"({coeff_str})" if needs_parens else coeff_str)
-        if mono:
-            factors.append(mono)
-        if gstr:
-            factors.append(gstr)
-        bits.append("*".join(factors))
+        factor = "*".join(filter(None, (render_monomial("a", exp, 1),
+                                       "*".join(f"g{i}" for i in group.elements[gk].word))))
+        text, is_sum = render_eta(coeff)
+        if text == "-1" and factor:
+            bits.append(f"-1*{factor}")
+        elif is_sum and not factor:
+            bits.append(f"({text})")
+        else:
+            bits.append(render_term((text, is_sum), factor)[0])
     return join_signed(bits)

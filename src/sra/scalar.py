@@ -430,6 +430,48 @@ def literal(x: Cyclotomic) -> str:
     return join_signed(terms)
 
 
+# -- the expression-grammar renderer ------------------------------------------
+#
+# Human output is written in the expression grammar of sra.expr; `literal` is
+# the format of group files and of every JSON field.  A rendered term is
+# (text, is_sum): its parentheses follow from its number of terms, not its text.
+
+
+def render_sum(terms: list[tuple[str, bool]]) -> tuple[str, bool]:
+    """The signed sum of rendered terms; a single term stays as it is."""
+    if len(terms) == 1:
+        return terms[0]
+    return join_signed([text for text, _ in terms]), len(terms) > 1
+
+
+def render_term(coeff: tuple[str, bool], factor: str) -> tuple[str, bool]:
+    """coeff*factor, with a unit coefficient dropped and a sum in
+    parentheses; without a factor the coefficient is the term."""
+    text, is_sum = coeff
+    if not factor:
+        return coeff
+    if text in ("1", "-1"):
+        return text[:-1] + factor, False
+    return f"({text})*{factor}" if is_sum else f"{text}*{factor}", False
+
+
+def render_monomial(name: str, exponents, first: int = 0) -> str:
+    """'a1^2*a3' from the name 'a', the exponents (2, 0, 1) and first = 1."""
+    return "*".join(f"{name}{i}^{k}" if k > 1 else f"{name}{i}"
+                    for i, k in enumerate(exponents, first) if k)
+
+
+def render_cyclotomic(x: Cyclotomic) -> tuple[str, bool]:
+    return render_sum([render_term((str(Fraction(c, x.den)), False),
+                                   f"z^{j}" if j > 1 else "z" if j else "")
+                       for j, c in enumerate(x.num) if c])
+
+
+def render_eta(p: "EtaPolynomial") -> tuple[str, bool]:
+    return render_sum([render_term(render_cyclotomic(c), render_monomial("eta", e))
+                       for e, c in p.sorted_terms()])
+
+
 def parse_literal(text: str, m: int) -> Cyclotomic:
     """Parse the literal grammar; inverse of :func:`literal`.  Raises a
     ParseError naming the literal and the 1-based position."""
@@ -770,12 +812,4 @@ class EtaPolynomial:
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
 
     def __repr__(self):
-        if self.is_zero():
-            return "EtaPolynomial(0)"
-        bits = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(f"eta{i}^{k}" if k > 1 else f"eta{i}"
-                            for i, k in enumerate(e) if k)
-            cs = literal(c)
-            bits.append(f"({cs})*{mono}" if mono else f"({cs})")
-        return "EtaPolynomial(" + " + ".join(bits) + ")"
+        return f"EtaPolynomial({render_eta(self)[0]})"

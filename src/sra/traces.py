@@ -33,12 +33,11 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .scalar import (GRAM_BASIS_CAP, CapExceededError, Cyclotomic, EtaPolynomial, accumulate,
-                     join_signed, literal)
+                     literal, render_eta, render_sum, render_term)
 from .linalg import Matrix, components, fraction_free_det, inverse
 from .group import Group
 from .algebra import (Algebra, AlgebraElement, _letters, kappa_commutator, relation_table,
                       symmetrized_monomial)
-from .expr import _eta_poly_expr
 
 
 class InconsistentGLCError(Exception):
@@ -99,10 +98,7 @@ class TraceValue:
         return acc
 
     def __repr__(self):
-        if self.is_zero():
-            return "TraceValue(0)"
-        bits = [f"({c!r})*P{i}" for i, c in sorted(self.coeffs.items())]
-        return "TraceValue(" + " + ".join(bits) + ")"
+        return f"TraceValue({format_trace_value(self)})"
 
 
 class TraceFunctional:
@@ -702,16 +698,8 @@ def _trace_value_json(v: TraceValue):
 
 def format_trace_value(tv: TraceValue) -> str:
     """Human rendering like '(1/2 - 1/2*eta0^2)*P0 - eta0*P1'."""
-    bits = []
-    for i, c in sorted(tv.coeffs.items()):
-        s, needs = _eta_poly_expr(c)
-        if s == "1":
-            bits.append(f"P{i}")
-        elif s == "-1":
-            bits.append(f"-P{i}")
-        else:
-            bits.append(f"({s})*P{i}" if needs else f"{s}*P{i}")
-    return join_signed(bits)
+    return render_sum([render_term(render_eta(c), f"P{i}")
+                       for i, c in sorted(tv.coeffs.items())])[0]
 
 
 def functional_to_json(functional: TraceFunctional) -> str:

@@ -173,6 +173,17 @@ def test_gram_cli_assignment_and_t(capsys):
     assert json.loads(out)["kappa"]["-1"] == json.loads(json.dumps(report.to_dict()))
 
 
+@pytest.mark.parametrize("argv, option, value", [
+    (("eval", "--builtin", "cyclic", "--n", "2"), "--expr", "-a1*a2"),
+    (("gram", "--builtin", "doubled-A", "--rank", "3"), "--assignment", "-1,0"),
+    (("glc", "--builtin", "cyclic", "--n", "3"), "--t", "-1/2"),
+], ids=["expr", "assignment", "t"])
+def test_option_value_with_leading_minus(capsys, argv, option, value):
+    spaced = run(capsys, *argv, option, value)
+    assert spaced == run(capsys, *argv, f"{option}={value}")
+    assert spaced[0] == 0
+
+
 def test_gram_huge_degree_exit_1(capsys):
     # the basis size is bounded before any monomial is listed
     code, out, err = run(capsys, "gram", "--builtin", "cyclic", "--n", "2",
