@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalar import POWER_CAP, CapExceededError, Cyclotomic, EtaPolynomial, accumulate
-from .linalg import Matrix, _dot, inverse
+from .linalg import Matrix, inverse, sparse_dot, support
 from .group import Group
 
 
@@ -50,44 +50,51 @@ def relation_table(algebra: "Algebra", vectors):
 
         [v_i, v_j] = scalar[i][j] + sum over (R, c) in refl[(i, j)] of c R,
 
-    returned as (scalar, refl): scalar[i][j] = t omega(v_i, v_j), and
-    refl[(i, j)] lists (reflection key, eta_R omega_R(v_i, v_j)) over the
-    reflections with nonzero value, in group.reflections order.  Each letter
-    is dotted with omega and with each reflection's covectors once; (j, i)
-    holds the negated entries of (i, j), and the diagonal is zero."""
+    returned as (scalar, refl) for i < j only: scalar[i][j] = t omega(v_i,
+    v_j), and refl[(i, j)] lists (reflection key, eta_R omega_R(v_i, v_j))
+    over the reflections with nonzero value, in group.reflections order.
+    The table is upper-triangular: scalar[j][i] is left zero and (j, i) has
+    no refl entry, so a reader of [v_j, v_i] with j > i negates the (i, j)
+    entries.  Each letter's nonzero support is listed once and dotted with
+    omega and with each reflection's covectors; a reflection R contributes
+    only to pairs of letters that both meet V_R."""
     group = algebra.group
     n = len(vectors)
-    omega_vecs = [group.omega.matvec(v) for v in vectors]
-    table = []
+    zero = Cyclotomic.zero(algebra.m)
+    supports = [support(v) for v in vectors]
+    scalar = [[zero] * n for _ in range(n)]
+    for j in range(1, n):
+        omega_v = group.omega.matvec(vectors[j])
+        for i in range(j):
+            scalar[i][j] = algebra.t * sparse_dot(supports[i], omega_v, zero)
+    refl: dict = {}
     for rkey in group.reflections:
         a_cov, b_cov = group.omega_r_covectors(rkey)
-        table.append((rkey, algebra.eta_poly(group.eta_var_of(rkey)),
-                      [_dot(v, a_cov) for v in vectors], [_dot(v, b_cov) for v in vectors]))
-    scalar = [[Cyclotomic.zero(algebra.m)] * n for _ in range(n)]
-    refl = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            scalar[i][j] = algebra.t * _dot(vectors[i], omega_vecs[j])
-            scalar[j][i] = -scalar[i][j]
-            entries = []
-            for rkey, eta, va, vb in table:
-                val = vb[i] * va[j] - va[i] * vb[j]
+        eta = algebra.eta_poly(group.eta_var_of(rkey))
+        # the letters that meet V_R, with (v.A, v.B); omega_R vanishes on the others
+        live = []
+        for i, nonzero in enumerate(supports):
+            va, vb = sparse_dot(nonzero, a_cov, zero), sparse_dot(nonzero, b_cov, zero)
+            if not (va.is_zero() and vb.is_zero()):
+                live.append((i, va, vb))
+        for p, (i, va_i, vb_i) in enumerate(live):
+            for j, va_j, vb_j in live[p + 1:]:
+                val = vb_i * va_j - va_i * vb_j
                 if not val.is_zero():
-                    entries.append((rkey, eta.scaled(val)))
-            if entries:
-                refl[(i, j)] = entries
-                refl[(j, i)] = [(rkey, -c) for rkey, c in entries]
+                    refl.setdefault((i, j), []).append((rkey, eta.scaled(val)))
     return scalar, refl
 
 
 class Frame:
     """The standard letters x_i = a_(i+1) and the normal-ordering rules.
 
-    `scalar` and `refl` are the relation table of the letters (see
-    relation_table).  A normal form is a dict {(exponent, group key):
-    coefficient}, the shape of AlgebraElement.terms: the group key collects
-    the reflections produced by the corrections, and the caller appends its
-    own trailing group element on the right.
+    `scalar` and `refl` are the relation table (see relation_table) of the
+    letters in reverse order, x_(n-1), ..., x_0: its upper triangle then
+    holds [x_j, x_k] for j > k at (n-1-j, n-1-k), the order letter_times
+    reads, so no entry is negated on the way.  A normal form is a dict
+    {(exponent, group key): coefficient}, the shape of AlgebraElement.terms:
+    the group key collects the reflections produced by the corrections, and
+    the caller appends its own trailing group element on the right.
 
     letter_times(j, alpha) = NF(x_j x^alpha), memoized on (j, alpha).  When no
     letter of alpha is smaller than j the product is already ordered;
@@ -109,7 +116,7 @@ class Frame:
         self.algebra = algebra
         self.n = n
         self.zero_exp = (0,) * n
-        self.scalar, self.refl = relation_table(algebra, algebra.letters)
+        self.scalar, self.refl = relation_table(algebra, algebra.letters[::-1])
         self._transform_cache: dict = {}
         self._nf_cache: dict = {}
         self._conj_cache: dict = {}
@@ -119,8 +126,7 @@ class Frame:
         cols = self._transform_cache.get(h_key)
         if cols is None:
             hmat = self.algebra.group.elements[h_key].matrix
-            cols = [[(i, hmat[i, j]) for i in range(self.n) if not hmat[i, j].is_zero()]
-                    for j in range(self.n)]
+            cols = [support(hmat.col(j)) for j in range(self.n)]
             self._transform_cache[h_key] = cols
         return cols
 
@@ -140,10 +146,11 @@ class Frame:
             # x_j x_k = x_k x_j + t omega_jk + sum_R eta_R omega_R(x_j, x_k) R
             rest = _shift(exp, k, -1)
             got = self.times(self.transform(ident)[k], self.letter_times(j, rest))
-            scal = self.scalar[j][k]
+            pair = (self.n - 1 - j, self.n - 1 - k)
+            scal = self.scalar[pair[0]][pair[1]]
             if not scal.is_zero():
                 accumulate(got, (rest, ident), alg.one_poly.scaled(scal))
-            for rkey, eta_coeff in self.refl.get((j, k), ()):
+            for rkey, eta_coeff in self.refl.get(pair, ()):
                 for (e, r), c in self.conjugate(rkey, rest, self.zero_exp).items():
                     accumulate(got, (e, group.mul(r, rkey)), c * eta_coeff)
         self._nf_cache[key] = got
@@ -229,7 +236,7 @@ class EigenbasisChart:
         memoized per vector."""
         got = self._coords.get(v)
         if got is None:
-            got = tuple((i, c) for i, c in enumerate(self.Minv.matvec(v)) if not c.is_zero())
+            got = tuple(support(self.Minv.matvec(v)))
             self._coords[v] = got
         return got
 

@@ -188,7 +188,9 @@ def cmd_eval(args):
         word = "tr" if kappa == 1 else "str"
         lines.append(f"kappa = {kappa:+d}: {word}(expr) = {_tv_human(val)}")
         if "value_at_eta" in entry:
-            at = ", ".join(f"{k}: {render_cyclotomic(c)[0]}" for k, c in sorted(at_eta.items()))
+            # at_eta runs in parameter order (P2 before P10); vanishing values are left out
+            at = ", ".join(f"{k}: {render_cyclotomic(c)[0]}" for k, c in at_eta.items()
+                           if not c.is_zero())
             lines.append(f"  at eta = ({', '.join(entry['eta_point'])}): {at or '0'}")
     _emit(payload, args, lines)
     return 0

@@ -31,6 +31,20 @@ def vec_scale(u: Vector, c: Cyclotomic) -> Vector:
 def vec_is_zero(u: Vector) -> bool:
     return all(a.is_zero() for a in u)
 
+def support(u: Vector) -> list[tuple[int, Cyclotomic]]:
+    """The nonzero entries of u as [(index, entry)]."""
+    return [(t, a) for t, a in enumerate(u) if not a.is_zero()]
+
+def sparse_dot(nonzero, v: Vector, zero: Cyclotomic) -> Cyclotomic:
+    """u . v for u given by its support [(index, entry)]; `zero` is the
+    zero of the field, the value of an empty sum."""
+    acc = zero
+    for t, a in nonzero:
+        b = v[t]
+        if not b.is_zero():
+            acc = acc + a * b
+    return acc
+
 
 class Matrix:
     """Dense matrix of canonical cyclotomic entries, row-major."""
@@ -97,8 +111,7 @@ class Matrix:
             raise ValueError("matrix dimension mismatch")
         p = other.cols
         zero = Cyclotomic.zero(self.order())
-        other_rows = [[(j, b) for j, b in enumerate(other.row(t)) if not b.is_zero()]
-                      for t in range(other.rows)]
+        other_rows = [support(other.row(t)) for t in range(other.rows)]
         out = []
         for i in range(self.rows):
             acc = [zero] * p
@@ -110,18 +123,11 @@ class Matrix:
         return Matrix(self.rows, p, out)
 
     def matvec(self, v: Vector) -> Vector:
+        """Sparse product M v: the nonzero entries of v are listed once, and
+        only products of two nonzero entries are formed."""
         zero = Cyclotomic.zero(self.order())
-        out = []
-        for i in range(self.rows):
-            acc = zero
-            base = i * self.cols
-            for t, x in enumerate(v):
-                if not x.is_zero():
-                    a = self.data[base + t]
-                    if not a.is_zero():
-                        acc = acc + a * x
-            out.append(acc)
-        return tuple(out)
+        nonzero = support(v)
+        return tuple(sparse_dot(nonzero, self.row(i), zero) for i in range(self.rows))
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows,

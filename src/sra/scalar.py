@@ -50,6 +50,65 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
+def _content(p) -> int:
+    g = 0
+    for c in p:
+        g = gcd(g, c)
+        if g == 1:
+            break
+    return g
+
+
+def _inverse_mod(a, modulus) -> tuple[list[int], int]:
+    """(b, d) with a b / d = 1 mod `modulus`, for integer polynomials
+    (ascending coefficients) with gcd(a, modulus) = 1 and a nonzero of
+    lower degree: the extended Euclidean algorithm over Q, run on integers
+    in O(deg^2) operations.
+
+    Each remainder comes from a pseudo-division and is made primitive, and
+    its cofactor is kept as s / d over one denominator in lowest terms, so
+    the integers stay small; the invariant is r_i = (s_i / d_i) a mod
+    `modulus`, and the last remainder is a constant.
+    """
+    r0, s0, d0 = list(modulus), [], 1
+    r1, s1, d1 = list(a), [1], 1
+    while not r1[-1]:
+        r1.pop()
+    while len(r1) > 1:
+        # pseudo-division scale r0 = q r1 + rem, scale a power of lead: a nonzero
+        # top entry c of rem at degree k + n is cancelled by lead rem - c x^k r1
+        lead, n = r1[-1], len(r1) - 1
+        rem, q, scale = r0, [0] * (len(r0) - n), 1
+        for k in range(len(q) - 1, -1, -1):
+            c = rem[k + n]
+            if c:
+                rem = [lead * x for x in rem[:k + n]]
+                for i in range(n):
+                    rem[k + i] -= c * r1[i]
+                q = [lead * x for x in q]
+                q[k] = c
+                scale *= lead
+            else:
+                rem = rem[:k + n]
+        while rem and not rem[-1]:
+            rem.pop()
+        if not rem:
+            raise ArithmeticError("polynomial is not invertible modulo the modulus")
+        g = _content(rem)
+        rem = [x // g for x in rem]
+        # rem = (scale s0 / d0 - q s1 / d1) a / g
+        s = [scale * d1 * x for x in s0] + [0] * (len(q) + len(s1) - 1 - len(s0))
+        for i, x in enumerate(q):
+            if x:
+                for j, y in enumerate(s1):
+                    s[i + j] -= d0 * x * y
+        d = d0 * d1 * g
+        h = gcd(_content(s), d)
+        r0, s0, d0, r1, s1, d1 = r1, s1, d1, rem, [x // h for x in s], d // h
+    # r1 = [c] = (s1 / d1) a
+    return s1, d1 * r1[0]
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_m, ascending, monic.  Raises
@@ -318,24 +377,18 @@ class Cyclotomic:
     def inverse(self) -> "Cyclotomic":
         """Multiplicative inverse; raises ZeroDivisionError on zero.
 
-        x^-1 = P / N(x), with P the product of the Galois conjugates
-        sigma_k(x) (zeta -> zeta^k, 1 < k < m, gcd(k, m) = 1) and N(x) = x P
-        the norm, a nonzero rational.
+        With self = a(zeta) / den, the extended Euclidean algorithm over Q
+        on Phi_m and a gives b with a b = 1 mod Phi_m (Phi_m is irreducible
+        and a is nonzero of lower degree), in O(phi(m)^2) operations; the
+        inverse is den b(zeta).
         """
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
         m = self.m
         if self.is_rational():
             return Cyclotomic.from_rational(1 / self.as_rational(), m)
-        ctx = _context(m)
-        conj = Cyclotomic.one(m)
-        for k in range(2, m):
-            if gcd(k, m) == 1:
-                conj = conj * Cyclotomic(m, _zeta_substitute(self.num, ctx, k), self.den)
-        norm = self * conj
-        if not norm.is_rational():
-            raise ArithmeticError(f"norm of {self!r} is not rational")
-        out = conj * Cyclotomic.from_rational(1 / norm.as_rational(), m)
+        b, d = _inverse_mod(self.num, cyclotomic_polynomial(m))
+        out = Cyclotomic(m, [self.den * x for x in b], d)
         if self * out != Cyclotomic.one(m):
             raise ArithmeticError(f"cyclotomic inverse of {self!r} failed its check")
         return out

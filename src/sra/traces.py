@@ -182,18 +182,25 @@ def solve_glc(algebra: Algebra, kappa: int, verify: bool = True) -> TraceFunctio
 def _reflection_sum(functional: TraceFunctional, g_key, entries) -> TraceValue:
     """sum_R eta_R omega_R(c_i, c_j) sp(R g) over the entries [(R, eta_R
     omega_R(c_i, c_j))] of a relation table, with sp(R g) read from the
-    functional's class table, which must already hold every class R g."""
+    functional's class table, which must already hold every class R g.
+
+    The coefficients are first added per class C of R g, and each class
+    value is scaled once: sum_R c_R sp(R g) = sum_C (sum_(R g in C) c_R)
+    sp(C).  Every entry's class is looked up before the sum, so a missing
+    class raises even when its coefficients cancel."""
     group = functional.group
-    acc = TraceValue.zero(functional.nparams)
+    per_class: dict = {}
     for rkey, coeff in entries:
         rc = group.class_of[group.mul(rkey, g_key)]
-        sub = functional.table.get(rc)
-        if sub is None:
+        if rc not in functional.table:
             ci = group.class_of[g_key]
             raise InconsistentGLCError(
                 f"group {group.name}, kappa {functional.kappa}: sp(C{ci}) needs "
                 f"sp(C{rc}), which has E >= E(C{ci})")
-        acc = acc + sub.scaled(coeff)
+        accumulate(per_class, rc, coeff)
+    acc = TraceValue.zero(functional.nparams)
+    for rc, coeff in per_class.items():
+        acc = acc + functional.table[rc].scaled(coeff)
     return acc
 
 
@@ -340,16 +347,17 @@ class _Evaluator:
         [b_x, b_y] = t C_xy + sum_R eta_R omega_R(b_x, b_y) R."""
         chart = self.alg.chart(g_key)
         acc = self.zero
-        scal = chart.scalar[x][y]
+        scal = chart.scalar[x][y] if x < y else -chart.scalar[y][x]
         if not scal.is_zero():
             acc = acc + self.bword(g_key, prefix + suffix).scaled(scal)
         return acc + self._refl_part(g_key, prefix, x, y, suffix)
 
     def _refl_part(self, g_key, prefix, x, y, suffix) -> TraceValue:
         """The reflection terms of [b_x, b_y] (equivalently of f_xy) pushed
-        through the suffix onto g; each contributing R g drops E by one."""
+        through the suffix onto g; each contributing R g drops E by one.  The
+        chart's table holds x < y, so for x > y its (y, x) entries are negated."""
         chart = self.alg.chart(g_key)
-        entries = chart.refl.get((x, y))
+        entries = chart.refl.get((x, y) if x < y else (y, x))
         if not entries:
             return self.zero
         acc = self.zero
@@ -358,7 +366,7 @@ class _Evaluator:
             moved = chart.moved(rkey)
             val = self.vectors(self.group.mul(rkey, g_key), head + tuple(moved[s] for s in suffix))
             if not val.is_zero():
-                acc = acc + val.scaled(coeff)
+                acc = acc + val.scaled(coeff if x < y else -coeff)
         return acc
 
     def _special_step(self, g_key, word) -> TraceValue:

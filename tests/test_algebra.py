@@ -6,12 +6,14 @@ from math import comb, factorial
 import pytest
 
 from sra.scalar import Cyclotomic, EtaPolynomial
-from sra.group import POWER_CAP, CapExceededError, cyclic_sp2, doubled_coxeter
+from sra.group import POWER_CAP, CapExceededError, cyclic_sp2, dihedral, doubled_coxeter
+from sra.linalg import form_value
 from sra.algebra import (
     Algebra,
     GroupMismatchError,
     IndefiniteParityError,
     kappa_commutator,
+    relation_table,
     symmetrized_monomial,
 )
 from sra.traces import monomials_of_degree
@@ -257,10 +259,13 @@ def test_chart_coordinates_and_reflection_table(alg_name, request):
             for big_i, coeff in chart.coords(e_i):
                 acc = [a + coeff * v for a, v in zip(acc, chart.vectors[big_i])]
             assert tuple(acc) == e_i
-        # refl[(x, y)] lists exactly the R with omega_R(b_x, b_y) != 0, each
-        # with the coefficient eta_R omega_R(b_x, b_y)
+        # for x < y, refl[(x, y)] lists exactly the R with omega_R(b_x, b_y)
+        # != 0, each with the coefficient eta_R omega_R(b_x, b_y); the table
+        # is upper-triangular, so (y, x) and (x, x) hold nothing
         for x in range(n):
-            for y in range(n):
+            for y in range(x + 1):
+                assert (x, y) not in chart.refl
+            for y in range(x + 1, n):
                 expected = {}
                 for rkey in group.reflections:
                     val = group.omega_r(rkey, chart.vectors[x], chart.vectors[y])
@@ -304,3 +309,30 @@ def test_symmetrized_monomial_sums_distinct_orderings(alg_name, request):
     for d in range(5):
         for exp in monomials_of_degree(alg.group.dim, d):
             assert symmetrized_monomial(alg, exp) == _sum_of_distinct_orderings(alg, exp)
+
+
+@pytest.mark.parametrize("make", [lambda: cyclic_sp2(3), lambda: doubled_coxeter("A", 3),
+                                  lambda: doubled_coxeter("B", 2), lambda: dihedral(5)],
+                         ids=["z3", "s3", "b2", "dihedral5"])
+def test_relation_table_matches_the_dense_forms(make):
+    # the sparse table against t omega and Group.omega_r, which dot densely
+    group = make()
+    alg = Algebra(group)
+    ident = group.identity_key()
+    chart_key = next(k for k in group.sorted_keys() if k != ident)
+    darboux = next((basis for kappa in (1, -1) for k in group.sorted_keys() if k != ident
+                    for e, basis in [group.e_grading(k, kappa)] if e > 0),
+                   group.e_grading(ident, 1)[1])
+    for vectors in (alg.letters, alg.chart(chart_key).vectors, darboux):
+        n = len(vectors)
+        scalar, refl = relation_table(alg, vectors)
+        assert set(refl) <= {(i, j) for i in range(n) for j in range(i + 1, n)}
+        for i in range(n):
+            for j in range(i + 1, n):
+                assert scalar[i][j] == alg.t * form_value(group.omega, vectors[i], vectors[j])
+                expected = []
+                for rkey in group.reflections:
+                    val = group.omega_r(rkey, vectors[i], vectors[j])
+                    if not val.is_zero():
+                        expected.append((rkey, alg.eta_poly(group.eta_var_of(rkey)).scaled(val)))
+                assert refl.get((i, j), []) == expected

@@ -97,6 +97,30 @@ def test_eval_with_eta_assignment(tmp_path, capsys):
     assert "3/8" in out
 
 
+def test_eval_at_eta_line_in_parameter_order(tmp_path, capsys):
+    path = tmp_path / "c12.json"
+    assert run(capsys, "group", "--builtin", "cyclic", "--n", "12", "--save", str(path))[0] == 0
+    content = json.loads(path.read_text())
+    content["eta"] = {f"R{i}": "1" for i in range(11)}
+    path.write_text(json.dumps(content))
+    point = "at eta = (" + ", ".join(["1"] * 11) + "): "
+    lines = {}
+    for expr in ("a1*a2*g0 + g0^2", "g0^2 + g0^10 + g0^5", "a1*a2*g0"):
+        code, out, _ = run(capsys, "eval", "--group", str(path), "--kappa", "1", "--expr", expr)
+        assert code == 0
+        lines[expr] = out.splitlines()[-1].strip()
+    # the vanishing parameters are left out, the rest run P2 before P10
+    assert lines["a1*a2*g0 + g0^2"] == point + "P7: 1"
+    assert lines["g0^2 + g0^10 + g0^5"] == point + "P3: 1, P7: 1, P10: 1"
+    assert lines["a1*a2*g0"] == point + "0"
+    # the JSON keeps the vanishing values
+    code, out, _ = run(capsys, "--json", "eval", "--group", str(path), "--kappa", "1",
+                       "--expr", "a1*a2*g0 + g0^2")
+    entry = json.loads(out)["kappa"]["1"]
+    assert entry["eta_point"] == ["1"] * 11
+    assert entry["value_at_eta"] == {f"P{i}": "1" if i == 7 else "0" for i in range(11)}
+
+
 def test_gram_cli(capsys):
     code, out, _ = run(capsys, "gram", "--builtin", "cyclic", "--n", "2",
                        "--kappa", "-1", "--degree", "0")

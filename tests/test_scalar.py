@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -81,6 +82,27 @@ def test_inverse_examples():
     assert x.inverse() == parse_literal("1/2 + 1/2*z", 4)
     with pytest.raises(ZeroDivisionError):
         Cyclotomic.zero(4).inverse()
+
+
+@pytest.mark.parametrize("m", [5, 12, 24, 60, 200])
+def test_inverse_of_random_elements(m):
+    rng = random.Random(m)
+    deg = len(cyclotomic_polynomial(m)) - 1
+    samples = []
+    for _ in range(12):
+        nums = [rng.randint(-9, 9) for _ in range(deg)]
+        # sparse elements too: most coordinates zero, as in the group matrices
+        if rng.random() < 0.5:
+            nums = [c if rng.random() < 0.1 else 0 for c in nums]
+        x = Cyclotomic(m, tuple(nums), rng.randint(1, 9))
+        if not x.is_zero():
+            samples.append(x)
+    samples.append(Cyclotomic.one(m) - Cyclotomic.root_of_unity(m, 1))
+    for x in samples:
+        inv = x.inverse()
+        assert x * inv == Cyclotomic.one(m)
+        assert inv == Cyclotomic(m, inv.num, inv.den)   # canonical
+        assert inv.inverse() == x
 
 
 def test_embed():

@@ -6,7 +6,7 @@ import pytest
 
 from sra.scalar import Cyclotomic
 from sra.group import cyclic_sp2, doubled_coxeter
-from sra.algebra import Algebra, _letters
+from sra.algebra import Algebra, _letters, relation_table
 from sra.traces import (
     InconsistentGLCError,
     KappaEigenvaluePresentError,
@@ -14,6 +14,7 @@ from sra.traces import (
     TraceValue,
     _Evaluator,
     _random_definite,
+    _reflection_sum,
     confluence_failures,
     cyclicity_failures,
     eta0_form,
@@ -549,4 +550,29 @@ def test_verify_glc_catches_corruption(z2):
     broken = TraceFunctional(z2, -1, fn.free_classes, bad, fn.e_of_class)
     with pytest.raises(InconsistentGLCError,
                        match=rf"fails on C{sigma_cls} \(Darboux pair 0,1\), residual 2\*eta0\*P0$"):
+        verify_glc(broken)
+
+
+@pytest.mark.parametrize("kappa", [1, -1])
+def test_missing_class_names_both_labels(a2, kappa):
+    fn = solve_glc(a2, kappa)
+    group = a2.group
+    # the first element with E > 0 whose ground level equations meet a reflection
+    g, entries = next((key, refl[(0, 1)]) for key in group.sorted_keys()
+                      if group.e_grading(key, kappa)[0] > 0
+                      for refl in [relation_table(a2, group.e_grading(key, kappa)[1])[1]]
+                      if (0, 1) in refl)
+    ci = group.class_of[g]
+    rc = group.class_of[group.mul(entries[0][0], g)]
+    table = dict(fn.table)
+    del table[rc]
+    broken = TraceFunctional(a2, kappa, fn.free_classes, table, fn.e_of_class)
+    message = rf"sp\(C{ci}\) needs sp\(C{rc}\), which has E >= E\(C{ci}\)"
+    with pytest.raises(InconsistentGLCError, match=message):
+        _reflection_sum(broken, g, entries)
+    # coefficients that cancel on the missing class still raise
+    cancelling = [(entries[0][0], c) for c in (entries[0][1], -entries[0][1])]
+    with pytest.raises(InconsistentGLCError, match=message):
+        _reflection_sum(broken, g, cancelling)
+    with pytest.raises(InconsistentGLCError, match=rf"needs sp\(C{rc}\)"):
         verify_glc(broken)
