@@ -15,6 +15,12 @@ the generator tables `right[gi][i]`; a product of two elements walks the
 word of the right factor through these tables, so after closure no group
 multiplication touches a matrix.  Matrices stay on the elements for the
 spectral data (E-grading, eigenspaces, omega_R, charts).
+
+The class search also records, for every element k, a conjugator h with
+k = h rep h^-1.  Only the class representatives solve a kernel and a
+Darboux basis of Ker(g - kappa) (`e_grading`); every other element gets the
+representative's basis moved by its conjugator, and each moved vector is
+checked to be a kappa-eigenvector of the element itself.
 """
 
 from __future__ import annotations
@@ -77,9 +83,10 @@ class Group:
     Elements are integer indices 0..|G|-1 in canonical key order:
     `elements` maps an index to its GroupElement, `index_of` maps a matrix
     key back to its index, and `right[gi][i]` is the index of (element i) *
-    (generator gi).  `generator_keys`, `classes`, `class_rep`, `class_of`
-    and `reflections` all hold indices.  rank(g - 1) is constant on a
-    conjugacy class, so the reflections are decided once per class.
+    (generator gi).  `generator_keys`, `classes`, `class_rep`, `class_of`,
+    `conjugator` and `reflections` all hold indices.  rank(g - 1) is
+    constant on a conjugacy class, so the reflections are decided once per
+    class.
     """
 
     def __init__(self, N, omega, elements, index_of, right, generator_keys,
@@ -93,7 +100,8 @@ class Group:
         self.exponent = exponent  # session cyclotomic order m
         self.name = name
         self._identity = index_of[Matrix.identity(self.dim, exponent).key()]
-        self.classes: list[tuple[int, ...]] = self._conjugacy_classes()
+        # conjugator[k] = h with element k = h rep h^-1, rep the representative of k's class
+        self.classes, self.conjugator = self._conjugacy_classes()
         self.class_rep = [cls[0] for cls in self.classes]
         self.class_of = {k: i for i, cls in enumerate(self.classes) for k in cls}
         one = Cyclotomic.one(exponent)
@@ -140,40 +148,65 @@ class Group:
     def sorted_keys(self):
         return sorted(self.elements)
 
-    def _conjugacy_classes(self) -> list[tuple[int, ...]]:
+    def _conjugacy_classes(self) -> tuple[list[tuple[int, ...]], list[int]]:
         """Orbits under conjugation by the generators, each sorted, listed in
-        order of their smallest index."""
+        order of their smallest index; and for every element k a conjugator h
+        with k = h rep h^-1: the identity for the representative, and
+        s h_x for y = s x s^-1 reached from x by the generator s."""
         conj = [(g, self.inv(g)) for g in self.generator_keys]
+        conjugator: list = [None] * len(self.elements)
         classes = []
-        assigned: set[int] = set()
         for k in sorted(self.elements):
-            if k in assigned:
+            if conjugator[k] is not None:
                 continue
-            orbit = {k}
+            conjugator[k] = self._identity
+            orbit = [k]
             frontier = [k]
             while frontier:
                 x = frontier.pop()
                 for g, g_inv in conj:
                     y = self.mul(self.mul(g, x), g_inv)
-                    if y not in orbit:
-                        orbit.add(y)
+                    if conjugator[y] is None:
+                        conjugator[y] = self.mul(g, conjugator[x])
+                        orbit.append(y)
                         frontier.append(y)
-            assigned |= orbit
             classes.append(tuple(sorted(orbit)))
-        return classes
+        return classes, conjugator
 
     # -- spectral data ------------------------------------------------------
 
     def e_grading(self, key, kappa: int):
         """E = dim Ker(g - kappa)/2 together with a Darboux basis of the
-        kappa-eigenspace, cached."""
+        kappa-eigenspace, cached.
+
+        Only a class representative solves the kernel and the Darboux basis.
+        Every other element g' = h rep h^-1, h = conjugator[g'], gets the
+        images h c_1, ..., h c_2E of the representative's basis: h is
+        invertible and preserves omega, and dim Ker(g' - kappa) = 2E, so they
+        are a Darboux basis of Ker(g' - kappa).  A real check guards the
+        transport: each image v must satisfy g' v = kappa v, or an
+        ArithmeticError names the class C<i> and the element index.
+        """
         got = self._egrading.get((key, kappa))
         if got is None:
+            ci = self.class_of[key]
+            rep = self.class_rep[ci]
+            lam = Cyclotomic.from_rational(kappa, self.exponent)
             g = self.elements[key].matrix
-            space = kernel_basis(g.minus_scalar(Cyclotomic.from_rational(kappa, self.exponent)))
-            if len(space) % 2 != 0:
-                raise ArithmeticError("odd-dimensional kappa-eigenspace (impossible in Sp(2N))")
-            got = (len(space) // 2, tuple(darboux_basis(space, self.omega)))
+            if key == rep:
+                space = kernel_basis(g.minus_scalar(lam))
+                if len(space) % 2 != 0:
+                    raise ArithmeticError(f"C{ci}: odd-dimensional kappa-eigenspace "
+                                          "(impossible in Sp(2N))")
+                got = (len(space) // 2, tuple(darboux_basis(space, self.omega)))
+            else:
+                e_val, basis = self.e_grading(rep, kappa)
+                h = self.elements[self.conjugator[key]].matrix
+                got = (e_val, tuple(h.matvec(c) for c in basis))
+                if any(g.matvec(v) != vec_scale(v, lam) for v in got[1]):
+                    raise ArithmeticError(
+                        f"C{ci}: the kappa = {kappa} Darboux basis of the representative "
+                        f"{rep}, moved to element {key}, leaves Ker(g - kappa)")
             self._egrading[(key, kappa)] = got
         return got
 

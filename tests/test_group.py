@@ -150,6 +150,53 @@ def test_class_functions_constant():
             assert len(es) == 1
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("cyclic", {"n": 4}),
+    ("dihedral", {"n": 5}),
+    ("doubled-A", {"rank": 3}),
+    ("doubled-B", {"rank": 3}),
+    ("product", {"factors": [("cyclic", {"n": 2}), ("doubled-A", {"rank": 3})]}),
+])
+def test_transported_eigenbases_match_each_element(kind, params):
+    # a non-representative's basis is its representative's moved by the recorded
+    # conjugator; check it against the element's own kernel and against omega
+    g = builtin(kind, **params)
+    one, zero = Cyclotomic.one(g.exponent), Cyclotomic.zero(g.exponent)
+    for key, el in g.elements.items():
+        rep, h = g.class_rep[g.class_of[key]], g.conjugator[key]
+        assert g.mul(g.mul(h, rep), g.inv(h)) == key
+        for kappa in (+1, -1):
+            lam = Cyclotomic.from_rational(kappa, g.exponent)
+            e_val, basis = g.e_grading(key, kappa)
+            assert len(kernel_basis(el.matrix.minus_scalar(lam))) == 2 * e_val == len(basis)
+            for v in basis:
+                assert el.matrix.matvec(v) == tuple(x * lam for x in v)
+            for i, u in enumerate(basis):
+                for j, w in enumerate(basis):
+                    want = (one if j == i + 1 and i % 2 == 0 else
+                            -one if i == j + 1 and j % 2 == 0 else zero)
+                    assert form_value(g.omega, u, w) == want
+    assert all(g.conjugator[rep] == g.identity_key() for rep in g.class_rep)
+
+
+def test_eigenbasis_failures_name_the_class(monkeypatch):
+    g = doubled_coxeter("A", 3)
+    # the transpositions: E = 1 for kappa = +1, and each fixes its own plane
+    ci = next(i for i, cls in enumerate(g.classes)
+              if len(cls) > 1 and g.e_grading(cls[0], +1)[0] > 0)
+    key = g.classes[ci][1]
+    g.conjugator[key] = g.identity_key()
+    with pytest.raises(ArithmeticError, match=rf"^C{ci}: .* to element {key}, leaves"):
+        g.e_grading(key, +1)
+    # a kernel of odd dimension is refused with the class label too
+    import sra.group
+    real = sra.group.kernel_basis
+    monkeypatch.setattr(sra.group, "kernel_basis", lambda mat: real(mat)[1:])
+    rep = g.class_rep[ci]
+    with pytest.raises(ArithmeticError, match=rf"^C{ci}: odd-dimensional kappa-eigenspace"):
+        g.e_grading(rep, -1)
+
+
 def test_omega_r_matches_projection():
     g = doubled_coxeter("A", 3)
     rng = random.Random(5)

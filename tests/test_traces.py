@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sra.scalar import Cyclotomic
+from sra.linalg import rank
 from sra.group import cyclic_sp2, doubled_coxeter
 from sra.algebra import Algebra, _letters, relation_table
 from sra.traces import (
@@ -551,6 +552,29 @@ def test_verify_glc_catches_corruption(z2):
     with pytest.raises(InconsistentGLCError,
                        match=rf"fails on C{sigma_cls} \(Darboux pair 0,1\), residual 2\*eta0\*P0$"):
         verify_glc(broken)
+
+
+@pytest.mark.parametrize("kappa", [1, -1])
+def test_verify_glc_tabulates_every_element(monkeypatch, kappa):
+    # verify builds one relation table per element with E > 0, on its own basis
+    import sra.traces
+    algebra = Algebra(doubled_coxeter("B", 3))
+    group = algebra.group
+    fn = solve_glc(algebra, kappa, verify=False)
+    calls = []
+    real = sra.traces.relation_table
+
+    def counting(alg, vectors):
+        calls.append(vectors)
+        return real(alg, vectors)
+
+    monkeypatch.setattr(sra.traces, "relation_table", counting)
+    verify_glc(fn)
+    lam = Cyclotomic.from_rational(kappa, group.exponent)
+    with_e = [k for k in group.sorted_keys()
+              if rank(group.elements[k].matrix.minus_scalar(lam)) < group.dim]
+    assert len(calls) == len(with_e) > len(group.classes)
+    assert calls == [group.e_grading(k, kappa)[1] for k in with_e]
 
 
 @pytest.mark.parametrize("kappa", [1, -1])
