@@ -188,13 +188,15 @@ class EigenbasisChart:
     the +1 and -1 eigenvalue blocks are Darboux bases of their eigenspaces
     (Group.e_grading), so the kappa-block relation table is the normal
     shape.  `scalar` and `refl` are the relation table of
-    the b letters (see relation_table); `coords(v)` gives the chart
-    coordinates of any standard vector v, the standard letters
-    `Algebra.letters` included.  The chart is shared by every evaluator of the
-    algebra, and it memoizes the letters moved by a group element h
+    the b letters (see relation_table), and `letter_ids` their ids in the
+    algebra's letter table (Algebra.intern).  `coords(letter)` gives the
+    chart coordinates of any interned letter, and `coords_by_exponent` the
+    same grouped by e_I.  The chart is shared by every evaluator of the
+    algebra, and it memoizes the letters moved by a group element h as ids
     (`moved`) and the regular-step factors of a letter (`regular_factors`)."""
 
     def __init__(self, algebra: "Algebra", g_key):
+        self.algebra = algebra
         self.group = group = algebra.group
         m = group.exponent
         lams: list[Cyclotomic] = []
@@ -216,11 +218,13 @@ class EigenbasisChart:
                 f"C{group.class_of[g_key]} has an eigenvalue that is not a power of zeta_{m}")
         self.exponents = exponents
         self.vectors = tuple(vectors)
+        self.letter_ids = tuple(map(algebra.intern, self.vectors))
         n = group.dim
         self.Minv = inverse(Matrix.from_rows([[vectors[I][i] for I in range(n)]
                                               for i in range(n)]))
         self.scalar, self.refl = relation_table(algebra, self.vectors)
         self._coords: dict = {}
+        self._by_exponent: dict = {}
         self._moved: dict = {}
         self._factors: dict = {}
         self.kappa_pairs = {}
@@ -231,22 +235,33 @@ class EigenbasisChart:
                                        for r in range(len(idxs) // 2)]
             self.kappa_letters[kappa] = frozenset(idxs)
 
-    def coords(self, v):
-        """Sparse chart coordinates ((index, coeff), ...) of a standard vector,
-        memoized per vector."""
-        got = self._coords.get(v)
+    def coords(self, letter: int):
+        """Sparse chart coordinates ((I, coeff), ...) of the letter with this
+        id, memoized per id."""
+        got = self._coords.get(letter)
         if got is None:
-            got = tuple(support(self.Minv.matvec(v)))
-            self._coords[v] = got
+            vector = self.algebra.letter_vectors[letter]
+            got = self._coords[letter] = tuple(support(self.Minv.matvec(vector)))
+        return got
+
+    def coords_by_exponent(self, letter: int):
+        """coords(letter) grouped by eigenvalue: {e: [(I, coeff), ...]} over
+        the I with e_I = e, memoized per id."""
+        got = self._by_exponent.get(letter)
+        if got is None:
+            got = self._by_exponent[letter] = {}
+            for big_i, c in self.coords(letter):
+                got.setdefault(self.exponents[big_i], []).append((big_i, c))
         return got
 
     def moved(self, h_key):
-        """The letters moved by the group element h, (h(b_0), h(b_1), ...) as
-        standard vectors, memoized per h."""
+        """The ids of the letters moved by the group element h, (h(b_0),
+        h(b_1), ...), memoized per h."""
         got = self._moved.get(h_key)
         if got is None:
             hmat = self.group.elements[h_key].matrix
-            got = self._moved[h_key] = tuple(map(hmat.matvec, self.vectors))
+            got = self._moved[h_key] = tuple(self.algebra.intern(hmat.matvec(v))
+                                             for v in self.vectors)
         return got
 
     def regular_factors(self, kappa: int, L: int):
@@ -280,8 +295,11 @@ class Algebra:
                            for i in range(self.nvars)]
         one, zero = Cyclotomic.one(self.m), Cyclotomic.zero(self.m)
         n = group.dim
-        # the standard letters x_i = a_(i+1) as coordinate vectors
+        # the standard letters x_i = a_(i+1) as coordinate vectors; they are
+        # interned first, so the id of x_i is i in every algebra
         self.letters = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+        self.letter_vectors: list = list(self.letters)
+        self._letter_ids = {v: i for i, v in enumerate(self.letters)}
         self._charts: dict = {}
         self._symmetrized: dict = {}
         self.frame = Frame(self)
@@ -298,7 +316,24 @@ class Algebra:
             return c
         return EtaPolynomial.constant(c, self.nvars, self.m)
 
-    # -- charts --------------------------------------------------------------
+    def check_same(self, other: "Algebra"):
+        """Raise GroupMismatchError unless `other` is this algebra or another
+        one over the same group with the same t, whose normal forms agree."""
+        if other is not self and (other.group is not self.group or other.t != self.t):
+            raise GroupMismatchError("elements belong to different algebras")
+
+    # -- letters and charts ----------------------------------------------------
+
+    def intern(self, vector) -> int:
+        """The id of a letter given as a standard coordinate vector: the index
+        of its one copy in `letter_vectors`, appended on first sight.  The
+        evaluator's words are tuples of ids: the standard letters, each
+        chart's eigenletters and the letters moved by group elements."""
+        got = self._letter_ids.get(vector)
+        if got is None:
+            got = self._letter_ids[vector] = len(self.letter_vectors)
+            self.letter_vectors.append(vector)
+        return got
 
     def chart(self, g_key) -> EigenbasisChart:
         got = self._charts.get(g_key)
@@ -357,10 +392,7 @@ class AlgebraElement:
     # -- ring structure -------------------------------------------------------
 
     def _check(self, other: "AlgebraElement"):
-        if self.algebra is not other.algebra:
-            if (self.algebra.group is not other.algebra.group
-                    or self.algebra.t != other.algebra.t):
-                raise GroupMismatchError("elements belong to different algebras")
+        self.algebra.check_same(other.algebra)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic, EtaPolynomial)):

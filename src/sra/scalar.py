@@ -135,8 +135,8 @@ class _CycContext:
         self.m = m
         self.phi_poly = cyclotomic_polynomial(m)
         self.deg = len(self.phi_poly) - 1
-        # x^deg mod Phi_m, as an integer row of length deg
-        self._top = [-c for c in self.phi_poly[: self.deg]]
+        # x^deg = sum_k t_k x^k mod Phi_m, as the sparse pairs (k, t_k)
+        self.top = tuple((k, -c) for k, c in enumerate(self.phi_poly[: self.deg]) if c)
         # zeta^k for k in [0, m)
         powers = []
         cur = [0] * self.deg
@@ -154,8 +154,8 @@ class _CycContext:
         out = [0] + vec[:-1]
         lead = vec[-1]
         if lead:
-            for i in range(self.deg):
-                out[i] += lead * self._top[i]
+            for k, t in self.top:
+                out[k] += lead * t
         return out
 
     def reduce(self, coeffs: list[int]) -> tuple[int, ...]:
@@ -194,11 +194,7 @@ def _normalize(m: int, num: list[int] | tuple[int, ...], den: int):
     if den < 0:
         den = -den
         num = [-c for c in num]
-    g = den
-    for c in num:
-        g = gcd(g, c)
-        if g == 1:
-            break
+    g = gcd(den, *num)
     if g > 1:
         num = [c // g for c in num]
         den //= g
@@ -298,8 +294,8 @@ class Cyclotomic:
 
     # +, - and * take a direct branch for a Cyclotomic of the same order and
     # coerce anything else.  They return early on a zero operand, and * also
-    # on a unit operand, and a result with denominator 1 skips the gcd of
-    # `_normalize`: each of these results is canonical already.
+    # on a unit operand, and a result with denominator 1 skips the gcd: each
+    # of these results is canonical already.
 
     def __add__(self, other):
         if type(other) is not Cyclotomic or other.m != self.m:
@@ -339,40 +335,55 @@ class Cyclotomic:
         return Cyclotomic(a.m, n, d, _canonical=True)
 
     def __mul__(self, other):
+        """The product in one pass: the polynomial product of the coordinate
+        vectors, each coefficient of x^j with j >= phi(m) folded down from
+        the top by x^phi(m) = sum_k t_k x^k mod Phi_m, then the gcd of the
+        denominator with every coordinate divided out.  A rational operand
+        only scales the other one's coordinates."""
         if type(other) is not Cyclotomic or other.m != self.m:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
         a, b = self, other
+        num = None
         if any(b.num[1:]):
             if any(a.num[1:]):
-                return a._convolve(b)
-            a, b = b, a
-        # b is rational: scale a by it
-        c = b.num[0]
-        if c == 0:
-            return b
-        if c == 1 and b.den == 1:
-            return a
-        n, d = _normalize(a.m, [c * x for x in a.num], a.den * b.den)
-        return Cyclotomic(a.m, n, d, _canonical=True)
+                ctx = _context(a.m)
+                deg = ctx.deg
+                num = [0] * (2 * deg - 1)
+                i = 0
+                for x in a.num:
+                    if x:
+                        j = i
+                        for y in b.num:
+                            num[j] += x * y
+                            j += 1
+                    i += 1
+                for j in range(2 * deg - 2, deg - 1, -1):
+                    c = num.pop()
+                    if c:
+                        for k, t in ctx.top:
+                            num[j - deg + k] += c * t
+            else:
+                a, b = b, a
+        if num is None:
+            # b is rational: scale a by it
+            c = b.num[0]
+            if c == 0:
+                return b
+            if c == 1 and b.den == 1:
+                return a
+            num = [c * x for x in a.num]
+        # both denominators are positive, so their product is
+        den = a.den * b.den
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = [x // g for x in num]
+                den //= g
+        return Cyclotomic(a.m, tuple(num), den, _canonical=True)
 
     __rmul__ = __mul__
-
-    def _convolve(self, other: "Cyclotomic") -> "Cyclotomic":
-        """Product of two irrational values: the polynomial product of the
-        coordinate vectors, reduced mod Phi_m."""
-        a, b = self, other
-        deg = len(a.num)
-        conv = [0] * (2 * deg - 1)
-        for i, x in enumerate(a.num):
-            if x:
-                for j, y in enumerate(b.num):
-                    if y:
-                        conv[i + j] += x * y
-        red = _context(a.m).reduce(conv)
-        n, d = _normalize(a.m, red, a.den * b.den)
-        return Cyclotomic(a.m, n, d, _canonical=True)
 
     def inverse(self) -> "Cyclotomic":
         """Multiplicative inverse; raises ZeroDivisionError on zero.

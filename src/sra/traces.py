@@ -23,6 +23,12 @@ with g b_I g^-1 = lambda_I b_I.  A kappa-trace is invariant under
 conjugation by group elements, so sp(b_(I1) ... b_(Ik) g) =
 lambda_(I1) ... lambda_(Ik) sp(b_(I1) ... b_(Ik) g): the trace is zero unless
 the product of the eigenvalues is 1, and only those eigen-words are built.
+
+Letters are ids into the algebra's letter table (Algebra.intern), so a word
+is a tuple of small ints and every memo key is (group key, tuple of ints).
+Inside the evaluator a sum of c sp(...) terms is one flat map {(P index, eta
+exponent): cyclotomic} that every term adds into through `accumulate`; a
+TraceValue is built once per memo entry.
 """
 
 from __future__ import annotations
@@ -85,6 +91,15 @@ class TraceValue:
 
     def __hash__(self):
         return hash((self.nparams, tuple(sorted((i, hash(c)) for i, c in self.coeffs.items()))))
+
+    @staticmethod
+    def from_flat(nparams: int, nvars: int, m: int, flat: dict) -> "TraceValue":
+        """The value of a flat map {(P index, eta exponent): nonzero coefficient}."""
+        polys: dict = {}
+        for (i, e), c in flat.items():
+            polys.setdefault(i, {})[e] = c
+        return TraceValue(nparams, {i: EtaPolynomial(nvars, m, terms)
+                                    for i, terms in polys.items()})
 
     def substitute(self, assignment: list[Fraction], nvars: int, m: int) -> EtaPolynomial:
         """Collapse the free parameters to rationals, leaving eta symbolic;
@@ -232,8 +247,28 @@ def verify_glc(functional: TraceFunctional):
                         f"residual {format_trace_value(residual)}")
 
 
+def _add_scaled(flat: dict, val: TraceValue, c: Cyclotomic):
+    """flat += c val, for a flat map {(P index, eta exponent): coefficient}."""
+    for i, poly in val.coeffs.items():
+        for e, k in poly.terms.items():
+            accumulate(flat, (i, e), k * c)
+
+
+def _add_times(flat: dict, val: TraceValue, coeff: EtaPolynomial):
+    """flat += coeff val, for a flat map and an eta-polynomial coefficient."""
+    for i, poly in val.coeffs.items():
+        for e, k in poly.terms.items():
+            for e2, c2 in coeff.terms.items():
+                accumulate(flat, (i, tuple([a + b for a, b in zip(e, e2)])), k * c2)
+
+
 class _Evaluator:
-    """Reduction engine for one functional and one pair of step strategies."""
+    """Reduction engine for one functional and one pair of step strategies.
+
+    Words are tuples of letter ids (Algebra.intern); a bword word is a tuple
+    of eigen-indices I of the chart of its group element.  The steps add
+    their terms into flat maps (see _add_scaled), and bword and vectors turn
+    each memo entry's map into one TraceValue."""
 
     def __init__(self, functional: TraceFunctional, regular_strategy: str,
                  pair_strategy: str):
@@ -254,53 +289,49 @@ class _Evaluator:
     # -- public -------------------------------------------------------------
 
     def element_value(self, f: AlgebraElement) -> TraceValue:
-        if f.algebra.group is not self.group:
-            raise ValueError("element from a different group's algebra")
-        letters = self.alg.letters
-        acc = self.zero
+        """sp(f) for an element of an algebra with this functional's group
+        and t; the standard letter x_i has id i in every algebra."""
+        self.alg.check_same(f.algebra)
+        flat: dict = {}
         for (exp, gk), coeff in f.terms.items():
-            val = self.vectors(gk, tuple(letters[i] for i in _letters(exp)))
-            if not val.is_zero():
-                acc = acc + val.scaled(coeff)
-        return acc
+            _add_times(flat, self.vectors(gk, _letters(exp)), coeff)
+        return self._value(flat)
 
-    def vectors(self, g_key, vecs: tuple) -> TraceValue:
-        """Trace of a word of arbitrary vector letters times g: the word is
-        expanded in the eigenbasis of g into eigen-words.
+    def vectors(self, g_key, word: tuple[int, ...]) -> TraceValue:
+        """Trace of a word of letter ids times g: the word is expanded in the
+        eigenbasis of g into eigen-words.
 
         Only the eigen-words b_(I1) ... b_(Ik) with lambda_(I1) ... lambda_(Ik)
-        = 1 are built: the last letter keeps the coordinates I with
-        e_I = -(e_(I1) + ... + e_(I(k-1))) mod m.  Conjugation by g scales
-        every other eigen-word by its product of eigenvalues, so its trace
-        is zero."""
-        if len(vecs) % 2 == 1:
+        = 1 are built: each prefix b_(I1) ... b_(I(k-1)) carries its exponent
+        sum s, and the last letter keeps the coordinates I with e_I = -s mod
+        m.  Conjugation by g scales every other eigen-word by its product of
+        eigenvalues, so its trace is zero.  Distinct prefixes give distinct
+        words, so the prefixes are a plain list."""
+        if len(word) % 2 == 1:
             return self.zero             # every nonzero kappa-trace is even
-        if not vecs:
+        if not word:
             return self.bword(g_key, ())
-        got = self._vecs.get((g_key, vecs))
+        got = self._vecs.get((g_key, word))
         if got is None:
             chart = self.alg.chart(g_key)
             exps, m = chart.exponents, self.alg.m
-            words = {(): Cyclotomic.one(m)}
-            for v in vecs[:-1]:
-                col = chart.coords(v)
-                nxt: dict = {}
-                for w, c in words.items():
-                    for i, ci in col:
-                        accumulate(nxt, w + (i,), c * ci)
-                words = nxt
-            # distinct prefixes give distinct words, so nothing is left to collect
-            last = chart.coords(vecs[-1])
-            got = self.zero
-            for w, c in words.items():
-                need = -sum(exps[i] for i in w) % m
-                for i, ci in last:
-                    if exps[i] == need:
-                        val = self.bword(g_key, w + (i,))
-                        if not val.is_zero():
-                            got = got + val.scaled(c * ci)
-            self._vecs[(g_key, vecs)] = got
+            prefixes = [((i,), exps[i], c) for i, c in chart.coords(word[0])]
+            for letter in word[1:-1]:
+                col = chart.coords(letter)
+                prefixes = [(w + (i,), s + exps[i], c * ci)
+                            for w, s, c in prefixes for i, ci in col]
+            last = chart.coords_by_exponent(word[-1])
+            flat: dict = {}
+            for w, s, c in prefixes:
+                for i, ci in last.get(-s % m, ()):
+                    val = self.bword(g_key, w + (i,))
+                    if val.coeffs:
+                        _add_scaled(flat, val, c * ci)
+            got = self._vecs[(g_key, word)] = self._value(flat)
         return got
+
+    def _value(self, flat: dict) -> TraceValue:
+        return TraceValue.from_flat(self.fn.nparams, self.alg.nvars, self.alg.m, flat)
 
     # -- eigen-words ----------------------------------------------------------
 
@@ -332,42 +363,44 @@ class _Evaluator:
         s = regular_positions[0] if self.regular_strategy == "first" else regular_positions[-1]
         L = word[s]
         rest = word[:s] + word[s + 1:]
-        before = after = self.zero
+        before: dict = {}
+        after: dict = {}
         for j in range(len(rest)):
-            c = self._comm(g_key, rest[:j], rest[j], L, rest[j + 1:])
-            if j < s:
-                before = before + c
-            else:
-                after = after + c
+            self._comm(before if j < s else after, g_key, rest[:j], rest[j], L, rest[j + 1:])
         first, second = self.alg.chart(g_key).regular_factors(self.kappa, L)
-        return before.scaled(first) + after.scaled(second)
+        flat: dict = {}
+        for part, factor in ((before, first), (after, second)):
+            for key, c in part.items():
+                accumulate(flat, key, c * factor)
+        return self._value(flat)
 
-    def _comm(self, g_key, prefix, x, y, suffix) -> TraceValue:
-        """sp(prefix [b_x, b_y] suffix g) with the full commutator
+    def _comm(self, flat, g_key, prefix, x, y, suffix):
+        """flat += sp(prefix [b_x, b_y] suffix g) with the full commutator
         [b_x, b_y] = t C_xy + sum_R eta_R omega_R(b_x, b_y) R."""
         chart = self.alg.chart(g_key)
-        acc = self.zero
         scal = chart.scalar[x][y] if x < y else -chart.scalar[y][x]
         if not scal.is_zero():
-            acc = acc + self.bword(g_key, prefix + suffix).scaled(scal)
-        return acc + self._refl_part(g_key, prefix, x, y, suffix)
+            _add_scaled(flat, self.bword(g_key, prefix + suffix), scal)
+        self._refl_part(flat, g_key, prefix, x, y, suffix)
 
-    def _refl_part(self, g_key, prefix, x, y, suffix) -> TraceValue:
-        """The reflection terms of [b_x, b_y] (equivalently of f_xy) pushed
-        through the suffix onto g; each contributing R g drops E by one.  The
-        chart's table holds x < y, so for x > y its (y, x) entries are negated."""
+    def _refl_part(self, flat, g_key, prefix, x, y, suffix):
+        """flat += the reflection terms of [b_x, b_y] (equivalently of f_xy)
+        pushed through the suffix onto g; each contributing R g drops E by
+        one.  The chart's table holds x < y, so for x > y its (y, x) entries
+        are negated.  The prefix keeps g's eigenletters and the suffix letters
+        are moved by R, all as letter ids."""
         chart = self.alg.chart(g_key)
         entries = chart.refl.get((x, y) if x < y else (y, x))
         if not entries:
-            return self.zero
-        acc = self.zero
-        head = tuple(chart.vectors[p] for p in prefix)
+            return
+        ids = chart.letter_ids
+        head = tuple([ids[p] for p in prefix])
         for rkey, coeff in entries:
             moved = chart.moved(rkey)
-            val = self.vectors(self.group.mul(rkey, g_key), head + tuple(moved[s] for s in suffix))
-            if not val.is_zero():
-                acc = acc + val.scaled(coeff if x < y else -coeff)
-        return acc
+            val = self.vectors(self.group.mul(rkey, g_key),
+                               head + tuple([moved[s] for s in suffix]))
+            if val.coeffs:
+                _add_times(flat, val, coeff if x < y else -coeff)
 
     def _special_step(self, g_key, word) -> TraceValue:
         """All letters lie in Ker(g - kappa): reorder onto the chosen Darboux
@@ -385,28 +418,27 @@ class _Evaluator:
         others = tuple(l for l in word if l != I and l != J)
         target = (I,) * p + (J,) * q + others
 
-        acc = self.zero
+        acc: dict = {}
         cur = list(word)
         for pos in range(len(target)):
             idx = cur.index(target[pos], pos)
             while idx > pos:
                 x, y = cur[idx - 1], cur[idx]
-                acc = acc + self._comm(g_key, tuple(cur[:idx - 1]), x, y,
-                                       tuple(cur[idx + 1:]))
+                self._comm(acc, g_key, tuple(cur[:idx - 1]), x, y, tuple(cur[idx + 1:]))
                 cur[idx - 1], cur[idx] = y, x
                 idx -= 1
 
-        ssum = self.zero
+        ssum: dict = {}
         for tp in range(p + 1):
-            ssum = ssum + self._refl_part(
-                g_key, (I,) * tp, I, J, (I,) * (p - tp) + (J,) * q + others)
+            self._refl_part(ssum, g_key, (I,) * tp, I, J, (I,) * (p - tp) + (J,) * q + others)
         for s in range(len(others)):
-            ssum = ssum + self._refl_part(
-                g_key, (I,) * (p + 1) + (J,) * q + others[:s], others[s], J,
-                others[s + 1:])
+            self._refl_part(ssum, g_key, (I,) * (p + 1) + (J,) * q + others[:s], others[s], J,
+                            others[s + 1:])
         scale = -(Cyclotomic.from_rational(Fraction(1, p + 1), self.alg.m)
                   * chart.scalar[I][J].inverse())
-        return acc + ssum.scaled(scale)
+        for key, c in ssum.items():
+            accumulate(acc, key, c * scale)
+        return self._value(acc)
 
 
 # -- eta = 0 closed form ------------------------------------------------------

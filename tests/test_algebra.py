@@ -252,13 +252,22 @@ def test_chart_coordinates_and_reflection_table(alg_name, request):
     one, zero = Cyclotomic.one(alg.m), Cyclotomic.zero(alg.m)
     for g_key in sorted(group.elements):
         chart = alg.chart(g_key)
-        # sum_I coords(e_i)_I b_I = e_i
+        # the standard letter x_i has id i, and sum_I coords(i)_I b_I = e_i
         for i in range(n):
             e_i = tuple(one if j == i else zero for j in range(n))
+            assert alg.intern(e_i) == i and alg.letter_vectors[i] == e_i
             acc = [zero] * n
-            for big_i, coeff in chart.coords(e_i):
+            for big_i, coeff in chart.coords(i):
                 acc = [a + coeff * v for a, v in zip(acc, chart.vectors[big_i])]
             assert tuple(acc) == e_i
+            assert sorted(p for ps in chart.coords_by_exponent(i).values() for p in ps) \
+                == list(chart.coords(i))
+            for e, pairs in chart.coords_by_exponent(i).items():
+                assert all(chart.exponents[big_i] == e for big_i, _ in pairs)
+        # an eigenletter's id maps back to its vector, whose only coordinate is itself
+        for big_i, letter in enumerate(chart.letter_ids):
+            assert alg.letter_vectors[letter] == chart.vectors[big_i]
+            assert chart.coords(letter) == ((big_i, one),)
         # for x < y, refl[(x, y)] lists exactly the R with omega_R(b_x, b_y)
         # != 0, each with the coefficient eta_R omega_R(b_x, b_y); the table
         # is upper-triangular, so (y, x) and (x, x) hold nothing

@@ -124,6 +124,53 @@ def _cyc(m):
     )
 
 
+def _reference_product(a: Cyclotomic, b: Cyclotomic) -> tuple[tuple[int, ...], int]:
+    """(num, den) of a b the slow way: the polynomial product of the
+    coordinate vectors, its remainder by long division by Phi_m, then the
+    gcd of the denominator with every coordinate divided out."""
+    phi = cyclotomic_polynomial(a.m)
+    deg = len(phi) - 1
+    rem = [0] * (2 * deg - 1)
+    for i, x in enumerate(a.num):
+        for j, y in enumerate(b.num):
+            rem[i + j] += x * y
+    for top in range(len(rem) - 1, deg - 1, -1):
+        c = rem[top]
+        for i in range(deg + 1):
+            rem[top - deg + i] -= c * phi[i]
+    num, den = rem[:deg], a.den * b.den
+    g = gcd(den, *num)
+    return tuple(x // g for x in num), den // g
+
+
+@st.composite
+def _operand_pairs(draw):
+    """(a, b) in one Q(zeta_m), each rational or not, built from coordinates
+    over a denominator that may be negative or not 1."""
+    m = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 12, 24, 60]))
+    deg = len(cyclotomic_polynomial(m)) - 1
+
+    def operand():
+        nums = draw(st.lists(st.integers(-50, 50), min_size=deg, max_size=deg))
+        if draw(st.booleans()):
+            nums[1:] = [0] * (deg - 1)
+        den = draw(st.integers(-12, 12).filter(bool))
+        return Cyclotomic(m, tuple(nums), den)
+
+    return operand(), operand()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_operand_pairs())
+def test_product_matches_the_reference(pair):
+    a, b = pair
+    got = a * b
+    assert (got.num, got.den) == _reference_product(a, b)
+    assert got.den > 0
+    assert gcd(got.den, *got.num) == 1
+    assert b * a == got
+
+
 @settings(max_examples=60, deadline=None)
 @given(_cyc(12), _cyc(12), _cyc(12))
 def test_field_axioms(a, b, c):

@@ -8,6 +8,7 @@ from sra.scalar import Cyclotomic
 from sra.linalg import rank
 from sra.group import cyclic_sp2, doubled_coxeter
 from sra.algebra import Algebra, _letters, relation_table
+from sra.expr import parse
 from sra.traces import (
     InconsistentGLCError,
     KappaEigenvaluePresentError,
@@ -20,6 +21,7 @@ from sra.traces import (
     cyclicity_failures,
     eta0_form,
     eta0_trace,
+    format_trace_value,
     even_monomials,
     functional_to_json,
     gram,
@@ -160,17 +162,24 @@ def test_confluence_strategies(kappa, z2, z3):
 def test_off_rule_eigen_words_vanish(alg_name, kappa, request):
     # g b_I g^-1 = lambda_I b_I and sp is conjugation invariant, so an
     # eigen-word with lambda_(I1) ... lambda_(Ik) != 1 has trace zero; bword
-    # reduces every word in full, so this checks the rule vectors prunes by
+    # reduces every word in full, so this checks the rule vectors prunes by.
+    # The same word spelled in the chart's letter ids goes through vectors,
+    # which must give the bword value on the rule and zero off it
     alg = request.getfixturevalue(alg_name)
     ev = _Evaluator(solve_glc(alg, kappa), "first", "first")
     off_rule = 0
     for g_key in alg.group.sorted_keys():
-        exps = alg.chart(g_key).exponents
+        chart = alg.chart(g_key)
+        exps = chart.exponents
         for k in range(1, 5):
             for word in itertools.product(range(alg.group.dim), repeat=k):
+                ids = tuple(chart.letter_ids[i] for i in word)
                 if sum(exps[i] for i in word) % alg.m:
                     off_rule += 1
                     assert ev.bword(g_key, word).is_zero(), (g_key, word)
+                    assert ev.vectors(g_key, ids).is_zero(), (g_key, word)
+                else:
+                    assert ev.vectors(g_key, ids) == ev.bword(g_key, word), (g_key, word)
     assert off_rule > 0
 
 
@@ -186,7 +195,7 @@ def _unpruned_value(fn: TraceFunctional, f) -> TraceValue:
         for letter in _letters(exp):
             nxt = {}
             for w, c in words.items():
-                for i, ci in chart.coords(alg.letters[letter]):
+                for i, ci in chart.coords(letter):
                     nxt[w + (i,)] = nxt.get(w + (i,), Cyclotomic.zero(alg.m)) + c * ci
             words = nxt
         for w, c in words.items():
@@ -204,6 +213,46 @@ def test_evaluate_matches_unpruned_expansion(alg_name, kappa, request):
     for _ in range(8):
         f = _random_definite(alg, rng, 6, keys)
         assert fn.evaluate(f) == _unpruned_value(fn, f)
+
+
+@pytest.mark.parametrize("alg_name", ["a2", "b2", "z3"])
+def test_evaluator_memos_are_keyed_by_letter_ids(alg_name, request):
+    # every word the evaluator memoizes is a tuple of letter ids, and the ids
+    # a chart hands out for h(b_0), h(b_1), ... are those vectors interned
+    alg = request.getfixturevalue(alg_name)
+    fn = solve_glc(alg, -1)
+    ev = _Evaluator(fn, "first", "first")
+    rng = random.Random(3)
+    keys = sorted(alg.group.elements)
+    for _ in range(6):
+        ev.element_value(_random_definite(alg, rng, 6, keys))
+    assert ev._vecs
+    for key in ev._vecs:
+        g_key, word = key
+        assert type(g_key) is int and type(word) is tuple
+        assert all(type(letter) is int for letter in word)
+    for g_key in keys:
+        chart = alg.chart(g_key)
+        for h_key in keys:
+            hmat = alg.group.elements[h_key].matrix
+            assert [alg.letter_vectors[i] for i in chart.moved(h_key)] \
+                == [hmat.matvec(v) for v in chart.vectors]
+
+
+def test_evaluate_refuses_an_algebra_with_another_t(z2):
+    # the normal form of a2*a1 depends on t: read with the t = 1 functional,
+    # the t = 2 element would give eta0*P0 where its own functional gives 0
+    other = Algebra(z2.group, t=2)
+    f = parse("a2*a1", other)
+    fn_t1, fn_t2 = solve_glc(z2, 1), solve_glc(other, 1)
+    assert format_trace_value(fn_t2.evaluate(f)) == "0"
+    with pytest.raises(ValueError, match="different algebras"):
+        fn_t1.evaluate(f)
+    # another algebra object over the same group and t is accepted
+    same = Algebra(z2.group)
+    assert fn_t1.evaluate(parse("a2*a1*g0", same)) == fn_t1.evaluate(parse("a2*a1*g0", z2))
+    assert format_trace_value(fn_t1.evaluate(parse("a2*a1*g0", same))) \
+        == "(-1/2 + 1/2*eta0^2)*P0"
 
 
 def test_glc_evaluator_consistency(a2):
