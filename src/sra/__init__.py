@@ -17,17 +17,16 @@ from .scalar import (
     parse_literal,
 )
 from .linalg import (
-    DecompositionIncompleteError,
     DegenerateRestrictionError,
     Matrix,
     darboux_basis,
     det,
-    eigen_decompose,
     form_value,
     kernel_basis,
     rank,
 )
 from .group import (
+    DecompositionIncompleteError,
     Group,
     GroupElement,
     NotReflectionError,
@@ -79,9 +78,9 @@ __all__ = [
     "KappaEigenvaluePresentError", "Matrix", "NotReflectionError",
     "NotSymplecticError", "ParseError", "TraceFunctional", "TraceValue",
     "builtin", "close", "cyclic_sp2", "cyclotomic_polynomial", "darboux_basis",
-    "det", "dihedral", "direct_product", "doubled_coxeter", "eigen_decompose",
-    "eta0_form", "eta0_trace", "even_monomials", "form_value",
-    "functional_to_json", "gram", "group_from_dict", "group_to_dict",
+    "det", "dihedral", "direct_product", "doubled_coxeter", "eta0_form",
+    "eta0_trace", "even_monomials", "form_value", "functional_to_json",
+    "gram", "group_from_dict", "group_to_dict",
     "kappa_commutator", "kernel_basis", "literal", "load_group", "parse",
     "parse_literal", "print_element", "rank", "save_group", "solve_glc",
     "standard_omega", "symmetrized_monomial", "verify_glc",

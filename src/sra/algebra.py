@@ -184,39 +184,28 @@ class Frame:
 
 class EigenbasisChart:
     """Eigenbasis of one group element: b_I = sum_i M^i_I a_i with
-    g(b_I) = lambda_I b_I and lambda_I = zeta_m^(e_I), e_I in `exponents`;
-    the +1 and -1 eigenvalue blocks are Darboux bases of their eigenspaces
-    (Group.e_grading), so the kappa-block relation table is the normal
-    shape.  `scalar` and `refl` are the relation table of
-    the b letters (see relation_table), and `letter_ids` their ids in the
-    algebra's letter table (Algebra.intern).  `coords(letter)` gives the
-    chart coordinates of any interned letter, and `coords_by_exponent` the
-    same grouped by e_I.  The chart is shared by every evaluator of the
-    algebra, and it memoizes the letters moved by a group element h as ids
-    (`moved`) and the regular-step factors of a letter (`regular_factors`)."""
+    g(b_I) = zeta_m^(e_I) b_I, e_I in `exponents`, read in order from
+    Group.spectrum: the eigenspaces are solved once per class and moved to
+    the conjugates, and the +1 and -1 blocks (e_I = 0 and m/2) are Darboux
+    bases, so the kappa-block relation table is the normal shape;
+    `kappa_letters` and `kappa_pairs` are those blocks and their Darboux
+    pairs.  `scalar` and `refl` are the relation table of the b letters (see
+    relation_table), and `letter_ids` their ids in the algebra's letter table
+    (Algebra.intern).  `coords(letter)` gives the chart coordinates of any
+    interned letter, and `coords_by_exponent` the same grouped by e_I.  The
+    chart is shared by every evaluator of the algebra, and it memoizes the
+    letters moved by a group element h as ids (`moved`) and the regular-step
+    factors of a letter (`regular_factors`)."""
 
     def __init__(self, algebra: "Algebra", g_key):
         self.algebra = algebra
         self.group = group = algebra.group
-        m = group.exponent
-        lams: list[Cyclotomic] = []
+        exponents: list[int] = []
         vectors = []
-        plus_one = Cyclotomic.one(m)
-        minus_one = Cyclotomic.from_rational(-1, m)
-        for lam, space in group.spectrum(g_key):
-            if lam == plus_one:
-                space = group.e_grading(g_key, +1)[1]
-            elif lam == minus_one:
-                space = group.e_grading(g_key, -1)[1]
-            for v in space:
-                lams.append(lam)
-                vectors.append(v)
-        self.lams = tuple(lams)
-        exponents = tuple(lam.root_exponent() for lam in lams)
-        if None in exponents:
-            raise ArithmeticError(
-                f"C{group.class_of[g_key]} has an eigenvalue that is not a power of zeta_{m}")
-        self.exponents = exponents
+        for k, space in group.spectrum(g_key):
+            exponents.extend([k] * len(space))
+            vectors.extend(space)
+        self.exponents = tuple(exponents)
         self.vectors = tuple(vectors)
         self.letter_ids = tuple(map(algebra.intern, self.vectors))
         n = group.dim
@@ -229,8 +218,9 @@ class EigenbasisChart:
         self._factors: dict = {}
         self.kappa_pairs = {}
         self.kappa_letters = {}
-        for kappa, lam_val in ((+1, plus_one), (-1, minus_one)):
-            idxs = [i for i, lv in enumerate(lams) if lv == lam_val]
+        for kappa in (+1, -1):
+            e = group.kappa_exponent(kappa)
+            idxs = [i for i, k in enumerate(exponents) if k == e]
             self.kappa_pairs[kappa] = [(idxs[2 * r], idxs[2 * r + 1])
                                        for r in range(len(idxs) // 2)]
             self.kappa_letters[kappa] = frozenset(idxs)
@@ -265,12 +255,12 @@ class EigenbasisChart:
         return got
 
     def regular_factors(self, kappa: int, L: int):
-        """(1, kappa lambda_L) / (1 - kappa lambda_L) for a letter b_L with
-        lambda_L != kappa, the factors of the regular step, memoized per
-        (kappa, L)."""
+        """(1, kappa lambda_L) / (1 - kappa lambda_L), lambda_L = zeta_m^(e_L),
+        for a letter b_L with lambda_L != kappa, the factors of the regular
+        step, memoized per (kappa, L)."""
         got = self._factors.get((kappa, L))
         if got is None:
-            kl = self.lams[L] * kappa
+            kl = Cyclotomic.root_of_unity(self.group.exponent, self.exponents[L]) * kappa
             inv = (Cyclotomic.one(kl.m) - kl).inverse()
             got = self._factors[(kappa, L)] = (inv, kl * inv)
         return got

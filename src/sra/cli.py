@@ -12,11 +12,12 @@ import random
 import sys
 from fractions import Fraction
 
-from .scalar import DEFAULT_CAP, literal, render_cyclotomic, render_eta
+from .scalar import DEFAULT_CAP, literal, render_eta
 from .group import BUILTINS, builtin, load_group, save_group
 from .algebra import Algebra
 from .traces import (
     InconsistentGLCError,
+    _eta_poly_json,
     _trace_value_json,
     confluence_failures,
     cyclicity_failures,
@@ -66,6 +67,14 @@ def _make_group(args):
     if kind == "product":
         value = [_parse_factor(s) for s in value.split(",")]
     return builtin(kind, cap=args.cap, **{param: value})
+
+
+def _rational(option: str, text: str) -> Fraction:
+    """The rational value of an option, or a ValueError naming the option."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{option} needs a rational number, not {text!r}") from None
 
 
 def _kappas(arg: str):
@@ -147,7 +156,7 @@ def cmd_counts(args):
 
 def cmd_glc(args):
     group = _make_group(args)
-    algebra = Algebra(group, t=Fraction(args.t))
+    algebra = Algebra(group, t=_rational("--t", args.t))
     payload = _group_header(group)
     payload["kappa"] = {}
     lines = [f"group {group.name}: ground level conditions"]
@@ -167,7 +176,7 @@ def cmd_glc(args):
 
 def cmd_eval(args):
     group = _make_group(args)
-    algebra = Algebra(group, t=Fraction(args.t))
+    algebra = Algebra(group, t=_rational("--t", args.t))
     payload = _group_header(group)
     payload["expr"] = args.expr
     payload["kappa"] = {}
@@ -180,16 +189,19 @@ def cmd_eval(args):
         entry = {"free_classes": [f"C{ci}" for ci in fn.free_classes],
                  "value": _trace_value_json(val)}
         if group.eta_assignment is not None and group.n_eta:
-            point = [group.eta_assignment.get(i, Fraction(0)) for i in range(group.n_eta)]
-            at_eta = {f"P{i}": c.evaluate(point) for i, c in sorted(val.coeffs.items())}
-            entry["eta_point"] = [str(x) for x in point]
-            entry["value_at_eta"] = {k: literal(c) for k, c in at_eta.items()}
+            # a "symbolic" eta stays a variable of the values at the point
+            point = [group.eta_assignment.get(i) for i in range(group.n_eta)]
+            at_eta = {f"P{i}": c.substitute(point) for i, c in sorted(val.coeffs.items())}
+            entry["eta_point"] = ["symbolic" if x is None else str(x) for x in point]
+            entry["value_at_eta"] = {
+                k: _eta_poly_json(c) if None in point else literal(c.constant_term())
+                for k, c in at_eta.items()}
         payload["kappa"][str(kappa)] = entry
         word = "tr" if kappa == 1 else "str"
         lines.append(f"kappa = {kappa:+d}: {word}(expr) = {_tv_human(val)}")
         if "value_at_eta" in entry:
             # at_eta runs in parameter order (P2 before P10); vanishing values are left out
-            at = ", ".join(f"{k}: {render_cyclotomic(c)[0]}" for k, c in at_eta.items()
+            at = ", ".join(f"{k}: {render_eta(c)[0]}" for k, c in at_eta.items()
                            if not c.is_zero())
             lines.append(f"  at eta = ({', '.join(entry['eta_point'])}): {at or '0'}")
     _emit(payload, args, lines)
@@ -218,15 +230,15 @@ def cmd_oracle_check(args):
 
 def cmd_gram(args):
     group = _make_group(args)
-    algebra = Algebra(group, t=Fraction(args.t))
+    algebra = Algebra(group, t=_rational("--t", args.t))
     payload = _group_header(group)
     payload["kappa"] = {}
     lines = []
+    assignment = None
+    if args.assignment:
+        assignment = [_rational("--assignment", x) for x in args.assignment.split(",")]
     for kappa in _kappas(args.kappa):
         fn = solve_glc(algebra, kappa, verify=False)
-        assignment = None
-        if args.assignment:
-            assignment = [Fraction(x) for x in args.assignment.split(",")]
         report = gram(fn, args.degree, assignment=assignment,
                       compute_determinant=not args.no_determinant)
         payload["kappa"][str(kappa)] = report.to_dict()

@@ -17,10 +17,10 @@ multiplication touches a matrix.  Matrices stay on the elements for the
 spectral data (E-grading, eigenspaces, omega_R, charts).
 
 The class search also records, for every element k, a conjugator h with
-k = h rep h^-1.  Only the class representatives solve a kernel and a
-Darboux basis of Ker(g - kappa) (`e_grading`); every other element gets the
-representative's basis moved by its conjugator, and each moved vector is
-checked to be a kappa-eigenvector of the element itself.
+k = h rep h^-1.  `eigenspace`, the one source of spectral data (`e_grading`
+and `spectrum` are views of it), solves Ker(g - zeta_m^k) on the class
+representatives only; every other element gets its representative's basis
+moved by its conjugator, checked to be eigenvectors of the element itself.
 """
 
 from __future__ import annotations
@@ -34,12 +34,10 @@ from math import cos, hypot, lcm, pi, sin
 from .scalar import (DEFAULT_CAP, GRAM_BASIS_CAP, POWER_CAP, CapExceededError, Cyclotomic,
                      literal, parse_literal)
 from .linalg import (
-    DecompositionIncompleteError,
     Matrix,
     _dot,
     darboux_basis,
     det,
-    eigen_decompose,
     form_value,
     inverse,
     kernel_basis,
@@ -47,6 +45,10 @@ from .linalg import (
     vec_is_zero,
     vec_scale,
 )
+
+class DecompositionIncompleteError(Exception):
+    """Eigenspaces of the m-th roots of unity do not fill the whole space."""
+
 
 class NotSymplecticError(ValueError):
     """A generator does not preserve the symplectic form."""
@@ -111,9 +113,8 @@ class Group:
             k for ci in refl_classes for k in self.classes[ci])
         self.eta_vars = {ci: vi for vi, ci in enumerate(refl_classes)}
         self.eta_assignment: dict[int, Fraction] | None = None  # optional, from files
-        self._egrading: dict = {}
+        self._eigenspace: dict = {}
         self._omega_r: dict = {}
-        self._spectrum: dict = {}
 
     # -- basic structure ----------------------------------------------------
 
@@ -175,55 +176,72 @@ class Group:
 
     # -- spectral data ------------------------------------------------------
 
-    def e_grading(self, key, kappa: int):
-        """E = dim Ker(g - kappa)/2 together with a Darboux basis of the
-        kappa-eigenspace, cached.
+    def eigenspace(self, key, k: int):
+        """A basis of Ker(g - zeta_m^k), cached per (element, k).
 
-        Only a class representative solves the kernel and the Darboux basis.
-        Every other element g' = h rep h^-1, h = conjugator[g'], gets the
-        images h c_1, ..., h c_2E of the representative's basis: h is
-        invertible and preserves omega, and dim Ker(g' - kappa) = 2E, so they
-        are a Darboux basis of Ker(g' - kappa).  A real check guards the
-        transport: each image v must satisfy g' v = kappa v, or an
-        ArithmeticError names the class C<i> and the element index.
+        Only a class representative solves the kernel, made a Darboux basis
+        when zeta_m^k = +1 or -1.  Every other element g' = h rep h^-1, h =
+        conjugator[g'], gets the images under h of the representative's
+        basis: h is invertible and preserves omega, so they are a basis of
+        Ker(g' - zeta_m^k), and a Darboux one at +1 and -1.  A real check
+        guards the transport: each image v must satisfy g' v = zeta_m^k v, or
+        an ArithmeticError names the class C<i> and the element index.
         """
-        got = self._egrading.get((key, kappa))
+        got = self._eigenspace.get((key, k))
         if got is None:
+            m = self.exponent
             ci = self.class_of[key]
             rep = self.class_rep[ci]
-            lam = Cyclotomic.from_rational(kappa, self.exponent)
+            lam = Cyclotomic.root_of_unity(m, k)
             g = self.elements[key].matrix
             if key == rep:
-                space = kernel_basis(g.minus_scalar(lam))
-                if len(space) % 2 != 0:
-                    raise ArithmeticError(f"C{ci}: odd-dimensional kappa-eigenspace "
-                                          "(impossible in Sp(2N))")
-                got = (len(space) // 2, tuple(darboux_basis(space, self.omega)))
+                got = kernel_basis(g.minus_scalar(lam))
+                if 2 * k % m == 0:
+                    if len(got) % 2 != 0:
+                        raise ArithmeticError(f"C{ci}: odd-dimensional kappa-eigenspace "
+                                              "(impossible in Sp(2N))")
+                    got = tuple(darboux_basis(got, self.omega))
             else:
-                e_val, basis = self.e_grading(rep, kappa)
                 h = self.elements[self.conjugator[key]].matrix
-                got = (e_val, tuple(h.matvec(c) for c in basis))
-                if any(g.matvec(v) != vec_scale(v, lam) for v in got[1]):
+                got = tuple(h.matvec(c) for c in self.eigenspace(rep, k))
+                if any(g.matvec(v) != vec_scale(v, lam) for v in got):
                     raise ArithmeticError(
-                        f"C{ci}: the kappa = {kappa} Darboux basis of the representative "
-                        f"{rep}, moved to element {key}, leaves Ker(g - kappa)")
-            self._egrading[(key, kappa)] = got
+                        f"C{ci}: the zeta_{m}^{k} eigenbasis of the representative {rep}, "
+                        f"moved to element {key}, leaves Ker(g - zeta_{m}^{k})")
+            self._eigenspace[(key, k)] = got
         return got
 
+    def kappa_exponent(self, kappa: int) -> int | None:
+        """k with zeta_m^k = kappa = +1 or -1; None for -1 at odd m."""
+        m = self.exponent
+        return 0 if kappa == 1 else m // 2 if m % 2 == 0 else None
+
+    def e_grading(self, key, kappa: int):
+        """E = dim Ker(g - kappa)/2 and the Darboux basis of Ker(g - kappa)."""
+        k = self.kappa_exponent(kappa)
+        basis = () if k is None else self.eigenspace(key, k)
+        return len(basis) // 2, basis
+
     def spectrum(self, key):
-        """Eigen-decomposition [(lambda, basis tuple)] of an element, cached."""
-        got = self._spectrum.get(key)
-        if got is None:
-            el = self.elements[key]
-            got = eigen_decompose(el.matrix, self.exponent, order=el.order)
-            self._spectrum[key] = got
-        return got
+        """The nonzero eigenspaces [(k, basis)] over the multiples k of
+        m/order, in increasing k; raises DecompositionIncompleteError when
+        they do not fill the space."""
+        m = self.exponent
+        spaces = [(k, self.eigenspace(key, k)) for k in range(0, m, m // self.elements[key].order)]
+        out = [(k, basis) for k, basis in spaces if basis]
+        total = sum(len(basis) for _, basis in out)
+        if total != self.dim:
+            raise DecompositionIncompleteError(
+                f"C{self.class_of[key]}: eigenspaces of the {m}-th roots of unity span "
+                f"{total} < {self.dim} dimensions")
+        return out
 
     def invariant_failures(self) -> list[int]:
         """Indices of the elements g that break an invariant of Sp(2N):
-        g^T omega g = omega, det g = 1, g diagonalizable with root-of-unity
-        eigenvalues, the spectrum closed under inversion, and +1 and -1 of
-        even multiplicity."""
+        g^T omega g = omega, det g = 1, g diagonalizable with eigenvalues
+        zeta_m^k for the multiples k of m/order, the spectrum closed under
+        inversion, and +1 and -1 of even multiplicity.  Each element solves
+        its own kernels, not the moved ones of eigenspace."""
         m = self.exponent
         one = Cyclotomic.one(m)
 
@@ -231,15 +249,11 @@ class Group:
             mat = self.elements[key].matrix
             if not (mat.transpose() * self.omega * mat == self.omega and det(mat) == one):
                 return False
-            try:
-                spec = self.spectrum(key)
-            except DecompositionIncompleteError:
-                return False
-            mults = {lam.root_exponent(): len(s) for lam, s in spec}
-            return (sum(len(s) for _, s in spec) == self.dim
-                    and None not in mults
+            mults = {k: len(kernel_basis(mat.minus_scalar(Cyclotomic.root_of_unity(m, k))))
+                     for k in range(0, m, m // self.elements[key].order)}
+            return (sum(mults.values()) == self.dim
                     and all(mults.get((-k) % m) == d for k, d in mults.items())
-                    and mults.get(0, 0) % 2 == 0
+                    and mults[0] % 2 == 0
                     and (m % 2 == 1 or mults.get(m // 2, 0) % 2 == 0))
 
         return [key for key in sorted(self.elements) if not holds(key)]

@@ -1,8 +1,8 @@
 """Exact linear algebra over Q(zeta_m): one fraction-free elimination behind
 rank, kernels, inverses and determinants (the determinant also over any exact
 ring, such as the eta-polynomials), the connected components that split a
-matrix into diagonal blocks, eigen-decomposition of finite-order matrices,
-and symplectic (Darboux) bases of subspaces.
+matrix into diagonal blocks, and symplectic (Darboux) bases of subspaces.
+The eigenspaces of group elements are kernels, solved in sra.group.
 
 Pivoting is deterministic (first nonzero column, lowest row index), so every
 derived basis -- and everything downstream that consumes one -- is
@@ -12,10 +12,6 @@ reproducible run to run.
 from __future__ import annotations
 
 from .scalar import Cyclotomic, literal
-
-
-class DecompositionIncompleteError(Exception):
-    """Eigenspaces of the m-th roots of unity do not fill the whole space."""
 
 
 class DegenerateRestrictionError(Exception):
@@ -306,32 +302,6 @@ def inverse(mat: Matrix) -> Matrix:
         raise ZeroDivisionError("singular matrix")
     cols = _null_vectors(a, piv_cols, 2 * n, m)
     return Matrix(n, n, [cols[j][i] for i in range(n) for j in range(n)])
-
-
-def eigen_decompose(g: Matrix, m: int, order: int | None = None):
-    """Eigen-decomposition of a finite-order matrix over Q(zeta_m).
-
-    Returns a list of (eigenvalue, basis tuple) pairs with nonzero eigenspaces,
-    sorted by the root-of-unity exponent of the eigenvalue.  Raises
-    DecompositionIncompleteError when the eigenspaces do not fill the space
-    (i.e. the input is not of finite order dividing m).
-    """
-    n = g.rows
-    candidates = range(m) if order is None else range(0, m, m // order) if m % order == 0 else range(m)
-    out = []
-    total = 0
-    for k in candidates:
-        lam = Cyclotomic.root_of_unity(m, k)
-        ker = kernel_basis(g.minus_scalar(lam))
-        if ker:
-            out.append((lam, ker))
-            total += len(ker)
-        if total == n:
-            break
-    if total != n:
-        raise DecompositionIncompleteError(
-            f"eigenspaces of the {m}-th roots of unity span {total} < {n} dimensions")
-    return out
 
 
 def form_value(omega: Matrix, u: Vector, v: Vector) -> Cyclotomic:

@@ -145,7 +145,6 @@ class _CycContext:
             powers.append(tuple(cur))
             cur = self._times_x(cur)
         self.powers = powers
-        self.power_index = {p: k for k, p in enumerate(powers)}
         self.zero = Cyclotomic(m, (0,) * self.deg, 1, _canonical=True)
         self.one = Cyclotomic(m, powers[0], 1, _canonical=True)
 
@@ -260,12 +259,6 @@ class Cyclotomic:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
         return Fraction(self.num[0], self.den)
-
-    def root_exponent(self) -> int | None:
-        """k with self == zeta_m^k, or None if self is not a root of unity."""
-        if self.den != 1:
-            return None
-        return _context(self.m).power_index.get(self.num)
 
     def key(self):
         """Deterministic sort/hash key."""
@@ -813,18 +806,30 @@ class EtaPolynomial:
     def __hash__(self):
         return hash((self.nvars, self.m, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
 
-    def evaluate(self, point: list[Fraction]) -> Cyclotomic:
-        """Evaluate at a rational point, one value per eta variable."""
+    def substitute(self, point) -> "EtaPolynomial":
+        """Substitute a rational value for each eta variable whose slot of
+        `point` holds one; the variables whose slot is None stay symbolic."""
         if len(point) != self.nvars:
             raise ValueError("evaluation point arity mismatch")
-        vals = [Fraction(p) for p in point]
-        acc = Cyclotomic.zero(self.m)
+        vals = [None if p is None else Fraction(p) for p in point]
+        out: dict[tuple[int, ...], Cyclotomic] = {}
         for e, c in self.terms.items():
             q = Fraction(1)
             for exp, v in zip(e, vals):
-                q *= v ** exp
-            acc = acc + c * Cyclotomic.from_rational(q, self.m)
-        return acc
+                if v is not None:
+                    q *= v ** exp
+            rest = tuple(0 if v is not None else exp for exp, v in zip(e, vals))
+            accumulate(out, rest, c * Cyclotomic.from_rational(q, self.m))
+        return EtaPolynomial(self.nvars, self.m, out)
+
+    def evaluate(self, point: list[Fraction]) -> Cyclotomic:
+        """Evaluate at a rational point, one value per eta variable."""
+        if None in point:
+            raise ValueError("evaluation point has a symbolic slot")
+        return self.substitute(point).constant_term()
+
+    def constant_term(self) -> Cyclotomic:
+        return self.terms.get((0,) * self.nvars, Cyclotomic.zero(self.m))
 
     def rational_roots(self) -> list[Fraction]:
         """All rational roots of a univariate polynomial over Q(zeta_m).

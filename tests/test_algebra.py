@@ -229,7 +229,8 @@ def test_chart_diagonalizes(a2):
     for g_key in sorted(a2.group.elements)[:4]:
         chart = a2.chart(g_key)
         gmat = a2.group.elements[g_key].matrix
-        for lam, vec in zip(chart.lams, chart.vectors):
+        for e, vec in zip(chart.exponents, chart.vectors):
+            lam = Cyclotomic.root_of_unity(a2.m, e)
             assert gmat.matvec(vec) == tuple(x * lam for x in vec)
         # kappa blocks form Darboux pairs
         for kappa in (+1, -1):

@@ -121,6 +121,47 @@ def test_eval_at_eta_line_in_parameter_order(tmp_path, capsys):
     assert entry["value_at_eta"] == {f"P{i}": "1" if i == 7 else "0" for i in range(11)}
 
 
+def test_eval_at_eta_keeps_a_symbolic_eta(tmp_path, capsys):
+    # doubled B_2 with eta0 = 1/2 and eta1 left symbolic: only eta0 is
+    # substituted, where a symbolic eta1 used to read as 0
+    path = tmp_path / "b2.json"
+    assert run(capsys, "group", "--builtin", "doubled-B", "--rank", "2",
+               "--save", str(path))[0] == 0
+    content = json.loads(path.read_text())
+    lines = {}
+    for r1 in ("symbolic", "0"):
+        content["eta"] = {"R0": "1/2", "R1": r1}
+        path.write_text(json.dumps(content))
+        code, out, _ = run(capsys, "eval", "--group", str(path), "--kappa", "-1",
+                           "--expr", "a1*a3")
+        assert code == 0
+        lines[r1] = out.splitlines()[-1].strip()
+    assert lines["symbolic"] == "at eta = (1/2, symbolic): P0: -1/2*eta1, P1: 3/8 - 1/2*eta1^2"
+    assert lines["0"] == "at eta = (1/2, 0): P1: 3/8"
+    content["eta"] = {"R0": "1/2", "R1": "symbolic"}
+    path.write_text(json.dumps(content))
+    code, out, _ = run(capsys, "--json", "eval", "--group", str(path), "--kappa", "-1",
+                       "--expr", "a1*a3")
+    entry = json.loads(out)["kappa"]["-1"]
+    assert entry["eta_point"] == ["1/2", "symbolic"]
+    # the eta-polynomial schema of "value"
+    assert [(t["exponent"], t["coeff"]["literal"]) for t in entry["value_at_eta"]["P1"]] \
+        == [([0, 0], "3/8"), ([0, 2], "-1/2")]
+    assert [(t["exponent"], t["coeff"]["literal"]) for t in entry["value_at_eta"]["P0"]] \
+        == [([0, 1], "-1/2")]
+
+
+@pytest.mark.parametrize("argv, option, text", [
+    (("glc", "--builtin", "cyclic", "--n", "2", "--t", "1/0"), "--t", "1/0"),
+    (("eval", "--builtin", "cyclic", "--n", "2", "--t", "one", "--expr", "a1"), "--t", "one"),
+    (("gram", "--builtin", "cyclic", "--n", "2", "--assignment", "1/0"), "--assignment", "1/0"),
+])
+def test_bad_rational_option_names_the_option(capsys, argv, option, text):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err == f"error: {option} needs a rational number, not {text!r}\n"
+
+
 def test_gram_cli(capsys):
     code, out, _ = run(capsys, "gram", "--builtin", "cyclic", "--n", "2",
                        "--kappa", "-1", "--degree", "0")

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from sra.scalar import Cyclotomic
+from sra.algebra import Algebra
 from sra.linalg import Matrix, form_value, kernel_basis, rank
 from sra.group import (
     CapExceededError,
+    DecompositionIncompleteError,
     NotReflectionError,
     NotSymplecticError,
     builtin,
@@ -48,8 +50,8 @@ def test_doubled_a2():
     assert g.n_eta == 1
     # doubled transposition: eigenvalues {1, 1, -1, -1}
     refl = g.reflections[0]
-    spec = {lam.as_rational(): len(s) for lam, s in g.spectrum(refl)}
-    assert spec == {Fraction(1): 2, Fraction(-1): 2}
+    assert g.exponent == 6
+    assert [(k, len(s)) for k, s in g.spectrum(refl)] == [(0, 2), (3, 2)]
     assert g.e_grading(refl, +1)[0] == 1
     assert g.klein() is None
 
@@ -158,25 +160,103 @@ def test_class_functions_constant():
     ("product", {"factors": [("cyclic", {"n": 2}), ("doubled-A", {"rank": 3})]}),
 ])
 def test_transported_eigenbases_match_each_element(kind, params):
-    # a non-representative's basis is its representative's moved by the recorded
-    # conjugator; check it against the element's own kernel and against omega
+    # a non-representative's eigenspaces are its representative's moved by the
+    # recorded conjugator; check each against the element's own kernel, and
+    # the +1 and -1 bases against omega
     g = builtin(kind, **params)
     one, zero = Cyclotomic.one(g.exponent), Cyclotomic.zero(g.exponent)
     for key, el in g.elements.items():
         rep, h = g.class_rep[g.class_of[key]], g.conjugator[key]
         assert g.mul(g.mul(h, rep), g.inv(h)) == key
+        spectrum = g.spectrum(key)
+        assert sum(len(basis) for _, basis in spectrum) == g.dim
+        for k, basis in spectrum:
+            lam = Cyclotomic.root_of_unity(g.exponent, k)
+            assert len(kernel_basis(el.matrix.minus_scalar(lam))) == len(basis) > 0
+            for v in basis:
+                assert el.matrix.matvec(v) == tuple(x * lam for x in v)
         for kappa in (+1, -1):
             lam = Cyclotomic.from_rational(kappa, g.exponent)
             e_val, basis = g.e_grading(key, kappa)
             assert len(kernel_basis(el.matrix.minus_scalar(lam))) == 2 * e_val == len(basis)
-            for v in basis:
-                assert el.matrix.matvec(v) == tuple(x * lam for x in v)
             for i, u in enumerate(basis):
                 for j, w in enumerate(basis):
                     want = (one if j == i + 1 and i % 2 == 0 else
                             -one if i == j + 1 and j % 2 == 0 else zero)
                     assert form_value(g.omega, u, w) == want
     assert all(g.conjugator[rep] == g.identity_key() for rep in g.class_rep)
+
+
+def test_spectrum_identity():
+    g = doubled_coxeter("B", 2)
+    spectrum = g.spectrum(g.identity_key())
+    assert [(k, len(basis)) for k, basis in spectrum] == [(0, g.dim)]
+
+
+def test_spectrum_diagonal():
+    # the generator diag(zeta_4, zeta_4^3) of the cyclic group of order 4
+    g = cyclic_sp2(4)
+    gen = g.generator_keys[0]
+    spectrum = g.spectrum(gen)
+    assert [(k, len(basis)) for k, basis in spectrum] == [(1, 1), (3, 1)]
+    mat = g.elements[gen].matrix
+    for k, basis in spectrum:
+        lam = Cyclotomic.root_of_unity(g.exponent, k)
+        assert all(mat.matvec(v) == tuple(x * lam for x in v) for v in basis)
+
+
+def test_spectrum_incomplete():
+    # an element order that misses the eigenvalues zeta_4^(1, 3): the
+    # eigenspaces of zeta_4^(0, 2) span nothing
+    g = cyclic_sp2(4)
+    gen = g.generator_keys[0]
+    g.elements[gen].order = 2
+    with pytest.raises(DecompositionIncompleteError,
+                       match=rf"^C{g.class_of[gen]}: .* span 0 < 2 dimensions"):
+        g.spectrum(gen)
+
+
+def test_moved_eigenspace_of_a_root_of_unity_is_checked():
+    # S_3: the two 3-cycles form one class with eigenvalues zeta_3^(+-1);
+    # the identity as a conjugator moves the representative's zeta_3
+    # eigenvectors onto the other 3-cycle, where they have eigenvalue zeta_3^-1
+    g = doubled_coxeter("A", 3)
+    ci = next(i for i, cls in enumerate(g.classes) if g.elements[cls[0]].order == 3)
+    key = g.classes[ci][1]
+    g.conjugator[key] = g.identity_key()
+    k = g.exponent // 3
+    assert g.eigenspace(g.class_rep[ci], k)
+    with pytest.raises(ArithmeticError, match=rf"^C{ci}: .* to element {key}, leaves"):
+        g.eigenspace(key, k)
+
+
+def test_kernels_are_solved_on_class_representatives_only(monkeypatch):
+    # every chart of the doubled dihedral group I_2(5) reads its eigenspaces
+    # from Group.spectrum, and only the class representatives solve a kernel,
+    # each (representative, k) once; a kernel solved inside sra.linalg counts too
+    import sra.group
+    import sra.linalg
+    g = dihedral(5)
+    real = sra.linalg.kernel_basis
+    solved = []
+
+    def counting(mat):
+        solved.append(mat.key())
+        return real(mat)
+
+    monkeypatch.setattr(sra.group, "kernel_basis", counting)
+    monkeypatch.setattr(sra.linalg, "kernel_basis", counting)
+    alg = Algebra(g)
+    for key in g.sorted_keys():
+        alg.chart(key)
+    on_reps = {g.elements[rep].matrix.minus_scalar(Cyclotomic.root_of_unity(g.exponent, k)).key()
+               for rep in g.class_rep for k in range(g.exponent)}
+    assert solved and len(solved) == len(set(solved))
+    assert set(solved) <= on_reps
+    # the rotations' classes are moved with zeta_10 eigenvalues
+    moved = [key for key in g.sorted_keys() if key not in g.class_rep
+             and any(2 * k % g.exponent for k, _ in g.spectrum(key))]
+    assert len(moved) == 2
 
 
 def test_eigenbasis_failures_name_the_class(monkeypatch):

@@ -9,13 +9,11 @@ from sra.group import builtin
 from sra.algebra import Algebra
 from sra.traces import gram, solve_glc
 from sra.linalg import (
-    DecompositionIncompleteError,
     DegenerateRestrictionError,
     Matrix,
     components,
     darboux_basis,
     det,
-    eigen_decompose,
     form_value,
     fraction_free_det,
     inverse,
@@ -212,32 +210,6 @@ def test_components_of_empty_and_diagonal_patterns():
     assert components([[zero, zero], [zero, zero]]) == [[0], [1]]
     # a one-sided entry joins its row and column
     assert components([[one, zero, zero], [zero, one, zero], [one, zero, zero]]) == [[0, 2], [1]]
-
-
-def test_eigen_identity():
-    m = 4
-    decomp = eigen_decompose(Matrix.identity(4, m), m)
-    assert len(decomp) == 1
-    lam, space = decomp[0]
-    assert lam == Cyclotomic.one(m) and len(space) == 4
-
-
-def test_eigen_diagonal():
-    m = 4
-    z = Cyclotomic.root_of_unity(m)
-    g = mat([[z, rat(0, m)], [rat(0, m), z ** 3]], m)
-    decomp = eigen_decompose(g, m)
-    assert [(lam, len(s)) for lam, s in decomp] == [(z, 1), (z ** 3, 1)]
-    for lam, space in decomp:
-        for v in space:
-            assert g.matvec(v) == tuple(x * lam for x in v)
-
-
-def test_eigen_incomplete():
-    m = 2
-    jordan = mat([[1, 1], [0, 1]], m)
-    with pytest.raises(DecompositionIncompleteError):
-        eigen_decompose(jordan, m)
 
 
 def test_darboux_standard_plane():

@@ -228,6 +228,21 @@ def test_literal_fuzz_fails_closed(tokens, sep):
     assert parse_literal(literal(x), 6) == x
 
 
+def test_eta_polynomial_partial_substitution():
+    # p = 1 - eta0^2 - eta0*eta1 at eta0 = 1/2, eta1 symbolic: 3/4 - 1/2*eta1
+    m = 3
+    eta0, eta1 = EtaPolynomial.variable(0, 2, m), EtaPolynomial.variable(1, 2, m)
+    p = EtaPolynomial.constant(1, 2, m) - eta0 * eta0 - eta0 * eta1
+    half = Fraction(1, 2)
+    assert p.substitute([half, None]) == EtaPolynomial.constant(Fraction(3, 4), 2, m) \
+        - eta1.scaled(Cyclotomic.from_rational(half, m))
+    assert p.substitute([None, None]) == p
+    assert p.substitute([half, 2]).constant_term() == p.evaluate([half, 2]) \
+        == Cyclotomic.from_rational(Fraction(-1, 4), m)
+    with pytest.raises(ValueError, match="symbolic"):
+        p.evaluate([half, None])
+
+
 def test_eta_polynomial_basics():
     m = 1
     eta = EtaPolynomial.variable(0, 1, m)
