@@ -217,9 +217,14 @@ class Group:
         return 0 if kappa == 1 else m // 2 if m % 2 == 0 else None
 
     def e_grading(self, key, kappa: int):
-        """E = dim Ker(g - kappa)/2 and the Darboux basis of Ker(g - kappa)."""
+        """E = dim Ker(g - kappa)/2 and the Darboux basis of Ker(g - kappa).
+        Every eigenvalue of g is a power of zeta_m^(m/order), so when k is not
+        a multiple of m/order the kernel is known to be empty and is not
+        solved."""
         k = self.kappa_exponent(kappa)
-        basis = () if k is None else self.eigenspace(key, k)
+        if k is None or k % (self.exponent // self.elements[key].order):
+            return 0, ()
+        basis = self.eigenspace(key, k)
         return len(basis) // 2, basis
 
     def spectrum(self, key):

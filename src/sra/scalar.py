@@ -645,14 +645,45 @@ def _divisors_of(n: int) -> list[int]:
 
 def accumulate(out: dict, key, value):
     """out[key] += value, dropping the key when the sum vanishes, so that a
-    sparse map never stores a zero.  The one zero-dropping add of the package:
-    eta-polynomials, algebra elements and trace values all sum through it."""
+    sparse map never stores a zero.  The zero-dropping add of eta-polynomials,
+    algebra elements and trace values; a long sum of cyclotomics into one
+    map goes through add_partial and settle instead."""
     cur = out.get(key)
     s = value if cur is None else cur + value
     if s.is_zero():
         out.pop(key, None)
     else:
         out[key] = s
+
+
+def add_partial(partial: dict, key, x: Cyclotomic):
+    """partial[key] += x for a map of partial sums [integer numerators,
+    positive denominator] over one order m.  An add with the key's
+    denominator only adds integers, one with another rescales both to the
+    lcm; nothing is normalized until settle."""
+    cur = partial.get(key)
+    if cur is None:
+        partial[key] = [x.num, x.den]
+        return
+    num, den = cur
+    if x.den == den:
+        cur[0] = [a + b for a, b in zip(num, x.num)]
+    else:
+        g = gcd(den, x.den)
+        s, t = x.den // g, den // g
+        cur[0] = [a * s + b * t for a, b in zip(num, x.num)]
+        cur[1] = den * s
+
+
+def settle(partial: dict, m: int) -> dict:
+    """{key: canonical Cyclotomic} from a map of add_partial sums, each
+    reduced with one gcd; the keys whose sum cancelled are dropped."""
+    out = {}
+    for key, (num, den) in partial.items():
+        if any(num):
+            num, den = _normalize(m, num, den)
+            out[key] = Cyclotomic(m, num, den, _canonical=True)
+    return out
 
 
 def _divides(d: int, v: int) -> bool:

@@ -23,12 +23,15 @@ with g b_I g^-1 = lambda_I b_I.  A kappa-trace is invariant under
 conjugation by group elements, so sp(b_(I1) ... b_(Ik) g) =
 lambda_(I1) ... lambda_(Ik) sp(b_(I1) ... b_(Ik) g): the trace is zero unless
 the product of the eigenvalues is 1, and only those eigen-words are built.
+The coefficient of an eigen-word is formed only when its trace is nonzero.
 
 Letters are ids into the algebra's letter table (Algebra.intern), so a word
 is a tuple of small ints and every memo key is (group key, tuple of ints).
 Inside the evaluator a sum of c sp(...) terms is one flat map {(P index, eta
-exponent): cyclotomic} that every term adds into through `accumulate`; a
-TraceValue is built once per memo entry.
+exponent): partial sum} that every term adds into through `add_partial`,
+integer numerators over one denominator per key; each memo entry is settled
+once into a TraceValue, which normalizes every key with one gcd and drops the
+keys that cancelled.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .scalar import (GRAM_BASIS_CAP, CapExceededError, Cyclotomic, EtaPolynomial, accumulate,
-                     literal, render_eta, render_sum, render_term)
+                     add_partial, literal, render_eta, render_sum, render_term, settle)
 from .linalg import Matrix, components, fraction_free_det, inverse
 from .group import Group
 from .algebra import (Algebra, AlgebraElement, _letters, kappa_commutator, relation_table,
@@ -94,9 +97,10 @@ class TraceValue:
 
     @staticmethod
     def from_flat(nparams: int, nvars: int, m: int, flat: dict) -> "TraceValue":
-        """The value of a flat map {(P index, eta exponent): nonzero coefficient}."""
+        """The value of a flat map {(P index, eta exponent): partial sum} of
+        add_partial, settled: the keys that cancelled are dropped."""
         polys: dict = {}
-        for (i, e), c in flat.items():
+        for (i, e), c in settle(flat, m).items():
             polys.setdefault(i, {})[e] = c
         return TraceValue(nparams, {i: EtaPolynomial(nvars, m, terms)
                                     for i, terms in polys.items()})
@@ -248,10 +252,11 @@ def verify_glc(functional: TraceFunctional):
 
 
 def _add_scaled(flat: dict, val: TraceValue, c: Cyclotomic):
-    """flat += c val, for a flat map {(P index, eta exponent): coefficient}."""
+    """flat += c val, for a flat map {(P index, eta exponent): partial sum}
+    (see add_partial)."""
     for i, poly in val.coeffs.items():
         for e, k in poly.terms.items():
-            accumulate(flat, (i, e), k * c)
+            add_partial(flat, (i, e), k * c)
 
 
 def _add_times(flat: dict, val: TraceValue, coeff: EtaPolynomial):
@@ -259,7 +264,23 @@ def _add_times(flat: dict, val: TraceValue, coeff: EtaPolynomial):
     for i, poly in val.coeffs.items():
         for e, k in poly.terms.items():
             for e2, c2 in coeff.terms.items():
-                accumulate(flat, (i, tuple([a + b for a, b in zip(e, e2)])), k * c2)
+                add_partial(flat, (i, tuple([a + b for a, b in zip(e, e2)])), k * c2)
+
+
+def _prefix_product(products: dict, cols, w) -> Cyclotomic:
+    """The product of the coordinates cols[j][w[j]] along the prefix w,
+    memoized per prefix in `products`, which holds every prefix of length 1:
+    each prefix missing from it is multiplied once, from its longest prefix
+    already there."""
+    c = products.get(w)
+    if c is None:
+        j = len(w) - 1
+        while w[:j] not in products:
+            j -= 1
+        c = products[w[:j]]
+        for j in range(j, len(w)):
+            c = products[w[:j + 1]] = c * cols[j][w[j]]
+    return c
 
 
 class _Evaluator:
@@ -267,8 +288,8 @@ class _Evaluator:
 
     Words are tuples of letter ids (Algebra.intern); a bword word is a tuple
     of eigen-indices I of the chart of its group element.  The steps add
-    their terms into flat maps (see _add_scaled), and bword and vectors turn
-    each memo entry's map into one TraceValue."""
+    their terms into flat maps of partial sums (see _add_scaled), and bword
+    and vectors settle each memo entry's map into one TraceValue."""
 
     def __init__(self, functional: TraceFunctional, regular_strategy: str,
                  pair_strategy: str):
@@ -306,7 +327,11 @@ class _Evaluator:
         sum s, and the last letter keeps the coordinates I with e_I = -s mod
         m.  Conjugation by g scales every other eigen-word by its product of
         eigenvalues, so its trace is zero.  Distinct prefixes give distinct
-        words, so the prefixes are a plain list."""
+        words, so the prefixes are a plain list of eigen-indices and exponent
+        sums, integer work only.  The coefficient of a prefix, the product of
+        its letters' coordinates, is formed only for an eigen-word whose trace
+        is nonzero, and memoized per prefix, so each needed node of the
+        prefix tree is multiplied once."""
         if len(word) % 2 == 1:
             return self.zero             # every nonzero kappa-trace is even
         if not word:
@@ -315,18 +340,18 @@ class _Evaluator:
         if got is None:
             chart = self.alg.chart(g_key)
             exps, m = chart.exponents, self.alg.m
-            prefixes = [((i,), exps[i], c) for i, c in chart.coords(word[0])]
-            for letter in word[1:-1]:
-                col = chart.coords(letter)
-                prefixes = [(w + (i,), s + exps[i], c * ci)
-                            for w, s, c in prefixes for i, ci in col]
+            cols = [dict(chart.coords(letter)) for letter in word[:-1]]
+            prefixes = [((i,), exps[i]) for i in cols[0]]
+            for col in cols[1:]:
+                prefixes = [(w + (i,), s + exps[i]) for w, s in prefixes for i in col]
+            products = {(i,): c for i, c in cols[0].items()}
             last = chart.coords_by_exponent(word[-1])
             flat: dict = {}
-            for w, s, c in prefixes:
+            for w, s in prefixes:
                 for i, ci in last.get(-s % m, ()):
                     val = self.bword(g_key, w + (i,))
                     if val.coeffs:
-                        _add_scaled(flat, val, c * ci)
+                        _add_scaled(flat, val, _prefix_product(products, cols, w) * ci)
             got = self._vecs[(g_key, word)] = self._value(flat)
         return got
 
@@ -370,8 +395,8 @@ class _Evaluator:
         first, second = self.alg.chart(g_key).regular_factors(self.kappa, L)
         flat: dict = {}
         for part, factor in ((before, first), (after, second)):
-            for key, c in part.items():
-                accumulate(flat, key, c * factor)
+            for key, c in settle(part, self.alg.m).items():
+                add_partial(flat, key, c * factor)
         return self._value(flat)
 
     def _comm(self, flat, g_key, prefix, x, y, suffix):
@@ -436,8 +461,8 @@ class _Evaluator:
                             others[s + 1:])
         scale = -(Cyclotomic.from_rational(Fraction(1, p + 1), self.alg.m)
                   * chart.scalar[I][J].inverse())
-        for key, c in ssum.items():
-            accumulate(acc, key, c * scale)
+        for key, c in settle(ssum, self.alg.m).items():
+            add_partial(acc, key, c * scale)
         return self._value(acc)
 
 

@@ -259,6 +259,35 @@ def test_kernels_are_solved_on_class_representatives_only(monkeypatch):
     assert len(moved) == 2
 
 
+def test_e_grading_solves_no_kernel_known_empty(monkeypatch):
+    # dihedral 5 has m = 10, so kappa = -1 is zeta_10^5; the identity and the
+    # order-5 rotations have no eigenvalue -1 and solve no kernel for it:
+    # both GLC solves make 5 kernel_basis calls, one per representative at
+    # k = 0 and one for the reflections at k = 5
+    import sra.group
+    import sra.linalg
+    from sra.traces import solve_glc
+    g = dihedral(5)
+    real = sra.linalg.kernel_basis
+    solved = []
+
+    def counting(mat):
+        solved.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(sra.group, "kernel_basis", counting)
+    monkeypatch.setattr(sra.linalg, "kernel_basis", counting)
+    alg = Algebra(g)
+    for kappa in (1, -1):
+        solve_glc(alg, kappa)
+    assert len(solved) == 5
+    # every element of odd order reads E = 0 at kappa = -1 without a solve
+    for key in g.sorted_keys():
+        if g.elements[key].order % 2:
+            assert g.e_grading(key, -1) == (0, ())
+    assert len(solved) == 5
+
+
 def test_eigenbasis_failures_name_the_class(monkeypatch):
     g = doubled_coxeter("A", 3)
     # the transpositions: E = 1 for kappa = +1, and each fixes its own plane

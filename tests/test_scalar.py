@@ -13,10 +13,13 @@ from sra.scalar import (
     _context,
     _divisors_of,
     accumulate,
+    add_partial,
     cyclotomic_polynomial,
     literal,
     parse_literal,
+    settle,
 )
+from sra.traces import TraceValue
 
 # the tokens the literal fuzz draws: pieces of the grammar and of near misses
 _LITERAL_TOKENS = ["z", "^", "*", "+", "-", "0", "1", "2", "1/2", "3/4", "1/0", "z^2", "2z",
@@ -359,6 +362,45 @@ def test_accumulate_drops_vanishing_sums():
     accumulate(out, "d", Cyclotomic.one(m))
     accumulate(out, "d", Cyclotomic.one(m))
     assert out == {"d": Cyclotomic.from_rational(2, m)}
+
+
+@st.composite
+def _partial_sums(draw):
+    """(m, [(key, x), ...]): adds into the keys (P index, eta exponent) of a
+    flat map, with coordinates over denominators +-1 ... 12; some adds are
+    undone later, so that their key may cancel to zero."""
+    m = draw(st.sampled_from([1, 2, 3, 4, 5, 12, 60]))
+    deg = len(cyclotomic_polynomial(m)) - 1
+    keys = st.tuples(st.integers(0, 2), st.tuples(st.integers(0, 2)))
+    adds = []
+    for _ in range(draw(st.integers(0, 12))):
+        nums = draw(st.lists(st.integers(-30, 30), min_size=deg, max_size=deg))
+        den = draw(st.sampled_from([d for d in range(-12, 13) if d]))
+        adds.append((draw(keys), Cyclotomic(m, tuple(nums), den)))
+    undone = draw(st.sets(st.integers(0, len(adds) - 1))) if adds else set()
+    adds.extend((adds[i][0], -adds[i][1]) for i in sorted(undone))
+    return m, draw(st.permutations(adds))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_partial_sums())
+def test_partial_sums_settle_to_the_chained_adds(case):
+    # add_partial + settle against a chain of Cyclotomic.__add__ per key: the
+    # same canonical values (positive denominator, content 1), and a key
+    # whose sum cancelled is absent, from the settled map and the TraceValue
+    m, adds = case
+    partial, chained = {}, {}
+    for key, x in adds:
+        add_partial(partial, key, x)
+        chained[key] = chained.get(key, Cyclotomic.zero(m)) + x
+    want = {key: s for key, s in chained.items() if not s.is_zero()}
+    got = settle(partial, m)
+    assert got == want
+    for c in got.values():
+        assert c.den > 0 and gcd(c.den, *c.num) == 1
+    value = TraceValue.from_flat(3, 1, m, partial)
+    assert {(i, e) for i, p in value.coeffs.items() for e in p.terms} == set(want)
+    assert all(value.coeffs[i].terms[e] == c for (i, e), c in want.items())
 
 
 def test_difference_with_itself_has_no_terms():

@@ -215,6 +215,48 @@ def test_evaluate_matches_unpruned_expansion(alg_name, kappa, request):
         assert fn.evaluate(f) == _unpruned_value(fn, f)
 
 
+def test_vectors_multiplies_only_for_nonzero_eigen_words(a2, monkeypatch):
+    # an S_3 word of degree 6 times an element of order 3: with the _bword
+    # memo warm, vectors makes one product per prefix of length >= 2 of the
+    # eigen-words with a nonzero trace and one per such word (the length-1
+    # prefixes are coordinates), and hands each word's value on with the
+    # product of its letters' coordinates
+    import sra.traces
+    group = a2.group
+    fn = solve_glc(a2, -1)
+    ev = _Evaluator(fn, "first", "first")
+    g_key = next(rep for rep in group.class_rep if group.elements[rep].order == 3)
+    word = (0, 2, 1, 3, 0, 2)
+    ev.vectors(g_key, word)
+    cols = [dict(a2.chart(g_key).coords(letter)) for letter in word]
+    words = {id(val): w for (gk, w), val in ev._bword.items()
+             if gk == g_key and len(w) == len(word) and val.coeffs
+             and all(i in col for i, col in zip(w, cols))}
+    prefixes = {w[:j] for w in words.values() for j in range(2, len(word))}
+    built = list(itertools.product(*cols))
+    assert 0 < len(words) < len(built)
+
+    del ev._vecs[(g_key, word)]
+    real = Cyclotomic.__mul__
+    products, scaled = [], []
+
+    def counting(a, b):
+        products.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", counting)
+    monkeypatch.setattr(sra.traces, "_add_scaled", lambda flat, val, c: scaled.append((val, c)))
+    ev.vectors(g_key, word)
+    monkeypatch.undo()
+    assert len(products) == len(prefixes) + len(words)
+    assert sorted(words[id(val)] for val, _ in scaled) == sorted(words.values())
+    for val, c in scaled:
+        want = Cyclotomic.one(a2.m)
+        for i, col in zip(words[id(val)], cols):
+            want = want * col[i]
+        assert c == want
+
+
 @pytest.mark.parametrize("alg_name", ["a2", "b2", "z3"])
 def test_evaluator_memos_are_keyed_by_letter_ids(alg_name, request):
     # every word the evaluator memoizes is a tuple of letter ids, and the ids
