@@ -35,7 +35,6 @@ from .scalar import (DEFAULT_CAP, GRAM_BASIS_CAP, POWER_CAP, CapExceededError, C
                      literal, parse_literal)
 from .linalg import (
     Matrix,
-    _dot,
     darboux_basis,
     det,
     form_value,
@@ -307,12 +306,6 @@ class Group:
             got = (a_cov, b_cov)
             self._omega_r[refl_key] = got
         return got
-
-    def omega_r(self, refl_key, x, y) -> Cyclotomic:
-        """omega_R(x, y) for one pair of vectors; algebra.relation_table
-        computes eta_R omega_R for every pair of a list of letters at once."""
-        a_cov, b_cov = self.omega_r_covectors(refl_key)
-        return _dot(x, b_cov) * _dot(y, a_cov) - _dot(x, a_cov) * _dot(y, b_cov)
 
 
 # -- closure ----------------------------------------------------------------

@@ -306,15 +306,7 @@ def inverse(mat: Matrix) -> Matrix:
 
 def form_value(omega: Matrix, u: Vector, v: Vector) -> Cyclotomic:
     """omega(u, v) = u^T Omega v."""
-    return _dot(u, omega.matvec(v))
-
-
-def _dot(u: Vector, v: Vector) -> Cyclotomic:
-    acc = Cyclotomic.zero(u[0].m if u else 1)
-    for a, b in zip(u, v):
-        if not a.is_zero() and not b.is_zero():
-            acc = acc + a * b
-    return acc
+    return sparse_dot(support(u), omega.matvec(v), Cyclotomic.zero(omega.order()))
 
 
 def darboux_basis(basis, omega: Matrix) -> list[Vector]:

@@ -200,6 +200,29 @@ def _normalize(m: int, num: list[int] | tuple[int, ...], den: int):
     return tuple(num), den
 
 
+def _times(m: int, x, y) -> list[int]:
+    """Integer coordinates of x y for two coordinate vectors of Q(zeta_m):
+    their polynomial product, each coefficient of x^j with j >= phi(m)
+    folded down from the top by x^phi(m) = sum_k t_k x^k mod Phi_m."""
+    ctx = _context(m)
+    deg = ctx.deg
+    num = [0] * (2 * deg - 1)
+    i = 0
+    for a in x:
+        if a:
+            j = i
+            for b in y:
+                num[j] += a * b
+                j += 1
+        i += 1
+    for j in range(2 * deg - 2, deg - 1, -1):
+        c = num.pop()
+        if c:
+            for k, t in ctx.top:
+                num[j - deg + k] += c * t
+    return num
+
+
 class Cyclotomic:
     """Element of Q(zeta_m) in canonical reduced form."""
 
@@ -329,8 +352,7 @@ class Cyclotomic:
 
     def __mul__(self, other):
         """The product in one pass: the polynomial product of the coordinate
-        vectors, each coefficient of x^j with j >= phi(m) folded down from
-        the top by x^phi(m) = sum_k t_k x^k mod Phi_m, then the gcd of the
+        vectors folded mod Phi_m (see _times), then the gcd of the
         denominator with every coordinate divided out.  A rational operand
         only scales the other one's coordinates."""
         if type(other) is not Cyclotomic or other.m != self.m:
@@ -341,22 +363,7 @@ class Cyclotomic:
         num = None
         if any(b.num[1:]):
             if any(a.num[1:]):
-                ctx = _context(a.m)
-                deg = ctx.deg
-                num = [0] * (2 * deg - 1)
-                i = 0
-                for x in a.num:
-                    if x:
-                        j = i
-                        for y in b.num:
-                            num[j] += x * y
-                            j += 1
-                    i += 1
-                for j in range(2 * deg - 2, deg - 1, -1):
-                    c = num.pop()
-                    if c:
-                        for k, t in ctx.top:
-                            num[j - deg + k] += c * t
+                num = _times(a.m, a.num, b.num)
             else:
                 a, b = b, a
         if num is None:
@@ -645,9 +652,9 @@ def _divisors_of(n: int) -> list[int]:
 
 def accumulate(out: dict, key, value):
     """out[key] += value, dropping the key when the sum vanishes, so that a
-    sparse map never stores a zero.  The zero-dropping add of eta-polynomials,
-    algebra elements and trace values; a long sum of cyclotomics into one
-    map goes through add_partial and settle instead."""
+    sparse map never stores a zero.  The zero-dropping add of a fixed number
+    of eta-polynomials, algebra elements or trace values; a long sum of
+    cyclotomic products goes through add_product and settle instead."""
     cur = out.get(key)
     s = value if cur is None else cur + value
     if s.is_zero():
@@ -656,34 +663,39 @@ def accumulate(out: dict, key, value):
         out[key] = s
 
 
-def add_partial(partial: dict, key, x: Cyclotomic):
-    """partial[key] += x for a map of partial sums [integer numerators,
-    positive denominator] over one order m.  An add with the key's
-    denominator only adds integers, one with another rescales both to the
-    lcm; nothing is normalized until settle."""
+def add_product(partial: dict, key, a: Cyclotomic, b: Cyclotomic):
+    """partial[key] += a b for a map of partial sums [integer numerators,
+    positive denominator] over one order m.  The raw product (a rational
+    operand scales the other's coordinates, else _times) over the product
+    of the denominators is added with no gcd and no object: with the key's
+    denominator only integers are added, another rescales both to the lcm.
+    Nothing is normalized until settle."""
+    if not any(b.num[1:]):
+        c = b.num[0]
+        num = [c * x for x in a.num]
+    elif not any(a.num[1:]):
+        c = a.num[0]
+        num = [c * y for y in b.num]
+    else:
+        num = _times(a.m, a.num, b.num)
+    den = a.den * b.den
     cur = partial.get(key)
     if cur is None:
-        partial[key] = [x.num, x.den]
-        return
-    num, den = cur
-    if x.den == den:
-        cur[0] = [a + b for a, b in zip(num, x.num)]
+        partial[key] = [num, den]
+    elif cur[1] == den:
+        cur[0] = [x + y for x, y in zip(cur[0], num)]
     else:
-        g = gcd(den, x.den)
-        s, t = x.den // g, den // g
-        cur[0] = [a * s + b * t for a, b in zip(num, x.num)]
-        cur[1] = den * s
+        g = gcd(cur[1], den)
+        s, t = den // g, cur[1] // g
+        cur[0] = [x * s + y * t for x, y in zip(cur[0], num)]
+        cur[1] *= s
 
 
 def settle(partial: dict, m: int) -> dict:
-    """{key: canonical Cyclotomic} from a map of add_partial sums, each
+    """{key: canonical Cyclotomic} from a map of add_product sums, each
     reduced with one gcd; the keys whose sum cancelled are dropped."""
-    out = {}
-    for key, (num, den) in partial.items():
-        if any(num):
-            num, den = _normalize(m, num, den)
-            out[key] = Cyclotomic(m, num, den, _canonical=True)
-    return out
+    return {key: Cyclotomic(m, *_normalize(m, num, den), _canonical=True)
+            for key, (num, den) in partial.items() if any(num)}
 
 
 def _divides(d: int, v: int) -> bool:
@@ -817,11 +829,18 @@ class EtaPolynomial:
         if other is None:
             return NotImplemented
         self._check(other)
-        out: dict[tuple[int, ...], Cyclotomic] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return EtaPolynomial(self.nvars, self.m, out)
+        a, b = (other, self) if len(self.terms) == 1 else (self, other)
+        if len(b.terms) == 1:
+            # the products of a one-term operand cannot collide, so each is
+            # final as it is formed, with no partial sum to settle
+            (e2, c2), = b.terms.items()
+            return EtaPolynomial(self.nvars, self.m, {
+                tuple([x + y for x, y in zip(e1, e2)]): c1 * c2 for e1, c1 in a.terms.items()})
+        out: dict = {}
+        for e1, c1 in a.terms.items():
+            for e2, c2 in b.terms.items():
+                add_product(out, tuple([x + y for x, y in zip(e1, e2)]), c1, c2)
+        return EtaPolynomial(self.nvars, self.m, settle(out, self.m))
 
     def scaled(self, c: Cyclotomic) -> "EtaPolynomial":
         if c.is_zero():
@@ -843,15 +862,15 @@ class EtaPolynomial:
         if len(point) != self.nvars:
             raise ValueError("evaluation point arity mismatch")
         vals = [None if p is None else Fraction(p) for p in point]
-        out: dict[tuple[int, ...], Cyclotomic] = {}
+        out: dict = {}
         for e, c in self.terms.items():
             q = Fraction(1)
             for exp, v in zip(e, vals):
                 if v is not None:
                     q *= v ** exp
             rest = tuple(0 if v is not None else exp for exp, v in zip(e, vals))
-            accumulate(out, rest, c * Cyclotomic.from_rational(q, self.m))
-        return EtaPolynomial(self.nvars, self.m, out)
+            add_product(out, rest, c, Cyclotomic.from_rational(q, self.m))
+        return EtaPolynomial(self.nvars, self.m, settle(out, self.m))
 
     def evaluate(self, point: list[Fraction]) -> Cyclotomic:
         """Evaluate at a rational point, one value per eta variable."""
@@ -888,7 +907,9 @@ class EtaPolynomial:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("eta-polynomial division by zero")
-        rem = dict(self.terms)
+        # the remainder holds partial sums of add_product; a term that
+        # cancelled is dropped when it becomes the largest
+        rem = {e: [c.num, c.den] for e, c in self.terms.items()}
         out: dict[tuple[int, ...], Cyclotomic] = {}
 
         def grlex_key(e):
@@ -896,16 +917,21 @@ class EtaPolynomial:
 
         lead_e = max(other.terms, key=grlex_key)
         lead_c_inv = other.terms[lead_e].inverse()
+        # the lead term cancels the remainder's largest term exactly
+        rest = [(e2, c2) for e2, c2 in other.terms.items() if e2 != lead_e]
         while rem:
             e = max(rem, key=grlex_key)
+            num, den = rem.pop(e)
+            if not any(num):
+                continue
             diff = tuple(a - b for a, b in zip(e, lead_e))
             if any(d < 0 for d in diff):
                 raise ArithmeticError("non-exact eta-polynomial division")
-            q = rem[e] * lead_c_inv
+            q = Cyclotomic(self.m, *_normalize(self.m, num, den), _canonical=True) * lead_c_inv
             out[diff] = q
             neg_q = -q
-            for e2, c2 in other.terms.items():
-                accumulate(rem, tuple(a + b for a, b in zip(diff, e2)), neg_q * c2)
+            for e2, c2 in rest:
+                add_product(rem, tuple([a + b for a, b in zip(diff, e2)]), neg_q, c2)
         return EtaPolynomial(self.nvars, self.m, out)
 
     def sorted_terms(self):

@@ -28,10 +28,11 @@ The coefficient of an eigen-word is formed only when its trace is nonzero.
 Letters are ids into the algebra's letter table (Algebra.intern), so a word
 is a tuple of small ints and every memo key is (group key, tuple of ints).
 Inside the evaluator a sum of c sp(...) terms is one flat map {(P index, eta
-exponent): partial sum} that every term adds into through `add_partial`,
-integer numerators over one denominator per key; each memo entry is settled
-once into a TraceValue, which normalizes every key with one gcd and drops the
-keys that cancelled.
+exponent): partial sum} that every product adds into through `add_product`,
+integer numerators over one denominator per key.  Each memo entry is that
+map settled, {(P index, eta exponent): Cyclotomic}: every key normalized with
+one gcd, the keys that cancelled dropped.  Only element_value turns a settled
+map into a TraceValue.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .scalar import (GRAM_BASIS_CAP, CapExceededError, Cyclotomic, EtaPolynomial, accumulate,
-                     add_partial, literal, render_eta, render_sum, render_term, settle)
+                     add_product, literal, render_eta, render_sum, render_term, settle)
 from .linalg import Matrix, components, fraction_free_det, inverse
 from .group import Group
 from .algebra import (Algebra, AlgebraElement, _letters, kappa_commutator, relation_table,
@@ -97,10 +98,10 @@ class TraceValue:
 
     @staticmethod
     def from_flat(nparams: int, nvars: int, m: int, flat: dict) -> "TraceValue":
-        """The value of a flat map {(P index, eta exponent): partial sum} of
-        add_partial, settled: the keys that cancelled are dropped."""
+        """The value of a settled flat map {(P index, eta exponent):
+        Cyclotomic}."""
         polys: dict = {}
-        for (i, e), c in settle(flat, m).items():
+        for (i, e), c in flat.items():
             polys.setdefault(i, {})[e] = c
         return TraceValue(nparams, {i: EtaPolynomial(nvars, m, terms)
                                     for i, terms in polys.items()})
@@ -251,20 +252,18 @@ def verify_glc(functional: TraceFunctional):
                         f"residual {format_trace_value(residual)}")
 
 
-def _add_scaled(flat: dict, val: TraceValue, c: Cyclotomic):
+def _add_scaled(flat: dict, val: dict, c: Cyclotomic):
     """flat += c val, for a flat map {(P index, eta exponent): partial sum}
-    (see add_partial)."""
-    for i, poly in val.coeffs.items():
-        for e, k in poly.terms.items():
-            add_partial(flat, (i, e), k * c)
+    (see add_product) and a settled one."""
+    for key, k in val.items():
+        add_product(flat, key, k, c)
 
 
-def _add_times(flat: dict, val: TraceValue, coeff: EtaPolynomial):
-    """flat += coeff val, for a flat map and an eta-polynomial coefficient."""
-    for i, poly in val.coeffs.items():
-        for e, k in poly.terms.items():
-            for e2, c2 in coeff.terms.items():
-                add_partial(flat, (i, tuple([a + b for a, b in zip(e, e2)])), k * c2)
+def _add_times(flat: dict, val: dict, coeff: EtaPolynomial):
+    """flat += coeff val, for a settled val and an eta-polynomial coefficient."""
+    for (i, e), k in val.items():
+        for e2, c2 in coeff.terms.items():
+            add_product(flat, (i, tuple([a + b for a, b in zip(e, e2)])), k, c2)
 
 
 def _prefix_product(products: dict, cols, w) -> Cyclotomic:
@@ -289,7 +288,7 @@ class _Evaluator:
     Words are tuples of letter ids (Algebra.intern); a bword word is a tuple
     of eigen-indices I of the chart of its group element.  The steps add
     their terms into flat maps of partial sums (see _add_scaled), and bword
-    and vectors settle each memo entry's map into one TraceValue."""
+    and vectors memoize each map settled."""
 
     def __init__(self, functional: TraceFunctional, regular_strategy: str,
                  pair_strategy: str):
@@ -303,7 +302,6 @@ class _Evaluator:
         self.kappa = functional.kappa
         self.regular_strategy = regular_strategy
         self.pair_strategy = pair_strategy
-        self.zero = TraceValue.zero(functional.nparams)
         self._bword: dict = {}
         self._vecs: dict = {}
 
@@ -316,11 +314,12 @@ class _Evaluator:
         flat: dict = {}
         for (exp, gk), coeff in f.terms.items():
             _add_times(flat, self.vectors(gk, _letters(exp)), coeff)
-        return self._value(flat)
+        return TraceValue.from_flat(self.fn.nparams, self.alg.nvars, self.alg.m,
+                                    settle(flat, self.alg.m))
 
-    def vectors(self, g_key, word: tuple[int, ...]) -> TraceValue:
-        """Trace of a word of letter ids times g: the word is expanded in the
-        eigenbasis of g into eigen-words.
+    def vectors(self, g_key, word: tuple[int, ...]) -> dict:
+        """Trace of a word of letter ids times g, as a settled flat map: the
+        word is expanded in the eigenbasis of g into eigen-words.
 
         Only the eigen-words b_(I1) ... b_(Ik) with lambda_(I1) ... lambda_(Ik)
         = 1 are built: each prefix b_(I1) ... b_(I(k-1)) carries its exponent
@@ -333,7 +332,7 @@ class _Evaluator:
         is nonzero, and memoized per prefix, so each needed node of the
         prefix tree is multiplied once."""
         if len(word) % 2 == 1:
-            return self.zero             # every nonzero kappa-trace is even
+            return {}                    # every nonzero kappa-trace is even
         if not word:
             return self.bword(g_key, ())
         got = self._vecs.get((g_key, word))
@@ -350,22 +349,20 @@ class _Evaluator:
             for w, s in prefixes:
                 for i, ci in last.get(-s % m, ()):
                     val = self.bword(g_key, w + (i,))
-                    if val.coeffs:
+                    if val:
                         _add_scaled(flat, val, _prefix_product(products, cols, w) * ci)
-            got = self._vecs[(g_key, word)] = self._value(flat)
+            got = self._vecs[(g_key, word)] = settle(flat, m)
         return got
-
-    def _value(self, flat: dict) -> TraceValue:
-        return TraceValue.from_flat(self.fn.nparams, self.alg.nvars, self.alg.m, flat)
 
     # -- eigen-words ----------------------------------------------------------
 
-    def bword(self, g_key, word: tuple[int, ...]) -> TraceValue:
+    def bword(self, g_key, word: tuple[int, ...]) -> dict:
         got = self._bword.get((g_key, word))
         if got is not None:
             return got
         if not word:
-            got = self.fn.element_value(g_key)
+            got = {(i, e): c for i, p in self.fn.element_value(g_key).coeffs.items()
+                   for e, c in p.terms.items()}
         else:
             kappa_letters = self.alg.chart(g_key).kappa_letters[self.kappa]
             regular = [s for s, letter in enumerate(word) if letter not in kappa_letters]
@@ -376,7 +373,7 @@ class _Evaluator:
         self._bword[(g_key, word)] = got
         return got
 
-    def _regular_step(self, g_key, word, regular_positions) -> TraceValue:
+    def _regular_step(self, g_key, word, regular_positions) -> dict:
         """Cyclically cancel the chosen regular letter b_L (eigenvalue lambda
         != kappa) at position s.  With rest the word without it and
         c_j = sp(rest[:j] [rest_j, b_L] rest[j+1:] g),
@@ -395,9 +392,8 @@ class _Evaluator:
         first, second = self.alg.chart(g_key).regular_factors(self.kappa, L)
         flat: dict = {}
         for part, factor in ((before, first), (after, second)):
-            for key, c in settle(part, self.alg.m).items():
-                add_partial(flat, key, c * factor)
-        return self._value(flat)
+            _add_scaled(flat, settle(part, self.alg.m), factor)
+        return settle(flat, self.alg.m)
 
     def _comm(self, flat, g_key, prefix, x, y, suffix):
         """flat += sp(prefix [b_x, b_y] suffix g) with the full commutator
@@ -424,10 +420,10 @@ class _Evaluator:
             moved = chart.moved(rkey)
             val = self.vectors(self.group.mul(rkey, g_key),
                                head + tuple([moved[s] for s in suffix]))
-            if val.coeffs:
+            if val:
                 _add_times(flat, val, coeff if x < y else -coeff)
 
-    def _special_step(self, g_key, word) -> TraceValue:
+    def _special_step(self, g_key, word) -> dict:
         """All letters lie in Ker(g - kappa): reorder onto the chosen Darboux
         pair and trade the monomial for insertions that lower E."""
         chart = self.alg.chart(g_key)
@@ -461,9 +457,8 @@ class _Evaluator:
                             others[s + 1:])
         scale = -(Cyclotomic.from_rational(Fraction(1, p + 1), self.alg.m)
                   * chart.scalar[I][J].inverse())
-        for key, c in settle(ssum, self.alg.m).items():
-            add_partial(acc, key, c * scale)
-        return self._value(acc)
+        _add_scaled(acc, settle(ssum, self.alg.m), scale)
+        return settle(acc, self.alg.m)
 
 
 # -- eta = 0 closed form ------------------------------------------------------
@@ -540,8 +535,8 @@ def _eta0_coefficient(quad, exp: tuple[int, ...], m: int) -> Cyclotomic:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 if any(a > b for a, b in zip(e, exp)):
                     continue
-                accumulate(nxt, e, c1 * c2)
-        power = nxt
+                add_product(nxt, e, c1, c2)
+        power = settle(nxt, m)
     coeff = power.get(tuple(exp), zero)
     return coeff * Cyclotomic.from_rational(Fraction(factorial(deg), factorial(deg // 2)), m)
 

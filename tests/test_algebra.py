@@ -246,7 +246,7 @@ def test_chart_of_diagonal_element(z3):
 
 
 @pytest.mark.parametrize("alg_name", ["z2", "z3", "a2"])
-def test_chart_coordinates_and_reflection_table(alg_name, request):
+def test_chart_coordinates_and_reflection_table(alg_name, request, omega_r):
     alg = request.getfixturevalue(alg_name)
     group = alg.group
     n = group.dim
@@ -278,7 +278,7 @@ def test_chart_coordinates_and_reflection_table(alg_name, request):
             for y in range(x + 1, n):
                 expected = {}
                 for rkey in group.reflections:
-                    val = group.omega_r(rkey, chart.vectors[x], chart.vectors[y])
+                    val = omega_r(group, rkey, chart.vectors[x], chart.vectors[y])
                     if not val.is_zero():
                         expected[rkey] = alg.eta_poly(group.eta_var_of(rkey)).scaled(val)
                 entries = chart.refl.get((x, y), [])
@@ -324,8 +324,8 @@ def test_symmetrized_monomial_sums_distinct_orderings(alg_name, request):
 @pytest.mark.parametrize("make", [lambda: cyclic_sp2(3), lambda: doubled_coxeter("A", 3),
                                   lambda: doubled_coxeter("B", 2), lambda: dihedral(5)],
                          ids=["z3", "s3", "b2", "dihedral5"])
-def test_relation_table_matches_the_dense_forms(make):
-    # the sparse table against t omega and Group.omega_r, which dot densely
+def test_relation_table_matches_the_dense_forms(make, omega_r):
+    # the sparse table against t omega and the dense omega_r reference
     group = make()
     alg = Algebra(group)
     ident = group.identity_key()
@@ -342,7 +342,7 @@ def test_relation_table_matches_the_dense_forms(make):
                 assert scalar[i][j] == alg.t * form_value(group.omega, vectors[i], vectors[j])
                 expected = []
                 for rkey in group.reflections:
-                    val = group.omega_r(rkey, vectors[i], vectors[j])
+                    val = omega_r(group, rkey, vectors[i], vectors[j])
                     if not val.is_zero():
                         expected.append((rkey, alg.eta_poly(group.eta_var_of(rkey)).scaled(val)))
                 assert refl.get((i, j), []) == expected

@@ -13,7 +13,7 @@ from sra.scalar import (
     _context,
     _divisors_of,
     accumulate,
-    add_partial,
+    add_product,
     cyclotomic_polynomial,
     literal,
     parse_literal,
@@ -364,43 +364,110 @@ def test_accumulate_drops_vanishing_sums():
     assert out == {"d": Cyclotomic.from_rational(2, m)}
 
 
+_DENOMINATORS = [d for d in range(-12, 13) if d]
+
+
+@st.composite
+def _cyclotomics(draw, m: int):
+    """A value of Q(zeta_m) over a denominator +-1 ... 12, rational or not."""
+    deg = len(cyclotomic_polynomial(m)) - 1
+    nums = draw(st.lists(st.integers(-30, 30), min_size=deg, max_size=deg))
+    if draw(st.booleans()):
+        nums[1:] = [0] * (deg - 1)
+    return Cyclotomic(m, tuple(nums), draw(st.sampled_from(_DENOMINATORS)))
+
+
 @st.composite
 def _partial_sums(draw):
-    """(m, [(key, x), ...]): adds into the keys (P index, eta exponent) of a
-    flat map, with coordinates over denominators +-1 ... 12; some adds are
-    undone later, so that their key may cancel to zero."""
+    """(m, [(key, a, b), ...]): products a b added into the keys (P index,
+    eta exponent) of a flat map; some adds are undone later by adding -a b,
+    so that their key may cancel to zero."""
     m = draw(st.sampled_from([1, 2, 3, 4, 5, 12, 60]))
-    deg = len(cyclotomic_polynomial(m)) - 1
     keys = st.tuples(st.integers(0, 2), st.tuples(st.integers(0, 2)))
-    adds = []
-    for _ in range(draw(st.integers(0, 12))):
-        nums = draw(st.lists(st.integers(-30, 30), min_size=deg, max_size=deg))
-        den = draw(st.sampled_from([d for d in range(-12, 13) if d]))
-        adds.append((draw(keys), Cyclotomic(m, tuple(nums), den)))
+    adds = [(draw(keys), draw(_cyclotomics(m)), draw(_cyclotomics(m)))
+            for _ in range(draw(st.integers(0, 12)))]
     undone = draw(st.sets(st.integers(0, len(adds) - 1))) if adds else set()
-    adds.extend((adds[i][0], -adds[i][1]) for i in sorted(undone))
+    adds.extend((adds[i][0], -adds[i][1], adds[i][2]) for i in sorted(undone))
     return m, draw(st.permutations(adds))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_partial_sums())
 def test_partial_sums_settle_to_the_chained_adds(case):
-    # add_partial + settle against a chain of Cyclotomic.__add__ per key: the
-    # same canonical values (positive denominator, content 1), and a key
-    # whose sum cancelled is absent, from the settled map and the TraceValue
+    # add_product + settle against a chain of Cyclotomic.__add__ of a * b per
+    # key: the same canonical values (positive denominator, content 1), and a
+    # key whose sum cancelled is absent, from the settled map and the TraceValue
     m, adds = case
     partial, chained = {}, {}
-    for key, x in adds:
-        add_partial(partial, key, x)
-        chained[key] = chained.get(key, Cyclotomic.zero(m)) + x
+    for key, a, b in adds:
+        add_product(partial, key, a, b)
+        chained[key] = chained.get(key, Cyclotomic.zero(m)) + a * b
     want = {key: s for key, s in chained.items() if not s.is_zero()}
     got = settle(partial, m)
     assert got == want
     for c in got.values():
         assert c.den > 0 and gcd(c.den, *c.num) == 1
-    value = TraceValue.from_flat(3, 1, m, partial)
+    value = TraceValue.from_flat(3, 1, m, got)
     assert {(i, e) for i, p in value.coeffs.items() for e in p.terms} == set(want)
     assert all(value.coeffs[i].terms[e] == c for (i, e), c in want.items())
+
+
+@st.composite
+def _eta_polynomials(draw, m: int, max_terms: int):
+    """A nonzero polynomial in two eta variables of degree <= 3 per variable."""
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    nonzero = _cyclotomics(m).filter(lambda c: not c.is_zero())
+    terms = draw(st.dictionaries(exps, nonzero, min_size=1, max_size=max_terms))
+    return EtaPolynomial(2, m, terms)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 3, 4, 5, 12]).flatmap(
+    lambda m: st.tuples(_eta_polynomials(m, 5), _eta_polynomials(m, 4))))
+def test_exact_divide_undoes_the_product(case):
+    p, q = case
+    assert (p * q).exact_divide(q) == p
+
+
+def test_exact_divide_drops_the_terms_that_cancel_in_the_remainder(monkeypatch):
+    # (eta0 + eta1)(eta0 - eta1) / (eta0 - eta1): the second quotient term
+    # adds +eta1^2 onto the remainder's -eta1^2, a key that cancels there
+    import sra.scalar
+    m = 3
+    eta0, eta1 = EtaPolynomial.variable(0, 2, m), EtaPolynomial.variable(1, 2, m)
+    z = EtaPolynomial.constant(Cyclotomic.root_of_unity(m), 2, m)
+    real, cancelled = sra.scalar.add_product, []
+
+    def watching(partial, key, a, b):
+        real(partial, key, a, b)
+        if not any(partial[key][0]):
+            cancelled.append(key)
+
+    cases = [(p, q, p * q) for p, q in [(eta0 + eta1, eta0 - eta1),
+                                         (eta0 * z + eta1, eta0 * eta1 - eta1 * eta1 * z)]]
+    monkeypatch.setattr(sra.scalar, "add_product", watching)
+    for p, q, pq in cases:
+        cancelled.clear()
+        assert pq.exact_divide(q) == p
+        assert cancelled
+    with pytest.raises(ArithmeticError):
+        (eta0 * eta0 + eta1).exact_divide(eta0 - eta1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 3, 4, 12]).flatmap(
+    lambda m: st.tuples(_eta_polynomials(m, 6), _eta_polynomials(m, 1))))
+def test_one_term_product_matches_the_general_path(case):
+    # the direct path of a one-term operand against the partial-sum loop of
+    # every other product
+    p, t = case
+    out: dict = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in t.terms.items():
+            add_product(out, tuple(a + b for a, b in zip(e1, e2)), c1, c2)
+    want = EtaPolynomial(2, p.m, settle(out, p.m))
+    assert p * t == want
+    assert t * p == want
 
 
 def test_difference_with_itself_has_no_terms():
