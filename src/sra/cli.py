@@ -10,13 +10,13 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
-from .scalar import DEFAULT_CAP, literal, render_eta
+from .scalar import DEFAULT_CAP, literal, parse_rational, render_eta
 from .group import BUILTINS, builtin, load_group, save_group
 from .algebra import Algebra
 from .traces import (
     InconsistentGLCError,
+    _check_basis_size,
     _eta_poly_json,
     _trace_value_json,
     confluence_failures,
@@ -52,7 +52,11 @@ def _parse_factor(spec: str):
     kind = kind.strip()
     if kind not in BUILTINS or kind == "product":
         raise ValueError(f"unknown product factor {spec!r}")
-    return kind, {BUILTINS[kind]: int(arg)}
+    try:
+        return kind, {BUILTINS[kind]: int(arg)}
+    except ValueError:
+        raise ValueError(f"product factor {spec!r} is not of the form kind:N, "
+                         f"such as 'cyclic:2'") from None
 
 
 def _make_group(args):
@@ -67,14 +71,6 @@ def _make_group(args):
     if kind == "product":
         value = [_parse_factor(s) for s in value.split(",")]
     return builtin(kind, cap=args.cap, **{param: value})
-
-
-def _rational(option: str, text: str) -> Fraction:
-    """The rational value of an option, or a ValueError naming the option."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{option} needs a rational number, not {text!r}") from None
 
 
 def _kappas(arg: str):
@@ -156,7 +152,7 @@ def cmd_counts(args):
 
 def cmd_glc(args):
     group = _make_group(args)
-    algebra = Algebra(group, t=_rational("--t", args.t))
+    algebra = Algebra(group, t=parse_rational("--t", args.t))
     payload = _group_header(group)
     payload["kappa"] = {}
     lines = [f"group {group.name}: ground level conditions"]
@@ -176,7 +172,7 @@ def cmd_glc(args):
 
 def cmd_eval(args):
     group = _make_group(args)
-    algebra = Algebra(group, t=_rational("--t", args.t))
+    algebra = Algebra(group, t=parse_rational("--t", args.t))
     payload = _group_header(group)
     payload["expr"] = args.expr
     payload["kappa"] = {}
@@ -215,6 +211,10 @@ def cmd_oracle_check(args):
     payload["max_degree"] = args.max_degree
     payload["kappa"] = {}
     lines = [f"group {group.name}: eta=0 oracle cross-check, degree <= {args.max_degree}"]
+    # one evaluation per comparison, so their count, unlike a Gram basis
+    # (whose work is its square), is held to the closure's cap
+    _check_basis_size(group, args.max_degree, DEFAULT_CAP,
+                      f"oracle comparison count at --max-degree {args.max_degree}")
     exponents = even_monomials(group.dim, args.max_degree)
     ok = True
     for kappa in _kappas(args.kappa):
@@ -230,13 +230,13 @@ def cmd_oracle_check(args):
 
 def cmd_gram(args):
     group = _make_group(args)
-    algebra = Algebra(group, t=_rational("--t", args.t))
+    algebra = Algebra(group, t=parse_rational("--t", args.t))
     payload = _group_header(group)
     payload["kappa"] = {}
     lines = []
     assignment = None
     if args.assignment:
-        assignment = [_rational("--assignment", x) for x in args.assignment.split(",")]
+        assignment = [parse_rational("--assignment", x) for x in args.assignment.split(",")]
     for kappa in _kappas(args.kappa):
         fn = solve_glc(algebra, kappa, verify=False)
         report = gram(fn, args.degree, assignment=assignment,

@@ -32,7 +32,7 @@ from math import cos, hypot, lcm, pi, sin
 
 # the caps and CapExceededError live in sra.scalar; sra.group re-exports them
 from .scalar import (DEFAULT_CAP, GRAM_BASIS_CAP, POWER_CAP, CapExceededError, Cyclotomic,
-                     literal, parse_literal)
+                     literal, parse_literal, parse_rational)
 from .linalg import (
     Matrix,
     darboux_basis,
@@ -635,7 +635,7 @@ def group_from_dict(d: dict, cap: int = DEFAULT_CAP) -> Group:
             if vi >= group.n_eta:
                 raise ValueError(f"label {label!r} exceeds the {group.n_eta} reflection classes")
             if val != "symbolic":
-                assignment[vi] = Fraction(val)
+                assignment[vi] = parse_rational(f"group file eta {label}", val)
         group.eta_assignment = assignment if assignment else None
     return group
 

@@ -17,16 +17,18 @@ from functools import lru_cache
 from math import gcd, prod
 
 # every size budget of the package; exceeding one raises CapExceededError
-DEFAULT_CAP = 100_000     # elements of a group closure
+DEFAULT_CAP = 100_000     # elements of a group closure, comparisons of the eta = 0 oracle
 GRAM_BASIS_CAP = 2000     # elements of a Gram basis
 POWER_CAP = 64            # largest exponent of an algebra element power
 FIELD_DEGREE_CAP = 256    # largest degree phi(m) of a field Q(zeta_m)
 EXPR_DEPTH_CAP = 100      # deepest nesting of parentheses in an expression
+RATIONAL_EXPONENT_CAP = 999  # largest decimal exponent of a rational read from text
 
 
 class CapExceededError(ValueError):
-    """Closure would exceed the element cap, a Gram basis its size cap, an
-    algebra power its exponent cap, or a cyclotomic field its degree cap."""
+    """Closure would exceed the element cap, a Gram basis its size cap, the
+    eta = 0 oracle its comparison cap, an algebra power or a decimal read
+    from text its exponent cap, or a cyclotomic field its degree cap."""
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
@@ -574,6 +576,28 @@ def parse_literal(text: str, m: int) -> Cyclotomic:
         raise ParseError(f"{exc.message} in literal {text!r}", exc.position) from None
 
 
+# the exponent of a decimal, as Fraction reads it: Fraction("1e99999999")
+# would expand it into a hundred million digits
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
+def parse_rational(name: str, text: str) -> Fraction:
+    """The rational number written in text, in any form Fraction reads, the
+    one reader of rationals from outside the program; a ValueError naming
+    the option or field `name` otherwise.  A decimal exponent beyond
+    RATIONAL_EXPONENT_CAP is refused before Fraction expands it."""
+    exp = _EXPONENT.search(text)
+    if exp:
+        digits = exp.group(1).replace("_", "").lstrip("0") or "0"
+        if len(digits) > len(str(RATIONAL_EXPONENT_CAP)) or int(digits) > RATIONAL_EXPONENT_CAP:
+            raise CapExceededError(f"{name} needs a rational number with an exponent of at "
+                                   f"most {RATIONAL_EXPONENT_CAP}, not {text!r}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{name} needs a rational number, not {text!r}") from None
+
+
 def _factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division plus Pollard rho."""
     out: dict[int, int] = {}
@@ -653,8 +677,9 @@ def _divisors_of(n: int) -> list[int]:
 def accumulate(out: dict, key, value):
     """out[key] += value, dropping the key when the sum vanishes, so that a
     sparse map never stores a zero.  The zero-dropping add of a fixed number
-    of eta-polynomials, algebra elements or trace values; a long sum of
-    cyclotomic products goes through add_product and settle instead."""
+    of eta-polynomials or algebra elements; a long sum of cyclotomic
+    products, a trace value's included, goes through add_product and settle
+    instead."""
     cur = out.get(key)
     s = value if cur is None else cur + value
     if s.is_zero():

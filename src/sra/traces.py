@@ -27,12 +27,13 @@ The coefficient of an eigen-word is formed only when its trace is nonzero.
 
 Letters are ids into the algebra's letter table (Algebra.intern), so a word
 is a tuple of small ints and every memo key is (group key, tuple of ints).
-Inside the evaluator a sum of c sp(...) terms is one flat map {(P index, eta
-exponent): partial sum} that every product adds into through `add_product`,
-integer numerators over one denominator per key.  Each memo entry is that
-map settled, {(P index, eta exponent): Cyclotomic}: every key normalized with
-one gcd, the keys that cancelled dropped.  Only element_value turns a settled
-map into a TraceValue.
+A trace value has one representation, the settled flat map {(P index, eta
+exponent): Cyclotomic}: every key normalized with one gcd, the keys that
+cancelled dropped.  A TraceValue, each class of the GLC table and each memo
+entry of the evaluator hold one.  Every sum of c sp(...) terms, in solve_glc,
+verify_glc and the evaluator alike, adds each product into a flat map of
+partial sums through `add_product`, integer numerators over one denominator
+per key, and `settle` settles it.
 """
 
 from __future__ import annotations
@@ -59,52 +60,43 @@ class KappaEigenvaluePresentError(ValueError):
 
 
 class TraceValue:
-    """Linear combination of the free trace parameters with EtaPolynomial
-    coefficients."""
+    """Linear combination of the free trace parameters P_i with
+    eta-polynomial coefficients, stored as the settled flat map `terms`
+    {(P index, eta exponent): Cyclotomic}: every value canonical and nonzero,
+    so that two trace values are equal iff their maps are."""
 
-    __slots__ = ("nparams", "coeffs")
+    __slots__ = ("nparams", "terms")
 
-    def __init__(self, nparams: int, coeffs=None):
+    def __init__(self, nparams: int, terms: dict):
         self.nparams = nparams
-        self.coeffs = {i: c for i, c in (coeffs or {}).items() if not c.is_zero()}
+        self.terms = terms
 
-    @staticmethod
-    def zero(nparams: int) -> "TraceValue":
-        return TraceValue(nparams)
+    @property
+    def coeffs(self) -> dict:
+        """{P index: EtaPolynomial}, a view of the map for the writers."""
+        out: dict = {}
+        for (i, e), c in self.terms.items():
+            if i not in out:
+                out[i] = EtaPolynomial(len(e), c.m)
+            out[i].terms[e] = c
+        return out
 
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "TraceValue") -> "TraceValue":
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            accumulate(out, i, c)
-        return TraceValue(self.nparams, out)
+        return not self.terms
 
     def scaled(self, c) -> "TraceValue":
-        if isinstance(c, EtaPolynomial):
-            return TraceValue(self.nparams, {i: p * c for i, p in self.coeffs.items()})
-        return TraceValue(self.nparams, {i: p.scaled(c) if isinstance(c, Cyclotomic)
-                                         else p * Fraction(c)
-                          for i, p in self.coeffs.items()})
+        """c times the value, for a rational or cyclotomic c."""
+        if c == 0:
+            return TraceValue(self.nparams, {})
+        return TraceValue(self.nparams, {key: k * c for key, k in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, TraceValue):
             return NotImplemented
-        return self.nparams == other.nparams and self.coeffs == other.coeffs
+        return self.nparams == other.nparams and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.nparams, tuple(sorted((i, hash(c)) for i, c in self.coeffs.items()))))
-
-    @staticmethod
-    def from_flat(nparams: int, nvars: int, m: int, flat: dict) -> "TraceValue":
-        """The value of a settled flat map {(P index, eta exponent):
-        Cyclotomic}."""
-        polys: dict = {}
-        for (i, e), c in flat.items():
-            polys.setdefault(i, {})[e] = c
-        return TraceValue(nparams, {i: EtaPolynomial(nvars, m, terms)
-                                    for i, terms in polys.items()})
+        return hash((self.nparams, frozenset(self.terms.items())))
 
     def substitute(self, assignment: list[Fraction], nvars: int, m: int) -> EtaPolynomial:
         """Collapse the free parameters to rationals, leaving eta symbolic;
@@ -112,10 +104,11 @@ class TraceValue:
         Q(zeta_m)."""
         if len(assignment) != self.nparams:
             raise ValueError("assignment arity mismatch")
-        acc = EtaPolynomial.zero(nvars, m)
-        for i, p in self.coeffs.items():
-            acc = acc + p * Fraction(assignment[i])
-        return acc
+        values = [Cyclotomic.from_rational(a, m) for a in assignment]
+        out: dict = {}
+        for (i, e), c in self.terms.items():
+            add_product(out, e, c, values[i])
+        return EtaPolynomial(nvars, m, settle(out, m))
 
     def __repr__(self):
         return f"TraceValue({format_trace_value(self)})"
@@ -183,8 +176,9 @@ def solve_glc(algebra: Algebra, kappa: int, verify: bool = True) -> TraceFunctio
     free_classes = [i for i in range(n_classes) if e_of_class[i] == 0]
     nparams = len(free_classes)
     table: dict[int, TraceValue] = {}
+    one, e0 = Cyclotomic.one(algebra.m), (0,) * algebra.nvars
     for pi, ci in enumerate(free_classes):
-        table[ci] = TraceValue(nparams, {pi: algebra.one_poly})
+        table[ci] = TraceValue(nparams, {(pi, e0): one})
     order = sorted((i for i in range(n_classes) if e_of_class[i] > 0),
                    key=lambda i: (e_of_class[i], i))
     # the functional holds `table` itself, so each class sees the ones filled before it
@@ -192,17 +186,19 @@ def solve_glc(algebra: Algebra, kappa: int, verify: bool = True) -> TraceFunctio
     for ci in order:
         rep = group.class_rep[ci]
         scalar, refl = relation_table(algebra, group.e_grading(rep, kappa)[1][:2])
-        acc = _reflection_sum(functional, rep, refl.get((0, 1), ()))
-        table[ci] = acc.scaled(-scalar[0][1].inverse())
+        flat: dict = {}
+        _reflection_sum(flat, functional, rep, refl.get((0, 1), ()))
+        table[ci] = TraceValue(nparams, settle(flat, algebra.m)).scaled(-scalar[0][1].inverse())
     if verify:
         verify_glc(functional)
     return functional
 
 
-def _reflection_sum(functional: TraceFunctional, g_key, entries) -> TraceValue:
-    """sum_R eta_R omega_R(c_i, c_j) sp(R g) over the entries [(R, eta_R
-    omega_R(c_i, c_j))] of a relation table, with sp(R g) read from the
-    functional's class table, which must already hold every class R g.
+def _reflection_sum(flat: dict, functional: TraceFunctional, g_key, entries):
+    """flat += sum_R eta_R omega_R(c_i, c_j) sp(R g), for a flat map of
+    partial sums (see add_product), over the entries [(R, eta_R omega_R(c_i,
+    c_j))] of a relation table, with sp(R g) read from the functional's class
+    table, which must already hold every class R g.
 
     The coefficients are first added per class C of R g, and each class
     value is scaled once: sum_R c_R sp(R g) = sum_C (sum_(R g in C) c_R)
@@ -218,10 +214,8 @@ def _reflection_sum(functional: TraceFunctional, g_key, entries) -> TraceValue:
                 f"group {group.name}, kappa {functional.kappa}: sp(C{ci}) needs "
                 f"sp(C{rc}), which has E >= E(C{ci})")
         accumulate(per_class, rc, coeff)
-    acc = TraceValue.zero(functional.nparams)
     for rc, coeff in per_class.items():
-        acc = acc + functional.table[rc].scaled(coeff)
-    return acc
+        _add_times(flat, functional.table[rc].terms, coeff)
 
 
 def verify_glc(functional: TraceFunctional):
@@ -240,16 +234,18 @@ def verify_glc(functional: TraceFunctional):
         if e_val == 0:
             continue
         scalar, refl = relation_table(functional.algebra, basis)
-        spg = functional.element_value(key)
+        spg = functional.element_value(key).terms
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
-                residual = (spg.scaled(scalar[i][j])
-                            + _reflection_sum(functional, key, refl.get((i, j), ())))
-                if not residual.is_zero():
+                flat: dict = {}
+                _add_scaled(flat, spg, scalar[i][j])
+                _reflection_sum(flat, functional, key, refl.get((i, j), ()))
+                residual = settle(flat, functional.algebra.m)
+                if residual:
                     raise InconsistentGLCError(
                         f"group {group.name}, kappa {kappa}: ground level condition "
                         f"fails on C{group.class_of[key]} (Darboux pair {i},{j}), "
-                        f"residual {format_trace_value(residual)}")
+                        f"residual {format_trace_value(TraceValue(functional.nparams, residual))}")
 
 
 def _add_scaled(flat: dict, val: dict, c: Cyclotomic):
@@ -314,8 +310,7 @@ class _Evaluator:
         flat: dict = {}
         for (exp, gk), coeff in f.terms.items():
             _add_times(flat, self.vectors(gk, _letters(exp)), coeff)
-        return TraceValue.from_flat(self.fn.nparams, self.alg.nvars, self.alg.m,
-                                    settle(flat, self.alg.m))
+        return TraceValue(self.fn.nparams, settle(flat, self.alg.m))
 
     def vectors(self, g_key, word: tuple[int, ...]) -> dict:
         """Trace of a word of letter ids times g, as a settled flat map: the
@@ -361,8 +356,7 @@ class _Evaluator:
         if got is not None:
             return got
         if not word:
-            got = {(i, e): c for i, p in self.fn.element_value(g_key).coeffs.items()
-                   for e, c in p.terms.items()}
+            got = self.fn.element_value(g_key).terms
         else:
             kappa_letters = self.alg.chart(g_key).kappa_letters[self.kappa]
             regular = [s for s, letter in enumerate(word) if letter not in kappa_letters]
@@ -605,18 +599,15 @@ def oracle_mismatches(fn: TraceFunctional,
     Returns the number of comparisons and the (exponent, "C<i>") pairs that
     disagree."""
     algebra, group = fn.algebra, fn.group
-    zero_pt = [Fraction(0)] * group.n_eta
     quads = [_eta0_quadratic(group, rep, fn.kappa) for rep in group.class_rep]
     checked = 0
     mismatches = []
     for exp in exponents:
         sym = symmetrized_monomial(algebra, exp)
         for ci, rep in enumerate(group.class_rep):
-            got = {}
-            for i, c in fn.evaluate(sym * algebra.group_element(rep)).coeffs.items():
-                at_zero = c.evaluate(zero_pt)
-                if not at_zero.is_zero():
-                    got[i] = at_zero
+            # at eta = 0 only the constant terms remain
+            val = fn.evaluate(sym * algebra.group_element(rep))
+            got = {i: c for (i, e), c in val.terms.items() if not any(e)}
             mult = _eta0_coefficient(quads[ci], exp, group.exponent)
             expected = {} if mult.is_zero() else {fn.free_classes.index(ci): mult}
             checked += 1
@@ -676,16 +667,18 @@ def even_monomials(n: int, max_degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _gram_basis_size(n: int, classes: int, degree: int) -> int:
-    """The Gram basis size, sum over even k <= degree of C(n + k - 1, k)
-    times the number of classes, summed only until it passes
-    GRAM_BASIS_CAP, so that a huge degree costs nothing."""
+def _check_basis_size(group: Group, degree: int, cap: int, what: str):
+    """Raise CapExceededError, naming `what`, when the even monomials of
+    degree <= degree times the class representatives (a Gram basis, or the
+    eta = 0 oracle's comparisons) number more than cap.  Their count, the
+    sum over even k <= degree of C(n + k - 1, k) times the number of
+    classes, is summed only until it passes the cap, so that a huge degree
+    costs nothing."""
     total = 0
     for k in range(0, degree + 1, 2):
-        total += comb(n + k - 1, k) * classes
-        if total > GRAM_BASIS_CAP:
-            break
-    return total
+        total += comb(group.dim + k - 1, k) * len(group.classes)
+        if total > cap:
+            raise CapExceededError(f"{what} exceeds cap {cap}")
 
 
 def gram(functional: TraceFunctional, degree: int,
@@ -708,8 +701,7 @@ def gram(functional: TraceFunctional, degree: int,
     """
     algebra = functional.algebra
     group = functional.group
-    if _gram_basis_size(group.dim, len(group.classes), degree) > GRAM_BASIS_CAP:
-        raise CapExceededError(f"Gram basis at degree {degree} exceeds cap {GRAM_BASIS_CAP}")
+    _check_basis_size(group, degree, GRAM_BASIS_CAP, f"Gram basis at degree {degree}")
     monos = even_monomials(group.dim, degree)
     if assignment is None:
         assignment = [Fraction(1 if i == 0 else 0) for i in range(functional.nparams)]

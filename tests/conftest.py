@@ -1,6 +1,19 @@
 import pytest
 
-from sra.scalar import Cyclotomic
+from sra.scalar import Cyclotomic, accumulate
+from sra.traces import TraceValue
+
+
+def trace_value(nparams, *coeff_maps):
+    """The TraceValue of the sum of the maps {P index: EtaPolynomial},
+    flattened to {(P index, eta exponent): Cyclotomic} with the zero sums
+    dropped."""
+    flat = {}
+    for coeffs in coeff_maps:
+        for i, p in coeffs.items():
+            for e, c in p.terms.items():
+                accumulate(flat, (i, e), c)
+    return TraceValue(nparams, flat)
 
 
 @pytest.fixture(scope="session")

@@ -397,6 +397,57 @@ def test_infinite_order_generator_exit_1_fast(tmp_path, capsys):
     assert err.startswith("error: generator 0 has trace 5/2")
 
 
+@pytest.mark.parametrize("value, need", [
+    ("1/0", "a rational number"), ("abc", "a rational number"),
+    ("1e99999999", "a rational number with an exponent of at most 999"),
+])
+def test_bad_eta_value_names_the_label_fast(tmp_path, capsys, value, need):
+    # Fraction("1e99999999") alone takes more than 10 s
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps({"N": 1, "generators": _Z2, "eta": {"R0": value}}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "counts", "--group", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == f"error: group file eta R0 needs {need}, not {value!r}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("glc", "--builtin", "cyclic", "--n", "2", "--t", "1e99999999"),
+     "--t needs a rational number with an exponent of at most 999, not '1e99999999'"),
+    (("gram", "--builtin", "cyclic", "--n", "2", "--assignment", "1,1/0"),
+     "--assignment needs a rational number, not '1/0'"),
+    (("oracle-check", "--builtin", "cyclic", "--n", "2", "--max-degree", "100000"),
+     "oracle comparison count at --max-degree 100000 exceeds cap 100000"),
+    (("counts", "--builtin", "product", "--factors", "cyclic"),
+     "product factor 'cyclic' is not of the form kind:N, such as 'cyclic:2'"),
+    (("selftest", "--groups", "cyclic:2,doubled-A:"),
+     "product factor 'doubled-A:' is not of the form kind:N, such as 'cyclic:2'"),
+], ids=["t", "assignment", "max-degree", "factors", "selftest-groups"])
+def test_outside_input_fails_closed_fast(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("group_args, comparisons", [
+    (("cyclic", "--n", "300"), 2700), (("doubled-A", "--rank", "5"), 2569),
+    (("doubled-B", "--rank", "4"), 7340), (("doubled-A", "--rank", "6"), 8481),
+])
+def test_oracle_check_runs_past_the_gram_cap(capsys, monkeypatch, group_args, comparisons):
+    # one evaluation per comparison: at the default --max-degree 4 these run
+    # more comparisons than GRAM_BASIS_CAP, and the oracle still runs them
+    # (the stubs stand in for minutes of evaluations)
+    monkeypatch.setattr(sra.cli, "solve_glc", lambda algebra, kappa, verify: algebra)
+    monkeypatch.setattr(sra.cli, "oracle_mismatches",
+                        lambda fn, exponents: (len(exponents) * len(fn.group.classes), []))
+    code, out, err = run(capsys, "oracle-check", "--builtin", *group_args, "--kappa", "1")
+    assert code == 0 and err == ""
+    assert f"kappa = +1: {comparisons} comparisons, 0 mismatches" in out
+
+
 @pytest.mark.parametrize("generator", [[["1", "0"], ["0", "1"]], [["-1", "0"], ["0", "-1"]],
                                        [["z", "0"], ["0", "z^5"]]])
 def test_trace_on_the_bound_is_finite(tmp_path, capsys, generator):

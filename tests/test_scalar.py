@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sra.scalar import (
     FIELD_DEGREE_CAP,
+    RATIONAL_EXPONENT_CAP,
     CapExceededError,
     Cyclotomic,
     EtaPolynomial,
@@ -17,6 +19,7 @@ from sra.scalar import (
     cyclotomic_polynomial,
     literal,
     parse_literal,
+    parse_rational,
     settle,
 )
 from sra.traces import TraceValue
@@ -220,6 +223,33 @@ def test_literal_rejects(text):
         parse_literal(text, 6)
 
 
+@pytest.mark.parametrize("text, value", [
+    ("3/2", Fraction(3, 2)), ("-1/2", Fraction(-1, 2)), (" 0 ", Fraction(0)),
+    ("1.5", Fraction(3, 2)), ("1.", Fraction(1)),
+    ("1_000", Fraction(1000)), ("1e-3", Fraction(1, 1000)), ("2.5e1", Fraction(25)),
+    ("1E+999", Fraction(10 ** 999)), ("1e0_0_999", Fraction(10 ** 999)),
+])
+def test_rational_accepts(text, value):
+    assert parse_rational("--t", text) == value
+
+
+@pytest.mark.parametrize("text", ["", "1/0", "abc", "1e", "inf", "1/2/3"])
+def test_rational_rejects_naming_the_option(text):
+    with pytest.raises(ValueError, match="^--t needs a rational number, not "):
+        parse_rational("--t", text)
+
+
+@pytest.mark.parametrize("text", ["1e99999999", "-2E1000", "1e-1000", "1e" + "9" * 5000],
+                         ids=["1e99999999", "-2E1000", "1e-1000", "5000-digit"])
+def test_rational_refuses_a_long_exponent_fast(text):
+    # Fraction("1e99999999") alone takes more than 10 s
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match=f"^--t needs a rational number with an "
+                       f"exponent of at most {RATIONAL_EXPONENT_CAP}, not "):
+        parse_rational("--t", text)
+    assert time.perf_counter() - start < 1
+
+
 @settings(max_examples=300, deadline=1000, derandomize=True)
 @given(st.lists(st.sampled_from(_LITERAL_TOKENS), max_size=12), st.sampled_from(["", " "]))
 def test_literal_fuzz_fails_closed(tokens, sep):
@@ -407,7 +437,7 @@ def test_partial_sums_settle_to_the_chained_adds(case):
     assert got == want
     for c in got.values():
         assert c.den > 0 and gcd(c.den, *c.num) == 1
-    value = TraceValue.from_flat(3, 1, m, got)
+    value = TraceValue(3, got)
     assert {(i, e) for i, p in value.coeffs.items() for e in p.terms} == set(want)
     assert all(value.coeffs[i].terms[e] == c for (i, e), c in want.items())
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from sra.scalar import Cyclotomic
+from conftest import trace_value
+from sra.scalar import Cyclotomic, EtaPolynomial
 from sra.linalg import rank
 from sra.group import cyclic_sp2, doubled_coxeter
 from sra.algebra import Algebra, _letters, relation_table
@@ -71,7 +72,7 @@ def test_glc_z2_supertrace(z2):
     sigma_cls = g.class_of[sigma_key(z2)]
     assert list(fn.free_classes) == [ident_cls]
     # str(sigma) = -eta * str(1)
-    assert fn.table[sigma_cls] == TraceValue(1, {0: -z2.eta_poly(0)})
+    assert fn.table[sigma_cls] == trace_value(1, {0: -z2.eta_poly(0)})
 
 
 def test_glc_z2_trace(z2):
@@ -81,7 +82,7 @@ def test_glc_z2_trace(z2):
     sigma_cls = g.class_of[sigma_key(z2)]
     assert list(fn.free_classes) == [sigma_cls]
     # tr(1) = -eta * tr(sigma)
-    assert fn.table[ident_cls] == TraceValue(1, {0: -z2.eta_poly(0)})
+    assert fn.table[ident_cls] == trace_value(1, {0: -z2.eta_poly(0)})
 
 
 def test_glc_a2_counts(a2):
@@ -99,7 +100,7 @@ def test_glc_dimension_matches_counts(z2, z3, z4, a2):
             assert fn.nparams == expected
             # free classes carry indicator values: their own parameter
             for pi, ci in enumerate(fn.free_classes):
-                assert fn.table[ci] == TraceValue(fn.nparams, {pi: alg.one_poly})
+                assert fn.table[ci] == trace_value(fn.nparams, {pi: alg.one_poly})
 
 
 def test_evaluate_basics(z2):
@@ -110,7 +111,7 @@ def test_evaluate_basics(z2):
     val = fn.evaluate(a1 * a2_gen)
     half = Cyclotomic.from_rational(Fraction(1, 2), z2.m)
     expected = (z2.one_poly - z2.eta_poly(0) * z2.eta_poly(0)).scaled(half)
-    assert val == TraceValue(1, {0: expected})
+    assert val == trace_value(1, {0: expected})
     # odd elements vanish
     assert fn.evaluate(a1).is_zero()
     assert fn.evaluate(a1 * a2_gen * a1).is_zero()
@@ -125,8 +126,8 @@ def test_evaluate_linearity(z2):
     h = z2.group_element(sigma_key(z2))
     c = z2.eta_poly(0)
     lhs = fn.evaluate(f.scaled(c) + h.scaled(3))
-    rhs = fn.evaluate(f).scaled(c) + fn.evaluate(h).scaled(
-        Cyclotomic.from_rational(3, z2.m))
+    rhs = trace_value(1, {i: p * c for i, p in fn.evaluate(f).coeffs.items()},
+                      fn.evaluate(h).scaled(Cyclotomic.from_rational(3, z2.m)).coeffs)
     assert lhs == rhs
 
 
@@ -188,7 +189,7 @@ def _unpruned_value(fn: TraceFunctional, f) -> TraceValue:
     selection rule on the expansion."""
     alg = fn.algebra
     ev = _Evaluator(fn, "first", "first")
-    acc = TraceValue.zero(fn.nparams)
+    acc = trace_value(fn.nparams)
     for (exp, g_key), coeff in f.terms.items():
         chart = alg.chart(g_key)
         words = {(): Cyclotomic.one(alg.m)}
@@ -199,8 +200,9 @@ def _unpruned_value(fn: TraceFunctional, f) -> TraceValue:
                     nxt[w + (i,)] = nxt.get(w + (i,), Cyclotomic.zero(alg.m)) + c * ci
             words = nxt
         for w, c in words.items():
-            bval = TraceValue.from_flat(fn.nparams, alg.nvars, alg.m, ev.bword(g_key, w))
-            acc = acc + bval.scaled(c).scaled(coeff)
+            bval = TraceValue(fn.nparams, ev.bword(g_key, w))
+            acc = trace_value(fn.nparams, acc.coeffs,
+                              {i: p * coeff for i, p in bval.scaled(c).coeffs.items()})
     return acc
 
 
@@ -214,6 +216,38 @@ def test_evaluate_matches_unpruned_expansion(alg_name, kappa, request):
     for _ in range(8):
         f = _random_definite(alg, rng, 6, keys)
         assert fn.evaluate(f) == _unpruned_value(fn, f)
+
+
+@pytest.mark.parametrize("kappa", [1, -1])
+def test_empty_word_value_is_the_class_table_map(b2, kappa):
+    # a trace value has one representation: the evaluator reads sp(g) as the
+    # class table's own settled map, with no copy or conversion
+    fn = solve_glc(b2, kappa)
+    ev = _Evaluator(fn, "first", "first")
+    for g_key in b2.group.sorted_keys():
+        table_map = fn.table[b2.group.class_of[g_key]].terms
+        assert ev.bword(g_key, ()) is table_map
+        assert ev.vectors(g_key, ()) is table_map
+
+
+@pytest.mark.parametrize("kappa", [1, -1])
+@pytest.mark.parametrize("alg_name", ["z3", "b2"])
+def test_substitute_is_the_per_parameter_sum(alg_name, kappa, request):
+    # sum_i assignment_i P_i-coefficient, added as eta-polynomials, on the class
+    # values and on evaluated words, the zero value included
+    alg = request.getfixturevalue(alg_name)
+    fn = solve_glc(alg, kappa)
+    rng = random.Random(17 + kappa)
+    keys = sorted(alg.group.elements)
+    values = list(fn.table.values()) + [TraceValue(fn.nparams, {})]
+    values += [fn.evaluate(_random_definite(alg, rng, 4, keys)) for _ in range(6)]
+    for val in values:
+        assignment = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                      for _ in range(fn.nparams)]
+        want = EtaPolynomial.zero(alg.nvars, alg.m)
+        for i, p in val.coeffs.items():
+            want = want + p * assignment[i]
+        assert val.substitute(assignment, alg.nvars, alg.m) == want
 
 
 def test_vectors_multiplies_only_for_nonzero_eigen_words(a2, monkeypatch):
@@ -402,7 +436,7 @@ def test_gram_d0_z2(z2):
 def test_gram_zero_functional(z2):
     fn = solve_glc(z2, -1)
     zero_fn = TraceFunctional(z2, -1, fn.free_classes,
-                              {ci: TraceValue.zero(fn.nparams) for ci in fn.table},
+                              {ci: TraceValue(fn.nparams, {}) for ci in fn.table},
                               fn.e_of_class)
     report = gram(zero_fn, 0)
     assert all(x.is_zero() for row in report.matrix for x in row)
@@ -471,13 +505,13 @@ def test_t_scaling_hand_derived():
     g = alg.group
     sig_cls = g.class_of[sigma_key(alg)]
     half = Cyclotomic.from_rational(Fraction(-1, 2), alg.m)
-    assert fn.table[sig_cls] == TraceValue(1, {0: alg.eta_poly(0).scaled(half)})
+    assert fn.table[sig_cls] == trace_value(1, {0: alg.eta_poly(0).scaled(half)})
     val = fn.evaluate(alg.generator(0) * alg.generator(1))
     expected = (alg.one_poly.scaled(Cyclotomic.from_rational(2, alg.m))
                 - (alg.eta_poly(0) * alg.eta_poly(0)).scaled(
                     Cyclotomic.from_rational(Fraction(1, 2), alg.m))).scaled(
         Cyclotomic.from_rational(Fraction(1, 2), alg.m))
-    assert val == TraceValue(1, {0: expected})
+    assert val == trace_value(1, {0: expected})
 
 
 @pytest.mark.parametrize("kappa", [1, -1])
@@ -613,7 +647,7 @@ def test_product_factorization_oracle(kappa):
                             expected_coeffs[pi] = val
                     if (sum(e1) + sum(e2)) % 2 == 1:
                         expected_coeffs = {}
-                    assert got == TraceValue(fnp.nparams, expected_coeffs), \
+                    assert got == trace_value(fnp.nparams, expected_coeffs), \
                         (e1, e2, kappa)
                     checked += 1
     assert checked == len(g1.class_rep) * len(g2.class_rep) * 36
@@ -639,7 +673,7 @@ def test_verify_glc_catches_corruption(z2):
     fn = solve_glc(z2, -1)
     bad = {ci: v for ci, v in fn.table.items()}
     sigma_cls = z2.group.class_of[sigma_key(z2)]
-    bad[sigma_cls] = TraceValue(1, {0: z2.eta_poly(0)})  # wrong sign
+    bad[sigma_cls] = trace_value(1, {0: z2.eta_poly(0)})  # wrong sign
     broken = TraceFunctional(z2, -1, fn.free_classes, bad, fn.e_of_class)
     with pytest.raises(InconsistentGLCError,
                        match=rf"fails on C{sigma_cls} \(Darboux pair 0,1\), residual 2\*eta0\*P0$"):
@@ -685,10 +719,10 @@ def test_missing_class_names_both_labels(a2, kappa):
     broken = TraceFunctional(a2, kappa, fn.free_classes, table, fn.e_of_class)
     message = rf"sp\(C{ci}\) needs sp\(C{rc}\), which has E >= E\(C{ci}\)"
     with pytest.raises(InconsistentGLCError, match=message):
-        _reflection_sum(broken, g, entries)
+        _reflection_sum({}, broken, g, entries)
     # coefficients that cancel on the missing class still raise
     cancelling = [(entries[0][0], c) for c in (entries[0][1], -entries[0][1])]
     with pytest.raises(InconsistentGLCError, match=message):
-        _reflection_sum(broken, g, cancelling)
+        _reflection_sum({}, broken, g, cancelling)
     with pytest.raises(InconsistentGLCError, match=rf"needs sp\(C{rc}\)"):
         verify_glc(broken)
