@@ -1,9 +1,9 @@
 """Normal-form arithmetic in the symplectic reflection algebra H_t,eta(G).
 
-Elements are stored with all generator letters left of the group element:
-a map  (exponent vector, group element) -> eta-polynomial coefficient,
-monomials in graded-lexicographic order with a_1 < ... < a_2N.  Rewriting
-uses the defining relations
+Elements are stored with all generator letters left of the group element, as
+a trace value is: a settled flat map {(exponent vector, group element, eta
+exponent): Cyclotomic}, summed through add_product.  Rewriting uses the
+defining relations
 
     [x, y] = t omega(x, y) + sum_R eta_R omega_R(x, y) R,      g x = g(x) g,
 
@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalar import POWER_CAP, CapExceededError, Cyclotomic, EtaPolynomial, accumulate
+from .scalar import (POWER_CAP, CapExceededError, Cyclotomic, EtaPolynomial, accumulate,
+                     add_exponents, add_product, settle)
 from .linalg import Matrix, inverse, sparse_dot, support
 from .group import Group
 
@@ -48,11 +49,11 @@ def _shift(exp: tuple[int, ...], i: int, d: int) -> tuple[int, ...]:
 def relation_table(algebra: "Algebra", vectors):
     """The defining relation on the letters v_0, v_1, ... given as vectors,
 
-        [v_i, v_j] = scalar[i][j] + sum over (R, c) in refl[(i, j)] of c R,
+        [v_i, v_j] = scalar[i][j] + sum over (R, h, c) in refl[(i, j)] of c eta^h R,
 
     returned as (scalar, refl) for i < j only: scalar[i][j] = t omega(v_i,
-    v_j), and refl[(i, j)] lists (reflection key, eta_R omega_R(v_i, v_j))
-    over the reflections with nonzero value, in group.reflections order.
+    v_j), and refl[(i, j)] lists (R, the exponent h of eta_R, omega_R(v_i,
+    v_j)) over the R with nonzero value, in group.reflections order.
     The table is upper-triangular: scalar[j][i] is left zero and (j, i) has
     no refl entry, so a reader of [v_j, v_i] with j > i negates the (i, j)
     entries.  Each letter's nonzero support is listed once and dotted with
@@ -70,7 +71,7 @@ def relation_table(algebra: "Algebra", vectors):
     refl: dict = {}
     for rkey in group.reflections:
         a_cov, b_cov = group.omega_r_covectors(rkey)
-        eta = algebra.eta_poly(group.eta_var_of(rkey))
+        eta = _shift(algebra.eta_zero, group.eta_var_of(rkey), 1)
         # the letters that meet V_R, with (v.A, v.B); omega_R vanishes on the others
         live = []
         for i, nonzero in enumerate(supports):
@@ -81,7 +82,7 @@ def relation_table(algebra: "Algebra", vectors):
             for j, va_j, vb_j in live[p + 1:]:
                 val = vb_i * va_j - va_i * vb_j
                 if not val.is_zero():
-                    refl.setdefault((i, j), []).append((rkey, eta.scaled(val)))
+                    refl.setdefault((i, j), []).append((rkey, eta, val))
     return scalar, refl
 
 
@@ -91,10 +92,10 @@ class Frame:
     `scalar` and `refl` are the relation table (see relation_table) of the
     letters in reverse order, x_(n-1), ..., x_0: its upper triangle then
     holds [x_j, x_k] for j > k at (n-1-j, n-1-k), the order letter_times
-    reads, so no entry is negated on the way.  A normal form is a dict
-    {(exponent, group key): coefficient}, the shape of AlgebraElement.terms:
-    the group key collects the reflections produced by the corrections, and
-    the caller appends its own trailing group element on the right.
+    reads, so no entry is negated on the way.  A normal form has the shape of
+    AlgebraElement.terms, each memo entry settled once: the group key
+    collects the reflections produced by the corrections, and the caller
+    appends its own trailing group element on the right.
 
     letter_times(j, alpha) = NF(x_j x^alpha), memoized on (j, alpha).  When no
     letter of alpha is smaller than j the product is already ordered;
@@ -116,6 +117,7 @@ class Frame:
         self.algebra = algebra
         self.n = n
         self.zero_exp = (0,) * n
+        self.one = Cyclotomic.one(algebra.m)
         self.scalar, self.refl = relation_table(algebra, algebra.letters[::-1])
         self._transform_cache: dict = {}
         self._nf_cache: dict = {}
@@ -141,43 +143,45 @@ class Frame:
         ident = group.identity_key()
         k = next((i for i in range(j) if exp[i]), None)
         if k is None:
-            got = {(_shift(exp, j, 1), ident): alg.one_poly}
+            got = {(_shift(exp, j, 1), ident, alg.eta_zero): self.one}
         else:
             # x_j x_k = x_k x_j + t omega_jk + sum_R eta_R omega_R(x_j, x_k) R
             rest = _shift(exp, k, -1)
-            got = self.times(self.transform(ident)[k], self.letter_times(j, rest))
+            partial: dict = {}
+            self.times(partial, self.transform(ident)[k], self.letter_times(j, rest))
             pair = (self.n - 1 - j, self.n - 1 - k)
-            scal = self.scalar[pair[0]][pair[1]]
-            if not scal.is_zero():
-                accumulate(got, (rest, ident), alg.one_poly.scaled(scal))
-            for rkey, eta_coeff in self.refl.get(pair, ()):
-                for (e, r), c in self.conjugate(rkey, rest, self.zero_exp).items():
-                    accumulate(got, (e, group.mul(r, rkey)), c * eta_coeff)
+            add_product(partial, (rest, ident, alg.eta_zero), self.scalar[pair[0]][pair[1]],
+                        self.one)
+            for rkey, h_r, val in self.refl.get(pair, ()):
+                for (e, r, h), c in self.conjugate(rkey, rest, self.zero_exp).items():
+                    add_product(partial, (e, group.mul(r, rkey), add_exponents(h, h_r)), c, val)
+            got = settle(partial, alg.m)
         self._nf_cache[key] = got
         return got
 
-    def times(self, col, terms: dict) -> dict:
-        """NF((sum_i c_i x_i) * terms) for col = [(i, c_i)] and a normal form."""
+    def times(self, partial: dict, col, terms: dict):
+        """partial += NF((sum_i c_i x_i) * terms) for col = [(i, c_i)]."""
         group = self.algebra.group
-        out: dict = {}
-        for (e, r), c in terms.items():
+        for (e, r, h), c in terms.items():
             for i, ci in col:
-                cc = c.scaled(ci)
-                for (e2, r2), c2 in self.letter_times(i, e).items():
-                    accumulate(out, (e2, group.mul(r2, r)), cc * c2)
-        return out
+                cc = c * ci
+                for (e2, r2, h2), c2 in self.letter_times(i, e).items():
+                    add_product(partial, (e2, group.mul(r2, r), add_exponents(h2, h)), cc, c2)
 
     def conjugate(self, h_key, exp: tuple[int, ...], tail: tuple[int, ...]):
         """NF(h x^exp h^-1 x^tail) = NF(h(x_(l1)) ... h(x_(lk)) x^tail)."""
         key = (h_key, exp, tail)
         got = self._conj_cache.get(key)
         if got is None:
+            alg = self.algebra
             first = next((i for i, e in enumerate(exp) if e), None)
             if first is None:
-                got = {(tail, self.algebra.group.identity_key()): self.algebra.one_poly}
+                got = {(tail, alg.group.identity_key(), alg.eta_zero): self.one}
             else:
-                got = self.times(self.transform(h_key)[first],
-                                 self.conjugate(h_key, _shift(exp, first, -1), tail))
+                partial: dict = {}
+                self.times(partial, self.transform(h_key)[first],
+                           self.conjugate(h_key, _shift(exp, first, -1), tail))
+                got = settle(partial, alg.m)
             self._conj_cache[key] = got
         return got
 
@@ -280,9 +284,7 @@ class Algebra:
             raise ValueError("t must be nonzero (t = 0 is out of scope)")
         self.t = t
         self.nvars = group.n_eta
-        self.one_poly = EtaPolynomial.constant(1, self.nvars, self.m)
-        self._eta_polys = [EtaPolynomial.variable(i, self.nvars, self.m)
-                           for i in range(self.nvars)]
+        self.eta_zero = (0,) * self.nvars
         one, zero = Cyclotomic.one(self.m), Cyclotomic.zero(self.m)
         n = group.dim
         # the standard letters x_i = a_(i+1) as coordinate vectors; they are
@@ -293,18 +295,6 @@ class Algebra:
         self._charts: dict = {}
         self._symmetrized: dict = {}
         self.frame = Frame(self)
-
-    # -- scalar helpers -----------------------------------------------------
-
-    def eta_poly(self, i: int) -> EtaPolynomial:
-        return self._eta_polys[i]
-
-    def coeff(self, c) -> EtaPolynomial:
-        if isinstance(c, EtaPolynomial):
-            if c.nvars != self.nvars or c.m != self.m:
-                raise ValueError("coefficient from a different algebra")
-            return c
-        return EtaPolynomial.constant(c, self.nvars, self.m)
 
     def check_same(self, other: "Algebra"):
         """Raise GroupMismatchError unless `other` is this algebra or another
@@ -338,27 +328,41 @@ class Algebra:
         return AlgebraElement(self, {})
 
     def scalar(self, c) -> "AlgebraElement":
-        poly = self.coeff(c)
-        if poly.is_zero():
-            return self.zero()
-        return AlgebraElement(self, {((0,) * self.group.dim, self.group.identity_key()): poly})
+        """The constant c: a rational, a Cyclotomic or an EtaPolynomial of
+        this algebra's arity and order."""
+        if isinstance(c, EtaPolynomial):
+            if c.nvars != self.nvars or c.m != self.m:
+                raise ValueError("coefficient from a different algebra")
+            coeffs = c.terms
+        else:
+            c = (c.embed(self.m) if isinstance(c, Cyclotomic)
+                 else Cyclotomic.from_rational(c, self.m))
+            coeffs = {self.eta_zero: c} if any(c.num) else {}
+        exp, ident = self.frame.zero_exp, self.group.identity_key()
+        return AlgebraElement(self, {(exp, ident, e): k for e, k in coeffs.items()})
+
+    def _unit(self, exp, g_key, eta) -> "AlgebraElement":
+        return AlgebraElement(self, {(exp, g_key, eta): self.frame.one})
 
     def one(self) -> "AlgebraElement":
         return self.scalar(1)
 
     def eta_scalar(self, i: int) -> "AlgebraElement":
-        return self.scalar(self.eta_poly(i))
+        if not 0 <= i < self.nvars:
+            raise IndexError(f"eta variable {i} out of range (arity {self.nvars})")
+        return self._unit(self.frame.zero_exp, self.group.identity_key(),
+                          _shift(self.eta_zero, i, 1))
 
     def generator(self, i: int) -> "AlgebraElement":
         """The generator a_(i+1), zero-indexed argument."""
         n = self.group.dim
         if not 0 <= i < n:
             raise IndexError(f"generator index {i} out of range 0..{n - 1}")
-        exp = tuple(1 if j == i else 0 for j in range(n))
-        return AlgebraElement(self, {(exp, self.group.identity_key()): self.one_poly})
+        return self._unit(_shift(self.frame.zero_exp, i, 1), self.group.identity_key(),
+                          self.eta_zero)
 
     def group_element(self, g_key) -> "AlgebraElement":
-        return AlgebraElement(self, {((0,) * self.group.dim, g_key): self.one_poly})
+        return self._unit(self.frame.zero_exp, g_key, self.eta_zero)
 
     def word(self, letters, g_key) -> "AlgebraElement":
         """The normal form of x_(l1) ... x_(lk) g for letters (l1, ..., lk),
@@ -370,8 +374,8 @@ class Algebra:
 
 
 class AlgebraElement:
-    """Normal-form element sum c x^alpha g, stored as the Frame normal form
-    {(exponent alpha, group key g): nonzero coefficient c}."""
+    """Normal-form element sum c eta^h x^alpha g, stored as the settled flat
+    map {(exponent alpha, group key g, eta exponent h): Cyclotomic c}."""
 
     __slots__ = ("algebra", "terms")
 
@@ -406,11 +410,11 @@ class AlgebraElement:
         return self + (-other)
 
     def scaled(self, c) -> "AlgebraElement":
-        poly = self.algebra.coeff(c)
-        if poly.is_zero():
-            return self.algebra.zero()
-        # eta-polynomials over a field have no zero divisors
-        return AlgebraElement(self.algebra, {key: c * poly for key, c in self.terms.items()})
+        partial: dict = {}
+        for (_, _, h2), c2 in self.algebra.scalar(c).terms.items():
+            for (e, g, h), k in self.terms.items():
+                add_product(partial, (e, g, add_exponents(h, h2)), k, c2)
+        return AlgebraElement(self.algebra, settle(partial, self.algebra.m))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic, EtaPolynomial)):
@@ -423,17 +427,21 @@ class AlgebraElement:
         frame = alg.frame
         ident = group.identity_key()
         out: dict = {}
-        # (x^alpha g)(x^beta h) = NF(x^alpha NF(g x^beta g^-1)) g h
-        for (alpha, g), c1 in self.terms.items():
-            for (beta, h), c2 in other.terms.items():
+        # (x^alpha g)(x^beta h) = NF(x^alpha NF(g x^beta g^-1)) g h; the eta
+        # exponents e1, e2, ... of the factors add up
+        for (alpha, g, e1), c1 in self.terms.items():
+            for (beta, h, e2), c2 in other.terms.items():
                 gh = group.mul(g, h)
                 coeff = c1 * c2
-                for (gamma, r), c in frame.conjugate(g, beta, frame.zero_exp).items():
+                e12 = add_exponents(e1, e2)
+                for (gamma, r, e3), c in frame.conjugate(g, beta, frame.zero_exp).items():
                     cg = coeff * c
                     rgh = group.mul(r, gh)
-                    for (exp, r2), c3 in frame.conjugate(ident, alpha, gamma).items():
-                        accumulate(out, (exp, group.mul(r2, rgh)), cg * c3)
-        return AlgebraElement(alg, out)
+                    e123 = add_exponents(e12, e3)
+                    for (exp, r2, e4), c3 in frame.conjugate(ident, alpha, gamma).items():
+                        add_product(out, (exp, group.mul(r2, rgh), add_exponents(e123, e4)),
+                                    cg, c3)
+        return AlgebraElement(alg, settle(out, alg.m))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -459,20 +467,24 @@ class AlgebraElement:
         return not self.terms
 
     def degree(self) -> int:
-        return max((sum(e) for e, _ in self.terms), default=-1)
+        return max((sum(e) for e, _, _ in self.terms), default=-1)
 
     def parity(self):
         """0 or 1 when every monomial has that total degree mod 2, else None."""
-        seen = {sum(e) % 2 for e, _ in self.terms}
+        seen = {sum(e) % 2 for e, _, _ in self.terms}
         if len(seen) == 1:
             return seen.pop()
         return None if seen else 0
 
     def monomials(self):
         """Deterministic iteration: (group key, exponent, coefficient), by
-        group key, then degree, then exponent."""
-        for e, gk in sorted(self.terms, key=lambda k: (k[1], sum(k[0]), k[0])):
-            yield gk, e, self.terms[(e, gk)]
+        group key, then degree, then exponent; a coefficient is a view
+        {eta exponent: c} of the map as an EtaPolynomial."""
+        coeffs: dict = {}
+        for (e, gk, h), c in self.terms.items():
+            coeffs.setdefault((e, gk), EtaPolynomial(len(h), c.m)).terms[h] = c
+        for e, gk in sorted(coeffs, key=lambda k: (k[1], sum(k[0]), k[0])):
+            yield gk, e, coeffs[(e, gk)]
 
 
 def kappa_commutator(f: AlgebraElement, h: AlgebraElement, kappa: int) -> AlgebraElement:

@@ -237,6 +237,12 @@ def cmd_gram(args):
     assignment = None
     if args.assignment:
         assignment = [parse_rational("--assignment", x) for x in args.assignment.split(",")]
+        # one value per free parameter, whose number T_G or S_G depends on kappa
+        nparams = dict(zip((1, -1), group.kappa_counts()))
+        for kappa in _kappas(args.kappa):
+            if len(assignment) != nparams[kappa]:
+                raise ValueError(f"--assignment gives {len(assignment)} value(s), but kappa = "
+                                 f"{kappa:+d} has {nparams[kappa]} free parameter(s)")
     for kappa in _kappas(args.kappa):
         fn = solve_glc(algebra, kappa, verify=False)
         report = gram(fn, args.degree, assignment=assignment,

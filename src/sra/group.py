@@ -527,12 +527,44 @@ BUILTINS = {"cyclic": "n", "doubled-A": "rank", "doubled-B": "rank", "dihedral":
             "product": "factors"}
 
 
+def _order(kind: str, n: int):
+    """The order of a builtin group other than product, in closed form: the
+    factors whose product it is, and the formula."""
+    if kind == "cyclic":
+        return [n], str(n)
+    if kind == "dihedral":
+        return [2, n], f"2*{n}"
+    if kind == "doubled-A":
+        return range(2, n + 1), f"{n}!"
+    # doubled-B: 2^n n!, the product of 2k over k = 1..n
+    return range(2, 2 * n + 1, 2), f"2^{n}*{n}!"
+
+
+def _check_order(parts, cap: int):
+    """Raise CapExceededError when the product of the orders `parts` (see
+    _order) exceeds cap.  The product stops at the first partial product
+    over the cap, so a huge rank costs nothing."""
+    total = 1
+    for factors, _ in parts:
+        for f in factors:
+            total *= f
+            if total > cap:
+                raise CapExceededError(f"group closure exceeds cap {cap}: the group has order "
+                                       + " * ".join(formula for _, formula in parts))
+
+
 def builtin(kind: str, cap: int = DEFAULT_CAP, **params) -> Group:
     """Construct a builtin group by name, with the one parameter BUILTINS
     names for it: the rank of doubled-A is the n of S_n, and product takes a
-    list of (kind, params) factor pairs.  Every closure, the factors' too,
-    stops at `cap` elements.
+    list of (kind, params) factor pairs.  A group whose order, known in
+    closed form, exceeds `cap` is refused before any closure; every closure,
+    the factors' too, also stops at `cap` elements.
     """
+    if kind == "product":
+        # each factor's params hold its one parameter
+        _check_order([_order(k, int(n)) for k, p in params["factors"] for n in p.values()], cap)
+    elif kind in BUILTINS:
+        _check_order([_order(kind, int(params[BUILTINS[kind]]))], cap)
     if kind == "cyclic":
         return cyclic_sp2(int(params["n"]), cap=cap)
     if kind == "doubled-A":

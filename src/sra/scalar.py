@@ -674,12 +674,16 @@ def _divisors_of(n: int) -> list[int]:
     return sorted(divs)
 
 
+def add_exponents(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The exponent tuple of the product of two monomials."""
+    return tuple([x + y for x, y in zip(a, b)])
+
+
 def accumulate(out: dict, key, value):
     """out[key] += value, dropping the key when the sum vanishes, so that a
     sparse map never stores a zero.  The zero-dropping add of a fixed number
-    of eta-polynomials or algebra elements; a long sum of cyclotomic
-    products, a trace value's included, goes through add_product and settle
-    instead."""
+    of values; a long sum of cyclotomic products, a normal form's or a trace
+    value's included, goes through add_product and settle instead."""
     cur = out.get(key)
     s = value if cur is None else cur + value
     if s.is_zero():
@@ -792,10 +796,6 @@ class EtaPolynomial:
         self.terms = {e: c for e, c in (terms or {}).items() if not c.is_zero()}
 
     @staticmethod
-    def zero(nvars: int, m: int) -> "EtaPolynomial":
-        return EtaPolynomial(nvars, m)
-
-    @staticmethod
     def constant(c, nvars: int, m: int) -> "EtaPolynomial":
         if not isinstance(c, Cyclotomic):
             c = Cyclotomic.from_rational(Fraction(c), m)
@@ -854,23 +854,11 @@ class EtaPolynomial:
         if other is None:
             return NotImplemented
         self._check(other)
-        a, b = (other, self) if len(self.terms) == 1 else (self, other)
-        if len(b.terms) == 1:
-            # the products of a one-term operand cannot collide, so each is
-            # final as it is formed, with no partial sum to settle
-            (e2, c2), = b.terms.items()
-            return EtaPolynomial(self.nvars, self.m, {
-                tuple([x + y for x, y in zip(e1, e2)]): c1 * c2 for e1, c1 in a.terms.items()})
         out: dict = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                add_product(out, tuple([x + y for x, y in zip(e1, e2)]), c1, c2)
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                add_product(out, add_exponents(e1, e2), c1, c2)
         return EtaPolynomial(self.nvars, self.m, settle(out, self.m))
-
-    def scaled(self, c: Cyclotomic) -> "EtaPolynomial":
-        if c.is_zero():
-            return EtaPolynomial.zero(self.nvars, self.m)
-        return EtaPolynomial(self.nvars, self.m, {e: k * c for e, k in self.terms.items()})
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -956,7 +944,7 @@ class EtaPolynomial:
             out[diff] = q
             neg_q = -q
             for e2, c2 in rest:
-                add_product(rem, tuple([a + b for a, b in zip(diff, e2)]), neg_q, c2)
+                add_product(rem, add_exponents(diff, e2), neg_q, c2)
         return EtaPolynomial(self.nvars, self.m, out)
 
     def sorted_terms(self):

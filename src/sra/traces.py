@@ -44,7 +44,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .scalar import (GRAM_BASIS_CAP, CapExceededError, Cyclotomic, EtaPolynomial, accumulate,
-                     add_product, literal, render_eta, render_sum, render_term, settle)
+                     add_exponents, add_product, literal, render_eta, render_sum, render_term,
+                     settle)
 from .linalg import Matrix, components, fraction_free_det, inverse
 from .group import Group
 from .algebra import (Algebra, AlgebraElement, _letters, kappa_commutator, relation_table,
@@ -196,26 +197,26 @@ def solve_glc(algebra: Algebra, kappa: int, verify: bool = True) -> TraceFunctio
 
 def _reflection_sum(flat: dict, functional: TraceFunctional, g_key, entries):
     """flat += sum_R eta_R omega_R(c_i, c_j) sp(R g), for a flat map of
-    partial sums (see add_product), over the entries [(R, eta_R omega_R(c_i,
-    c_j))] of a relation table, with sp(R g) read from the functional's class
+    partial sums (see add_product), over the entries (R, h, omega_R(c_i,
+    c_j)) of a relation table, with sp(R g) read from the functional's class
     table, which must already hold every class R g.
 
-    The coefficients are first added per class C of R g, and each class
-    value is scaled once: sum_R c_R sp(R g) = sum_C (sum_(R g in C) c_R)
-    sp(C).  Every entry's class is looked up before the sum, so a missing
-    class raises even when its coefficients cancel."""
+    The values omega_R are first added per class C of R g and eta exponent
+    h, and each class value is scaled once per h.  Every entry's class is
+    looked up before the sum, so a missing class raises even when its
+    coefficients cancel."""
     group = functional.group
     per_class: dict = {}
-    for rkey, coeff in entries:
+    for rkey, h, coeff in entries:
         rc = group.class_of[group.mul(rkey, g_key)]
         if rc not in functional.table:
             ci = group.class_of[g_key]
             raise InconsistentGLCError(
                 f"group {group.name}, kappa {functional.kappa}: sp(C{ci}) needs "
                 f"sp(C{rc}), which has E >= E(C{ci})")
-        accumulate(per_class, rc, coeff)
-    for rc, coeff in per_class.items():
-        _add_times(flat, functional.table[rc].terms, coeff)
+        accumulate(per_class, (rc, h), coeff)
+    for (rc, h), coeff in per_class.items():
+        _add_shifted(flat, functional.table[rc].terms, h, coeff)
 
 
 def verify_glc(functional: TraceFunctional):
@@ -255,11 +256,10 @@ def _add_scaled(flat: dict, val: dict, c: Cyclotomic):
         add_product(flat, key, k, c)
 
 
-def _add_times(flat: dict, val: dict, coeff: EtaPolynomial):
-    """flat += coeff val, for a settled val and an eta-polynomial coefficient."""
+def _add_shifted(flat: dict, val: dict, h: tuple[int, ...], c: Cyclotomic):
+    """flat += c eta^h val, for a settled val (see _add_scaled)."""
     for (i, e), k in val.items():
-        for e2, c2 in coeff.terms.items():
-            add_product(flat, (i, tuple([a + b for a, b in zip(e, e2)])), k, c2)
+        add_product(flat, (i, add_exponents(e, h)), k, c)
 
 
 def _prefix_product(products: dict, cols, w) -> Cyclotomic:
@@ -308,8 +308,8 @@ class _Evaluator:
         and t; the standard letter x_i has id i in every algebra."""
         self.alg.check_same(f.algebra)
         flat: dict = {}
-        for (exp, gk), coeff in f.terms.items():
-            _add_times(flat, self.vectors(gk, _letters(exp)), coeff)
+        for (exp, gk, h), c in f.terms.items():
+            _add_shifted(flat, self.vectors(gk, _letters(exp)), h, c)
         return TraceValue(self.fn.nparams, settle(flat, self.alg.m))
 
     def vectors(self, g_key, word: tuple[int, ...]) -> dict:
@@ -410,12 +410,12 @@ class _Evaluator:
             return
         ids = chart.letter_ids
         head = tuple([ids[p] for p in prefix])
-        for rkey, coeff in entries:
+        for rkey, h, c in entries:
             moved = chart.moved(rkey)
             val = self.vectors(self.group.mul(rkey, g_key),
                                head + tuple([moved[s] for s in suffix]))
             if val:
-                _add_times(flat, val, coeff if x < y else -coeff)
+                _add_shifted(flat, val, h, c if x < y else -c)
 
     def _special_step(self, g_key, word) -> dict:
         """All letters lie in Ker(g - kappa): reorder onto the chosen Darboux
@@ -526,7 +526,7 @@ def _eta0_coefficient(quad, exp: tuple[int, ...], m: int) -> Cyclotomic:
         nxt: dict = {}
         for e1, c1 in power.items():
             for e2, c2 in quad.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = add_exponents(e1, e2)
                 if any(a > b for a, b in zip(e, exp)):
                     continue
                 add_product(nxt, e, c1, c2)

@@ -1,7 +1,23 @@
 import pytest
 
-from sra.scalar import Cyclotomic, accumulate
+from sra.scalar import Cyclotomic, EtaPolynomial, accumulate
 from sra.traces import TraceValue
+
+
+def eta(alg, i):
+    """eta_i as an EtaPolynomial in the variables of the algebra."""
+    return EtaPolynomial.variable(i, alg.nvars, alg.m)
+
+
+def const(alg, c):
+    """The constant c as an EtaPolynomial in the variables of the algebra."""
+    return EtaPolynomial.constant(c, alg.nvars, alg.m)
+
+
+def eta_exponent(alg, i):
+    """The exponent tuple of the monomial eta_i."""
+    (exp,) = eta(alg, i).terms
+    return exp
 
 
 def trace_value(nparams, *coeff_maps):

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import const, eta
 from sra.group import builtin, cyclic_sp2, direct_product, doubled_coxeter
 from sra.algebra import Algebra
 from sra.traces import (
@@ -199,9 +200,9 @@ def _z2_gram(degree):
 def test_criterion_9_gram_degeneracy():
     t0 = time.time()
     algebra, report0 = _z2_gram(0)
-    eta = algebra.eta_poly(0)
-    one = algebra.one_poly
-    ok_d0 = report0.determinant == one - eta * eta
+    eta0 = eta(algebra, 0)
+    one = const(algebra, 1)
+    ok_d0 = report0.determinant == one - eta0 * eta0
     # the degeneracy family: the paper's eta_paper = k + 1/2 enters this
     # algebra's defining relation as eta = 2 eta_paper, i.e. odd integers,
     # with deeper |k| appearing as the cutoff grows

@@ -5,6 +5,7 @@ from math import comb, factorial
 
 import pytest
 
+from conftest import eta, eta_exponent
 from sra.scalar import Cyclotomic, EtaPolynomial
 from sra.group import POWER_CAP, CapExceededError, cyclic_sp2, dihedral, doubled_coxeter
 from sra.linalg import form_value
@@ -111,7 +112,7 @@ def _random_element(alg, rng, max_degree, n_terms=2):
             term = alg.generator(i) * term
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
         if rng.random() < 0.3 and alg.nvars:
-            term = term * alg.eta_poly(rng.randrange(alg.nvars))
+            term = term * eta(alg, rng.randrange(alg.nvars))
         out = out + term.scaled(c)
     return out
 
@@ -270,7 +271,7 @@ def test_chart_coordinates_and_reflection_table(alg_name, request, omega_r):
             assert alg.letter_vectors[letter] == chart.vectors[big_i]
             assert chart.coords(letter) == ((big_i, one),)
         # for x < y, refl[(x, y)] lists exactly the R with omega_R(b_x, b_y)
-        # != 0, each with the coefficient eta_R omega_R(b_x, b_y); the table
+        # != 0, each with eta_R's exponent and omega_R(b_x, b_y); the table
         # is upper-triangular, so (y, x) and (x, x) hold nothing
         for x in range(n):
             for y in range(x + 1):
@@ -280,10 +281,10 @@ def test_chart_coordinates_and_reflection_table(alg_name, request, omega_r):
                 for rkey in group.reflections:
                     val = omega_r(group, rkey, chart.vectors[x], chart.vectors[y])
                     if not val.is_zero():
-                        expected[rkey] = alg.eta_poly(group.eta_var_of(rkey)).scaled(val)
+                        expected[rkey] = (eta_exponent(alg, group.eta_var_of(rkey)), val)
                 entries = chart.refl.get((x, y), [])
                 assert len(entries) == len(expected)
-                assert dict(entries) == expected
+                assert {rkey: (h, c) for rkey, h, c in entries} == expected
 
 
 @pytest.mark.parametrize("alg_name", ["z2", "z3", "a2"])
@@ -344,5 +345,25 @@ def test_relation_table_matches_the_dense_forms(make, omega_r):
                 for rkey in group.reflections:
                     val = omega_r(group, rkey, vectors[i], vectors[j])
                     if not val.is_zero():
-                        expected.append((rkey, alg.eta_poly(group.eta_var_of(rkey)).scaled(val)))
+                        expected.append((rkey, eta_exponent(alg, group.eta_var_of(rkey)), val))
                 assert refl.get((i, j), []) == expected
+
+
+@pytest.mark.parametrize("make", [lambda: cyclic_sp2(3), lambda: doubled_coxeter("A", 3),
+                                  lambda: doubled_coxeter("B", 2), lambda: dihedral(5)],
+                         ids=["z3", "s3", "b2", "dihedral5"])
+def test_standard_letters_satisfy_the_defining_relation(make, omega_r):
+    # x_j x_k - x_k x_j = t omega(x_j, x_k) + sum_R eta_R omega_R(x_j, x_k) R,
+    # built from the dense omega_r reference; b2 has two eta variables
+    group = make()
+    alg = Algebra(group)
+    vectors = alg.letters
+    for j in range(group.dim):
+        for k in range(group.dim):
+            xj, xk = alg.generator(j), alg.generator(k)
+            expected = alg.scalar(alg.t * form_value(group.omega, vectors[j], vectors[k]))
+            for rkey in group.reflections:
+                val = omega_r(group, rkey, vectors[j], vectors[k])
+                expected = expected + (alg.eta_scalar(group.eta_var_of(rkey))
+                                       * alg.group_element(rkey)).scaled(val)
+            assert xj * xk - xk * xj == expected

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import sra
-from conftest import trace_value
+from conftest import const, trace_value
 from sra.scalar import Cyclotomic
 from sra.linalg import Matrix
 from sra.group import cyclic_sp2, doubled_coxeter
@@ -58,7 +58,7 @@ def test_cyclicity_and_oracle_report_a_corrupted_class_value():
     sigma_cls = next(ci for ci, rep in enumerate(group.class_rep)
                      if rep != group.identity_key())
     table = dict(fn.table)
-    table[sigma_cls] = trace_value(1, table[sigma_cls].coeffs, {0: alg.one_poly})
+    table[sigma_cls] = trace_value(1, table[sigma_cls].coeffs, {0: const(alg, 1)})
     bad = TraceFunctional(alg, -1, fn.free_classes, table, fn.e_of_class)
     assert cyclicity_failures(fn, random.Random(3), 20, 3) == []
     assert cyclicity_failures(bad, random.Random(3), 20, 3) != []
@@ -75,7 +75,7 @@ class _LastRegularStepShifted(TraceFunctional):
     def evaluate(self, f, regular_strategy="first", pair_strategy="first"):
         val = super().evaluate(f, regular_strategy, pair_strategy)
         if regular_strategy == "last":
-            val = trace_value(self.nparams, val.coeffs, {0: self.algebra.one_poly})
+            val = trace_value(self.nparams, val.coeffs, {0: const(self.algebra, 1)})
         return val
 
 
@@ -111,7 +111,7 @@ class _OneElementShifted(TraceFunctional):
     def element_value(self, g_key):
         val = super().element_value(g_key)
         if g_key == self.target:
-            val = trace_value(self.nparams, val.coeffs, {0: self.algebra.one_poly})
+            val = trace_value(self.nparams, val.coeffs, {0: const(self.algebra, 1)})
         return val
 
 

@@ -216,6 +216,39 @@ def test_builtin_cap_exceeded_exit_1(group_args, capsys):
     assert "group closure exceeds cap 50" in err
 
 
+@pytest.mark.parametrize("group_args", [
+    ("--builtin", "doubled-A", "--rank", "9"),
+    ("--builtin", "doubled-B", "--rank", "7"),
+    ("--builtin", "doubled-B", "--rank", "1000000000"),
+    ("--builtin", "dihedral", "--n", "60000"),
+    ("--builtin", "product", "--factors", "doubled-A:8,doubled-B:4"),
+], ids=["S9", "B7", "B-huge", "dihedral-60000", "S8xB4"])
+def test_builtin_order_over_cap_is_refused_before_closure(group_args, capsys):
+    # each order is known in closed form; a closure would take minutes
+    start = time.perf_counter()
+    code, out, err = run(capsys, "counts", *group_args)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.startswith("error: group closure exceeds cap 100000: the group has order ")
+
+
+@pytest.mark.parametrize("kappa, value, count", [
+    ("both", "1", "kappa = -1 has 2"),
+    ("both", "1,0", "kappa = +1 has 1"),
+    ("-1", "1,0,0", "kappa = -1 has 2"),
+])
+def test_gram_assignment_arity_names_the_option_and_kappa(capsys, kappa, value, count):
+    # S_3 has T = 1 trace and S = 2 supertraces, so under --kappa both no
+    # assignment fits
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gram", "--builtin", "doubled-A", "--rank", "3",
+                         "--kappa", kappa, "--assignment", value)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    n = len(value.split(","))
+    assert err == f"error: --assignment gives {n} value(s), but {count} free parameter(s)\n"
+
+
 def test_negative_eta_label_exit_1(tmp_path, capsys):
     path = tmp_path / "z2.json"
     path.write_text(json.dumps({

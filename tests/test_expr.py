@@ -5,7 +5,7 @@ import pytest
 
 import sra
 import sra.scalar
-from conftest import trace_value
+from conftest import eta, trace_value
 from sra.scalar import (EXPR_DEPTH_CAP, CapExceededError, Cyclotomic, EtaPolynomial,
                         parse_literal, render_eta)
 from sra.group import cyclic_sp2, dihedral, doubled_coxeter
@@ -190,7 +190,7 @@ def _random_element(alg, rng, max_degree=3):
                 alg.m, rng.randrange(alg.m))
         term = term.scaled(c)
         if alg.nvars and rng.random() < 0.5:
-            term = term * alg.eta_poly(rng.randrange(alg.nvars))
+            term = term * eta(alg, rng.randrange(alg.nvars))
         out = out + term
     return out
 

@@ -137,7 +137,7 @@ def test_fraction_free_det_singular_and_empty_eta_matrices():
     eta = [EtaPolynomial.variable(i, nvars, m) for i in range(nvars)]
 
     def entry():
-        return (one.scaled(Cyclotomic.root_of_unity(m, rng.randint(0, 2))) * rng.randint(-2, 2)
+        return (one * Cyclotomic.root_of_unity(m, rng.randint(0, 2)) * rng.randint(-2, 2)
                 + eta[0] * rng.randint(-1, 1) + eta[1] * eta[0] * rng.randint(-1, 1))
 
     rows = [[entry() for _ in range(4)] for _ in range(4)]
@@ -173,7 +173,7 @@ def _eta_entry(rng, m=3, nvars=2):
     one = EtaPolynomial.constant(1, nvars, m)
     eta = [EtaPolynomial.variable(i, nvars, m) for i in range(nvars)]
     root = Cyclotomic.root_of_unity(m, rng.randint(0, m - 1))
-    return (one.scaled(root) * rng.choice([-2, -1, 1, 2])
+    return (one * root * rng.choice([-2, -1, 1, 2])
             + eta[0] * rng.randint(-1, 1) + eta[1] * eta[0] * rng.randint(-1, 1))
 
 

@@ -268,7 +268,7 @@ def test_eta_polynomial_partial_substitution():
     p = EtaPolynomial.constant(1, 2, m) - eta0 * eta0 - eta0 * eta1
     half = Fraction(1, 2)
     assert p.substitute([half, None]) == EtaPolynomial.constant(Fraction(3, 4), 2, m) \
-        - eta1.scaled(Cyclotomic.from_rational(half, m))
+        - eta1 * Cyclotomic.from_rational(half, m)
     assert p.substitute([None, None]) == p
     assert p.substitute([half, 2]).constant_term() == p.evaluate([half, 2]) \
         == Cyclotomic.from_rational(Fraction(-1, 4), m)
@@ -356,7 +356,7 @@ def test_eta_eval_is_ring_hom(ts1, ts2, pt):
     m = 4
 
     def build(ts):
-        p = EtaPolynomial.zero(1, m)
+        p = EtaPolynomial(1, m)
         for c, e in ts:
             p = p + EtaPolynomial(1, m, {(e,): Cyclotomic.from_rational(c, m)})
         return p
@@ -488,8 +488,8 @@ def test_exact_divide_drops_the_terms_that_cancel_in_the_remainder(monkeypatch):
 @given(st.sampled_from([1, 3, 4, 12]).flatmap(
     lambda m: st.tuples(_eta_polynomials(m, 6), _eta_polynomials(m, 1))))
 def test_one_term_product_matches_the_general_path(case):
-    # the direct path of a one-term operand against the partial-sum loop of
-    # every other product
+    # a product with a one-term operand, which goes through add_product like
+    # every other product, against a partial-sum loop written out here
     p, t = case
     out: dict = {}
     for e1, c1 in p.terms.items():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import trace_value
+from conftest import const, eta, trace_value
 from sra.scalar import Cyclotomic, EtaPolynomial
 from sra.linalg import rank
 from sra.group import cyclic_sp2, doubled_coxeter
@@ -61,10 +61,6 @@ def sigma_key(alg):
     return next(k for k in alg.group.elements if k != alg.group.identity_key())
 
 
-def eta_mono(alg, i=0, c=1):
-    return alg.eta_poly(i).scaled(Cyclotomic.from_rational(c, alg.m))
-
-
 def test_glc_z2_supertrace(z2):
     fn = solve_glc(z2, -1)
     g = z2.group
@@ -72,7 +68,7 @@ def test_glc_z2_supertrace(z2):
     sigma_cls = g.class_of[sigma_key(z2)]
     assert list(fn.free_classes) == [ident_cls]
     # str(sigma) = -eta * str(1)
-    assert fn.table[sigma_cls] == trace_value(1, {0: -z2.eta_poly(0)})
+    assert fn.table[sigma_cls] == trace_value(1, {0: -eta(z2, 0)})
 
 
 def test_glc_z2_trace(z2):
@@ -82,7 +78,7 @@ def test_glc_z2_trace(z2):
     sigma_cls = g.class_of[sigma_key(z2)]
     assert list(fn.free_classes) == [sigma_cls]
     # tr(1) = -eta * tr(sigma)
-    assert fn.table[ident_cls] == trace_value(1, {0: -z2.eta_poly(0)})
+    assert fn.table[ident_cls] == trace_value(1, {0: -eta(z2, 0)})
 
 
 def test_glc_a2_counts(a2):
@@ -100,7 +96,7 @@ def test_glc_dimension_matches_counts(z2, z3, z4, a2):
             assert fn.nparams == expected
             # free classes carry indicator values: their own parameter
             for pi, ci in enumerate(fn.free_classes):
-                assert fn.table[ci] == trace_value(fn.nparams, {pi: alg.one_poly})
+                assert fn.table[ci] == trace_value(fn.nparams, {pi: const(alg, 1)})
 
 
 def test_evaluate_basics(z2):
@@ -110,7 +106,7 @@ def test_evaluate_basics(z2):
     # str(a1 a2) = 1/2 (1 - eta^2) str(1)
     val = fn.evaluate(a1 * a2_gen)
     half = Cyclotomic.from_rational(Fraction(1, 2), z2.m)
-    expected = (z2.one_poly - z2.eta_poly(0) * z2.eta_poly(0)).scaled(half)
+    expected = (const(z2, 1) - eta(z2, 0) * eta(z2, 0)) * half
     assert val == trace_value(1, {0: expected})
     # odd elements vanish
     assert fn.evaluate(a1).is_zero()
@@ -124,7 +120,7 @@ def test_evaluate_linearity(z2):
     fn = solve_glc(z2, -1)
     f = z2.generator(0) * z2.generator(1)
     h = z2.group_element(sigma_key(z2))
-    c = z2.eta_poly(0)
+    c = eta(z2, 0)
     lhs = fn.evaluate(f.scaled(c) + h.scaled(3))
     rhs = trace_value(1, {i: p * c for i, p in fn.evaluate(f).coeffs.items()},
                       fn.evaluate(h).scaled(Cyclotomic.from_rational(3, z2.m)).coeffs)
@@ -190,7 +186,8 @@ def _unpruned_value(fn: TraceFunctional, f) -> TraceValue:
     alg = fn.algebra
     ev = _Evaluator(fn, "first", "first")
     acc = trace_value(fn.nparams)
-    for (exp, g_key), coeff in f.terms.items():
+    for (exp, g_key, h), c_h in f.terms.items():
+        coeff = EtaPolynomial(alg.nvars, alg.m, {h: c_h})
         chart = alg.chart(g_key)
         words = {(): Cyclotomic.one(alg.m)}
         for letter in _letters(exp):
@@ -244,7 +241,7 @@ def test_substitute_is_the_per_parameter_sum(alg_name, kappa, request):
     for val in values:
         assignment = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                       for _ in range(fn.nparams)]
-        want = EtaPolynomial.zero(alg.nvars, alg.m)
+        want = EtaPolynomial(alg.nvars, alg.m)
         for i, p in val.coeffs.items():
             want = want + p * assignment[i]
         assert val.substitute(assignment, alg.nvars, alg.m) == want
@@ -423,13 +420,13 @@ def test_gram_d0_z2(z2):
     fn = solve_glc(z2, -1)
     report = gram(fn, 0)
     assert len(report.basis) == 2
-    eta = z2.eta_poly(0)
-    one = z2.one_poly
+    eta0 = eta(z2, 0)
+    one = const(z2, 1)
     flat = {str(i) + str(j): report.matrix[i][j] for i in range(2) for j in range(2)}
     # basis order follows class order; the matrix is ((1, -eta), (-eta, 1))
     assert flat["00"] == one and flat["11"] == one
-    assert flat["01"] == -eta and flat["10"] == -eta
-    assert report.determinant == one - eta * eta
+    assert flat["01"] == -eta0 and flat["10"] == -eta0
+    assert report.determinant == one - eta0 * eta0
     assert report.rational_roots == [Fraction(-1), Fraction(1)]
 
 
@@ -505,12 +502,11 @@ def test_t_scaling_hand_derived():
     g = alg.group
     sig_cls = g.class_of[sigma_key(alg)]
     half = Cyclotomic.from_rational(Fraction(-1, 2), alg.m)
-    assert fn.table[sig_cls] == trace_value(1, {0: alg.eta_poly(0).scaled(half)})
+    assert fn.table[sig_cls] == trace_value(1, {0: eta(alg, 0) * half})
     val = fn.evaluate(alg.generator(0) * alg.generator(1))
-    expected = (alg.one_poly.scaled(Cyclotomic.from_rational(2, alg.m))
-                - (alg.eta_poly(0) * alg.eta_poly(0)).scaled(
-                    Cyclotomic.from_rational(Fraction(1, 2), alg.m))).scaled(
-        Cyclotomic.from_rational(Fraction(1, 2), alg.m))
+    expected = (const(alg, 1) * Cyclotomic.from_rational(2, alg.m)
+                - eta(alg, 0) * eta(alg, 0) * Cyclotomic.from_rational(Fraction(1, 2), alg.m)
+                ) * Cyclotomic.from_rational(Fraction(1, 2), alg.m)
     assert val == trace_value(1, {0: expected})
 
 
@@ -578,7 +574,7 @@ def test_product_factorization_oracle(kappa):
 
     def lift_poly(poly, emap):
         from sra.scalar import EtaPolynomial
-        out = EtaPolynomial.zero(prod.n_eta, prod.exponent)
+        out = EtaPolynomial(prod.n_eta, prod.exponent)
         for e, c in poly.terms.items():
             e2 = [0] * prod.n_eta
             for i, k in enumerate(e):
@@ -673,7 +669,7 @@ def test_verify_glc_catches_corruption(z2):
     fn = solve_glc(z2, -1)
     bad = {ci: v for ci, v in fn.table.items()}
     sigma_cls = z2.group.class_of[sigma_key(z2)]
-    bad[sigma_cls] = trace_value(1, {0: z2.eta_poly(0)})  # wrong sign
+    bad[sigma_cls] = trace_value(1, {0: eta(z2, 0)})  # wrong sign
     broken = TraceFunctional(z2, -1, fn.free_classes, bad, fn.e_of_class)
     with pytest.raises(InconsistentGLCError,
                        match=rf"fails on C{sigma_cls} \(Darboux pair 0,1\), residual 2\*eta0\*P0$"):
@@ -721,7 +717,8 @@ def test_missing_class_names_both_labels(a2, kappa):
     with pytest.raises(InconsistentGLCError, match=message):
         _reflection_sum({}, broken, g, entries)
     # coefficients that cancel on the missing class still raise
-    cancelling = [(entries[0][0], c) for c in (entries[0][1], -entries[0][1])]
+    rkey, h, val = entries[0]
+    cancelling = [(rkey, h, c) for c in (val, -val)]
     with pytest.raises(InconsistentGLCError, match=message):
         _reflection_sum({}, broken, g, cancelling)
     with pytest.raises(InconsistentGLCError, match=rf"needs sp\(C{rc}\)"):
