@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalar import (POWER_CAP, CapExceededError, Cyclotomic, EtaPolynomial, accumulate,
-                     add_exponents, add_product, settle)
+from .scalar import (POWER_CAP, CapExceededError, Cyclotomic, EtaPolynomial, add_exponents,
+                     add_maps, add_product, settle)
 from .linalg import Matrix, inverse, sparse_dot, support
 from .group import Group
 
@@ -328,18 +328,10 @@ class Algebra:
         return AlgebraElement(self, {})
 
     def scalar(self, c) -> "AlgebraElement":
-        """The constant c: a rational, a Cyclotomic or an EtaPolynomial of
-        this algebra's arity and order."""
-        if isinstance(c, EtaPolynomial):
-            if c.nvars != self.nvars or c.m != self.m:
-                raise ValueError("coefficient from a different algebra")
-            coeffs = c.terms
-        else:
-            c = (c.embed(self.m) if isinstance(c, Cyclotomic)
-                 else Cyclotomic.from_rational(c, self.m))
-            coeffs = {self.eta_zero: c} if any(c.num) else {}
-        exp, ident = self.frame.zero_exp, self.group.identity_key()
-        return AlgebraElement(self, {(exp, ident, e): k for e, k in coeffs.items()})
+        """The constant c: a rational or a Cyclotomic."""
+        c = c.embed(self.m) if isinstance(c, Cyclotomic) else Cyclotomic.from_rational(c, self.m)
+        key = (self.frame.zero_exp, self.group.identity_key(), self.eta_zero)
+        return AlgebraElement(self, {key: c} if any(c.num) else {})
 
     def _unit(self, exp, g_key, eta) -> "AlgebraElement":
         return AlgebraElement(self, {(exp, g_key, eta): self.frame.one})
@@ -388,37 +380,31 @@ class AlgebraElement:
     def _check(self, other: "AlgebraElement"):
         self.algebra.check_same(other.algebra)
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic, EtaPolynomial)):
-            other = self.algebra.scalar(other)
+    def _add(self, other, sign: int):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            accumulate(terms, key, c)
-        return AlgebraElement(self.algebra, terms)
+        return AlgebraElement(self.algebra,
+                              add_maps(self.terms, other.terms, sign, self.algebra.m))
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     def __neg__(self):
         return AlgebraElement(self.algebra, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic, EtaPolynomial)):
-            other = self.algebra.scalar(other)
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self + (-other)
+        return self._add(other, -1)
 
     def scaled(self, c) -> "AlgebraElement":
+        """c times the element, for a rational or a Cyclotomic c."""
         partial: dict = {}
-        for (_, _, h2), c2 in self.algebra.scalar(c).terms.items():
-            for (e, g, h), k in self.terms.items():
-                add_product(partial, (e, g, add_exponents(h, h2)), k, c2)
+        for c2 in self.algebra.scalar(c).terms.values():
+            for key, k in self.terms.items():
+                add_product(partial, key, k, c2)
         return AlgebraElement(self.algebra, settle(partial, self.algebra.m))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic, EtaPolynomial)):
-            return self.scaled(other)
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check(other)

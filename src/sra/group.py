@@ -30,9 +30,9 @@ import re
 from fractions import Fraction
 from math import cos, hypot, lcm, pi, sin
 
-# the caps and CapExceededError live in sra.scalar; sra.group re-exports them
-from .scalar import (DEFAULT_CAP, GRAM_BASIS_CAP, POWER_CAP, CapExceededError, Cyclotomic,
-                     literal, parse_literal, parse_rational)
+# the caps and CapExceededError live in sra.scalar
+from .scalar import (DEFAULT_CAP, CapExceededError, Cyclotomic, literal, parse_literal,
+                     parse_rational)
 from .linalg import (
     Matrix,
     darboux_basis,

@@ -679,19 +679,6 @@ def add_exponents(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([x + y for x, y in zip(a, b)])
 
 
-def accumulate(out: dict, key, value):
-    """out[key] += value, dropping the key when the sum vanishes, so that a
-    sparse map never stores a zero.  The zero-dropping add of a fixed number
-    of values; a long sum of cyclotomic products, a normal form's or a trace
-    value's included, goes through add_product and settle instead."""
-    cur = out.get(key)
-    s = value if cur is None else cur + value
-    if s.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = s
-
-
 def add_product(partial: dict, key, a: Cyclotomic, b: Cyclotomic):
     """partial[key] += a b for a map of partial sums [integer numerators,
     positive denominator] over one order m.  The raw product (a rational
@@ -725,6 +712,18 @@ def settle(partial: dict, m: int) -> dict:
     reduced with one gcd; the keys whose sum cancelled are dropped."""
     return {key: Cyclotomic(m, *_normalize(m, num, den), _canonical=True)
             for key, (num, den) in partial.items() if any(num)}
+
+
+def add_maps(x: dict, y: dict, sign: int, m: int) -> dict:
+    """The settled map x + sign y, sign = 1 or -1, of two settled maps
+    {key: Cyclotomic} over Q(zeta_m): the one add of two normal forms or
+    two eta-polynomials.  x's values start the partial sums, y's are added
+    through add_product, and settle drops the keys that cancelled."""
+    partial = {key: [c.num, c.den] for key, c in x.items()}
+    factor = Cyclotomic.from_rational(sign, m)
+    for key, c in y.items():
+        add_product(partial, key, c, factor)
+    return settle(partial, m)
 
 
 def _divides(d: int, v: int) -> bool:
@@ -783,9 +782,11 @@ def _rational_roots(coeffs: dict[int, Fraction]) -> list[Fraction]:
 class EtaPolynomial:
     """Sparse polynomial in the eta variables with Cyclotomic coefficients.
 
-    Terms map exponent vectors (one slot per reflection conjugacy class) to
-    nonzero coefficients.  The structural constant t of the algebra enters
-    only through degree-0 terms; it is never a polynomial variable.
+    Terms are a settled map from exponent vectors (one slot per reflection
+    conjugacy class) to canonical nonzero coefficients, kept as given; the
+    operators take only eta-polynomials of the same arity and order.  The
+    structural constant t of the algebra enters only through degree-0
+    terms; it is never a polynomial variable.
     """
 
     __slots__ = ("nvars", "m", "terms")
@@ -793,23 +794,13 @@ class EtaPolynomial:
     def __init__(self, nvars: int, m: int, terms: dict[tuple[int, ...], Cyclotomic] | None = None):
         self.nvars = nvars
         self.m = m
-        self.terms = {e: c for e, c in (terms or {}).items() if not c.is_zero()}
+        self.terms = {} if terms is None else terms
 
     @staticmethod
-    def constant(c, nvars: int, m: int) -> "EtaPolynomial":
-        if not isinstance(c, Cyclotomic):
-            c = Cyclotomic.from_rational(Fraction(c), m)
-        elif c.m != m:
-            c = c.embed(m)
-        return EtaPolynomial(nvars, m, {(0,) * nvars: c})
-
-    @staticmethod
-    def variable(i: int, nvars: int, m: int) -> "EtaPolynomial":
-        if not 0 <= i < nvars:
-            raise IndexError(f"eta variable {i} out of range (arity {nvars})")
-        e = [0] * nvars
-        e[i] = 1
-        return EtaPolynomial(nvars, m, {tuple(e): Cyclotomic.one(m)})
+    def constant(q, nvars: int, m: int) -> "EtaPolynomial":
+        """The rational constant q."""
+        c = Cyclotomic.from_rational(q, m)
+        return EtaPolynomial(nvars, m, {(0,) * nvars: c} if any(c.num) else {})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -823,35 +814,23 @@ class EtaPolynomial:
         if self.m != other.m:
             raise ValueError("mixed cyclotomic orders in eta-polynomials")
 
-    def _coerce(self, other):
-        if isinstance(other, EtaPolynomial):
-            return other
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            return EtaPolynomial.constant(other, self.nvars, self.m)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+    def _add(self, other, sign: int):
+        if not isinstance(other, EtaPolynomial):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            accumulate(terms, e, c)
-        return EtaPolynomial(self.nvars, self.m, terms)
+        return EtaPolynomial(self.nvars, self.m, add_maps(self.terms, other.terms, sign, self.m))
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     def __neg__(self):
         return EtaPolynomial(self.nvars, self.m, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._add(other, -1)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, EtaPolynomial):
             return NotImplemented
         self._check(other)
         out: dict = {}
@@ -861,13 +840,9 @@ class EtaPolynomial:
         return EtaPolynomial(self.nvars, self.m, settle(out, self.m))
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, EtaPolynomial):
             return NotImplemented
         return (self.nvars, self.m, self.terms) == (other.nvars, other.m, other.terms)
-
-    def __hash__(self):
-        return hash((self.nvars, self.m, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
 
     def substitute(self, point) -> "EtaPolynomial":
         """Substitute a rational value for each eta variable whose slot of
@@ -916,7 +891,6 @@ class EtaPolynomial:
 
     def exact_divide(self, other: "EtaPolynomial") -> "EtaPolynomial":
         """Exact polynomial division (raises if the division is not exact)."""
-        other = self._coerce(other)
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("eta-polynomial division by zero")

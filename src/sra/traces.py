@@ -43,9 +43,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .scalar import (GRAM_BASIS_CAP, CapExceededError, Cyclotomic, EtaPolynomial, accumulate,
-                     add_exponents, add_product, literal, render_eta, render_sum, render_term,
-                     settle)
+from .scalar import (GRAM_BASIS_CAP, CapExceededError, Cyclotomic, EtaPolynomial, add_exponents,
+                     add_product, literal, render_eta, render_sum, render_term, settle)
 from .linalg import Matrix, components, fraction_free_det, inverse
 from .group import Group
 from .algebra import (Algebra, AlgebraElement, _letters, kappa_commutator, relation_table,
@@ -205,7 +204,8 @@ def _reflection_sum(flat: dict, functional: TraceFunctional, g_key, entries):
     h, and each class value is scaled once per h.  Every entry's class is
     looked up before the sum, so a missing class raises even when its
     coefficients cancel."""
-    group = functional.group
+    group, m = functional.group, functional.algebra.m
+    one = Cyclotomic.one(m)
     per_class: dict = {}
     for rkey, h, coeff in entries:
         rc = group.class_of[group.mul(rkey, g_key)]
@@ -214,8 +214,8 @@ def _reflection_sum(flat: dict, functional: TraceFunctional, g_key, entries):
             raise InconsistentGLCError(
                 f"group {group.name}, kappa {functional.kappa}: sp(C{ci}) needs "
                 f"sp(C{rc}), which has E >= E(C{ci})")
-        accumulate(per_class, (rc, h), coeff)
-    for (rc, h), coeff in per_class.items():
+        add_product(per_class, (rc, h), coeff, one)
+    for (rc, h), coeff in settle(per_class, m).items():
         _add_shifted(flat, functional.table[rc].terms, h, coeff)
 
 

@@ -1,17 +1,31 @@
 import pytest
 
-from sra.scalar import Cyclotomic, EtaPolynomial, accumulate
+from sra.scalar import Cyclotomic, EtaPolynomial, add_maps
 from sra.traces import TraceValue
+
+
+def eta_var(i, nvars, m):
+    """eta_i as an EtaPolynomial in nvars variables over Q(zeta_m)."""
+    exp = tuple(int(k == i) for k in range(nvars))
+    return EtaPolynomial(nvars, m, {exp: Cyclotomic.one(m)})
+
+
+def eta_const(c, nvars, m):
+    """The constant c, a rational or a Cyclotomic of order m, as an
+    EtaPolynomial in nvars variables over Q(zeta_m)."""
+    if not isinstance(c, Cyclotomic):
+        return EtaPolynomial.constant(c, nvars, m)
+    return EtaPolynomial(nvars, m, {} if c.is_zero() else {(0,) * nvars: c})
 
 
 def eta(alg, i):
     """eta_i as an EtaPolynomial in the variables of the algebra."""
-    return EtaPolynomial.variable(i, alg.nvars, alg.m)
+    return eta_var(i, alg.nvars, alg.m)
 
 
 def const(alg, c):
     """The constant c as an EtaPolynomial in the variables of the algebra."""
-    return EtaPolynomial.constant(c, alg.nvars, alg.m)
+    return eta_const(c, alg.nvars, alg.m)
 
 
 def eta_exponent(alg, i):
@@ -27,8 +41,7 @@ def trace_value(nparams, *coeff_maps):
     flat = {}
     for coeffs in coeff_maps:
         for i, p in coeffs.items():
-            for e, c in p.terms.items():
-                accumulate(flat, (i, e), c)
+            flat = add_maps(flat, {(i, e): c for e, c in p.terms.items()}, 1, p.m)
     return TraceValue(nparams, flat)
 
 

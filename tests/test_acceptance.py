@@ -242,3 +242,32 @@ def test_criterion_10_group_invariants(registry):
                 "det 1, inverse-closed spectrum, even +-1 multiplicities, "
                 "symplectic", not bad,
             f" ({len(registry)} groups, {elements} elements)" + (f" {bad}" if bad else ""))
+
+
+def _partitions(n, part_ok):
+    """The number of partitions of n into parts k with part_ok(k)."""
+    ways = [1] + [0] * n
+    for k in range(1, n + 1):
+        if part_ok(k):
+            for total in range(k, n + 1):
+                ways[total] += ways[total - k]
+    return ways[n]
+
+
+def test_criterion_11_closed_form_counts():
+    # S_n = doubled A_(n-1): T = 1 (the n-cycles), S = partitions of n into
+    # odd parts; doubled B_N: T = p(N), S = sum over a + b = N of (partitions
+    # of a into odd parts) (partitions of b into even parts)
+    t0 = time.time()
+    odd, even = (lambda k: k % 2 == 1), (lambda k: k % 2 == 0)
+    got, want = {}, {}
+    for n in range(2, 7):
+        got[f"A{n - 1}"] = doubled_coxeter("A", n).kappa_counts()
+        want[f"A{n - 1}"] = (1, _partitions(n, odd))
+    for n in (2, 3, 4):
+        got[f"B{n}"] = doubled_coxeter("B", n).kappa_counts()
+        want[f"B{n}"] = (_partitions(n, lambda k: True),
+                         sum(_partitions(a, odd) * _partitions(n - a, even) for a in range(n + 1)))
+    elapsed = time.time() - t0
+    _report(11, "closed-form counts on doubled A_(n-1), n=2..6, and B_N, N=2..4",
+            got == want, f" ({elapsed:.1f}s, counts {got}, closed forms {want})")

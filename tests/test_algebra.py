@@ -5,9 +5,9 @@ from math import comb, factorial
 
 import pytest
 
-from conftest import eta, eta_exponent
-from sra.scalar import Cyclotomic, EtaPolynomial
-from sra.group import POWER_CAP, CapExceededError, cyclic_sp2, dihedral, doubled_coxeter
+from conftest import eta_exponent
+from sra.scalar import POWER_CAP, Cyclotomic, EtaPolynomial
+from sra.group import CapExceededError, cyclic_sp2, dihedral, doubled_coxeter
 from sra.linalg import form_value
 from sra.algebra import (
     Algebra,
@@ -43,7 +43,7 @@ def test_weyl_relation_z2(z2):
     a1, a2 = z2.generator(0), z2.generator(1)
     sigma = z2.group_element(sigma_key(z2))
     eta = z2.eta_scalar(0)
-    assert a2 * a1 == a1 * a2 - 1 - eta * sigma
+    assert a2 * a1 == a1 * a2 - z2.one() - eta * sigma
     assert sigma * a1 == -(a1 * sigma)
     f = a1 * a2 + sigma.scaled(Fraction(3, 2))
     assert z2.one() * f == f
@@ -55,11 +55,24 @@ def test_commutators_z2(z2):
     sigma = z2.group_element(sigma_key(z2))
     eta = z2.eta_scalar(0)
     assert kappa_commutator(a1, a2, +1) == z2.one() + eta * sigma
-    assert kappa_commutator(a1, a2, -1) == (a1 * a2).scaled(2) - 1 - eta * sigma
+    assert kappa_commutator(a1, a2, -1) == (a1 * a2).scaled(2) - z2.one() - eta * sigma
     f = a1 * a2
     assert kappa_commutator(f, f, +1).is_zero()
     with pytest.raises(IndefiniteParityError):
         kappa_commutator(a1 + sigma, a2, -1)
+
+
+def test_element_operators_take_only_elements(z2):
+    # constants enter through Algebra.scalar, scaled and eta_scalar
+    a1 = z2.generator(0)
+    poly = EtaPolynomial.constant(1, z2.nvars, z2.m)
+    for other in (1, Fraction(1, 2), Cyclotomic.one(z2.m), poly):
+        for op in ("__add__", "__sub__", "__mul__"):
+            assert getattr(a1, op)(other) is NotImplemented
+    with pytest.raises(TypeError):
+        z2.scalar(poly)
+    assert z2.scalar(Fraction(3, 2)) == z2.one().scaled(Fraction(3, 2))
+    assert z2.scalar(0).is_zero()
 
 
 def test_equal_elements_in_any_term_order(z2):
@@ -112,7 +125,7 @@ def _random_element(alg, rng, max_degree, n_terms=2):
             term = alg.generator(i) * term
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
         if rng.random() < 0.3 and alg.nvars:
-            term = term * eta(alg, rng.randrange(alg.nvars))
+            term = term * alg.eta_scalar(rng.randrange(alg.nvars))
         out = out + term.scaled(c)
     return out
 

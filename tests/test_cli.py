@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 import sra
 from sra.algebra import Algebra
 from sra.cli import DOMAIN_ERRORS, main
-from sra.group import POWER_CAP, cyclic_sp2
+from sra.group import cyclic_sp2
+from sra.scalar import POWER_CAP
 from sra.traces import InconsistentGLCError, gram, solve_glc
 
 

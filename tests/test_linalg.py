@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import eta_const, eta_var
 from sra.scalar import Cyclotomic, EtaPolynomial
 from sra.group import builtin
 from sra.algebra import Algebra
@@ -134,11 +135,13 @@ def test_fraction_free_det_singular_and_empty_eta_matrices():
     rng = random.Random(9)
     m, nvars = 3, 2
     one = EtaPolynomial.constant(1, nvars, m)
-    eta = [EtaPolynomial.variable(i, nvars, m) for i in range(nvars)]
+    eta = [eta_var(i, nvars, m) for i in range(nvars)]
 
     def entry():
-        return (one * Cyclotomic.root_of_unity(m, rng.randint(0, 2)) * rng.randint(-2, 2)
-                + eta[0] * rng.randint(-1, 1) + eta[1] * eta[0] * rng.randint(-1, 1))
+        return (eta_const(Cyclotomic.root_of_unity(m, rng.randint(0, 2)) * rng.randint(-2, 2),
+                          nvars, m)
+                + eta[0] * eta_const(rng.randint(-1, 1), nvars, m)
+                + eta[1] * eta[0] * eta_const(rng.randint(-1, 1), nvars, m))
 
     rows = [[entry() for _ in range(4)] for _ in range(4)]
     for row in rows:
@@ -170,11 +173,11 @@ def _cyclotomic_entry(rng, m=12):
 
 
 def _eta_entry(rng, m=3, nvars=2):
-    one = EtaPolynomial.constant(1, nvars, m)
-    eta = [EtaPolynomial.variable(i, nvars, m) for i in range(nvars)]
+    eta = [eta_var(i, nvars, m) for i in range(nvars)]
     root = Cyclotomic.root_of_unity(m, rng.randint(0, m - 1))
-    return (one * root * rng.choice([-2, -1, 1, 2])
-            + eta[0] * rng.randint(-1, 1) + eta[1] * eta[0] * rng.randint(-1, 1))
+    return (eta_const(root * rng.choice([-2, -1, 1, 2]), nvars, m)
+            + eta[0] * eta_const(rng.randint(-1, 1), nvars, m)
+            + eta[1] * eta[0] * eta_const(rng.randint(-1, 1), nvars, m))
 
 
 @pytest.mark.parametrize("ring,singular", [("cyclotomic", False), ("eta", False), ("eta", True)])

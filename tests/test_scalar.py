@@ -4,8 +4,9 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import eta_const, eta_var
 from sra.scalar import (
     FIELD_DEGREE_CAP,
     RATIONAL_EXPONENT_CAP,
@@ -14,7 +15,7 @@ from sra.scalar import (
     EtaPolynomial,
     _context,
     _divisors_of,
-    accumulate,
+    add_maps,
     add_product,
     cyclotomic_polynomial,
     literal,
@@ -264,11 +265,11 @@ def test_literal_fuzz_fails_closed(tokens, sep):
 def test_eta_polynomial_partial_substitution():
     # p = 1 - eta0^2 - eta0*eta1 at eta0 = 1/2, eta1 symbolic: 3/4 - 1/2*eta1
     m = 3
-    eta0, eta1 = EtaPolynomial.variable(0, 2, m), EtaPolynomial.variable(1, 2, m)
+    eta0, eta1 = eta_var(0, 2, m), eta_var(1, 2, m)
     p = EtaPolynomial.constant(1, 2, m) - eta0 * eta0 - eta0 * eta1
     half = Fraction(1, 2)
     assert p.substitute([half, None]) == EtaPolynomial.constant(Fraction(3, 4), 2, m) \
-        - eta1 * Cyclotomic.from_rational(half, m)
+        - eta1 * eta_const(half, 2, m)
     assert p.substitute([None, None]) == p
     assert p.substitute([half, 2]).constant_term() == p.evaluate([half, 2]) \
         == Cyclotomic.from_rational(Fraction(-1, 4), m)
@@ -278,7 +279,7 @@ def test_eta_polynomial_partial_substitution():
 
 def test_eta_polynomial_basics():
     m = 1
-    eta = EtaPolynomial.variable(0, 1, m)
+    eta = eta_var(0, 1, m)
     one = EtaPolynomial.constant(1, 1, m)
     p = one - eta * eta
     assert p.evaluate([Fraction(1, 2)]) == Cyclotomic.from_rational(Fraction(3, 4), m)
@@ -289,8 +290,8 @@ def test_eta_polynomial_basics():
 
 def test_eta_polynomial_errors():
     m = 1
-    two_var = EtaPolynomial.variable(0, 2, m)
-    one_var = EtaPolynomial.variable(0, 1, m)
+    two_var = eta_var(0, 2, m)
+    one_var = eta_var(0, 1, m)
     with pytest.raises(ValueError):
         _ = two_var + one_var
     with pytest.raises(ValueError):
@@ -299,7 +300,7 @@ def test_eta_polynomial_errors():
 
 def test_eta_root_edge_cases():
     m = 1
-    eta = EtaPolynomial.variable(0, 1, m)
+    eta = eta_var(0, 1, m)
     # eta^2 * (eta - 3) has roots {0, 3}
     p = eta * eta * (eta - EtaPolynomial.constant(3, 1, m))
     assert p.rational_roots() == [Fraction(0), Fraction(3)]
@@ -312,12 +313,12 @@ def test_rational_roots_over_cyclotomics():
     # (eta - 2)(eta - zeta_3) = (eta^2 - 2 eta) + zeta_3 (2 - eta): the first
     # coordinate polynomial has roots 0 and 2, and only 2 is a root of both
     m = 3
-    eta = EtaPolynomial.variable(0, 1, m)
+    eta = eta_var(0, 1, m)
     zeta = Cyclotomic.root_of_unity(m)
-    p = (eta - EtaPolynomial.constant(2, 1, m)) * (eta - EtaPolynomial.constant(zeta, 1, m))
+    p = (eta - EtaPolynomial.constant(2, 1, m)) * (eta - eta_const(zeta, 1, m))
     assert p.rational_roots() == [Fraction(2)]
     assert (p * eta).rational_roots() == [Fraction(0), Fraction(2)]
-    assert EtaPolynomial.constant(zeta, 1, m).rational_roots() == []
+    assert eta_const(zeta, 1, m).rational_roots() == []
 
 
 def test_large_prime_factors_take_pollard_rho():
@@ -325,8 +326,9 @@ def test_large_prime_factors_take_pollard_rho():
     p, q = 100003, 1000003
     assert _divisors_of(p * q) == [1, p, q, p * q]
     assert _divisors_of(-4 * p * q) == sorted(d * k for d in (1, p, q, p * q) for k in (1, 2, 4))
-    eta = EtaPolynomial.variable(0, 1, 1)
-    poly = (eta * p - 7) * (eta * q + 11)
+    eta = eta_var(0, 1, 1)
+    poly = ((eta * eta_const(p, 1, 1) - eta_const(7, 1, 1))
+            * (eta * eta_const(q, 1, 1) + eta_const(11, 1, 1)))
     assert poly.rational_roots() == [Fraction(-11, q), Fraction(7, p)]
 
 
@@ -368,30 +370,12 @@ def test_eta_eval_is_ring_hom(ts1, ts2, pt):
 
 def test_exact_divide():
     m = 1
-    eta = EtaPolynomial.variable(0, 1, m)
+    eta = eta_var(0, 1, m)
     one = EtaPolynomial.constant(1, 1, m)
     p = (one - eta) * (one + eta) * (one + eta)
     assert p.exact_divide(one + eta) == (one - eta) * (one + eta)
     with pytest.raises(ArithmeticError):
         (eta * eta + one).exact_divide(eta)
-
-
-def test_accumulate_drops_vanishing_sums():
-    m = 3
-    z = Cyclotomic.root_of_unity(m)
-    out = {}
-    accumulate(out, "a", z)
-    accumulate(out, "b", Cyclotomic.zero(m))
-    assert out == {"a": z}
-    accumulate(out, "a", -z)
-    assert out == {}
-    # 1 + zeta + zeta^2 = 0 in Q(zeta_3): the third add empties the key
-    for k in range(3):
-        accumulate(out, "c", Cyclotomic.root_of_unity(m, k))
-    assert out == {}
-    accumulate(out, "d", Cyclotomic.one(m))
-    accumulate(out, "d", Cyclotomic.one(m))
-    assert out == {"d": Cyclotomic.from_rational(2, m)}
 
 
 _DENOMINATORS = [d for d in range(-12, 13) if d]
@@ -443,6 +427,44 @@ def test_partial_sums_settle_to_the_chained_adds(case):
 
 
 @st.composite
+def _settled_pairs(draw):
+    """(m, sign, x, y): two settled maps over Q(zeta_m) on the keys 0 ... 3,
+    where y undoes some of x's values, so that their keys cancel in
+    x + sign y."""
+    m = draw(st.sampled_from([1, 2, 3, 4, 5, 12, 60]))
+    sign = draw(st.sampled_from([1, -1]))
+    nonzero = _cyclotomics(m).filter(lambda c: not c.is_zero())
+    x = draw(st.dictionaries(st.integers(0, 3), nonzero, max_size=4))
+    y = draw(st.dictionaries(st.integers(0, 3), nonzero, max_size=4))
+    for key in draw(st.sets(st.sampled_from(sorted(x)))) if x else ():
+        y[key] = -sign * x[key]
+    return m, sign, x, y
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_settled_pairs())
+@example((3, 1, {"c": Cyclotomic(3, (1, 1))}, {"c": Cyclotomic.root_of_unity(3, 2),
+                                                "d": Cyclotomic.one(3)}))
+def test_add_maps_is_the_keywise_chained_sum(case):
+    # x + sign y against a chain of Cyclotomic.__add__/__sub__ per key: the
+    # same canonical values, a key that cancels is absent, and neither
+    # operand changes; in the example 1 + zeta + zeta^2 = 0 in Q(zeta_3)
+    m, sign, x, y = case
+    before = (dict(x), dict(y))
+    chained = dict(x)
+    for key, c in y.items():
+        s = chained.get(key, Cyclotomic.zero(m))
+        chained[key] = s + c if sign == 1 else s - c
+    cancelled = {key for key, c in chained.items() if c.is_zero()}
+    got = add_maps(x, y, sign, m)
+    assert got == {key: c for key, c in chained.items() if key not in cancelled}
+    assert not cancelled & set(got)
+    for c in got.values():
+        assert not c.is_zero() and c.den > 0 and gcd(c.den, *c.num) == 1
+    assert (x, y) == before
+
+
+@st.composite
 def _eta_polynomials(draw, m: int, max_terms: int):
     """A nonzero polynomial in two eta variables of degree <= 3 per variable."""
     exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
@@ -464,8 +486,8 @@ def test_exact_divide_drops_the_terms_that_cancel_in_the_remainder(monkeypatch):
     # adds +eta1^2 onto the remainder's -eta1^2, a key that cancels there
     import sra.scalar
     m = 3
-    eta0, eta1 = EtaPolynomial.variable(0, 2, m), EtaPolynomial.variable(1, 2, m)
-    z = EtaPolynomial.constant(Cyclotomic.root_of_unity(m), 2, m)
+    eta0, eta1 = eta_var(0, 2, m), eta_var(1, 2, m)
+    z = eta_const(Cyclotomic.root_of_unity(m), 2, m)
     real, cancelled = sra.scalar.add_product, []
 
     def watching(partial, key, a, b):
@@ -502,12 +524,39 @@ def test_one_term_product_matches_the_general_path(case):
 
 def test_difference_with_itself_has_no_terms():
     m = 4
-    eta0, eta1 = EtaPolynomial.variable(0, 2, m), EtaPolynomial.variable(1, 2, m)
-    f = (eta0 + Cyclotomic.root_of_unity(m)) * (eta0 - eta1) * eta1
+    eta0, eta1 = eta_var(0, 2, m), eta_var(1, 2, m)
+    f = (eta0 + eta_const(Cyclotomic.root_of_unity(m), 2, m)) * (eta0 - eta1) * eta1
     assert len(f.terms) == 4
     assert (f - f).terms == {}
-    assert (f * 0).terms == {}
+    assert (f * eta_const(0, 2, m)).terms == {}
     assert (f * f).exact_divide(f) == f
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 3, 4, 12]).flatmap(
+    lambda m: st.tuples(_eta_polynomials(m, 5), _eta_polynomials(m, 4),
+                        st.fractions(min_value=-2, max_value=2, max_denominator=3))))
+def test_eta_polynomial_results_store_no_zero_coefficient(case):
+    # the constructor keeps the map it is given, so every producer must
+    # hand it a settled one, cancellations included
+    p, q, r = case
+    results = [p + q, p - q, p - p, p + (q - p), p * q, p * (q - q), (p * q).exact_divide(q),
+               p.substitute([r, None]), p.substitute([None, r]), p.substitute([r, r]),
+               EtaPolynomial.constant(0, 2, p.m)]
+    for res in results:
+        assert not any(c.is_zero() for c in res.terms.values())
+    assert (p - p).terms == {} and EtaPolynomial.constant(0, 2, p.m).terms == {}
+
+
+def test_eta_polynomial_operators_take_only_eta_polynomials():
+    p = eta_var(0, 1, 3)
+    for other in (1, Fraction(1, 2), Cyclotomic.one(3)):
+        for op in ("__add__", "__sub__", "__mul__", "__eq__"):
+            assert getattr(p, op)(other) is NotImplemented
+        with pytest.raises(TypeError):
+            p + other
+    with pytest.raises(TypeError):
+        EtaPolynomial.constant(Cyclotomic.root_of_unity(3), 1, 3)
 
 
 # -- the same-order fast branches of +, - and * ------------------------------

@@ -106,7 +106,7 @@ def test_evaluate_basics(z2):
     # str(a1 a2) = 1/2 (1 - eta^2) str(1)
     val = fn.evaluate(a1 * a2_gen)
     half = Cyclotomic.from_rational(Fraction(1, 2), z2.m)
-    expected = (const(z2, 1) - eta(z2, 0) * eta(z2, 0)) * half
+    expected = (const(z2, 1) - eta(z2, 0) * eta(z2, 0)) * const(z2, half)
     assert val == trace_value(1, {0: expected})
     # odd elements vanish
     assert fn.evaluate(a1).is_zero()
@@ -121,7 +121,7 @@ def test_evaluate_linearity(z2):
     f = z2.generator(0) * z2.generator(1)
     h = z2.group_element(sigma_key(z2))
     c = eta(z2, 0)
-    lhs = fn.evaluate(f.scaled(c) + h.scaled(3))
+    lhs = fn.evaluate(f * z2.eta_scalar(0) + h.scaled(3))
     rhs = trace_value(1, {i: p * c for i, p in fn.evaluate(f).coeffs.items()},
                       fn.evaluate(h).scaled(Cyclotomic.from_rational(3, z2.m)).coeffs)
     assert lhs == rhs
@@ -243,7 +243,7 @@ def test_substitute_is_the_per_parameter_sum(alg_name, kappa, request):
                       for _ in range(fn.nparams)]
         want = EtaPolynomial(alg.nvars, alg.m)
         for i, p in val.coeffs.items():
-            want = want + p * assignment[i]
+            want = want + p * const(alg, assignment[i])
         assert val.substitute(assignment, alg.nvars, alg.m) == want
 
 
@@ -502,11 +502,10 @@ def test_t_scaling_hand_derived():
     g = alg.group
     sig_cls = g.class_of[sigma_key(alg)]
     half = Cyclotomic.from_rational(Fraction(-1, 2), alg.m)
-    assert fn.table[sig_cls] == trace_value(1, {0: eta(alg, 0) * half})
+    assert fn.table[sig_cls] == trace_value(1, {0: eta(alg, 0) * const(alg, half)})
     val = fn.evaluate(alg.generator(0) * alg.generator(1))
-    expected = (const(alg, 1) * Cyclotomic.from_rational(2, alg.m)
-                - eta(alg, 0) * eta(alg, 0) * Cyclotomic.from_rational(Fraction(1, 2), alg.m)
-                ) * Cyclotomic.from_rational(Fraction(1, 2), alg.m)
+    expected = (const(alg, 2) - eta(alg, 0) * eta(alg, 0) * const(alg, Fraction(1, 2))
+                ) * const(alg, Fraction(1, 2))
     assert val == trace_value(1, {0: expected})
 
 
