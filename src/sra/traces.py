@@ -223,30 +223,61 @@ def verify_glc(functional: TraceFunctional):
     """Check every ground level equation sp([c_i, c_j] g) = 0 identically,
     over every group element g.
 
+    The relation table is built once per class, on the representative's
+    Darboux basis c of Ker(rep - kappa), and serves every element g' = h
+    rep h^-1 of the class, h = conjugator[g'], on the moved basis h c.  The
+    closure refuses generators that do not preserve omega, so
+    omega(h x, h y) = omega(x, y) and omega_(h R h^-1)(h x, h y) =
+    omega_R(x, y), and h R h^-1 lies in the class of R, with the same eta
+    variable: the table on h c is the representative's with each R
+    relabelled to h R h^-1 (_conjugated_reflections).  Each element's
+    residual is then formed from its own sp(g') and its own products
+    R' g'.  A real check guards the relabelling: h rep h^-1 must be g' on
+    the indices.
+
     Raises InconsistentGLCError naming the group, kappa, the class label
-    C<i> of the offending element and the nonzero residual; per
-    Theorem-level uniqueness a failure can only mean an implementation bug
-    upstream.
+    C<i> of the offending element and the nonzero residual, or the element
+    whose conjugator fails; per Theorem-level uniqueness a failure can only
+    mean an implementation bug upstream.
     """
     group = functional.group
     kappa = functional.kappa
-    for key in group.sorted_keys():
-        e_val, basis = group.e_grading(key, kappa)
+    for ci, cls in enumerate(group.classes):
+        rep = group.class_rep[ci]
+        e_val, basis = group.e_grading(rep, kappa)
         if e_val == 0:
             continue
         scalar, refl = relation_table(functional.algebra, basis)
-        spg = functional.element_value(key).terms
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                flat: dict = {}
-                _add_scaled(flat, spg, scalar[i][j])
-                _reflection_sum(flat, functional, key, refl.get((i, j), ()))
-                residual = settle(flat, functional.algebra.m)
-                if residual:
-                    raise InconsistentGLCError(
-                        f"group {group.name}, kappa {kappa}: ground level condition "
-                        f"fails on C{group.class_of[key]} (Darboux pair {i},{j}), "
-                        f"residual {format_trace_value(TraceValue(functional.nparams, residual))}")
+        for key in cls:
+            h = group.conjugator[key]
+            h_inv = group.inv(h)
+            if group.mul(group.mul(h, rep), h_inv) != key:
+                raise InconsistentGLCError(
+                    f"group {group.name}, kappa {kappa}: the conjugator {h} of element "
+                    f"{key} does not carry the representative {rep} of C{ci} to it")
+            moved = _conjugated_reflections(group, refl, h, h_inv)
+            spg = functional.element_value(key).terms
+            for i in range(len(basis)):
+                for j in range(i + 1, len(basis)):
+                    flat: dict = {}
+                    _add_scaled(flat, spg, scalar[i][j])
+                    _reflection_sum(flat, functional, key, moved.get((i, j), ()))
+                    residual = settle(flat, functional.algebra.m)
+                    if residual:
+                        raise InconsistentGLCError(
+                            f"group {group.name}, kappa {kappa}: ground level condition "
+                            f"fails on C{ci} (Darboux pair {i},{j}), residual "
+                            f"{format_trace_value(TraceValue(functional.nparams, residual))}")
+
+
+def _conjugated_reflections(group: Group, refl: dict, h, h_inv) -> dict:
+    """The reflection part of a relation table (see relation_table) on the
+    vectors h c, from the one on c: every entry (R, eta exponent, value)
+    becomes (h R h^-1, eta exponent, value), each h R h^-1 formed once."""
+    image = {rkey: group.mul(group.mul(h, rkey), h_inv)
+             for rkey in {rkey for entries in refl.values() for rkey, _, _ in entries}}
+    return {pair: [(image[rkey], e, c) for rkey, e, c in entries]
+            for pair, entries in refl.items()}
 
 
 def _add_scaled(flat: dict, val: dict, c: Cyclotomic):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from conftest import const, eta, trace_value
 from sra.scalar import Cyclotomic, EtaPolynomial
 from sra.linalg import rank
-from sra.group import cyclic_sp2, doubled_coxeter
+from sra.group import cyclic_sp2, dihedral, direct_product, doubled_coxeter
 from sra.algebra import Algebra, _letters, relation_table
 from sra.expr import parse
 from sra.traces import (
@@ -16,6 +17,7 @@ from sra.traces import (
     TraceFunctional,
     TraceValue,
     _Evaluator,
+    _conjugated_reflections,
     _random_definite,
     _reflection_sum,
     confluence_failures,
@@ -530,7 +532,6 @@ def test_product_factorization_oracle(kappa):
     """Independent check of the evaluator: on a direct product the kappa-trace
     of a split monomial factorizes, sp((P1 x P2)(g1, g2)) =
     sp1(P1 g1) sp2(P2 g2), a structure the reducer never uses."""
-    from sra.group import direct_product
     from sra.traces import even_monomials
 
     g1, g2 = cyclic_sp2(2), cyclic_sp2(3)
@@ -675,27 +676,84 @@ def test_verify_glc_catches_corruption(z2):
         verify_glc(broken)
 
 
+def _with_e(group, kappa):
+    """The elements with E > 0, found by rank(g - kappa) < 2N on each one."""
+    lam = Cyclotomic.from_rational(kappa, group.exponent)
+    return [k for k in group.sorted_keys()
+            if rank(group.elements[k].matrix.minus_scalar(lam)) < group.dim]
+
+
 @pytest.mark.parametrize("kappa", [1, -1])
-def test_verify_glc_tabulates_every_element(monkeypatch, kappa):
-    # verify builds one relation table per element with E > 0, on its own basis
-    import sra.traces
+def test_verify_glc_visits_every_element_with_e(kappa):
+    # verify reads sp(g) once for each element with E > 0, not only for the
+    # class representatives
     algebra = Algebra(doubled_coxeter("B", 3))
     group = algebra.group
     fn = solve_glc(algebra, kappa, verify=False)
     calls = []
-    real = sra.traces.relation_table
+    real = fn.element_value
 
-    def counting(alg, vectors):
-        calls.append(vectors)
-        return real(alg, vectors)
+    def counting(g_key):
+        calls.append(g_key)
+        return real(g_key)
 
-    monkeypatch.setattr(sra.traces, "relation_table", counting)
+    fn.element_value = counting
     verify_glc(fn)
-    lam = Cyclotomic.from_rational(kappa, group.exponent)
-    with_e = [k for k in group.sorted_keys()
-              if rank(group.elements[k].matrix.minus_scalar(lam)) < group.dim]
-    assert len(calls) == len(with_e) > len(group.classes)
-    assert calls == [group.e_grading(k, kappa)[1] for k in with_e]
+    with_e = _with_e(group, kappa)
+    assert len(with_e) > len(group.classes)
+    assert sorted(calls) == with_e
+
+
+@pytest.mark.parametrize("make", [
+    lambda: doubled_coxeter("B", 3),
+    lambda: dihedral(5),                  # entries in Q(zeta_10)
+    lambda: direct_product(cyclic_sp2(2), doubled_coxeter("A", 3)),  # two eta
+], ids=["doubled-B3", "dihedral5", "cyclic2xdoubled-A3"])
+def test_relabelled_table_is_the_table_on_the_moved_basis(make):
+    # the representative's relation table with each R relabelled to h R h^-1
+    # is the table on the element's own moved Darboux basis, entry for entry
+    algebra = Algebra(make())
+    group = algebra.group
+    checked = 0
+    for kappa in (1, -1):
+        for key in _with_e(group, kappa):
+            rep, h = group.class_rep[group.class_of[key]], group.conjugator[key]
+            scalar, refl = relation_table(algebra, group.e_grading(rep, kappa)[1])
+            moved = _conjugated_reflections(group, refl, h, group.inv(h))
+            own_scalar, own_refl = relation_table(algebra, group.e_grading(key, kappa)[1])
+            assert scalar == own_scalar
+            assert moved.keys() == own_refl.keys()
+            for pair, entries in own_refl.items():
+                assert Counter(moved[pair]) == Counter(entries), (key, kappa, pair)
+            checked += key != rep
+    assert checked
+
+
+def test_verify_glc_checks_each_conjugator():
+    # the identity as the conjugator of a transposition that is not its
+    # class representative does not carry the representative to it
+    algebra = Algebra(doubled_coxeter("A", 3))
+    group = algebra.group
+    fn = solve_glc(algebra, 1, verify=False)
+    ci = next(i for i, cls in enumerate(group.classes)
+              if len(cls) > 1 and fn.e_of_class[i] > 0)
+    key = group.classes[ci][1]
+    group.conjugator[key] = group.identity_key()
+    with pytest.raises(InconsistentGLCError,
+                       match=rf"conjugator \d+ of element {key} does not carry the "
+                             rf"representative \d+ of C{ci} to it"):
+        verify_glc(fn)
+
+
+@pytest.mark.parametrize("kappa", [1, -1])
+def test_verify_glc_moves_no_eigenbasis(kappa):
+    # solve and verify solve or move an eigenbasis only on class
+    # representatives; the moved bases serve the evaluator's charts
+    algebra = Algebra(doubled_coxeter("B", 3))
+    group = algebra.group
+    solve_glc(algebra, kappa, verify=True)
+    cached = {key for key, _ in group._eigenspace}
+    assert cached and cached <= set(group.class_rep)
 
 
 @pytest.mark.parametrize("kappa", [1, -1])
