@@ -16,6 +16,13 @@ word of the right factor through these tables, so after closure no group
 multiplication touches a matrix.  Matrices stay on the elements for the
 spectral data (E-grading, eigenspaces, omega_R, charts).
 
+The closure forms no matrix product: each generator g lists the nonzeros of
+g - 1 once, and M g = M + M (g - 1) changes only the entries that those
+nonzeros reach, so a symplectic reflection (rank(g - 1) = 2) touches few.  A
+product copies its parent's entries and key and replaces the changed ones in
+both.  Each distinct entry value is one object, and the re-embedding into
+Q(zeta_m) embeds each distinct value once and shares it among the elements.
+
 The class search also records, for every element k, a conjugator h with
 k = h rep h^-1.  `eigenspace`, the one source of spectral data (`e_grading`
 and `spectrum` are views of it), solves Ker(g - zeta_m^k) on the class
@@ -31,8 +38,8 @@ from fractions import Fraction
 from math import cos, hypot, lcm, pi, sin
 
 # the caps and CapExceededError live in sra.scalar
-from .scalar import (DEFAULT_CAP, CapExceededError, Cyclotomic, literal, parse_literal,
-                     parse_rational)
+from .scalar import (DEFAULT_CAP, CapExceededError, Cyclotomic, add_product, literal,
+                     parse_literal, parse_rational, settle)
 from .linalg import (
     Matrix,
     darboux_basis,
@@ -41,6 +48,7 @@ from .linalg import (
     inverse,
     kernel_basis,
     rank,
+    support,
     vec_is_zero,
     vec_scale,
 )
@@ -331,9 +339,13 @@ def close(generators: list[Matrix], omega: Matrix, cap: int = DEFAULT_CAP,
     """Breadth-first closure of symplectic generators into a Group.
 
     Each generator must satisfy g^T omega g = omega, and (unless
-    strict_reflections is False) rank(g - 1) = 2.  After closure the session
-    cyclotomic order is the lcm of all element orders and of the order the
-    entries already live in, and every scalar is re-embedded into it.
+    strict_reflections is False) rank(g - 1) = 2.  The breadth-first search
+    forms each product (element M) * g as M + M (g - 1) from the nonzeros of
+    g - 1, and updates M's key, the (num, den) of every entry, in place at
+    the entries the step changed.  After closure the session cyclotomic order
+    is the lcm of all element orders and of the order the entries already
+    live in; each distinct entry is embedded into it once, through its key,
+    and its embedding is shared by every element that holds it.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -358,21 +370,50 @@ def close(generators: list[Matrix], omega: Matrix, cap: int = DEFAULT_CAP,
             raise NotReflectionError(
                 f"generator {i} has rank(g-1) = {rank(g.minus_scalar(one0))}, not 2")
 
-    # BFS closure at the entry order, recording right[gi][i] = i * gens[gi]
+    # BFS closure at the entry order, recording right[gi][i] = i * gens[gi].
+    # An element is its row-major entries and its key; `pool` holds one
+    # object per distinct entry, so an entry is zero exactly when it is zero0.
+    # A step adds M[k, t] (g - 1)[t, c] into entry (k, c) for the nonzero
+    # M[k, t] of each nonempty row t of g - 1; the other entries keep M's.
+    steps = []
+    for g in gens:
+        diff = g.minus_scalar(one0)
+        rows = ((t, support(diff.row(t))) for t in range(dim))
+        steps.append([(t, nz) for t, nz in rows if nz])
+    zero0 = Cyclotomic.zero(m0)
+    pool = {x.key(): x for x in (zero0, one0)}     # the identity's entries
     found = {ident0.key(): 0}
-    mats, words = [ident0], [()]
+    entries, keys, words = [list(ident0.data)], [ident0.key()], [()]
     right: list[list[int]] = [[] for _ in gens]
     i = 0
-    while i < len(mats):
-        for gi, g in enumerate(gens):
-            nxt = mats[i] * g
-            nk = nxt.key()
-            j = found.get(nk)
+    while i < len(entries):
+        mat, key = entries[i], keys[i]
+        for gi, step in enumerate(steps):
+            partial = {}
+            for k in range(0, dim * dim, dim):
+                for t, nz in step:
+                    a = mat[k + t]
+                    if a is not zero0:
+                        for c, b in nz:
+                            p = k + c
+                            if p not in partial:
+                                partial[p] = [mat[p].num, mat[p].den]
+                            add_product(partial, p, a, b)
+            settled = settle(partial, m0)
+            nkey = list(key)
+            for p in partial:
+                nkey[p] = settled.get(p, zero0).key()
+            nkey = tuple(nkey)
+            j = found.get(nkey)
             if j is None:
                 if len(found) >= cap:
                     raise CapExceededError(f"group closure exceeds cap {cap}")
-                j = found[nk] = len(mats)
-                mats.append(nxt)
+                j = found[nkey] = len(entries)
+                nxt = list(mat)
+                for p in partial:
+                    nxt[p] = pool.setdefault(nkey[p], settled.get(p, zero0))
+                entries.append(nxt)
+                keys.append(nkey)
                 words.append(words[i] + (gi,))
             right[gi].append(j)
         i += 1
@@ -387,14 +428,18 @@ def close(generators: list[Matrix], omega: Matrix, cap: int = DEFAULT_CAP,
         orders.append(d)
     m = lcm(m0, *orders)
 
-    # re-embed into the session order and renumber in canonical key order
-    embedded = [mat.embed(m) for mat in mats]
-    keys = [mat.key() for mat in embedded]
-    by_key = sorted(range(len(mats)), key=keys.__getitem__)
-    new_of = [0] * len(mats)
+    # re-embed into the session order once per distinct entry, through its
+    # key, and renumber in canonical key order
+    if m != m0:
+        memo = {kx: x.embed(m) for kx, x in pool.items()}
+        memo_key = {kx: x.key() for kx, x in memo.items()}
+        entries = [[memo[kx] for kx in key] for key in keys]
+        keys = [tuple([memo_key[kx] for kx in key]) for key in keys]
+    by_key = sorted(range(len(keys)), key=keys.__getitem__)
+    new_of = [0] * len(keys)
     for idx, k in enumerate(by_key):
         new_of[k] = idx
-    elements = {idx: GroupElement(embedded[k], orders[k], words[k])
+    elements = {idx: GroupElement(Matrix(dim, dim, entries[k]), orders[k], words[k])
                 for idx, k in enumerate(by_key)}
     index_of = {keys[k]: idx for idx, k in enumerate(by_key)}
     gen_keys = [new_of[row[0]] for row in right]

@@ -6,7 +6,7 @@ import pytest
 
 from sra.scalar import Cyclotomic
 from sra.algebra import Algebra
-from sra.linalg import Matrix, form_value, kernel_basis, rank
+from sra.linalg import Matrix, form_value, inverse, kernel_basis, rank
 from sra.group import (
     CapExceededError,
     DecompositionIncompleteError,
@@ -362,12 +362,40 @@ def test_lemma_grad_minus_one(omega_r):
         assert hits > 0
 
 
+def _dense_conjugate_of_s3():
+    """The generators of doubled A_2 (S_3) conjugated by the symplectic
+    P = diag(A, A^-T) [[I, S], [0, I]] over Q(zeta_6), with A = [[1, z],
+    [z^2, 2]] and the symmetric S = [[1, z], [z, 1]]: g - 1 is dense."""
+    m = 6
+    z = Cyclotomic.root_of_unity(m, 1)
+    one, zero, two = Cyclotomic.one(m), Cyclotomic.zero(m), Cyclotomic.from_rational(2, m)
+
+    def blocks(a, b, c, d):
+        return Matrix.from_rows([list(a.row(i)) + list(b.row(i)) for i in range(2)]
+                                + [list(c.row(i)) + list(d.row(i)) for i in range(2)])
+
+    a = Matrix.from_rows([[one, z], [z ** 2, two]])
+    s = Matrix.from_rows([[one, z], [z, one]])
+    ident, zeros = Matrix.identity(2, m), Matrix.from_rows([[zero, zero], [zero, zero]])
+    p = blocks(a, zeros, zeros, inverse(a).transpose()) * blocks(ident, s, zeros, ident)
+    p_inv = inverse(p)
+    s3 = doubled_coxeter("A", 3)
+    return [p * s3.elements[k].matrix.embed(m) * p_inv for k in s3.generator_keys]
+
+
 @pytest.mark.parametrize("make", [
     lambda: doubled_coxeter("B", 2),
     lambda: doubled_coxeter("A", 4),
+    lambda: doubled_coxeter("B", 3),
+    lambda: dihedral(5),
+    lambda: builtin("product", factors=[("cyclic", {"n": 2}), ("doubled-A", {"rank": 3})]),
+    lambda: cyclic_sp2(7),
+    lambda: close(_dense_conjugate_of_s3(), standard_omega(2, 6)),
 ])
 def test_table_product_matches_matrix_product(make):
-    # the generator-table walk against the reference route, matrix products
+    # the generator-table walk against the reference route, matrix products;
+    # close forms each table entry M g as M + M (g - 1), so the inputs include
+    # a field above the entries' (dihedral 5) and a dense g - 1
     g = make()
     e = g.identity_key()
     assert g.elements[e].matrix == Matrix.identity(g.dim, g.exponent)
@@ -376,6 +404,42 @@ def test_table_product_matches_matrix_product(make):
             assert g.mul(a, b) == g.index_of[(ea.matrix * eb.matrix).key()]
         assert g.mul(a, g.inv(a)) == e
         assert g.mul(g.inv(a), a) == e
+
+
+def test_dense_conjugate_closes_to_s3():
+    gens = _dense_conjugate_of_s3()
+    one = Cyclotomic.one(6)
+    for gen in gens:
+        assert sum(not x.is_zero() for x in gen.minus_scalar(one).data) == 10
+    g = close(gens, standard_omega(2, 6))
+    assert len(g) == 6 and g.exponent == 6
+    assert g.kappa_counts() == doubled_coxeter("A", 3).kappa_counts() == (1, 2)
+
+
+def test_closure_forms_no_matrix_product_and_shares_equal_entries(monkeypatch):
+    # the only matrix products of a closure are the symplectic checks, two
+    # per generator, and each distinct entry value is one object
+    real = Matrix.__mul__
+    calls = []
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting)
+    g = builtin("doubled-B", rank=4)
+    monkeypatch.undo()
+    assert len(calls) <= 2 * len(g.generator_keys)
+    entries = [x for el in g.elements.values() for x in el.matrix.data]
+    assert len({id(x) for x in entries}) == len({x.key() for x in entries})
+
+
+def test_closure_cap_boundary():
+    b3 = doubled_coxeter("B", 3)
+    gens = [b3.elements[k].matrix for k in b3.generator_keys]
+    assert len(close(gens, b3.omega, cap=48)) == 48
+    with pytest.raises(CapExceededError):
+        close(gens, b3.omega, cap=47)
 
 
 def test_group_file_round_trip(tmp_path):
