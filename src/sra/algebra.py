@@ -189,9 +189,9 @@ class Frame:
 class EigenbasisChart:
     """Eigenbasis of one group element: b_I = sum_i M^i_I a_i with
     g(b_I) = zeta_m^(e_I) b_I, e_I in `exponents`, read in order from
-    Group.spectrum: the eigenspaces are solved once per class and moved to
-    the conjugates, and the +1 and -1 blocks (e_I = 0 and m/2) are Darboux
-    bases, so the kappa-block relation table is the normal shape;
+    Group.spectrum: the element's own eigenspaces, whose +1 and -1 blocks
+    (e_I = 0 and m/2) are Darboux bases, so the kappa-block relation table
+    is the normal shape;
     `kappa_letters` and `kappa_pairs` are those blocks and their Darboux
     pairs.  `scalar` and `refl` are the relation table of the b letters (see
     relation_table), and `letter_ids` their ids in the algebra's letter table

@@ -23,11 +23,11 @@ product copies its parent's entries and key and replaces the changed ones in
 both.  Each distinct entry value is one object, and the re-embedding into
 Q(zeta_m) embeds each distinct value once and shares it among the elements.
 
-The class search also records, for every element k, a conjugator h with
-k = h rep h^-1.  `eigenspace`, the one source of spectral data (`e_grading`
-and `spectrum` are views of it), solves Ker(g - zeta_m^k) on the class
-representatives only; every other element gets its representative's basis
-moved by its conjugator, checked to be eigenvectors of the element itself.
+The closure also names the identity and -1 (if present) by index.  The
+class search records, for every element k, a conjugator h with
+k = h rep h^-1, which verify_glc reads.  `eigenspace`, the one source of
+spectral data (`e_grading` and `spectrum` are views of it), solves
+Ker(g - zeta_m^k) for whichever element asks.
 """
 
 from __future__ import annotations
@@ -90,25 +90,25 @@ class Group:
     """Closed symplectic reflection group with precomputed class data.
 
     Elements are integer indices 0..|G|-1 in canonical key order:
-    `elements` maps an index to its GroupElement, `index_of` maps a matrix
-    key back to its index, and `right[gi][i]` is the index of (element i) *
-    (generator gi).  `generator_keys`, `classes`, `class_rep`, `class_of`,
-    `conjugator` and `reflections` all hold indices.  rank(g - 1) is
-    constant on a conjugacy class, so the reflections are decided once per
-    class.
+    `elements` maps an index to its GroupElement, and `right[gi][i]` is the
+    index of (element i) * (generator gi).  `identity_key()`, `klein()`
+    (None when -1 is not in the group), `generator_keys`, `classes`,
+    `class_rep`, `class_of`, `conjugator` and `reflections` all give
+    indices.  rank(g - 1) is constant on a conjugacy class, so the
+    reflections are decided once per class.
     """
 
-    def __init__(self, N, omega, elements, index_of, right, generator_keys,
+    def __init__(self, N, omega, elements, right, generator_keys, identity, minus_one,
                  exponent, name):
         self.N = N
         self.omega = omega
         self.elements: dict[int, GroupElement] = elements
-        self.index_of: dict = index_of
         self.right: list[list[int]] = right
         self.generator_keys: list[int] = generator_keys
+        self._identity = identity
+        self._minus_one = minus_one
         self.exponent = exponent  # session cyclotomic order m
         self.name = name
-        self._identity = index_of[Matrix.identity(self.dim, exponent).key()]
         # conjugator[k] = h with element k = h rep h^-1, rep the representative of k's class
         self.classes, self.conjugator = self._conjugacy_classes()
         self.class_rep = [cls[0] for cls in self.classes]
@@ -184,37 +184,20 @@ class Group:
     # -- spectral data ------------------------------------------------------
 
     def eigenspace(self, key, k: int):
-        """A basis of Ker(g - zeta_m^k), cached per (element, k).
-
-        Only a class representative solves the kernel, made a Darboux basis
-        when zeta_m^k = +1 or -1.  Every other element g' = h rep h^-1, h =
-        conjugator[g'], gets the images under h of the representative's
-        basis: h is invertible and preserves omega, so they are a basis of
-        Ker(g' - zeta_m^k), and a Darboux one at +1 and -1.  A real check
-        guards the transport: each image v must satisfy g' v = zeta_m^k v, or
-        an ArithmeticError names the class C<i> and the element index.
+        """A basis of Ker(g - zeta_m^k), cached per (element, k), and a
+        Darboux basis when zeta_m^k = +1 or -1, where an odd dimension
+        (impossible in Sp(2N)) raises an ArithmeticError naming the class C<i>.
         """
         got = self._eigenspace.get((key, k))
         if got is None:
             m = self.exponent
-            ci = self.class_of[key]
-            rep = self.class_rep[ci]
-            lam = Cyclotomic.root_of_unity(m, k)
-            g = self.elements[key].matrix
-            if key == rep:
-                got = kernel_basis(g.minus_scalar(lam))
-                if 2 * k % m == 0:
-                    if len(got) % 2 != 0:
-                        raise ArithmeticError(f"C{ci}: odd-dimensional kappa-eigenspace "
-                                              "(impossible in Sp(2N))")
-                    got = tuple(darboux_basis(got, self.omega))
-            else:
-                h = self.elements[self.conjugator[key]].matrix
-                got = tuple(h.matvec(c) for c in self.eigenspace(rep, k))
-                if any(g.matvec(v) != vec_scale(v, lam) for v in got):
-                    raise ArithmeticError(
-                        f"C{ci}: the zeta_{m}^{k} eigenbasis of the representative {rep}, "
-                        f"moved to element {key}, leaves Ker(g - zeta_{m}^{k})")
+            got = kernel_basis(self.elements[key].matrix.minus_scalar(
+                Cyclotomic.root_of_unity(m, k)))
+            if 2 * k % m == 0:
+                if len(got) % 2 != 0:
+                    raise ArithmeticError(f"C{self.class_of[key]}: odd-dimensional "
+                                          "kappa-eigenspace (impossible in Sp(2N))")
+                got = tuple(darboux_basis(got, self.omega))
             self._eigenspace[(key, k)] = got
         return got
 
@@ -252,8 +235,9 @@ class Group:
         """Indices of the elements g that break an invariant of Sp(2N):
         g^T omega g = omega, det g = 1, g diagonalizable with eigenvalues
         zeta_m^k for the multiples k of m/order, the spectrum closed under
-        inversion, and +1 and -1 of even multiplicity.  Each element solves
-        its own kernels, not the moved ones of eigenspace."""
+        inversion, and +1 and -1 of even multiplicity.  Only the kernels'
+        dimensions are read, so no Darboux basis is built and nothing is
+        cached."""
         m = self.exponent
         one = Cyclotomic.one(m)
 
@@ -282,9 +266,7 @@ class Group:
 
     def klein(self):
         """Index of the element -1, or None if the group lacks it."""
-        minus = Matrix.identity(self.dim, self.exponent).scaled(
-            Cyclotomic.from_rational(-1, self.exponent))
-        return self.index_of.get(minus.key())
+        return self._minus_one
 
     # -- the pairing omega_R ------------------------------------------------
 
@@ -345,7 +327,9 @@ def close(generators: list[Matrix], omega: Matrix, cap: int = DEFAULT_CAP,
     the entries the step changed.  After closure the session cyclotomic order
     is the lcm of all element orders and of the order the entries already
     live in; each distinct entry is embedded into it once, through its key,
-    and its embedding is shared by every element that holds it.
+    and its embedding is shared by every element that holds it.  The
+    identity and -1 are found by their keys at the entry order, before the
+    re-embedding.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -441,10 +425,11 @@ def close(generators: list[Matrix], omega: Matrix, cap: int = DEFAULT_CAP,
         new_of[k] = idx
     elements = {idx: GroupElement(Matrix(dim, dim, entries[k]), orders[k], words[k])
                 for idx, k in enumerate(by_key)}
-    index_of = {keys[k]: idx for idx, k in enumerate(by_key)}
+    minus_one = found.get((-ident0).key())
     gen_keys = [new_of[row[0]] for row in right]
     right = [[new_of[row[k]] for k in by_key] for row in right]
-    return Group(dim // 2, omega0.embed(m), elements, index_of, right, gen_keys, m, name)
+    return Group(dim // 2, omega0.embed(m), elements, right, gen_keys, new_of[0],
+                 None if minus_one is None else new_of[minus_one], m, name)
 
 
 # -- builtin constructors ----------------------------------------------------

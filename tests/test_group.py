@@ -107,6 +107,28 @@ def test_not_symplectic():
         close([bad], standard_omega(1, m), strict_reflections=False)
 
 
+@pytest.mark.parametrize("make, has_minus_one", [
+    (lambda: dihedral(5), False),         # entries at m0 = 5, re-embedded at m = 10
+    (lambda: doubled_coxeter("B", 2), True),  # entries at m0 = 1, re-embedded at m = 4
+    (lambda: cyclic_sp2(3), False),
+    (lambda: builtin("product", factors=[("cyclic", {"n": 2}), ("doubled-A", {"rank": 3})]),
+     False),
+    (lambda: group_from_dict({"N": 1, "cyclotomic_order": 4,
+                              "generators": [[["z", "0"], ["0", "-z"]]]}), True),
+], ids=["dihedral5", "doubled-B2", "cyclic3", "cyclic2xdoubled-A3", "file-zeta4"])
+def test_closure_names_the_identity_and_minus_one(make, has_minus_one):
+    g = make()
+    ident = Matrix.identity(g.dim, g.exponent)
+    found = {key: el.matrix for key, el in g.elements.items()
+             if el.matrix in (ident, -ident)}
+    assert found[g.identity_key()] == ident
+    if has_minus_one:
+        assert found[g.klein()] == -ident
+    else:
+        assert g.klein() is None
+    assert len(found) == 1 + has_minus_one
+
+
 def test_identity_egrading():
     g = doubled_coxeter("A", 3)
     e = g.identity_key()
@@ -160,9 +182,8 @@ def test_class_functions_constant():
     ("product", {"factors": [("cyclic", {"n": 2}), ("doubled-A", {"rank": 3})]}),
 ])
 def test_transported_eigenbases_match_each_element(kind, params):
-    # a non-representative's eigenspaces are its representative's moved by the
-    # recorded conjugator; check each against the element's own kernel, and
-    # the +1 and -1 bases against omega
+    # every element's eigenspaces against its own kernels, the +1 and -1
+    # bases against omega, and the recorded conjugators against the classes
     g = builtin(kind, **params)
     one, zero = Cyclotomic.one(g.exponent), Cyclotomic.zero(g.exponent)
     for key, el in g.elements.items():
@@ -216,49 +237,6 @@ def test_spectrum_incomplete():
         g.spectrum(gen)
 
 
-def test_moved_eigenspace_of_a_root_of_unity_is_checked():
-    # S_3: the two 3-cycles form one class with eigenvalues zeta_3^(+-1);
-    # the identity as a conjugator moves the representative's zeta_3
-    # eigenvectors onto the other 3-cycle, where they have eigenvalue zeta_3^-1
-    g = doubled_coxeter("A", 3)
-    ci = next(i for i, cls in enumerate(g.classes) if g.elements[cls[0]].order == 3)
-    key = g.classes[ci][1]
-    g.conjugator[key] = g.identity_key()
-    k = g.exponent // 3
-    assert g.eigenspace(g.class_rep[ci], k)
-    with pytest.raises(ArithmeticError, match=rf"^C{ci}: .* to element {key}, leaves"):
-        g.eigenspace(key, k)
-
-
-def test_kernels_are_solved_on_class_representatives_only(monkeypatch):
-    # every chart of the doubled dihedral group I_2(5) reads its eigenspaces
-    # from Group.spectrum, and only the class representatives solve a kernel,
-    # each (representative, k) once; a kernel solved inside sra.linalg counts too
-    import sra.group
-    import sra.linalg
-    g = dihedral(5)
-    real = sra.linalg.kernel_basis
-    solved = []
-
-    def counting(mat):
-        solved.append(mat.key())
-        return real(mat)
-
-    monkeypatch.setattr(sra.group, "kernel_basis", counting)
-    monkeypatch.setattr(sra.linalg, "kernel_basis", counting)
-    alg = Algebra(g)
-    for key in g.sorted_keys():
-        alg.chart(key)
-    on_reps = {g.elements[rep].matrix.minus_scalar(Cyclotomic.root_of_unity(g.exponent, k)).key()
-               for rep in g.class_rep for k in range(g.exponent)}
-    assert solved and len(solved) == len(set(solved))
-    assert set(solved) <= on_reps
-    # the rotations' classes are moved with zeta_10 eigenvalues
-    moved = [key for key in g.sorted_keys() if key not in g.class_rep
-             and any(2 * k % g.exponent for k, _ in g.spectrum(key))]
-    assert len(moved) == 2
-
-
 def test_e_grading_solves_no_kernel_known_empty(monkeypatch):
     # dihedral 5 has m = 10, so kappa = -1 is zeta_10^5; the identity and the
     # order-5 rotations have no eigenvalue -1 and solve no kernel for it:
@@ -293,17 +271,14 @@ def test_eigenbasis_failures_name_the_class(monkeypatch):
     # the transpositions: E = 1 for kappa = +1, and each fixes its own plane
     ci = next(i for i, cls in enumerate(g.classes)
               if len(cls) > 1 and g.e_grading(cls[0], +1)[0] > 0)
-    key = g.classes[ci][1]
-    g.conjugator[key] = g.identity_key()
-    with pytest.raises(ArithmeticError, match=rf"^C{ci}: .* to element {key}, leaves"):
-        g.e_grading(key, +1)
-    # a kernel of odd dimension is refused with the class label too
+    # a kernel of odd dimension is refused with the class label, on the
+    # representative and on the other elements alike
     import sra.group
     real = sra.group.kernel_basis
     monkeypatch.setattr(sra.group, "kernel_basis", lambda mat: real(mat)[1:])
-    rep = g.class_rep[ci]
-    with pytest.raises(ArithmeticError, match=rf"^C{ci}: odd-dimensional kappa-eigenspace"):
-        g.e_grading(rep, -1)
+    for key in g.classes[ci]:
+        with pytest.raises(ArithmeticError, match=rf"^C{ci}: odd-dimensional kappa-eigenspace"):
+            g.e_grading(key, -1)
 
 
 def test_omega_r_matches_projection(omega_r):
@@ -399,9 +374,10 @@ def test_table_product_matches_matrix_product(make):
     g = make()
     e = g.identity_key()
     assert g.elements[e].matrix == Matrix.identity(g.dim, g.exponent)
+    index_of = {el.matrix.key(): i for i, el in g.elements.items()}
     for a, ea in g.elements.items():
         for b, eb in g.elements.items():
-            assert g.mul(a, b) == g.index_of[(ea.matrix * eb.matrix).key()]
+            assert g.mul(a, b) == index_of[(ea.matrix * eb.matrix).key()]
         assert g.mul(a, g.inv(a)) == e
         assert g.mul(g.inv(a), a) == e
 

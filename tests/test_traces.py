@@ -551,6 +551,7 @@ def test_product_factorization_oracle(kappa):
 
     from sra.linalg import Matrix
     from sra.scalar import Cyclotomic
+    index_of = {el.matrix.key(): i for i, el in prod.elements.items()}
 
     def embed1(key):
         m = prod.exponent
@@ -559,7 +560,7 @@ def test_product_factorization_oracle(kappa):
         zero = Cyclotomic.zero(m)
         rows = [list(blk.row(i)) + [zero] * g2.dim for i in range(g1.dim)]
         rows += [[zero] * g1.dim + list(ident.row(i)) for i in range(g2.dim)]
-        return prod.index_of[Matrix.from_rows(rows).key()]
+        return index_of[Matrix.from_rows(rows).key()]
 
     def embed2(key):
         m = prod.exponent
@@ -568,7 +569,7 @@ def test_product_factorization_oracle(kappa):
         zero = Cyclotomic.zero(m)
         rows = [list(ident.row(i)) + [zero] * g2.dim for i in range(g1.dim)]
         rows += [[zero] * g1.dim + list(blk.row(i)) for i in range(g2.dim)]
-        return prod.index_of[Matrix.from_rows(rows).key()]
+        return index_of[Matrix.from_rows(rows).key()]
 
     em1, em2 = eta_map(g1, embed1), eta_map(g2, embed2)
 
@@ -711,19 +712,22 @@ def test_verify_glc_visits_every_element_with_e(kappa):
 ], ids=["doubled-B3", "dihedral5", "cyclic2xdoubled-A3"])
 def test_relabelled_table_is_the_table_on_the_moved_basis(make):
     # the representative's relation table with each R relabelled to h R h^-1
-    # is the table on the element's own moved Darboux basis, entry for entry
+    # is the table on the representative's Darboux basis moved by h, entry
+    # for entry
     algebra = Algebra(make())
     group = algebra.group
     checked = 0
     for kappa in (1, -1):
         for key in _with_e(group, kappa):
             rep, h = group.class_rep[group.class_of[key]], group.conjugator[key]
-            scalar, refl = relation_table(algebra, group.e_grading(rep, kappa)[1])
+            basis = group.e_grading(rep, kappa)[1]
+            scalar, refl = relation_table(algebra, basis)
             moved = _conjugated_reflections(group, refl, h, group.inv(h))
-            own_scalar, own_refl = relation_table(algebra, group.e_grading(key, kappa)[1])
-            assert scalar == own_scalar
-            assert moved.keys() == own_refl.keys()
-            for pair, entries in own_refl.items():
+            h_mat = group.elements[h].matrix
+            hc_scalar, hc_refl = relation_table(algebra, [h_mat.matvec(c) for c in basis])
+            assert scalar == hc_scalar
+            assert moved.keys() == hc_refl.keys()
+            for pair, entries in hc_refl.items():
                 assert Counter(moved[pair]) == Counter(entries), (key, kappa, pair)
             checked += key != rep
     assert checked
@@ -743,6 +747,64 @@ def test_verify_glc_checks_each_conjugator():
                        match=rf"conjugator \d+ of element {key} does not carry the "
                              rf"representative \d+ of C{ci} to it"):
         verify_glc(fn)
+
+
+def test_charts_and_values_read_no_conjugator():
+    # S_3: the identity planted as the conjugator of a 3-cycle and of a
+    # transposition that are not their classes' representatives.  Each still
+    # solves its own eigenspaces and evaluates as in an unplanted copy; the
+    # 3-cycles have E = 0 for both kappa, so verify reads the conjugator of
+    # the transposition only, and names it
+    planted, clean = Algebra(doubled_coxeter("A", 3)), Algebra(doubled_coxeter("A", 3))
+    group = planted.group
+    keys = {group.elements[cls[0]].order: cls[1] for cls in group.classes if len(cls) > 1}
+    for key in keys.values():
+        group.conjugator[key] = group.identity_key()
+    for key in keys.values():
+        mat = group.elements[key].matrix
+        for k, basis in group.spectrum(key):
+            lam = Cyclotomic.root_of_unity(group.exponent, k)
+            assert all(mat.matvec(v) == tuple(x * lam for x in v) for v in basis)
+    rng = random.Random(3)
+    for kappa in (1, -1):
+        fn, fn_clean = solve_glc(planted, kappa, verify=False), solve_glc(clean, kappa)
+        for key in keys.values():
+            for deg in (0, 2, 4):
+                letters = [rng.randrange(group.dim) for _ in range(deg)]
+                assert (fn.evaluate(planted.word(letters, key))
+                        == fn_clean.evaluate(clean.word(letters, key)))
+    key = keys[2]
+    ci = group.class_of[key]
+    with pytest.raises(InconsistentGLCError,
+                       match=rf"conjugator {group.identity_key()} of element {key} does not "
+                             rf"carry the representative \d+ of C{ci} to it"):
+        verify_glc(solve_glc(planted, 1, verify=False))
+
+
+@pytest.mark.parametrize("kappa", [1, -1])
+@pytest.mark.parametrize("make", [lambda: dihedral(5), lambda: doubled_coxeter("B", 2)],
+                         ids=["dihedral5", "doubled-B2"])
+def test_evaluate_is_invariant_under_conjugation(make, kappa):
+    # sp(h^-1 f h) = sp(f) for every h, with f a sum of three random words
+    # x_w g of degree 2 or 4 and g drawn from each class in turn: normal
+    # ordering moves the letters of h^-1 f h, independently of the charts
+    algebra = Algebra(make())
+    group = algebra.group
+    fn = solve_glc(algebra, kappa, verify=False)
+    rng = random.Random(17)
+    for cls in group.classes:
+        nonzero = 0
+        for deg in (2, 2, 2, 4, 4, 4):
+            g = rng.choice(cls)
+            f = algebra.zero()
+            for _ in range(3):
+                f = f + algebra.word([rng.randrange(group.dim) for _ in range(deg)], g)
+            want = fn.evaluate(f)
+            nonzero += not want.is_zero()
+            for h in group.sorted_keys():
+                moved = algebra.group_element(group.inv(h)) * f * algebra.group_element(h)
+                assert fn.evaluate(moved) == want, (g, h, deg)
+        assert nonzero, cls
 
 
 @pytest.mark.parametrize("kappa", [1, -1])
