@@ -264,7 +264,8 @@ class EigenbasisChart:
         step, memoized per (kappa, L)."""
         got = self._factors.get((kappa, L))
         if got is None:
-            kl = Cyclotomic.root_of_unity(self.group.exponent, self.exponents[L]) * kappa
+            root = Cyclotomic.root_of_unity(self.group.exponent, self.exponents[L])
+            kl = root if kappa == 1 else -root
             inv = (Cyclotomic.one(kl.m) - kl).inverse()
             got = self._factors[(kappa, L)] = (inv, kl * inv)
         return got
@@ -273,13 +274,10 @@ class EigenbasisChart:
 class Algebra:
     """The algebra H_t,eta(G) with t a fixed scalar (default 1)."""
 
-    def __init__(self, group: Group, t: int | Fraction | Cyclotomic = 1):
+    def __init__(self, group: Group, t: int | Fraction = 1):
         self.group = group
         self.m = group.exponent
-        if not isinstance(t, Cyclotomic):
-            t = Cyclotomic.from_rational(Fraction(t), self.m)
-        elif t.m != self.m:
-            t = t.embed(self.m)
+        t = Cyclotomic.from_rational(t, self.m)
         if t.is_zero():
             raise ValueError("t must be nonzero (t = 0 is out of scope)")
         self.t = t
@@ -296,10 +294,13 @@ class Algebra:
         self._symmetrized: dict = {}
         self.frame = Frame(self)
 
+    def same_as(self, other: "Algebra") -> bool:
+        """Whether `other` is this algebra or another one over the same group
+        with the same t, whose normal forms agree."""
+        return other is self or (other.group is self.group and other.t == self.t)
+
     def check_same(self, other: "Algebra"):
-        """Raise GroupMismatchError unless `other` is this algebra or another
-        one over the same group with the same t, whose normal forms agree."""
-        if other is not self and (other.group is not self.group or other.t != self.t):
+        if not self.same_as(other):
             raise GroupMismatchError("elements belong to different algebras")
 
     # -- letters and charts ----------------------------------------------------
@@ -397,12 +398,12 @@ class AlgebraElement:
         return self._add(other, -1)
 
     def scaled(self, c) -> "AlgebraElement":
-        """c times the element, for a rational or a Cyclotomic c."""
-        partial: dict = {}
-        for c2 in self.algebra.scalar(c).terms.values():
-            for key, k in self.terms.items():
-                add_product(partial, key, k, c2)
-        return AlgebraElement(self.algebra, settle(partial, self.algebra.m))
+        """c times the element, for a rational or a Cyclotomic c of its order;
+        a nonzero product in a field is nonzero and canonical already."""
+        if not isinstance(c, Cyclotomic):
+            c = Cyclotomic.from_rational(c, self.algebra.m)
+        terms = {key: k * c for key, k in self.terms.items()}
+        return AlgebraElement(self.algebra, {} if c.is_zero() else terms)
 
     def __mul__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -442,7 +443,7 @@ class AlgebraElement:
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.algebra.group is other.algebra.group and self.terms == other.terms
+        return self.algebra.same_as(other.algebra) and self.terms == other.terms
 
     def __hash__(self):
         return hash(tuple(sorted(self.terms.items(), key=lambda t: t[0])))
@@ -478,8 +479,7 @@ def kappa_commutator(f: AlgebraElement, h: AlgebraElement, kappa: int) -> Algebr
     pf, ph = f.parity(), h.parity()
     if pf is None or ph is None:
         raise IndefiniteParityError("kappa-bracket needs definite parities")
-    sign = kappa if pf * ph else 1
-    return f * h - (h * f).scaled(sign)
+    return f * h + h * f if kappa == -1 and pf * ph else f * h - h * f
 
 
 def symmetrized_monomial(algebra: Algebra, exp: tuple[int, ...]) -> AlgebraElement:

@@ -6,7 +6,8 @@ canonical power basis 1, zeta, ..., zeta^(phi(m)-1) of Q(zeta_m) as an integer
 coefficient vector with a single positive denominator, fully reduced modulo
 the m-th cyclotomic polynomial.  Two values are equal iff their canonical
 representations coincide, which makes cyclotomics usable as dict keys and as
-deterministic sort keys.
+deterministic sort keys.  A rational enters Q(zeta_m) one way, through
+Cyclotomic.from_rational: +, -, * and == take only a Cyclotomic of one order.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
+from numbers import Number
 
 # every size budget of the package; exceeding one raises CapExceededError
 DEFAULT_CAP = 100_000     # elements of a group closure, comparisons of the eta = 0 oracle
@@ -189,7 +191,7 @@ def _zeta_substitute(num, big: _CycContext, step: int) -> list[int]:
     return acc
 
 
-def _normalize(m: int, num: list[int] | tuple[int, ...], den: int):
+def _normalize(num: list[int] | tuple[int, ...], den: int):
     if den == 1:
         return tuple(num), 1
     if den < 0:
@@ -236,22 +238,26 @@ class Cyclotomic:
             return
         ctx = _context(m)
         red = ctx.reduce(list(num))
-        self.num, self.den = _normalize(m, red, den)
+        self.num, self.den = _normalize(red, den)
         self.m = m
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rational(q, m: int = 1) -> "Cyclotomic":
-        """q in Q(zeta_m); 0 and 1 are the shared instances of the order."""
+        """The int or Fraction q in Q(zeta_m); 0 and 1 are the shared instances
+        of the order.  Another number or a text is a ValueError (a float is not
+        exact), and what is no number at all a TypeError."""
         ctx = _context(m)
-        if type(q) is not int:
-            q = Fraction(q)
+        if type(q) is Fraction:
             if q.denominator != 1:
                 # a Fraction is in lowest terms with a positive denominator
                 return Cyclotomic(m, (q.numerator,) + ctx.zero.num[1:], q.denominator,
                                   _canonical=True)
             q = q.numerator
+        elif type(q) is not int:
+            raise (ValueError if isinstance(q, (Number, str)) else TypeError)(
+                f"Cyclotomic.from_rational takes an int or a Fraction, not {q!r}")
         if q == 0:
             return ctx.zero
         if q == 1:
@@ -296,30 +302,24 @@ class Cyclotomic:
         if big_m % self.m != 0:
             raise ValueError(f"cannot embed order {self.m} into order {big_m}")
         acc = _zeta_substitute(self.num, _context(big_m), big_m // self.m)
-        num, den = _normalize(big_m, acc, self.den)
+        num, den = _normalize(acc, self.den)
         return Cyclotomic(big_m, num, den, _canonical=True)
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Cyclotomic):
-            if other.m != self.m:
-                raise ValueError("mixed cyclotomic orders; embed first")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic.from_rational(other, self.m)
-        return None
+    def _mismatch(self, other) -> ValueError:
+        return ValueError(f"a Cyclotomic of order {self.m} combines only with a Cyclotomic "
+                          f"of order {self.m}, not {other!r}: embed it, or bring a rational "
+                          f"in through Cyclotomic.from_rational")
 
-    # +, - and * take a direct branch for a Cyclotomic of the same order and
-    # coerce anything else.  They return early on a zero operand, and * also
-    # on a unit operand, and a result with denominator 1 skips the gcd: each
-    # of these results is canonical already.
+    # +, -, * and == take only a Cyclotomic of the same order and raise
+    # _mismatch on anything else; there are no reflected operators.  +, - and
+    # * return early on a zero operand, and * also on a unit operand, and a
+    # result with denominator 1 skips the gcd: each is canonical already.
 
     def __add__(self, other):
         if type(other) is not Cyclotomic or other.m != self.m:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+            raise self._mismatch(other)
         a, b = self, other
         if not any(b.num):
             return a
@@ -329,7 +329,7 @@ class Cyclotomic:
             return Cyclotomic(a.m, tuple([x + y for x, y in zip(a.num, b.num)]), 1,
                               _canonical=True)
         ad, bd = a.den, b.den
-        n, d = _normalize(a.m, [x * bd + y * ad for x, y in zip(a.num, b.num)], ad * bd)
+        n, d = _normalize([x * bd + y * ad for x, y in zip(a.num, b.num)], ad * bd)
         return Cyclotomic(a.m, n, d, _canonical=True)
 
     def __neg__(self):
@@ -337,9 +337,7 @@ class Cyclotomic:
 
     def __sub__(self, other):
         if type(other) is not Cyclotomic or other.m != self.m:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+            raise self._mismatch(other)
         a, b = self, other
         if not any(b.num):
             return a
@@ -349,7 +347,7 @@ class Cyclotomic:
             return Cyclotomic(a.m, tuple([x - y for x, y in zip(a.num, b.num)]), 1,
                               _canonical=True)
         ad, bd = a.den, b.den
-        n, d = _normalize(a.m, [x * bd - y * ad for x, y in zip(a.num, b.num)], ad * bd)
+        n, d = _normalize([x * bd - y * ad for x, y in zip(a.num, b.num)], ad * bd)
         return Cyclotomic(a.m, n, d, _canonical=True)
 
     def __mul__(self, other):
@@ -358,9 +356,7 @@ class Cyclotomic:
         denominator with every coordinate divided out.  A rational operand
         only scales the other one's coordinates."""
         if type(other) is not Cyclotomic or other.m != self.m:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+            raise self._mismatch(other)
         a, b = self, other
         num = None
         if any(b.num[1:]):
@@ -384,8 +380,6 @@ class Cyclotomic:
                 num = [x // g for x in num]
                 den //= g
         return Cyclotomic(a.m, tuple(num), den, _canonical=True)
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
         """Multiplicative inverse; raises ZeroDivisionError on zero.
@@ -419,10 +413,9 @@ class Cyclotomic:
         return out
 
     def __eq__(self, other):
-        other = self._coerce(other) if not isinstance(other, Cyclotomic) else other
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        return self.m == other.m and self.num == other.num and self.den == other.den
+        if type(other) is not Cyclotomic or other.m != self.m:
+            raise self._mismatch(other)
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.m, self.num, self.den))
@@ -710,7 +703,7 @@ def add_product(partial: dict, key, a: Cyclotomic, b: Cyclotomic):
 def settle(partial: dict, m: int) -> dict:
     """{key: canonical Cyclotomic} from a map of add_product sums, each
     reduced with one gcd; the keys whose sum cancelled are dropped."""
-    return {key: Cyclotomic(m, *_normalize(m, num, den), _canonical=True)
+    return {key: Cyclotomic(m, *_normalize(num, den), _canonical=True)
             for key, (num, den) in partial.items() if any(num)}
 
 
@@ -914,7 +907,7 @@ class EtaPolynomial:
             diff = tuple(a - b for a, b in zip(e, lead_e))
             if any(d < 0 for d in diff):
                 raise ArithmeticError("non-exact eta-polynomial division")
-            q = Cyclotomic(self.m, *_normalize(self.m, num, den), _canonical=True) * lead_c_inv
+            q = Cyclotomic(self.m, *_normalize(num, den), _canonical=True) * lead_c_inv
             out[diff] = q
             neg_q = -q
             for e2, c2 in rest:

@@ -85,10 +85,12 @@ class TraceValue:
         return not self.terms
 
     def scaled(self, c) -> "TraceValue":
-        """c times the value, for a rational or cyclotomic c."""
-        if c == 0:
-            return TraceValue(self.nparams, {})
-        return TraceValue(self.nparams, {key: k * c for key, k in self.terms.items()})
+        """c times the value, for a rational or a Cyclotomic c of its order;
+        a nonzero product in a field is nonzero and canonical already."""
+        if self.terms and not isinstance(c, Cyclotomic):
+            c = Cyclotomic.from_rational(c, next(iter(self.terms.values())).m)
+        terms = {key: k * c for key, k in self.terms.items()}
+        return TraceValue(self.nparams, {} if not terms or c.is_zero() else terms)
 
     def __eq__(self, other):
         if not isinstance(other, TraceValue):

@@ -104,6 +104,31 @@ def test_group_mismatch(z2, z3):
         _ = z2.generator(0) * z3.generator(0)
 
 
+def test_elements_of_algebras_with_another_t_are_unequal():
+    # == follows the rule of Algebra.check_same, as + and * do
+    group = cyclic_sp2(2)
+    one_t1, one_t2 = Algebra(group, t=1).one(), Algebra(group, t=2).one()
+    assert one_t1.terms == one_t2.terms
+    assert one_t1 != one_t2
+    with pytest.raises(GroupMismatchError):
+        _ = one_t1 + one_t2
+    # another algebra over the same group with the same t agrees
+    assert Algebra(group, t=Fraction(1)).one() == one_t1
+    assert Algebra(cyclic_sp2(2)).one() != one_t1
+
+
+def test_scaled_takes_a_rational_or_a_cyclotomic_of_the_order(z2):
+    f = z2.generator(0) * z2.generator(1) + z2.eta_scalar(0)
+    for zero in (0, Fraction(0), Cyclotomic.zero(z2.m)):
+        assert f.scaled(zero).terms == {}
+    assert f.scaled(1) == f and f.scaled(-1) == -f
+    assert f.scaled(3) == f + f + f
+    assert f.scaled(Fraction(1, 2)).scaled(2) == f
+    for c in (Cyclotomic.root_of_unity(4), 0.5):
+        with pytest.raises(ValueError):
+            f.scaled(c)
+
+
 def test_parity(z2):
     a1, a2 = z2.generator(0), z2.generator(1)
     sigma = z2.group_element(sigma_key(z2))
@@ -234,8 +259,8 @@ def test_weyl_closed_form_high_inversions(z2):
         prod = z2.generator(1) ** k * z2.generator(0) ** k
         got = {exp: coeff.evaluate(zero_pt) for gk, exp, coeff in prod.monomials() if gk == e}
         got = {exp: v for exp, v in got.items() if not v.is_zero()}
-        expected = {(k - j, k - j): c ** j * (factorial(j) * comb(k, j) ** 2)
-                    for j in range(k + 1)}
+        expected = {(k - j, k - j): c ** j * Cyclotomic.from_rational(
+                        factorial(j) * comb(k, j) ** 2, c.m) for j in range(k + 1)}
         assert got == expected
 
 

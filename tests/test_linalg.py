@@ -138,8 +138,8 @@ def test_fraction_free_det_singular_and_empty_eta_matrices():
     eta = [eta_var(i, nvars, m) for i in range(nvars)]
 
     def entry():
-        return (eta_const(Cyclotomic.root_of_unity(m, rng.randint(0, 2)) * rng.randint(-2, 2),
-                          nvars, m)
+        return (eta_const(Cyclotomic.root_of_unity(m, rng.randint(0, 2))
+                          * Cyclotomic.from_rational(rng.randint(-2, 2), m), nvars, m)
                 + eta[0] * eta_const(rng.randint(-1, 1), nvars, m)
                 + eta[1] * eta[0] * eta_const(rng.randint(-1, 1), nvars, m))
 
@@ -175,7 +175,7 @@ def _cyclotomic_entry(rng, m=12):
 def _eta_entry(rng, m=3, nvars=2):
     eta = [eta_var(i, nvars, m) for i in range(nvars)]
     root = Cyclotomic.root_of_unity(m, rng.randint(0, m - 1))
-    return (eta_const(root * rng.choice([-2, -1, 1, 2]), nvars, m)
+    return (eta_const(root * Cyclotomic.from_rational(rng.choice([-2, -1, 1, 2]), m), nvars, m)
             + eta[0] * eta_const(rng.randint(-1, 1), nvars, m)
             + eta[1] * eta[0] * eta_const(rng.randint(-1, 1), nvars, m))
 

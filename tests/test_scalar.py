@@ -1,3 +1,4 @@
+import operator
 import random
 import time
 from fractions import Fraction
@@ -50,7 +51,8 @@ def test_field_degree_cap():
 
 def power_sum(coeffs: dict, m: int) -> Cyclotomic:
     """sum_k c_k zeta_m^k, built from canonical powers of zeta_m."""
-    return sum((Fraction(c) * Cyclotomic.root_of_unity(m, k) for k, c in coeffs.items()),
+    return sum((Cyclotomic.from_rational(Fraction(c), m) * Cyclotomic.root_of_unity(m, k)
+                for k, c in coeffs.items()),
                Cyclotomic.zero(m))
 
 
@@ -437,7 +439,7 @@ def _settled_pairs(draw):
     x = draw(st.dictionaries(st.integers(0, 3), nonzero, max_size=4))
     y = draw(st.dictionaries(st.integers(0, 3), nonzero, max_size=4))
     for key in draw(st.sets(st.sampled_from(sorted(x)))) if x else ():
-        y[key] = -sign * x[key]
+        y[key] = Cyclotomic.from_rational(-sign, m) * x[key]
     return m, sign, x, y
 
 
@@ -624,3 +626,37 @@ def test_shared_zero_and_one(m):
     # one instance per order, whatever the route
     assert Cyclotomic.zero(m) is zero and Cyclotomic.from_rational(0, m) is zero
     assert Cyclotomic.one(m) is one and Cyclotomic.from_rational(Fraction(1), m) is one
+
+
+# -- one way from Q into Q(zeta_m) --------------------------------------------
+
+NOT_OF_ORDER_3 = (2, Fraction(1, 2), 0.5, "1/2", Cyclotomic.root_of_unity(6), Cyclotomic.one(1))
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.eq,
+                                operator.ne])
+@pytest.mark.parametrize("other", NOT_OF_ORDER_3, ids=repr)
+def test_operators_take_only_a_cyclotomic_of_their_order(op, other):
+    # a rational enters through from_rational; == raises too, so a
+    # comparison with an int cannot read False (or True) by coercion
+    x = Cyclotomic.from_rational(2, 3)
+    with pytest.raises(ValueError, match="order 3"):
+        op(x, other)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_no_reflected_operators(op):
+    with pytest.raises(TypeError):
+        op(2, Cyclotomic.root_of_unity(3))
+
+
+def test_from_rational_takes_an_int_or_a_fraction():
+    assert Cyclotomic.from_rational(Fraction(-2, 4), 3) == parse_literal("-1/2", 3)
+    assert Cyclotomic.from_rational(Fraction(6, 3), 3) == parse_literal("2", 3)
+    # a float is not exact, and text is read by parse_rational
+    for q in (0.1, 0.5, 1.0, "1/3", "2"):
+        with pytest.raises(ValueError, match="an int or a Fraction"):
+            Cyclotomic.from_rational(q, 3)
+    # what is no number at all is a TypeError, as Fraction's own
+    with pytest.raises(TypeError):
+        Cyclotomic.from_rational(Cyclotomic.one(3), 3)

@@ -331,6 +331,24 @@ def test_evaluate_refuses_an_algebra_with_another_t(z2):
         == "(-1/2 + 1/2*eta0^2)*P0"
 
 
+def test_trace_value_scaled(z2):
+    # a rational enters the value's field once; a zero factor drops every term
+    value = trace_value(2, {0: eta(z2, 0) * const(z2, Fraction(1, 2)) + const(z2, 3),
+                            1: const(z2, -1)})
+    empty = TraceValue(2, {})
+    for val in (value, empty):
+        for zero in (0, Fraction(0), Cyclotomic.zero(z2.m)):
+            assert val.scaled(zero).terms == {} and val.scaled(zero).nparams == 2
+        assert val.scaled(1) == val
+    assert empty.scaled(3) == empty
+    assert value.scaled(-2) == trace_value(2, {0: eta(z2, 0) * const(z2, -1) + const(z2, -6),
+                                               1: const(z2, 2)})
+    assert value.scaled(Fraction(2, 3)) == value.scaled(Cyclotomic.from_rational(Fraction(2, 3),
+                                                                                 z2.m))
+    with pytest.raises(ValueError, match="order 2"):
+        value.scaled(Cyclotomic.root_of_unity(4))
+
+
 def test_glc_evaluator_consistency(a2):
     # evaluate(sp, [c_I, c_J] g) = 0 for c_I, c_J in the kappa-eigenspace of g
     for kappa in (+1, -1):
