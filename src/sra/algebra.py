@@ -453,9 +453,6 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        return max((sum(e) for e, _, _ in self.terms), default=-1)
-
     def parity(self):
         """0 or 1 when every monomial has that total degree mod 2, else None."""
         seen = {sum(e) % 2 for e, _, _ in self.terms}

@@ -459,7 +459,8 @@ def cyclic_sp2(n: int, cap: int = DEFAULT_CAP) -> Group:
 
 
 def _coxeter_gram(family: str, rank: int) -> list[list[Fraction]]:
-    """Gram matrix (alpha_i, alpha_j) of the simple roots."""
+    """Gram matrix (alpha_i, alpha_j) of the simple roots of the family "A"
+    or "B"."""
     g = [[Fraction(0)] * rank for _ in range(rank)]
     for i in range(rank):
         g[i][i] = Fraction(2)
@@ -467,8 +468,6 @@ def _coxeter_gram(family: str, rank: int) -> list[list[Fraction]]:
             g[i][i + 1] = g[i + 1][i] = Fraction(-1)
     if family == "B":
         g[rank - 1][rank - 1] = Fraction(1)
-    elif family != "A":
-        raise ValueError(f"unknown Coxeter family {family!r}")
     return g
 
 

@@ -322,17 +322,14 @@ def darboux_basis(basis, omega: Matrix) -> list[Vector]:
         c1 = pending.pop(0)
         if vec_is_zero(c1):
             raise DegenerateRestrictionError("zero vector while pairing")
-        partner = None
         for idx, w in enumerate(pending):
             s = form_value(omega, c1, w)
             if not s.is_zero():
-                partner = idx
                 break
-        if partner is None:
+        else:
             raise DegenerateRestrictionError(
                 "symplectic form restricted to the subspace is singular")
-        w = pending.pop(partner)
-        s = form_value(omega, c1, w)
+        del pending[idx]
         c2 = vec_scale(w, s.inverse())
         rest = []
         for v in pending:

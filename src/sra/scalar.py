@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 from numbers import Number
 
 # every size budget of the package; exceeding one raises CapExceededError
@@ -33,18 +33,14 @@ class CapExceededError(ValueError):
     from text its exponent cap, or a cyclotomic field its degree cap."""
 
 
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (ascending coefficients)."""
+def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
+    """Exact division of integer polynomials (ascending coefficients) by a
+    monic one."""
     num = list(num)
     dd = len(den) - 1
-    while den[dd] == 0:
-        dd -= 1
     out = [0] * (len(num) - dd)
     for i in range(len(num) - 1 - dd, -1, -1):
-        c = num[i + dd]
-        if c % den[dd] != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        q = c // den[dd]
+        q = num[i + dd]
         out[i] = q
         if q:
             for j in range(dd + 1):
@@ -126,7 +122,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
             f"cyclotomic order {m} exceeds the field degree cap {FIELD_DEGREE_CAP}")
     poly = [-1] + [0] * (m - 1) + [1]
     for d in _divisors_of(m)[:-1]:
-        poly = _poly_div_exact(poly, list(cyclotomic_polynomial(d)))
+        poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
     return tuple(poly)
 
 
@@ -161,19 +157,6 @@ class _CycContext:
                 out[k] += lead * t
         return out
 
-    def reduce(self, coeffs: list[int]) -> tuple[int, ...]:
-        """Reduce an integer coefficient vector of any length mod Phi_m,
-        through x^j = x^(j mod m) mod Phi_m."""
-        deg = self.deg
-        out = list(coeffs[:deg]) + [0] * max(0, deg - len(coeffs))
-        for j in range(len(coeffs) - 1, deg - 1, -1):
-            c = coeffs[j]
-            if c:
-                row = self.powers[j % self.m]
-                for i in range(deg):
-                    out[i] += c * row[i]
-        return tuple(out)
-
 
 @lru_cache(maxsize=None)
 def _context(m: int) -> _CycContext:
@@ -181,7 +164,8 @@ def _context(m: int) -> _CycContext:
 
 
 def _zeta_substitute(num, big: _CycContext, step: int) -> list[int]:
-    """Integer coordinates in Q(zeta_M), M = big.m, of sum_j num[j] zeta_M^(j step)."""
+    """Integer coordinates in Q(zeta_M), M = big.m, of sum_j num[j] zeta_M^(j step):
+    with step 1, the fold of a vector of any length mod Phi_M."""
     acc = [0] * big.deg
     for j, c in enumerate(num):
         if c:
@@ -236,9 +220,7 @@ class Cyclotomic:
         if _canonical:
             self.m, self.num, self.den = m, num, den
             return
-        ctx = _context(m)
-        red = ctx.reduce(list(num))
-        self.num, self.den = _normalize(red, den)
+        self.num, self.den = _normalize(_zeta_substitute(num, _context(m), 1), den)
         self.m = m
 
     # -- constructors ------------------------------------------------------
@@ -317,38 +299,30 @@ class Cyclotomic:
     # * return early on a zero operand, and * also on a unit operand, and a
     # result with denominator 1 skips the gcd: each is canonical already.
 
-    def __add__(self, other):
+    def _add(self, other, sign: int):
+        """self + sign other, sign = 1 or -1: the one body of + and -."""
         if type(other) is not Cyclotomic or other.m != self.m:
             raise self._mismatch(other)
-        a, b = self, other
-        if not any(b.num):
-            return a
-        if not any(a.num):
-            return b
-        if a.den == b.den == 1:
-            return Cyclotomic(a.m, tuple([x + y for x, y in zip(a.num, b.num)]), 1,
-                              _canonical=True)
-        ad, bd = a.den, b.den
-        n, d = _normalize([x * bd + y * ad for x, y in zip(a.num, b.num)], ad * bd)
-        return Cyclotomic(a.m, n, d, _canonical=True)
+        if not any(other.num):
+            return self
+        if not any(self.num):
+            return other if sign == 1 else -other
+        if self.den == other.den == 1:
+            return Cyclotomic(self.m, tuple([x + sign * y for x, y in zip(self.num, other.num)]),
+                              1, _canonical=True)
+        bd, ad = other.den, sign * self.den
+        n, d = _normalize([x * bd + y * ad for x, y in zip(self.num, other.num)],
+                          self.den * bd)
+        return Cyclotomic(self.m, n, d, _canonical=True)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     def __neg__(self):
         return Cyclotomic(self.m, tuple([-c for c in self.num]), self.den, _canonical=True)
 
     def __sub__(self, other):
-        if type(other) is not Cyclotomic or other.m != self.m:
-            raise self._mismatch(other)
-        a, b = self, other
-        if not any(b.num):
-            return a
-        if not any(a.num):
-            return -b
-        if a.den == b.den == 1:
-            return Cyclotomic(a.m, tuple([x - y for x, y in zip(a.num, b.num)]), 1,
-                              _canonical=True)
-        ad, bd = a.den, b.den
-        n, d = _normalize([x * bd - y * ad for x, y in zip(a.num, b.num)], ad * bd)
-        return Cyclotomic(a.m, n, d, _canonical=True)
+        return self._add(other, -1)
 
     def __mul__(self, other):
         """The product in one pass: the polynomial product of the coordinate
@@ -608,9 +582,9 @@ def _factorize(n: int) -> dict[int, int]:
         d += steps[i]
         i = (i + 1) % 8
 
+    # every k below is odd and > 1: n has no factor 2 left, and rho(k)
+    # returns a divisor 1 < d < k
     def is_probable_prime(k):
-        if k < 2:
-            return False
         for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
             if k % a == 0:
                 return k == a
@@ -631,8 +605,6 @@ def _factorize(n: int) -> dict[int, int]:
         return True
 
     def rho(k):
-        if k % 2 == 0:
-            return 2
         c = 1
         while True:
             x = y = 2
@@ -649,8 +621,6 @@ def _factorize(n: int) -> dict[int, int]:
     stack = [n] if n > 1 else []
     while stack:
         k = stack.pop()
-        if k == 1:
-            continue
         if is_probable_prime(k):
             out[k] = out.get(k, 0) + 1
             continue
@@ -727,25 +697,16 @@ def _rational_roots(coeffs: dict[int, Fraction]) -> list[Fraction]:
     """All rational roots of the nonzero rational polynomial
     {exponent: coefficient}, by the rational root theorem on its primitive
     integer form."""
-    deg = max(coeffs)
     low = min(coeffs)
-    roots = []
-    if low > 0:
-        roots.append(Fraction(0))
+    roots = [Fraction(0)] if low > 0 else []
+    # the shift by the lowest exponent leaves a nonzero constant term
     shifted = {e - low: q for e, q in coeffs.items()}
-    den_lcm = 1
-    for q in shifted.values():
-        den_lcm = den_lcm * q.denominator // gcd(den_lcm, q.denominator)
+    den_lcm = lcm(*(q.denominator for q in shifted.values()))
     ints = {e: int(q * den_lcm) for e, q in shifted.items()}
-    content = 0
-    for v in ints.values():
-        content = gcd(content, v)
+    content = _content(ints.values())
     ints = {e: v // content for e, v in ints.items()}
-    a0 = abs(ints.get(0, 0))
-    an = abs(ints[deg - low])
-    if a0 == 0:
-        return sorted(set(roots))
-    d = deg - low
+    d = max(ints)
+    a0, an = abs(ints[0]), abs(ints[d])
     descending = [ints.get(e, 0) for e in range(d, -1, -1)]
     # a root s/q in lowest terms makes q x - s divide P over Z, so q - s
     # divides P(1) and q + s divides P(-1); a divisor 0 asks for a zero
@@ -770,6 +731,11 @@ def _rational_roots(coeffs: dict[int, Fraction]) -> list[Fraction]:
 
 
 # -- polynomials in the deformation parameters ------------------------------
+
+
+def _grlex(e: tuple[int, ...]):
+    """Graded lexicographic key of an exponent tuple."""
+    return (sum(e), e)
 
 
 class EtaPolynomial:
@@ -838,11 +804,13 @@ class EtaPolynomial:
         return (self.nvars, self.m, self.terms) == (other.nvars, other.m, other.terms)
 
     def substitute(self, point) -> "EtaPolynomial":
-        """Substitute a rational value for each eta variable whose slot of
-        `point` holds one; the variables whose slot is None stay symbolic."""
+        """Substitute a rational value, an int or a Fraction, for each eta
+        variable whose slot of `point` holds one; the variables whose slot is
+        None stay symbolic.  Another value is the ValueError of
+        Cyclotomic.from_rational."""
         if len(point) != self.nvars:
             raise ValueError("evaluation point arity mismatch")
-        vals = [None if p is None else Fraction(p) for p in point]
+        vals = [None if p is None else Cyclotomic.from_rational(p).as_rational() for p in point]
         out: dict = {}
         for e, c in self.terms.items():
             q = Fraction(1)
@@ -891,16 +859,12 @@ class EtaPolynomial:
         # cancelled is dropped when it becomes the largest
         rem = {e: [c.num, c.den] for e, c in self.terms.items()}
         out: dict[tuple[int, ...], Cyclotomic] = {}
-
-        def grlex_key(e):
-            return (sum(e), e)
-
-        lead_e = max(other.terms, key=grlex_key)
+        lead_e = max(other.terms, key=_grlex)
         lead_c_inv = other.terms[lead_e].inverse()
         # the lead term cancels the remainder's largest term exactly
         rest = [(e2, c2) for e2, c2 in other.terms.items() if e2 != lead_e]
         while rem:
-            e = max(rem, key=grlex_key)
+            e = max(rem, key=_grlex)
             num, den = rem.pop(e)
             if not any(num):
                 continue
@@ -915,7 +879,7 @@ class EtaPolynomial:
         return EtaPolynomial(self.nvars, self.m, out)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
+        return [(e, self.terms[e]) for e in sorted(self.terms, key=_grlex)]
 
     def __repr__(self):
         return f"EtaPolynomial({render_eta(self)[0]})"

@@ -86,9 +86,12 @@ class TraceValue:
 
     def scaled(self, c) -> "TraceValue":
         """c times the value, for a rational or a Cyclotomic c of its order;
-        a nonzero product in a field is nonzero and canonical already."""
-        if self.terms and not isinstance(c, Cyclotomic):
-            c = Cyclotomic.from_rational(c, next(iter(self.terms.values())).m)
+        a nonzero product in a field is nonzero and canonical already.  An
+        empty value stores no order, so a rational c is checked at order 1
+        there, and a Cyclotomic of another order is caught only on a
+        nonempty value."""
+        if not isinstance(c, Cyclotomic):
+            c = Cyclotomic.from_rational(c, next(iter(self.terms.values())).m if self.terms else 1)
         terms = {key: k * c for key, k in self.terms.items()}
         return TraceValue(self.nparams, {} if not terms or c.is_zero() else terms)
 
@@ -738,7 +741,8 @@ def gram(functional: TraceFunctional, degree: int,
     monos = even_monomials(group.dim, degree)
     if assignment is None:
         assignment = [Fraction(1 if i == 0 else 0) for i in range(functional.nparams)]
-    assignment = [Fraction(a) for a in assignment]
+    # an int or a Fraction; another value is the ValueError of from_rational
+    assignment = [Cyclotomic.from_rational(a).as_rational() for a in assignment]
     if len(assignment) != functional.nparams:
         raise ValueError("free-parameter assignment arity mismatch")
     basis = [(e, ci) for e in monos for ci in range(len(group.classes))]

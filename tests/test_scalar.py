@@ -16,6 +16,7 @@ from sra.scalar import (
     EtaPolynomial,
     _context,
     _divisors_of,
+    _zeta_substitute,
     add_maps,
     add_product,
     cyclotomic_polynomial,
@@ -277,6 +278,12 @@ def test_eta_polynomial_partial_substitution():
         == Cyclotomic.from_rational(Fraction(-1, 4), m)
     with pytest.raises(ValueError, match="symbolic"):
         p.evaluate([half, None])
+    # a point value is an int or a Fraction, as for Cyclotomic.from_rational
+    for bad in (0.5, "1/2"):
+        with pytest.raises(ValueError, match="takes an int or a Fraction"):
+            p.substitute([bad, None])
+        with pytest.raises(ValueError, match="takes an int or a Fraction"):
+            p.evaluate([half, bad])
 
 
 def test_eta_polynomial_basics():
@@ -347,7 +354,7 @@ def test_reduce_is_the_remainder_mod_phi(m):
             for i in range(deg + 1):
                 rem[top - deg + i] -= c * phi[i]
         expected = tuple(rem[:deg]) + (0,) * max(0, deg - len(rem))
-        assert ctx.reduce([0] * j + [1]) == expected, (m, j)
+        assert tuple(_zeta_substitute([0] * j + [1], ctx, 1)) == expected, (m, j)
 
 
 @settings(max_examples=40, deadline=None)

@@ -249,6 +249,18 @@ def test_substitute_is_the_per_parameter_sum(alg_name, kappa, request):
         assert val.substitute(assignment, alg.nvars, alg.m) == want
 
 
+def test_free_parameter_arity_mismatch_is_refused(z2):
+    # one value per free parameter: a shorter or a longer assignment is refused
+    # by gram before any evaluation, and by TraceValue.substitute on its own
+    fn = solve_glc(z2, -1)
+    value = fn.table[0]
+    for assignment in ([], [Fraction(1)] * (fn.nparams + 1)):
+        with pytest.raises(ValueError, match="free-parameter assignment arity mismatch"):
+            gram(fn, 0, assignment=assignment)
+        with pytest.raises(ValueError, match="assignment arity mismatch"):
+            value.substitute(assignment, z2.nvars, z2.m)
+
+
 def test_vectors_multiplies_only_for_nonzero_eigen_words(a2, monkeypatch):
     # an S_3 word of degree 6 times an element of order 3: with the _bword
     # memo warm, vectors makes one product per prefix of length >= 2 of the
@@ -347,6 +359,12 @@ def test_trace_value_scaled(z2):
                                                                                  z2.m))
     with pytest.raises(ValueError, match="order 2"):
         value.scaled(Cyclotomic.root_of_unity(4))
+    # a float or a text is refused on the empty value too, where no term
+    # names the order
+    for val in (value, empty):
+        for bad in (0.5, "2", 1.0):
+            with pytest.raises(ValueError, match="takes an int or a Fraction"):
+                val.scaled(bad)
 
 
 def test_glc_evaluator_consistency(a2):
@@ -448,6 +466,16 @@ def test_gram_d0_z2(z2):
     assert flat["01"] == -eta0 and flat["10"] == -eta0
     assert report.determinant == one - eta0 * eta0
     assert report.rational_roots == [Fraction(-1), Fraction(1)]
+    # an int or a Fraction assignment reads as the default; a float or a text
+    # is refused as Cyclotomic.from_rational refuses it
+    for assignment in ([1], [Fraction(1)]):
+        given = gram(fn, 0, assignment=assignment)
+        assert given.assignment == report.assignment == [Fraction(1)]
+        assert given.to_dict()["assignment"] == ["1"]
+        assert given.matrix == report.matrix
+    for bad in (1.0, 0.5, "1"):
+        with pytest.raises(ValueError, match="takes an int or a Fraction"):
+            gram(fn, 0, assignment=[bad])
 
 
 def test_gram_zero_functional(z2):
