@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
 from numbers import Number
 
@@ -738,6 +739,12 @@ def _grlex(e: tuple[int, ...]):
     return (sum(e), e)
 
 
+def _grlex_descending(e: tuple[int, ...]):
+    """A heap entry that pops the grlex-largest exponent tuple first; e
+    itself is the last item."""
+    return (-sum(e), tuple(-a for a in e), e)
+
+
 class EtaPolynomial:
     """Sparse polynomial in the eta variables with Cyclotomic coefficients.
 
@@ -863,8 +870,13 @@ class EtaPolynomial:
         lead_c_inv = other.terms[lead_e].inverse()
         # the lead term cancels the remainder's largest term exactly
         rest = [(e2, c2) for e2, c2 in other.terms.items() if e2 != lead_e]
-        while rem:
-            e = max(rem, key=_grlex)
+        # the remainder's keys, largest first; a key is pushed when it enters
+        # rem and never comes back once popped, since every new key diff + e2
+        # has e2 below the lead, so is below the key just popped
+        heap = [_grlex_descending(e) for e in rem]
+        heapify(heap)
+        while heap:
+            e = heappop(heap)[2]
             num, den = rem.pop(e)
             if not any(num):
                 continue
@@ -875,7 +887,10 @@ class EtaPolynomial:
             out[diff] = q
             neg_q = -q
             for e2, c2 in rest:
-                add_product(rem, add_exponents(diff, e2), neg_q, c2)
+                k = add_exponents(diff, e2)
+                if k not in rem:
+                    heappush(heap, _grlex_descending(k))
+                add_product(rem, k, neg_q, c2)
         return EtaPolynomial(self.nvars, self.m, out)
 
     def sorted_terms(self):

@@ -191,34 +191,43 @@ def solve_glc(algebra: Algebra, kappa: int, verify: bool = True) -> TraceFunctio
     for ci in order:
         rep = group.class_rep[ci]
         scalar, refl = relation_table(algebra, group.e_grading(rep, kappa)[1][:2])
+        entries = refl.get((0, 1), ())
         flat: dict = {}
-        _reflection_sum(flat, functional, rep, refl.get((0, 1), ()))
+        _reflection_sum(flat, functional, entries, _product_classes(functional, rep, entries))
         table[ci] = TraceValue(nparams, settle(flat, algebra.m)).scaled(-scalar[0][1].inverse())
     if verify:
         verify_glc(functional)
     return functional
 
 
-def _reflection_sum(flat: dict, functional: TraceFunctional, g_key, entries):
-    """flat += sum_R eta_R omega_R(c_i, c_j) sp(R g), for a flat map of
-    partial sums (see add_product), over the entries (R, h, omega_R(c_i,
-    c_j)) of a relation table, with sp(R g) read from the functional's class
-    table, which must already hold every class R g.
-
-    The values omega_R are first added per class C of R g and eta exponent
-    h, and each class value is scaled once per h.  Every entry's class is
-    looked up before the sum, so a missing class raises even when its
-    coefficients cancel."""
-    group, m = functional.group, functional.algebra.m
-    one = Cyclotomic.one(m)
-    per_class: dict = {}
-    for rkey, h, coeff in entries:
-        rc = group.class_of[group.mul(rkey, g_key)]
+def _product_classes(functional: TraceFunctional, g_key, entries) -> tuple:
+    """The class of R g for every entry (R, h, omega_R(c_i, c_j)) of a
+    relation table, in entry order, each checked to be in the functional's
+    class table, so a missing class raises even when its coefficients
+    cancel."""
+    group = functional.group
+    classes = tuple(group.class_of[group.mul(rkey, g_key)] for rkey, _, _ in entries)
+    for rc in classes:
         if rc not in functional.table:
             ci = group.class_of[g_key]
             raise InconsistentGLCError(
                 f"group {group.name}, kappa {functional.kappa}: sp(C{ci}) needs "
                 f"sp(C{rc}), which has E >= E(C{ci})")
+    return classes
+
+
+def _reflection_sum(flat: dict, functional: TraceFunctional, entries, classes):
+    """flat += sum_R eta_R omega_R(c_i, c_j) sp(R g), for a flat map of
+    partial sums (see add_product), over the entries (R, h, omega_R(c_i,
+    c_j)) of a relation table and the classes of their products R g
+    (_product_classes), with sp(R g) read from the functional's class table.
+
+    The values omega_R are first added per class C of R g and eta exponent
+    h, and each class value is scaled once per h."""
+    m = functional.algebra.m
+    one = Cyclotomic.one(m)
+    per_class: dict = {}
+    for (_, h, coeff), rc in zip(entries, classes):
         add_product(per_class, (rc, h), coeff, one)
     for (rc, h), coeff in settle(per_class, m).items():
         _add_shifted(flat, functional.table[rc].terms, h, coeff)
@@ -235,10 +244,19 @@ def verify_glc(functional: TraceFunctional):
     omega(h x, h y) = omega(x, y) and omega_(h R h^-1)(h x, h y) =
     omega_R(x, y), and h R h^-1 lies in the class of R, with the same eta
     variable: the table on h c is the representative's with each R
-    relabelled to h R h^-1 (_conjugated_reflections).  Each element's
-    residual is then formed from its own sp(g') and its own products
-    R' g'.  A real check guards the relabelling: h rep h^-1 must be g' on
-    the indices.
+    relabelled to h R h^-1 (_conjugated_reflections).
+
+    Every element of the class is still visited and does its own lookups: a
+    real check that h rep h^-1 is g' on the indices, the relabelling, its own
+    sp(g') from element_value, and for every Darboux pair its own products
+    R' g' and their classes (_product_classes).  Only the arithmetic of a
+    residual, scalar[i][j] sp(g') + sum_R eta_R omega_R sp(R' g'), runs once
+    per distinct signature (i, j, sp(g'), classes of the R' g') in the class.
+    That is exact: scalar[i][j] and every (eta exponent, omega_R) of the
+    pair are the class table's, shared by the whole class, so the signature
+    fixes the settled residual, and a signature is skipped only after it
+    settled to zero.  sp(g') is compared by identity, and the memo holds
+    the map, so its id is not reused while the memo lives.
 
     Raises InconsistentGLCError naming the group, kappa, the class label
     C<i> of the offending element and the nonzero residual, or the element
@@ -253,6 +271,7 @@ def verify_glc(functional: TraceFunctional):
         if e_val == 0:
             continue
         scalar, refl = relation_table(functional.algebra, basis)
+        vanished: dict = {}              # signature -> the sp(g') map it was settled with
         for key in cls:
             h = group.conjugator[key]
             h_inv = group.inv(h)
@@ -264,15 +283,21 @@ def verify_glc(functional: TraceFunctional):
             spg = functional.element_value(key).terms
             for i in range(len(basis)):
                 for j in range(i + 1, len(basis)):
+                    entries = moved.get((i, j), ())
+                    classes = _product_classes(functional, key, entries)
+                    signature = (i, j, id(spg), classes)
+                    if vanished.get(signature) is spg:
+                        continue
                     flat: dict = {}
                     _add_scaled(flat, spg, scalar[i][j])
-                    _reflection_sum(flat, functional, key, moved.get((i, j), ()))
+                    _reflection_sum(flat, functional, entries, classes)
                     residual = settle(flat, functional.algebra.m)
                     if residual:
                         raise InconsistentGLCError(
                             f"group {group.name}, kappa {kappa}: ground level condition "
                             f"fails on C{ci} (Darboux pair {i},{j}), residual "
                             f"{format_trace_value(TraceValue(functional.nparams, residual))}")
+                    vanished[signature] = spg
 
 
 def _conjugated_reflections(group: Group, refl: dict, h, h_inv) -> dict:

@@ -14,8 +14,8 @@ import sra
 from conftest import const, trace_value
 from sra.scalar import Cyclotomic
 from sra.linalg import Matrix
-from sra.group import cyclic_sp2, doubled_coxeter
-from sra.algebra import Algebra
+from sra.group import cyclic_sp2, dihedral, doubled_coxeter
+from sra.algebra import Algebra, relation_table
 from sra.traces import (
     InconsistentGLCError,
     TraceFunctional,
@@ -130,3 +130,52 @@ def test_verify_glc_checks_every_element_not_only_class_representatives(kappa):
     verify_glc(fn)
     with pytest.raises(InconsistentGLCError, match=f"fails on C{ci} "):
         verify_glc(_OneElementShifted(fn, target))
+
+
+def _reflection_class(group, fn):
+    """The one class of more than one element with E > 0: the transpositions
+    of S_3, the reflections of dihedral 5."""
+    (ci,) = [i for i, cls in enumerate(group.classes) if len(cls) > 1 and fn.e_of_class[i] > 0]
+    return ci
+
+
+@pytest.mark.parametrize("kappa", [1, -1])
+@pytest.mark.parametrize("build, size", [(lambda: doubled_coxeter("A", 3), 3),
+                                         (lambda: dihedral(5), 5)], ids=["S3", "dihedral5"])
+def test_verify_glc_checks_each_non_representative(build, size, kappa):
+    # verify settles each distinct residual once per class; a fault planted
+    # at any one element that is not the representative must still be seen
+    alg = Algebra(build())
+    fn = solve_glc(alg, kappa)
+    group = alg.group
+    ci = _reflection_class(group, fn)
+    targets = [key for key in group.classes[ci] if key != group.class_rep[ci]]
+    assert len(targets) == size - 1
+    for target in targets:
+        with pytest.raises(InconsistentGLCError, match=f"fails on C{ci} "):
+            verify_glc(_OneElementShifted(fn, target))
+
+
+@pytest.mark.parametrize("kappa", [1, -1])
+def test_verify_glc_checks_each_elements_own_products(monkeypatch, kappa):
+    # one wrong product R' g' at a transposition of S_3 that is not the
+    # representative, landing in a class with another value: sp(g') is the
+    # class value as everywhere else, so only a check that reads that
+    # element's own products R' g' sees it
+    alg = Algebra(doubled_coxeter("A", 3))
+    fn = solve_glc(alg, kappa)
+    group = alg.group
+    ci = _reflection_class(group, fn)
+    rep, target = group.class_rep[ci], group.classes[ci][-1]
+    assert target != rep
+    h = group.conjugator[target]
+    rkey = relation_table(alg, group.e_grading(rep, kappa)[1])[1][(0, 1)][0][0]
+    moved = group.mul(group.mul(h, rkey), group.inv(h))
+    right = group.mul(moved, target)
+    wrong = next(key for key in group.sorted_keys()
+                 if fn.table[group.class_of[key]] != fn.table[group.class_of[right]])
+    verify_glc(fn)
+    mul = group.mul
+    monkeypatch.setattr(group, "mul", lambda a, b: wrong if (a, b) == (moved, target) else mul(a, b))
+    with pytest.raises(InconsistentGLCError, match=f"fails on C{ci} "):
+        verify_glc(fn)

@@ -18,8 +18,8 @@ from sra.traces import (
     TraceValue,
     _Evaluator,
     _conjugated_reflections,
+    _product_classes,
     _random_definite,
-    _reflection_sum,
     confluence_failures,
     cyclicity_failures,
     eta0_form,
@@ -880,11 +880,11 @@ def test_missing_class_names_both_labels(a2, kappa):
     broken = TraceFunctional(a2, kappa, fn.free_classes, table, fn.e_of_class)
     message = rf"sp\(C{ci}\) needs sp\(C{rc}\), which has E >= E\(C{ci}\)"
     with pytest.raises(InconsistentGLCError, match=message):
-        _reflection_sum({}, broken, g, entries)
+        _product_classes(broken, g, entries)
     # coefficients that cancel on the missing class still raise
     rkey, h, val = entries[0]
     cancelling = [(rkey, h, c) for c in (val, -val)]
     with pytest.raises(InconsistentGLCError, match=message):
-        _reflection_sum({}, broken, g, cancelling)
+        _product_classes(broken, g, cancelling)
     with pytest.raises(InconsistentGLCError, match=rf"needs sp\(C{rc}\)"):
         verify_glc(broken)
