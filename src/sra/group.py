@@ -16,12 +16,12 @@ word of the right factor through these tables, so after closure no group
 multiplication touches a matrix.  Matrices stay on the elements for the
 spectral data (E-grading, eigenspaces, omega_R, charts).
 
-The closure forms no matrix product: each generator g lists the nonzeros of
-g - 1 once, and M g = M + M (g - 1) changes only the entries that those
-nonzeros reach, so a symplectic reflection (rank(g - 1) = 2) touches few.  A
-product copies its parent's entries and key and replaces the changed ones in
-both.  Each distinct entry value is one object, and the re-embedding into
-Q(zeta_m) embeds each distinct value once and shares it among the elements.
+The closure does no cyclotomic arithmetic past its generators' orbits: G
+permutes Omega, the union of the G-orbits of the basis vectors, so a product
+is a composition of integer tuples and an element's columns are points of
+Omega (Holt, Eick and O'Brien, Handbook of Computational Group Theory, ch. 4).
+Each distinct entry of a point is one object, embedded into Q(zeta_m) once
+and shared among the elements whose matrices are read off those points.
 
 The closure also names the identity and -1 (if present) by index.  The
 class search records, for every element k, a conjugator h with
@@ -35,11 +35,13 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 from math import cos, hypot, lcm, pi, sin
+from operator import itemgetter
 
 # the caps and CapExceededError live in sra.scalar
-from .scalar import (DEFAULT_CAP, CapExceededError, Cyclotomic, add_product, literal,
-                     parse_literal, parse_rational, settle)
+from .scalar import (DEFAULT_CAP, CapExceededError, Cyclotomic, literal, parse_literal,
+                     parse_rational)
 from .linalg import (
     Matrix,
     darboux_basis,
@@ -48,7 +50,6 @@ from .linalg import (
     inverse,
     kernel_basis,
     rank,
-    support,
     vec_is_zero,
     vec_scale,
 )
@@ -321,15 +322,16 @@ def close(generators: list[Matrix], omega: Matrix, cap: int = DEFAULT_CAP,
     """Breadth-first closure of symplectic generators into a Group.
 
     Each generator must satisfy g^T omega g = omega, and (unless
-    strict_reflections is False) rank(g - 1) = 2.  The breadth-first search
-    forms each product (element M) * g as M + M (g - 1) from the nonzeros of
-    g - 1, and updates M's key, the (num, den) of every entry, in place at
-    the entries the step changed.  After closure the session cyclotomic order
-    is the lcm of all element orders and of the order the entries already
-    live in; each distinct entry is embedded into it once, through its key,
-    and its embedding is shared by every element that holds it.  The
-    identity and -1 are found by their keys at the entry order, before the
-    re-embedding.
+    strict_reflections is False) rank(g - 1) = 2.  Their matvecs at the
+    entry order build Omega, the union of the orbits of the basis vectors,
+    on which each generator is a permutation; a group of at most cap
+    elements has at most cap * 2N points.  The breadth-first search runs over
+    permutations of Omega: an element is known by its columns, the points it
+    sends the basis vectors to, and (element p) * q has the columns p[q[c]].
+    After closure the session cyclotomic order is the lcm of all element
+    orders and of the entry order; each distinct entry of a point is
+    embedded into it once and shared by every element that holds it.  The
+    identity's columns are the basis vectors, and -1's the points -e_c.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -354,53 +356,42 @@ def close(generators: list[Matrix], omega: Matrix, cap: int = DEFAULT_CAP,
             raise NotReflectionError(
                 f"generator {i} has rank(g-1) = {rank(g.minus_scalar(one0))}, not 2")
 
-    # BFS closure at the entry order, recording right[gi][i] = i * gens[gi].
-    # An element is its row-major entries and its key; `pool` holds one
-    # object per distinct entry, so an entry is zero exactly when it is zero0.
-    # A step adds M[k, t] (g - 1)[t, c] into entry (k, c) for the nonzero
-    # M[k, t] of each nonempty row t of g - 1; the other entries keep M's.
-    steps = []
-    for g in gens:
-        diff = g.minus_scalar(one0)
-        rows = ((t, support(diff.row(t))) for t in range(dim))
-        steps.append([(t, nz) for t, nz in rows if nz])
-    zero0 = Cyclotomic.zero(m0)
-    pool = {x.key(): x for x in (zero0, one0)}     # the identity's entries
-    found = {ident0.key(): 0}
-    entries, keys, words = [list(ident0.data)], [ident0.key()], [()]
+    # Omega at the entry order, point c < dim being e_c; perms[gi][x] is the
+    # index of the point gens[gi] x
+    points = [ident0.col(c) for c in range(dim)]
+    index = {v: c for c, v in enumerate(points)}
+    perms: list[list[int]] = [[] for _ in gens]
+    for v in points:                    # grows while it is walked
+        for g, perm in zip(gens, perms):
+            w = g.matvec(v)
+            x = index.get(w)
+            if x is None:
+                if len(points) >= cap * dim:
+                    raise CapExceededError(f"group closure exceeds cap {cap}")
+                x = index[w] = len(points)
+                points.append(w)
+            perm.append(x)
+
+    # BFS over permutations of Omega, recording right[gi][i] = i * gens[gi];
+    # pending holds an element's full permutation until it is expanded
+    steps = [(itemgetter(*q[:dim]), itemgetter(*q)) for q in perms]
+    ident = tuple(range(len(points)))
+    found = {ident[:dim]: 0}
+    cols, words, pending = [ident[:dim]], [()], {0: ident}
     right: list[list[int]] = [[] for _ in gens]
-    i = 0
-    while i < len(entries):
-        mat, key = entries[i], keys[i]
-        for gi, step in enumerate(steps):
-            partial = {}
-            for k in range(0, dim * dim, dim):
-                for t, nz in step:
-                    a = mat[k + t]
-                    if a is not zero0:
-                        for c, b in nz:
-                            p = k + c
-                            if p not in partial:
-                                partial[p] = [mat[p].num, mat[p].den]
-                            add_product(partial, p, a, b)
-            settled = settle(partial, m0)
-            nkey = list(key)
-            for p in partial:
-                nkey[p] = settled.get(p, zero0).key()
-            nkey = tuple(nkey)
-            j = found.get(nkey)
+    for i, word in enumerate(words):    # grows while it is walked
+        p = pending.pop(i)
+        for gi, (head, whole) in enumerate(steps):
+            img = head(p)
+            j = found.get(img)
             if j is None:
                 if len(found) >= cap:
                     raise CapExceededError(f"group closure exceeds cap {cap}")
-                j = found[nkey] = len(entries)
-                nxt = list(mat)
-                for p in partial:
-                    nxt[p] = pool.setdefault(nkey[p], settled.get(p, zero0))
-                entries.append(nxt)
-                keys.append(nkey)
-                words.append(words[i] + (gi,))
+                j = found[img] = len(cols)
+                cols.append(img)
+                words.append(word + (gi,))
+                pending[j] = whole(p)
             right[gi].append(j)
-        i += 1
 
     # element orders by walking each element's word through the tables
     orders = []
@@ -412,20 +403,25 @@ def close(generators: list[Matrix], omega: Matrix, cap: int = DEFAULT_CAP,
         orders.append(d)
     m = lcm(m0, *orders)
 
-    # re-embed into the session order once per distinct entry, through its
-    # key, and renumber in canonical key order
-    if m != m0:
-        memo = {kx: x.embed(m) for kx, x in pool.items()}
-        memo_key = {kx: x.key() for kx, x in memo.items()}
-        entries = [[memo[kx] for kx in key] for key in keys]
-        keys = [tuple([memo_key[kx] for kx in key]) for key in keys]
-    by_key = sorted(range(len(keys)), key=keys.__getitem__)
-    new_of = [0] * len(keys)
+    # matrices and keys read off the points: each distinct entry is embedded
+    # into the session order once and shared, and an element's key lists the
+    # ranks of its entries' keys in row-major order; renumber in key order
+    embedded = {a: a.embed(m) for a in dict.fromkeys(chain.from_iterable(points))}
+    rank_of = {a: r for r, a in enumerate(sorted(embedded.values(), key=Cyclotomic.key))}
+    point_entries = [tuple([embedded[a] for a in v]) for v in points]
+    point_ranks = [tuple([rank_of[a] for a in v]) for v in point_entries]
+
+    def row_major(per_point, img):
+        return chain.from_iterable(zip(*map(per_point.__getitem__, img)))
+
+    by_key = sorted(range(len(cols)), key=lambda k: tuple(row_major(point_ranks, cols[k])))
+    new_of = [0] * len(cols)
     for idx, k in enumerate(by_key):
         new_of[k] = idx
-    elements = {idx: GroupElement(Matrix(dim, dim, entries[k]), orders[k], words[k])
+    elements = {idx: GroupElement(Matrix(dim, dim, row_major(point_entries, cols[k])),
+                                  orders[k], words[k])
                 for idx, k in enumerate(by_key)}
-    minus_one = found.get((-ident0).key())
+    minus_one = found.get(tuple([index.get(tuple([-a for a in v])) for v in points[:dim]]))
     gen_keys = [new_of[row[0]] for row in right]
     right = [[new_of[row[k]] for k in by_key] for row in right]
     return Group(dim // 2, omega0.embed(m), elements, right, gen_keys, new_of[0],

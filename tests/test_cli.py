@@ -207,6 +207,16 @@ def test_cap_exceeded_exit_1(tmp_path, capsys):
     assert "cap" in err
 
 
+def test_infinite_group_of_finite_order_generators_exit_1(tmp_path, capsys):
+    # S and ST generate SL(2, Z); each has finite order and passes the
+    # generator checks, so the closure meets the cap
+    path = tmp_path / "sl2z.json"
+    path.write_text(json.dumps({"N": 1, "generators": [[["0", "1"], ["-1", "0"]],
+                                                       [["1", "1"], ["-1", "0"]]]}))
+    code, out, err = run(capsys, "counts", "--group", str(path), "--cap", "50")
+    assert (code, out, err) == (1, "", "error: group closure exceeds cap 50\n")
+
+
 @pytest.mark.parametrize("group_args", [
     ("--builtin", "doubled-A", "--rank", "5"),
     ("--builtin", "product", "--factors", "cyclic:2,doubled-A:5"),

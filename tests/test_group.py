@@ -99,6 +99,18 @@ def test_cap_exceeded():
         close([shear], standard_omega(1, m))
 
 
+def test_finite_order_generators_of_an_infinite_group_fail_closed():
+    # S = [[0, 1], [-1, 0]] (order 4) and ST = [[1, 1], [-1, 0]] (order 6)
+    # generate SL(2, Z): both are symplectic reflections of Sp(2) with
+    # |tr| <= 2, so only the cap stops the closure
+    m = 1
+    one, zero = Cyclotomic.one(m), Cyclotomic.zero(m)
+    s = Matrix.from_rows([[zero, one], [-one, zero]])
+    st = Matrix.from_rows([[one, one], [-one, zero]])
+    with pytest.raises(CapExceededError, match="^group closure exceeds cap 50$"):
+        close([s, st], standard_omega(1, m), cap=50)
+
+
 def test_not_symplectic():
     m = 1
     two, zero = Cyclotomic.from_rational(2, m), Cyclotomic.zero(m)
@@ -369,8 +381,9 @@ def _dense_conjugate_of_s3():
 ])
 def test_table_product_matches_matrix_product(make):
     # the generator-table walk against the reference route, matrix products;
-    # close forms each table entry M g as M + M (g - 1), so the inputs include
-    # a field above the entries' (dihedral 5) and a dense g - 1
+    # close reads each table entry M g off permutations of an orbit and embeds
+    # its entries once, so the inputs include a field above the entries'
+    # (dihedral 5) and a dense g - 1
     g = make()
     e = g.identity_key()
     assert g.elements[e].matrix == Matrix.identity(g.dim, g.exponent)
@@ -390,6 +403,37 @@ def test_dense_conjugate_closes_to_s3():
     g = close(gens, standard_omega(2, 6))
     assert len(g) == 6 and g.exponent == 6
     assert g.kappa_counts() == doubled_coxeter("A", 3).kappa_counts() == (1, 2)
+
+
+@pytest.mark.parametrize("make, exponent", [
+    (lambda: dihedral(5), 10),            # entries at m0 = 5
+    (lambda: close(_dense_conjugate_of_s3(), standard_omega(2, 6)), 6),
+    (lambda: group_from_dict({"N": 1, "cyclotomic_order": 4,
+                              "generators": [[["z", "0"], ["0", "-z"]]]}), 4),
+    (lambda: doubled_coxeter("B", 3), 12),  # entries at m0 = 1
+    (lambda: builtin("product", factors=[("cyclic", {"n": 2}), ("doubled-A", {"rank": 3})]),
+     6),
+], ids=["dihedral5", "dense-s3", "file-zeta4", "doubled-B3", "cyclic2xdoubled-A3"])
+def test_element_numbering_words_and_orders_by_matrix_arithmetic(make, exponent):
+    # read against matrices alone, not the closure's tables: the indices
+    # ascend in the session-order key, each word's generator product is its
+    # element's matrix, and the order is the least k with M^k = 1
+    g = make()
+    assert g.exponent == exponent
+    assert sorted(g.elements) == list(range(len(g)))
+    keys = [g.elements[i].matrix.key() for i in range(len(g))]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    ident = Matrix.identity(g.dim, g.exponent)
+    gens = [g.elements[k].matrix for k in g.generator_keys]
+    for el in g.elements.values():
+        product = ident
+        for gi in el.word:
+            product = product * gens[gi]
+        assert product == el.matrix
+        power, k = el.matrix, 1
+        while power != ident:
+            power, k = power * el.matrix, k + 1
+        assert k == el.order
 
 
 def test_closure_forms_no_matrix_product_and_shares_equal_entries(monkeypatch):
