@@ -291,6 +291,7 @@ class Algebra:
         self.letter_vectors: list = list(self.letters)
         self._letter_ids = {v: i for i, v in enumerate(self.letters)}
         self._charts: dict = {}
+        self._kappa_tables: dict = {}
         self._symmetrized: dict = {}
         self.frame = Frame(self)
 
@@ -321,6 +322,17 @@ class Algebra:
         if got is None:
             got = EigenbasisChart(self, g_key)
             self._charts[g_key] = got
+        return got
+
+    def kappa_table(self, g_key, kappa: int):
+        """The relation table (see relation_table) on the Darboux basis of
+        Ker(g - kappa), memoized per (g, kappa): the ground level table that
+        solve_glc and verify_glc both read.  It holds t omega, so it lives on
+        the algebra, not on the group."""
+        got = self._kappa_tables.get((g_key, kappa))
+        if got is None:
+            got = relation_table(self, self.group.e_grading(g_key, kappa)[1])
+            self._kappa_tables[(g_key, kappa)] = got
         return got
 
     # -- element constructors -------------------------------------------------

@@ -8,7 +8,11 @@ gives
     t omega(c_1, c_2) sp(g) = - sum_R eta_R omega_R(c_1, c_2) sp(R g),
 
 where every R g that contributes has E(R g) = E(g) - 1.  All remaining ground
-level equations are then verified to vanish identically.
+level equations are then verified to vanish identically.  Solve and verify
+read one ground level table per (class representative, kappa): the defining
+relation on the representative's whole Darboux basis, memoized on the
+algebra (Algebra.kappa_table).  The solve reads its pair (0, 1), which
+depends on c_1 and c_2 only, and verify reads every pair.
 
 evaluate() reduces the kappa-trace of arbitrary normal-form elements with the
 regular step (a letter with eigenvalue != kappa is cyclically cancelled in
@@ -47,8 +51,7 @@ from .scalar import (GRAM_BASIS_CAP, CapExceededError, Cyclotomic, EtaPolynomial
                      add_product, literal, render_eta, render_sum, render_term, settle)
 from .linalg import Matrix, components, fraction_free_det, inverse
 from .group import Group
-from .algebra import (Algebra, AlgebraElement, _letters, kappa_commutator, relation_table,
-                      symmetrized_monomial)
+from .algebra import Algebra, AlgebraElement, _letters, kappa_commutator, symmetrized_monomial
 
 
 class InconsistentGLCError(Exception):
@@ -169,9 +172,11 @@ def solve_glc(algebra: Algebra, kappa: int, verify: bool = True) -> TraceFunctio
     """Solve the ground level conditions for the kappa-trace on C[G].
 
     E = 0 classes become free parameters; higher classes are filled in
-    increasing E by the Darboux-pair recursion.  With verify=True every
-    remaining ground level equation, over every group element, is checked
-    to vanish identically.
+    increasing E by the Darboux-pair recursion, on the pair (0, 1) of the
+    representative's ground level table, read from the algebra's memo
+    (Algebra.kappa_table) and shared with verify_glc.  With verify=True
+    every remaining ground level equation, over every group element, is
+    checked to vanish identically.
     """
     if kappa not in (+1, -1):
         raise ValueError("kappa must be +1 or -1")
@@ -190,7 +195,7 @@ def solve_glc(algebra: Algebra, kappa: int, verify: bool = True) -> TraceFunctio
     functional = TraceFunctional(algebra, kappa, free_classes, table, e_of_class)
     for ci in order:
         rep = group.class_rep[ci]
-        scalar, refl = relation_table(algebra, group.e_grading(rep, kappa)[1][:2])
+        scalar, refl = algebra.kappa_table(rep, kappa)
         entries = refl.get((0, 1), ())
         flat: dict = {}
         _reflection_sum(flat, functional, entries, _product_classes(functional, rep, entries))
@@ -237,9 +242,10 @@ def verify_glc(functional: TraceFunctional):
     """Check every ground level equation sp([c_i, c_j] g) = 0 identically,
     over every group element g.
 
-    The relation table is built once per class, on the representative's
-    Darboux basis c of Ker(rep - kappa), and serves every element g' = h
-    rep h^-1 of the class, h = conjugator[g'], on the moved basis h c.  The
+    The relation table on the representative's Darboux basis c of
+    Ker(rep - kappa) is read from the algebra's memo (Algebra.kappa_table),
+    shared with the solve, and serves every element g' = h rep h^-1 of the
+    class, h = conjugator[g'], on the moved basis h c.  The
     closure refuses generators that do not preserve omega, so
     omega(h x, h y) = omega(x, y) and omega_(h R h^-1)(h x, h y) =
     omega_R(x, y), and h R h^-1 lies in the class of R, with the same eta
@@ -270,7 +276,7 @@ def verify_glc(functional: TraceFunctional):
         e_val, basis = group.e_grading(rep, kappa)
         if e_val == 0:
             continue
-        scalar, refl = relation_table(functional.algebra, basis)
+        scalar, refl = functional.algebra.kappa_table(rep, kappa)
         vanished: dict = {}              # signature -> the sp(g') map it was settled with
         for key in cls:
             h = group.conjugator[key]

@@ -15,7 +15,7 @@ from conftest import const, trace_value
 from sra.scalar import Cyclotomic
 from sra.linalg import Matrix
 from sra.group import cyclic_sp2, dihedral, doubled_coxeter
-from sra.algebra import Algebra, relation_table
+from sra.algebra import Algebra
 from sra.traces import (
     InconsistentGLCError,
     TraceFunctional,
@@ -169,7 +169,7 @@ def test_verify_glc_checks_each_elements_own_products(monkeypatch, kappa):
     rep, target = group.class_rep[ci], group.classes[ci][-1]
     assert target != rep
     h = group.conjugator[target]
-    rkey = relation_table(alg, group.e_grading(rep, kappa)[1])[1][(0, 1)][0][0]
+    rkey = alg.kappa_table(rep, kappa)[1][(0, 1)][0][0]
     moved = group.mul(group.mul(h, rkey), group.inv(h))
     right = group.mul(moved, target)
     wrong = next(key for key in group.sorted_keys()

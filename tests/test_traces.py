@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import sra.algebra
 from conftest import const, eta, trace_value
 from sra.scalar import Cyclotomic, EtaPolynomial
 from sra.linalg import rank
@@ -864,6 +865,72 @@ def test_verify_glc_moves_no_eigenbasis(kappa):
     assert cached and cached <= set(group.class_rep)
 
 
+def test_one_ground_level_table_per_class_and_kappa(monkeypatch):
+    # solve and verify read one relation table per (class, kappa) with E > 0;
+    # Frame builds its own at init, so the count starts after Algebra(...)
+    algebra = Algebra(doubled_coxeter("B", 3))
+    group = algebra.group
+    calls = []
+    real = sra.algebra.relation_table
+
+    def counting(alg, vectors):
+        calls.append(len(vectors))
+        return real(alg, vectors)
+
+    monkeypatch.setattr(sra.algebra, "relation_table", counting)
+    fns = [solve_glc(algebra, kappa, verify=True) for kappa in (1, -1)]
+    with_e = [(rep, kappa) for rep in group.class_rep for kappa in (1, -1)
+              if group.e_grading(rep, kappa)[0] > 0]
+    assert len(calls) == len(with_e) > len(group.classes)
+    # every table is on the whole Darboux basis, not on the solve's pair
+    assert sorted(calls) == sorted(len(group.e_grading(rep, kappa)[1]) for rep, kappa in with_e)
+    assert max(calls) > 2
+    # the selftest path, a verify after the solve: no table of its own
+    for fn in fns:
+        verify_glc(fn)
+    assert len(calls) == len(with_e)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: dihedral(5),
+    lambda: doubled_coxeter("B", 2),
+    lambda: direct_product(cyclic_sp2(2), doubled_coxeter("A", 3)),
+], ids=["dihedral5", "doubled-B2", "cyclic2xdoubled-A3"])
+def test_solve_pair_is_the_shared_tables_first_pair(make):
+    # entry (0, 1) of the table on the whole Darboux basis is the table on
+    # its first two vectors: the pair the solve reads from the shared table
+    algebra = Algebra(make())
+    group = algebra.group
+    met = 0
+    for kappa in (1, -1):
+        for rep in group.class_rep:
+            basis = group.e_grading(rep, kappa)[1]
+            if not basis:
+                continue
+            scalar, refl = algebra.kappa_table(rep, kappa)
+            pair_scalar, pair_refl = relation_table(algebra, basis[:2])
+            assert pair_scalar[0][1] == scalar[0][1], (rep, kappa)
+            assert pair_refl.get((0, 1)) == refl.get((0, 1)), (rep, kappa)
+            met += (0, 1) in refl
+    assert met
+
+
+def test_ground_level_tables_are_per_algebra():
+    # one group object under two values of t: each algebra solves and
+    # verifies with its own t omega, as an algebra over a fresh copy of the
+    # group does, and the two functionals differ
+    group = doubled_coxeter("A", 3)
+    half = Fraction(1, 2)
+    for kappa in (1, -1):
+        fn_one = solve_glc(Algebra(group, t=1), kappa, verify=True)
+        fn_half = solve_glc(Algebra(group, t=half), kappa, verify=True)
+        verify_glc(fn_one)
+        verify_glc(fn_half)
+        assert fn_one.table != fn_half.table
+        fresh = solve_glc(Algebra(doubled_coxeter("A", 3), t=half), kappa, verify=False)
+        assert fn_half.table == fresh.table
+
+
 @pytest.mark.parametrize("kappa", [1, -1])
 def test_missing_class_names_both_labels(a2, kappa):
     fn = solve_glc(a2, kappa)
@@ -871,7 +938,7 @@ def test_missing_class_names_both_labels(a2, kappa):
     # the first element with E > 0 whose ground level equations meet a reflection
     g, entries = next((key, refl[(0, 1)]) for key in group.sorted_keys()
                       if group.e_grading(key, kappa)[0] > 0
-                      for refl in [relation_table(a2, group.e_grading(key, kappa)[1])[1]]
+                      for refl in [a2.kappa_table(key, kappa)[1]]
                       if (0, 1) in refl)
     ci = group.class_of[g]
     rc = group.class_of[group.mul(entries[0][0], g)]
