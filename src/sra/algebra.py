@@ -290,6 +290,7 @@ class Algebra:
         self.letters = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
         self.letter_vectors: list = list(self.letters)
         self._letter_ids = {v: i for i, v in enumerate(self.letters)}
+        self._moved_letters: dict = {}
         self._charts: dict = {}
         self._kappa_tables: dict = {}
         self._symmetrized: dict = {}
@@ -315,6 +316,26 @@ class Algebra:
         if got is None:
             got = self._letter_ids[vector] = len(self.letter_vectors)
             self.letter_vectors.append(vector)
+        return got
+
+    def moved_letter(self, h_key, letter: int):
+        """(id, c) for the letter v with this id moved by the group element h:
+        h(v) = c u, with c the first nonzero coordinate of h(v) and id the
+        interned u, whose first nonzero coordinate is 1; c is the shared
+        one of the order when h(v) starts with 1.  Memoized per (h, letter id).
+        Letters that differ by a scalar share one id this way, so the
+        evaluator's class memo keys on the moved words up to their factors."""
+        got = self._moved_letters.get((h_key, letter))
+        if got is None:
+            vector = self.group.elements[h_key].matrix.matvec(self.letter_vectors[letter])
+            c = next(x for x in vector if not x.is_zero())
+            one = Cyclotomic.one(self.m)
+            if c == one:
+                got = (self.intern(vector), one)
+            else:
+                inv = c.inverse()
+                got = (self.intern(tuple(x * inv for x in vector)), c)
+            self._moved_letters[(h_key, letter)] = got
         return got
 
     def chart(self, g_key) -> EigenbasisChart:

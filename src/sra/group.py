@@ -25,7 +25,8 @@ and shared among the elements whose matrices are read off those points.
 
 The closure also names the identity and -1 (if present) by index.  The
 class search records, for every element k, a conjugator h with
-k = h rep h^-1, which verify_glc reads.  `eigenspace`, the one source of
+k = h rep h^-1 and its inverse h^-1, which verify_glc and the evaluator
+read.  `eigenspace`, the one source of
 spectral data (`e_grading` and `spectrum` are views of it), solves
 Ker(g - zeta_m^k) for whichever element asks.
 """
@@ -94,7 +95,8 @@ class Group:
     `elements` maps an index to its GroupElement, and `right[gi][i]` is the
     index of (element i) * (generator gi).  `identity_key()`, `klein()`
     (None when -1 is not in the group), `generator_keys`, `classes`,
-    `class_rep`, `class_of`, `conjugator` and `reflections` all give
+    `class_rep`, `class_of`, `conjugator`, `conjugator_inv` and
+    `reflections` all give
     indices.  rank(g - 1) is constant on a conjugacy class, so the
     reflections are decided once per class.
     """
@@ -110,8 +112,9 @@ class Group:
         self._minus_one = minus_one
         self.exponent = exponent  # session cyclotomic order m
         self.name = name
-        # conjugator[k] = h with element k = h rep h^-1, rep the representative of k's class
-        self.classes, self.conjugator = self._conjugacy_classes()
+        # conjugator[k] = h with element k = h rep h^-1, rep the representative of k's
+        # class, and conjugator_inv[k] = h^-1
+        self.classes, self.conjugator, self.conjugator_inv = self._conjugacy_classes()
         self.class_rep = [cls[0] for cls in self.classes]
         self.class_of = {k: i for i, cls in enumerate(self.classes) for k in cls}
         one = Cyclotomic.one(exponent)
@@ -157,18 +160,20 @@ class Group:
     def sorted_keys(self):
         return sorted(self.elements)
 
-    def _conjugacy_classes(self) -> tuple[list[tuple[int, ...]], list[int]]:
+    def _conjugacy_classes(self) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
         """Orbits under conjugation by the generators, each sorted, listed in
-        order of their smallest index; and for every element k a conjugator h
+        order of their smallest index; for every element k a conjugator h
         with k = h rep h^-1: the identity for the representative, and
-        s h_x for y = s x s^-1 reached from x by the generator s."""
+        s h_x for y = s x s^-1 reached from x by the generator s; and its
+        inverse, h_x^-1 s^-1, one product per element."""
         conj = [(g, self.inv(g)) for g in self.generator_keys]
         conjugator: list = [None] * len(self.elements)
+        conjugator_inv: list = [None] * len(self.elements)
         classes = []
         for k in sorted(self.elements):
             if conjugator[k] is not None:
                 continue
-            conjugator[k] = self._identity
+            conjugator[k] = conjugator_inv[k] = self._identity
             orbit = [k]
             frontier = [k]
             while frontier:
@@ -177,10 +182,11 @@ class Group:
                     y = self.mul(self.mul(g, x), g_inv)
                     if conjugator[y] is None:
                         conjugator[y] = self.mul(g, conjugator[x])
+                        conjugator_inv[y] = self.mul(conjugator_inv[x], g_inv)
                         orbit.append(y)
                         frontier.append(y)
             classes.append(tuple(sorted(orbit)))
-        return classes, conjugator
+        return classes, conjugator, conjugator_inv
 
     # -- spectral data ------------------------------------------------------
 

@@ -28,6 +28,9 @@ conjugation by group elements, so sp(b_(I1) ... b_(Ik) g) =
 lambda_(I1) ... lambda_(Ik) sp(b_(I1) ... b_(Ik) g): the trace is zero unless
 the product of the eigenvalues is 1, and only those eigen-words are built.
 The coefficient of an eigen-word is formed only when its trace is nonzero.
+The same invariance makes sp a class function, sp(x_w h rep h^-1) =
+sp(h^-1(x_w) rep), so the evaluator shares each expansion across the
+elements of a class whose words move onto the same word at rep.
 
 Letters are ids into the algebra's letter table (Algebra.intern), so a word
 is a tuple of small ints and every memo key is (group key, tuple of ints).
@@ -95,7 +98,7 @@ class TraceValue:
         nonempty value."""
         if not isinstance(c, Cyclotomic):
             c = Cyclotomic.from_rational(c, next(iter(self.terms.values())).m if self.terms else 1)
-        terms = {key: k * c for key, k in self.terms.items()}
+        terms = _scaled(self.terms, c)
         return TraceValue(self.nparams, {} if not terms or c.is_zero() else terms)
 
     def __eq__(self, other):
@@ -245,7 +248,8 @@ def verify_glc(functional: TraceFunctional):
     The relation table on the representative's Darboux basis c of
     Ker(rep - kappa) is read from the algebra's memo (Algebra.kappa_table),
     shared with the solve, and serves every element g' = h rep h^-1 of the
-    class, h = conjugator[g'], on the moved basis h c.  The
+    class, h = conjugator[g'] with h^-1 = conjugator_inv[g'], on the moved
+    basis h c.  The
     closure refuses generators that do not preserve omega, so
     omega(h x, h y) = omega(x, y) and omega_(h R h^-1)(h x, h y) =
     omega_R(x, y), and h R h^-1 lies in the class of R, with the same eta
@@ -279,12 +283,7 @@ def verify_glc(functional: TraceFunctional):
         scalar, refl = functional.algebra.kappa_table(rep, kappa)
         vanished: dict = {}              # signature -> the sp(g') map it was settled with
         for key in cls:
-            h = group.conjugator[key]
-            h_inv = group.inv(h)
-            if group.mul(group.mul(h, rep), h_inv) != key:
-                raise InconsistentGLCError(
-                    f"group {group.name}, kappa {kappa}: the conjugator {h} of element "
-                    f"{key} does not carry the representative {rep} of C{ci} to it")
+            h, h_inv = _checked_conjugator(group, kappa, key)
             moved = _conjugated_reflections(group, refl, h, h_inv)
             spg = functional.element_value(key).terms
             for i in range(len(basis)):
@@ -304,6 +303,23 @@ def verify_glc(functional: TraceFunctional):
                             f"fails on C{ci} (Darboux pair {i},{j}), residual "
                             f"{format_trace_value(TraceValue(functional.nparams, residual))}")
                     vanished[signature] = spg
+
+
+def _checked_conjugator(group: Group, kappa: int, key) -> tuple:
+    """(h, h^-1) = (conjugator[key], conjugator_inv[key]) for the element
+    key = h rep h^-1 of the class of rep, checked on the indices:
+    InconsistentGLCError names the conjugator, the element, the
+    representative and C<i> when h rep h^-1 is not key.  The one check
+    catches a wrong entry in either list, since h rep x = h rep y forces
+    x = y, and x rep y = z rep y forces x = z."""
+    ci = group.class_of[key]
+    rep = group.class_rep[ci]
+    h, h_inv = group.conjugator[key], group.conjugator_inv[key]
+    if group.mul(group.mul(h, rep), h_inv) != key:
+        raise InconsistentGLCError(
+            f"group {group.name}, kappa {kappa}: the conjugator {h} of element "
+            f"{key} does not carry the representative {rep} of C{ci} to it")
+    return h, h_inv
 
 
 def _conjugated_reflections(group: Group, refl: dict, h, h_inv) -> dict:
@@ -329,6 +345,12 @@ def _add_shifted(flat: dict, val: dict, h: tuple[int, ...], c: Cyclotomic):
         add_product(flat, (i, add_exponents(e, h)), k, c)
 
 
+def _scaled(val: dict, c: Cyclotomic) -> dict:
+    """c val for a settled val and a nonzero c: settled already, since a
+    nonzero product in a field is nonzero and canonical."""
+    return {key: k * c for key, k in val.items()}
+
+
 def _prefix_product(products: dict, cols, w) -> Cyclotomic:
     """The product of the coordinates cols[j][w[j]] along the prefix w,
     memoized per prefix in `products`, which holds every prefix of length 1:
@@ -351,7 +373,9 @@ class _Evaluator:
     Words are tuples of letter ids (Algebra.intern); a bword word is a tuple
     of eigen-indices I of the chart of its group element.  The steps add
     their terms into flat maps of partial sums (see _add_scaled), and bword
-    and vectors memoize each map settled."""
+    and vectors memoize each map settled: bword per (g, eigen-word), vectors
+    per (g, word) and, behind that, per (class representative, moved word)
+    (_class_vectors)."""
 
     def __init__(self, functional: TraceFunctional, regular_strategy: str,
                  pair_strategy: str):
@@ -367,6 +391,8 @@ class _Evaluator:
         self.pair_strategy = pair_strategy
         self._bword: dict = {}
         self._vecs: dict = {}
+        self._class_vecs: dict = {}
+        self._conjugator_inv: dict = {}
 
     # -- public -------------------------------------------------------------
 
@@ -380,8 +406,59 @@ class _Evaluator:
         return TraceValue(self.fn.nparams, settle(flat, self.alg.m))
 
     def vectors(self, g_key, word: tuple[int, ...]) -> dict:
-        """Trace of a word of letter ids times g, as a settled flat map: the
-        word is expanded in the eigenbasis of g into eigen-words.
+        """Trace of a word of letter ids times g, as a settled flat map,
+        memoized per (g, word).  A miss is read from the class memo
+        (_class_vectors), or expanded on g's own chart (_expand)."""
+        if len(word) % 2 == 1:
+            return {}                    # every nonzero kappa-trace is even
+        if not word:
+            return self.bword(g_key, ())
+        got = self._vecs.get((g_key, word))
+        if got is None:
+            got = self._vecs[(g_key, word)] = self._class_vectors(g_key, word)
+        return got
+
+    def _class_vectors(self, g_key, word: tuple[int, ...]) -> dict:
+        """vectors(g, word) through the memo keyed by g's class.
+
+        A kappa-trace is a class function: for g = h rep h^-1, sp(x_w g) =
+        sp(h^-1(x_w) rep).  Each letter moved by h^-1 is interned up to a
+        scalar (Algebra.moved_letter), so the word moves to (rep, ids) with
+        a factor c, the product of the letters' scalars, and sp(x_w g) = c
+        sp(u_ids rep).  The memo holds the value at (rep, ids): a hit is
+        scaled by c, and a miss is expanded on g's own chart, as if there
+        were no class memo, and stored divided by c.  (Expanding the moved
+        word on the representative's chart instead measured slower: its
+        expansions take more steps than the elements' own.)  The conjugator
+        is checked once per element (_checked_conjugator).  A one-element
+        class builds no class key."""
+        group = self.group
+        ci = group.class_of[g_key]
+        if len(group.classes[ci]) == 1:
+            return self._expand(g_key, word)
+        h_inv = self._conjugator_inv.get(g_key)
+        if h_inv is None:
+            h_inv = self._conjugator_inv[g_key] = _checked_conjugator(group, self.kappa,
+                                                                      g_key)[1]
+        one = Cyclotomic.one(self.alg.m)
+        factor = one
+        ids = []
+        for letter in word:
+            moved, c = self.alg.moved_letter(h_inv, letter)
+            ids.append(moved)
+            if c is not one:
+                factor = c if factor is one else factor * c
+        key = (group.class_rep[ci], tuple(ids))
+        base = self._class_vecs.get(key)
+        if base is None:
+            got = self._expand(g_key, word)
+            self._class_vecs[key] = got if factor == one else _scaled(got, factor.inverse())
+            return got
+        return base if factor == one else _scaled(base, factor)
+
+    def _expand(self, g_key, word: tuple[int, ...]) -> dict:
+        """Trace of a word of letter ids times g: the word is expanded in the
+        eigenbasis of g into eigen-words.
 
         Only the eigen-words b_(I1) ... b_(Ik) with lambda_(I1) ... lambda_(Ik)
         = 1 are built: each prefix b_(I1) ... b_(I(k-1)) carries its exponent
@@ -393,28 +470,21 @@ class _Evaluator:
         its letters' coordinates, is formed only for an eigen-word whose trace
         is nonzero, and memoized per prefix, so each needed node of the
         prefix tree is multiplied once."""
-        if len(word) % 2 == 1:
-            return {}                    # every nonzero kappa-trace is even
-        if not word:
-            return self.bword(g_key, ())
-        got = self._vecs.get((g_key, word))
-        if got is None:
-            chart = self.alg.chart(g_key)
-            exps, m = chart.exponents, self.alg.m
-            cols = [dict(chart.coords(letter)) for letter in word[:-1]]
-            prefixes = [((i,), exps[i]) for i in cols[0]]
-            for col in cols[1:]:
-                prefixes = [(w + (i,), s + exps[i]) for w, s in prefixes for i in col]
-            products = {(i,): c for i, c in cols[0].items()}
-            last = chart.coords_by_exponent(word[-1])
-            flat: dict = {}
-            for w, s in prefixes:
-                for i, ci in last.get(-s % m, ()):
-                    val = self.bword(g_key, w + (i,))
-                    if val:
-                        _add_scaled(flat, val, _prefix_product(products, cols, w) * ci)
-            got = self._vecs[(g_key, word)] = settle(flat, m)
-        return got
+        chart = self.alg.chart(g_key)
+        exps, m = chart.exponents, self.alg.m
+        cols = [dict(chart.coords(letter)) for letter in word[:-1]]
+        prefixes = [((i,), exps[i]) for i in cols[0]]
+        for col in cols[1:]:
+            prefixes = [(w + (i,), s + exps[i]) for w, s in prefixes for i in col]
+        products = {(i,): c for i, c in cols[0].items()}
+        last = chart.coords_by_exponent(word[-1])
+        flat: dict = {}
+        for w, s in prefixes:
+            for i, ci in last.get(-s % m, ()):
+                val = self.bword(g_key, w + (i,))
+                if val:
+                    _add_scaled(flat, val, _prefix_product(products, cols, w) * ci)
+        return settle(flat, m)
 
     # -- eigen-words ----------------------------------------------------------
 

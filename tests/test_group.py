@@ -186,13 +186,16 @@ def test_class_functions_constant():
             assert len(es) == 1
 
 
-@pytest.mark.parametrize("kind, params", [
+FIVE_GROUPS = [
     ("cyclic", {"n": 4}),
     ("dihedral", {"n": 5}),
     ("doubled-A", {"rank": 3}),
     ("doubled-B", {"rank": 3}),
     ("product", {"factors": [("cyclic", {"n": 2}), ("doubled-A", {"rank": 3})]}),
-])
+]
+
+
+@pytest.mark.parametrize("kind, params", FIVE_GROUPS)
 def test_transported_eigenbases_match_each_element(kind, params):
     # every element's eigenspaces against its own kernels, the +1 and -1
     # bases against omega, and the recorded conjugators against the classes
@@ -218,6 +221,14 @@ def test_transported_eigenbases_match_each_element(kind, params):
                             -one if i == j + 1 and j % 2 == 0 else zero)
                     assert form_value(g.omega, u, w) == want
     assert all(g.conjugator[rep] == g.identity_key() for rep in g.class_rep)
+
+
+@pytest.mark.parametrize("kind, params", FIVE_GROUPS)
+def test_recorded_conjugator_inverses(kind, params):
+    # the class search records h^-1 beside every conjugator h
+    g = builtin(kind, **params)
+    for key in g.elements:
+        assert g.mul(g.conjugator[key], g.conjugator_inv[key]) == g.identity_key()
 
 
 def test_spectrum_identity():

@@ -267,7 +267,9 @@ def test_vectors_multiplies_only_for_nonzero_eigen_words(a2, monkeypatch):
     # memo warm, vectors makes one product per prefix of length >= 2 of the
     # eigen-words with a nonzero trace and one per such word (the length-1
     # prefixes are coordinates), and hands each word's value on with the
-    # product of its letters' coordinates
+    # product of its letters' coordinates.  The element is its class's
+    # representative and the word's letters are standard, so the class memo
+    # adds no factor and no product
     import sra.traces
     group = a2.group
     fn = solve_glc(a2, -1)
@@ -284,6 +286,7 @@ def test_vectors_multiplies_only_for_nonzero_eigen_words(a2, monkeypatch):
     assert 0 < len(words) < len(built)
 
     del ev._vecs[(g_key, word)]
+    ev._class_vecs.clear()
     real = Cyclotomic.__mul__
     products, scaled = [], []
 
@@ -302,6 +305,82 @@ def test_vectors_multiplies_only_for_nonzero_eigen_words(a2, monkeypatch):
         for i, col in zip(words[id(val)], cols):
             want = want * col[i]
         assert c == want
+
+
+def test_class_memo_expands_once_per_distinct_moved_word(monkeypatch):
+    # doubled B_3, classes of up to 8 elements: one word times every element
+    # of a class is expanded on a chart once per distinct word moved onto the
+    # representative (up to the letters' scalars), and every other element
+    # reads the class memo
+    algebra = Algebra(doubled_coxeter("B", 3))
+    group = algebra.group
+    fn = solve_glc(algebra, -1, verify=False)
+    classes = [cls for cls in group.classes if len(cls) > 1]
+    assert max(map(len, classes)) == 8
+    expanded = []
+    real = _Evaluator._expand
+
+    def counting(self, g_key, word):
+        expanded.append((g_key, word))
+        return real(self, g_key, word)
+
+    monkeypatch.setattr(_Evaluator, "_expand", counting)
+    calls = misses = 0
+    for word in ((0, 3), (0, 3, 0, 3), (2, 5, 0, 1)):
+        for cls in classes:
+            ev = _Evaluator(fn, "first", "first")
+            del expanded[:]
+            for key in cls:
+                ev.vectors(key, word)
+            distinct = {tuple(algebra.moved_letter(group.conjugator_inv[key], letter)[0]
+                              for letter in word) for key in cls}
+            top = [g_key for g_key, w in expanded if len(w) == len(word) and g_key in cls]
+            assert len(top) == len(distinct)
+            calls += len(cls)
+            misses += len(top)
+    assert misses < calls
+
+
+@pytest.mark.parametrize("make, t", [(lambda: dihedral(5), 1),
+                                     (lambda: doubled_coxeter("B", 2), Fraction(3, 2))],
+                         ids=["dihedral5", "doubled-B2-t3/2"])
+def test_class_memo_values_match_a_fresh_evaluator(make, t):
+    # the class memo's values, scaled by the moved letters' factors (in
+    # Q(zeta_10) on dihedral 5), equal a fresh evaluator's expansion on each
+    # element's own chart, for standard letters and for eigenletters
+    algebra = Algebra(make(), t)
+    group = algebra.group
+    rng = random.Random(5)
+    keys = [key for cls in group.classes if len(cls) > 1 for key in cls]
+    for kappa in (1, -1):
+        fn = solve_glc(algebra, kappa, verify=False)
+        ev = _Evaluator(fn, "first", "first")
+        for deg in (2, 4):
+            for _ in range(3):
+                word = tuple(rng.randrange(group.dim) for _ in range(deg))
+                for key in keys:
+                    eigen = tuple(algebra.chart(keys[0]).letter_ids[i] for i in word)
+                    for w in (word, eigen):
+                        assert ev.vectors(key, w) == _Evaluator(fn, "first", "first").vectors(key, w)
+        # some member of a class read another member's expansion
+        assert len(ev._class_vecs) < sum(len(group.classes[group.class_of[key]]) > 1
+                                         for key, _ in ev._vecs)
+    factors = [c for _, c in algebra._moved_letters.values()]
+    if group.exponent == 10:
+        assert any(not c.is_rational() for c in factors)
+    assert any(c != Cyclotomic.one(algebra.m) for c in factors)
+
+
+def test_abelian_groups_build_no_class_key(z3):
+    # every class of Z_3 has one element: the evaluator expands on each
+    # element's chart, reads no conjugator and moves no letter
+    fn = solve_glc(z3, -1)
+    ev = _Evaluator(fn, "first", "first")
+    for key in z3.group.elements:
+        for word in ((0, 1), (1, 0, 0, 1), (0, 1, 1, 0, 1, 0)):
+            ev.vectors(key, word)
+    assert len(ev._vecs) >= 9
+    assert not ev._class_vecs and not ev._conjugator_inv and not z3._moved_letters
 
 
 @pytest.mark.parametrize("alg_name", ["a2", "b2", "z3"])
@@ -799,9 +878,11 @@ def test_verify_glc_checks_each_conjugator():
 def test_charts_and_values_read_no_conjugator():
     # S_3: the identity planted as the conjugator of a 3-cycle and of a
     # transposition that are not their classes' representatives.  Each still
-    # solves its own eigenspaces and evaluates as in an unplanted copy; the
-    # 3-cycles have E = 0 for both kappa, so verify reads the conjugator of
-    # the transposition only, and names it
+    # solves its own eigenspaces, and its degree-0 values are those of an
+    # unplanted copy, which read no conjugator.  A value of degree >= 2 goes
+    # through the evaluator's class memo, which checks the conjugator and
+    # names it; the 3-cycles have E = 0 for both kappa, so verify reads the
+    # conjugator of the transposition only, and names it
     planted, clean = Algebra(doubled_coxeter("A", 3)), Algebra(doubled_coxeter("A", 3))
     group = planted.group
     keys = {group.elements[cls[0]].order: cls[1] for cls in group.classes if len(cls) > 1}
@@ -816,10 +897,16 @@ def test_charts_and_values_read_no_conjugator():
     for kappa in (1, -1):
         fn, fn_clean = solve_glc(planted, kappa, verify=False), solve_glc(clean, kappa)
         for key in keys.values():
-            for deg in (0, 2, 4):
-                letters = [rng.randrange(group.dim) for _ in range(deg)]
-                assert (fn.evaluate(planted.word(letters, key))
-                        == fn_clean.evaluate(clean.word(letters, key)))
+            assert fn.evaluate(planted.word([], key)) == fn_clean.evaluate(clean.word([], key))
+            ci = group.class_of[key]
+            for deg in (2, 4):
+                # in increasing order the word is one monomial, at key only
+                letters = sorted(rng.randrange(group.dim) for _ in range(deg))
+                with pytest.raises(InconsistentGLCError,
+                                   match=rf"kappa {kappa}: the conjugator {group.identity_key()} "
+                                         rf"of element {key} does not carry the "
+                                         rf"representative \d+ of C{ci} to it"):
+                    fn.evaluate(planted.word(letters, key))
     key = keys[2]
     ci = group.class_of[key]
     with pytest.raises(InconsistentGLCError,
