@@ -2,8 +2,9 @@
 
 Elements are stored with all generator letters left of the group element, as
 a trace value is: a settled flat map {(exponent vector, group element, eta
-exponent): Cyclotomic}, summed through add_product.  Rewriting uses the
-defining relations
+exponent): Cyclotomic}, summed through add_product.  The eta exponent is one
+packed int (sra.scalar), so the eta part of a product is an integer add and
+eta^0 is 0.  Rewriting uses the defining relations
 
     [x, y] = t omega(x, y) + sum_R eta_R omega_R(x, y) R,      g x = g(x) g,
 
@@ -21,8 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalar import (POWER_CAP, CapExceededError, Cyclotomic, EtaPolynomial, add_exponents,
-                     add_maps, add_product, settle)
+from .scalar import (POWER_CAP, CapExceededError, Cyclotomic, EtaPolynomial, add_maps,
+                     add_product, check_eta_degree, eta_degree, eta_unit, settle)
 from .linalg import Matrix, inverse, sparse_dot, support
 from .group import Group
 
@@ -52,8 +53,9 @@ def relation_table(algebra: "Algebra", vectors):
         [v_i, v_j] = scalar[i][j] + sum over (R, h, c) in refl[(i, j)] of c eta^h R,
 
     returned as (scalar, refl) for i < j only: scalar[i][j] = t omega(v_i,
-    v_j), and refl[(i, j)] lists (R, the exponent h of eta_R, omega_R(v_i,
-    v_j)) over the R with nonzero value, in group.reflections order.
+    v_j), and refl[(i, j)] lists (R, the packed exponent h of eta_R,
+    omega_R(v_i, v_j)) over the R with nonzero value, in group.reflections
+    order.
     The table is upper-triangular: scalar[j][i] is left zero and (j, i) has
     no refl entry, so a reader of [v_j, v_i] with j > i negates the (i, j)
     entries.  Each letter's nonzero support is listed once and dotted with
@@ -71,7 +73,7 @@ def relation_table(algebra: "Algebra", vectors):
     refl: dict = {}
     for rkey in group.reflections:
         a_cov, b_cov = group.omega_r_covectors(rkey)
-        eta = _shift(algebra.eta_zero, group.eta_var_of(rkey), 1)
+        eta = eta_unit(group.eta_var_of(rkey), algebra.nvars)
         # the letters that meet V_R, with (v.A, v.B); omega_R vanishes on the others
         live = []
         for i, nonzero in enumerate(supports):
@@ -154,7 +156,7 @@ class Frame:
                         self.one)
             for rkey, h_r, val in self.refl.get(pair, ()):
                 for (e, r, h), c in self.conjugate(rkey, rest, self.zero_exp).items():
-                    add_product(partial, (e, group.mul(r, rkey), add_exponents(h, h_r)), c, val)
+                    add_product(partial, (e, group.mul(r, rkey), h + h_r), c, val)
             got = settle(partial, alg.m)
         self._nf_cache[key] = got
         return got
@@ -166,7 +168,7 @@ class Frame:
             for i, ci in col:
                 cc = c * ci
                 for (e2, r2, h2), c2 in self.letter_times(i, e).items():
-                    add_product(partial, (e2, group.mul(r2, r), add_exponents(h2, h)), cc, c2)
+                    add_product(partial, (e2, group.mul(r2, r), h2 + h), cc, c2)
 
     def conjugate(self, h_key, exp: tuple[int, ...], tail: tuple[int, ...]):
         """NF(h x^exp h^-1 x^tail) = NF(h(x_(l1)) ... h(x_(lk)) x^tail)."""
@@ -282,7 +284,7 @@ class Algebra:
             raise ValueError("t must be nonzero (t = 0 is out of scope)")
         self.t = t
         self.nvars = group.n_eta
-        self.eta_zero = (0,) * self.nvars
+        self.eta_zero = 0                   # the packed exponent of eta^0 (sra.scalar)
         one, zero = Cyclotomic.one(self.m), Cyclotomic.zero(self.m)
         n = group.dim
         # the standard letters x_i = a_(i+1) as coordinate vectors; they are
@@ -377,7 +379,7 @@ class Algebra:
         if not 0 <= i < self.nvars:
             raise IndexError(f"eta variable {i} out of range (arity {self.nvars})")
         return self._unit(self.frame.zero_exp, self.group.identity_key(),
-                          _shift(self.eta_zero, i, 1))
+                          eta_unit(i, self.nvars))
 
     def generator(self, i: int) -> "AlgebraElement":
         """The generator a_(i+1), zero-indexed argument."""
@@ -401,7 +403,8 @@ class Algebra:
 
 class AlgebraElement:
     """Normal-form element sum c eta^h x^alpha g, stored as the settled flat
-    map {(exponent alpha, group key g, eta exponent h): Cyclotomic c}."""
+    map {(exponent alpha, group key g, packed eta exponent h): Cyclotomic c}.
+    A product whose eta degree would pass ETA_DEGREE_CAP is refused."""
 
     __slots__ = ("algebra", "terms")
 
@@ -446,21 +449,23 @@ class AlgebraElement:
         group = alg.group
         frame = alg.frame
         ident = group.identity_key()
+        n = alg.nvars
+        check_eta_degree(eta_degree(max((h for _, _, h in self.terms), default=0), n),
+                         eta_degree(max((h for _, _, h in other.terms), default=0), n))
         out: dict = {}
-        # (x^alpha g)(x^beta h) = NF(x^alpha NF(g x^beta g^-1)) g h; the eta
-        # exponents e1, e2, ... of the factors add up
+        # (x^alpha g)(x^beta h) = NF(x^alpha NF(g x^beta g^-1)) g h; the packed
+        # eta exponents e1, e2, ... of the factors add up
         for (alpha, g, e1), c1 in self.terms.items():
             for (beta, h, e2), c2 in other.terms.items():
                 gh = group.mul(g, h)
                 coeff = c1 * c2
-                e12 = add_exponents(e1, e2)
+                e12 = e1 + e2
                 for (gamma, r, e3), c in frame.conjugate(g, beta, frame.zero_exp).items():
                     cg = coeff * c
                     rgh = group.mul(r, gh)
-                    e123 = add_exponents(e12, e3)
+                    e123 = e12 + e3
                     for (exp, r2, e4), c3 in frame.conjugate(ident, alpha, gamma).items():
-                        add_product(out, (exp, group.mul(r2, rgh), add_exponents(e123, e4)),
-                                    cg, c3)
+                        add_product(out, (exp, group.mul(r2, rgh), e123 + e4), cg, c3)
         return AlgebraElement(alg, settle(out, alg.m))
 
     def __pow__(self, k: int):
@@ -496,10 +501,11 @@ class AlgebraElement:
     def monomials(self):
         """Deterministic iteration: (group key, exponent, coefficient), by
         group key, then degree, then exponent; a coefficient is a view
-        {eta exponent: c} of the map as an EtaPolynomial."""
+        {packed eta exponent: c} of the map as an EtaPolynomial."""
         coeffs: dict = {}
+        nvars = self.algebra.nvars
         for (e, gk, h), c in self.terms.items():
-            coeffs.setdefault((e, gk), EtaPolynomial(len(h), c.m)).terms[h] = c
+            coeffs.setdefault((e, gk), EtaPolynomial(nvars, c.m)).terms[h] = c
         for e, gk in sorted(coeffs, key=lambda k: (k[1], sum(k[0]), k[0])):
             yield gk, e, coeffs[(e, gk)]
 

@@ -8,6 +8,16 @@ the m-th cyclotomic polynomial.  Two values are equal iff their canonical
 representations coincide, which makes cyclotomics usable as dict keys and as
 deterministic sort keys.  A rational enters Q(zeta_m) one way, through
 Cyclotomic.from_rational: +, -, * and == take only a Cyclotomic of one order.
+
+An eta exponent (e_0, ..., e_(n-1)) is one packed int (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007): 32-bit fields, the total degree in the top one, then
+e_0 ... e_(n-1) down to bit 0, each field with its top bit clear as a
+guard.  The product of two monomials is the sum of their ints, and the
+graded lexicographic order is the order of the ints.  Only eta_unit,
+eta_pack, eta_unpack and eta_degree (and the division's guard test) know
+the layout; a tuple is unpacked only where text or JSON is written or a
+point is substituted.  ETA_DEGREE_CAP keeps every field below its guard.
 """
 
 from __future__ import annotations
@@ -26,12 +36,14 @@ POWER_CAP = 64            # largest exponent of an algebra element power
 FIELD_DEGREE_CAP = 256    # largest degree phi(m) of a field Q(zeta_m)
 EXPR_DEPTH_CAP = 100      # deepest nesting of parentheses in an expression
 RATIONAL_EXPONENT_CAP = 999  # largest decimal exponent of a rational read from text
+ETA_DEGREE_CAP = 2 ** 30  # largest total eta degree of a product
 
 
 class CapExceededError(ValueError):
     """Closure would exceed the element cap, a Gram basis its size cap, the
     eta = 0 oracle its comparison cap, an algebra power or a decimal read
-    from text its exponent cap, or a cyclotomic field its degree cap."""
+    from text its exponent cap, a cyclotomic field its degree cap, or a
+    product its eta degree cap."""
 
 
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -638,11 +650,6 @@ def _divisors_of(n: int) -> list[int]:
     return sorted(divs)
 
 
-def add_exponents(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """The exponent tuple of the product of two monomials."""
-    return tuple([x + y for x, y in zip(a, b)])
-
-
 def add_product(partial: dict, key, a: Cyclotomic, b: Cyclotomic):
     """partial[key] += a b for a map of partial sums [integer numerators,
     positive denominator] over one order m.  The raw product (a rational
@@ -731,24 +738,54 @@ def _rational_roots(coeffs: dict[int, Fraction]) -> list[Fraction]:
     return sorted(set(roots))
 
 
+# -- packed eta exponents -----------------------------------------------------
+
+_FIELD = 32                    # bits per field of a packed eta exponent
+_VALUE = (1 << _FIELD - 1) - 1  # the bits of a field below its guard bit
+
+
+def eta_unit(i: int, n: int) -> int:
+    """The packed exponent of eta_i among n variables."""
+    return (1 << _FIELD * n) | (1 << _FIELD * (n - 1 - i))
+
+
+def eta_pack(e: tuple[int, ...]) -> int:
+    """The packed exponent of the exponent tuple e."""
+    k = sum(e)
+    for x in e:
+        k = (k << _FIELD) | x
+    return k
+
+
+def eta_unpack(k: int, n: int) -> tuple[int, ...]:
+    """The exponent tuple (e_0, ..., e_(n-1)) of a packed exponent."""
+    return tuple([(k >> _FIELD * j) & _VALUE for j in range(n - 1, -1, -1)])
+
+
+def eta_degree(k: int, n: int) -> int:
+    """The total degree of a packed exponent in n variables."""
+    return k >> _FIELD * n
+
+
+def _guards(n: int) -> int:
+    """The guard bit of every field of a packed exponent in n variables."""
+    return sum(1 << (_FIELD * j + _FIELD - 1) for j in range(n + 1))
+
+
+def check_eta_degree(d1: int, d2: int):
+    """Refuse a product whose eta degree, at most d1 + d2 for factors of
+    degrees d1 and d2, would pass ETA_DEGREE_CAP."""
+    if d1 + d2 > ETA_DEGREE_CAP:
+        raise CapExceededError(f"eta degree {d1 + d2} exceeds cap {ETA_DEGREE_CAP}")
+
+
 # -- polynomials in the deformation parameters ------------------------------
-
-
-def _grlex(e: tuple[int, ...]):
-    """Graded lexicographic key of an exponent tuple."""
-    return (sum(e), e)
-
-
-def _grlex_descending(e: tuple[int, ...]):
-    """A heap entry that pops the grlex-largest exponent tuple first; e
-    itself is the last item."""
-    return (-sum(e), tuple(-a for a in e), e)
 
 
 class EtaPolynomial:
     """Sparse polynomial in the eta variables with Cyclotomic coefficients.
 
-    Terms are a settled map from exponent vectors (one slot per reflection
+    Terms are a settled map from packed exponents (one field per reflection
     conjugacy class) to canonical nonzero coefficients, kept as given; the
     operators take only eta-polynomials of the same arity and order.  The
     structural constant t of the algebra enters only through degree-0
@@ -757,7 +794,7 @@ class EtaPolynomial:
 
     __slots__ = ("nvars", "m", "terms")
 
-    def __init__(self, nvars: int, m: int, terms: dict[tuple[int, ...], Cyclotomic] | None = None):
+    def __init__(self, nvars: int, m: int, terms: dict[int, Cyclotomic] | None = None):
         self.nvars = nvars
         self.m = m
         self.terms = {} if terms is None else terms
@@ -766,13 +803,14 @@ class EtaPolynomial:
     def constant(q, nvars: int, m: int) -> "EtaPolynomial":
         """The rational constant q."""
         c = Cyclotomic.from_rational(q, m)
-        return EtaPolynomial(nvars, m, {(0,) * nvars: c} if any(c.num) else {})
+        return EtaPolynomial(nvars, m, {0: c} if any(c.num) else {})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
+        """The total degree, -1 for zero: the degree field of the largest key."""
+        return eta_degree(max(self.terms), self.nvars) if self.terms else -1
 
     def _check(self, other: "EtaPolynomial"):
         if self.nvars != other.nvars:
@@ -799,10 +837,11 @@ class EtaPolynomial:
         if not isinstance(other, EtaPolynomial):
             return NotImplemented
         self._check(other)
+        check_eta_degree(self.degree(), other.degree())
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                add_product(out, add_exponents(e1, e2), c1, c2)
+                add_product(out, e1 + e2, c1, c2)
         return EtaPolynomial(self.nvars, self.m, settle(out, self.m))
 
     def __eq__(self, other):
@@ -819,12 +858,13 @@ class EtaPolynomial:
             raise ValueError("evaluation point arity mismatch")
         vals = [None if p is None else Cyclotomic.from_rational(p).as_rational() for p in point]
         out: dict = {}
-        for e, c in self.terms.items():
+        for k, c in self.terms.items():
+            e = eta_unpack(k, self.nvars)
             q = Fraction(1)
             for exp, v in zip(e, vals):
                 if v is not None:
                     q *= v ** exp
-            rest = tuple(0 if v is not None else exp for exp, v in zip(e, vals))
+            rest = eta_pack(tuple(0 if v is not None else exp for exp, v in zip(e, vals)))
             add_product(out, rest, c, Cyclotomic.from_rational(q, self.m))
         return EtaPolynomial(self.nvars, self.m, settle(out, self.m))
 
@@ -835,7 +875,7 @@ class EtaPolynomial:
         return self.substitute(point).constant_term()
 
     def constant_term(self) -> Cyclotomic:
-        return self.terms.get((0,) * self.nvars, Cyclotomic.zero(self.m))
+        return self.terms.get(0, Cyclotomic.zero(self.m))
 
     def rational_roots(self) -> list[Fraction]:
         """All rational roots of a univariate polynomial over Q(zeta_m).
@@ -849,7 +889,8 @@ class EtaPolynomial:
         if self.is_zero():
             raise ValueError("zero polynomial has every root")
         coords: dict[int, dict[int, Fraction]] = {}
-        for (e,), c in self.terms.items():
+        for key, c in self.terms.items():
+            (e,) = eta_unpack(key, 1)
             for k, a in enumerate(c.num):
                 if a:
                     coords.setdefault(k, {})[e] = Fraction(a, c.den)
@@ -865,36 +906,41 @@ class EtaPolynomial:
         # the remainder holds partial sums of add_product; a term that
         # cancelled is dropped when it becomes the largest
         rem = {e: [c.num, c.den] for e, c in self.terms.items()}
-        out: dict[tuple[int, ...], Cyclotomic] = {}
-        lead_e = max(other.terms, key=_grlex)
-        lead_c_inv = other.terms[lead_e].inverse()
+        out: dict[int, Cyclotomic] = {}
+        lead = max(other.terms)
+        lead_c_inv = other.terms[lead].inverse()
+        guards = _guards(self.nvars)
         # the lead term cancels the remainder's largest term exactly
-        rest = [(e2, c2) for e2, c2 in other.terms.items() if e2 != lead_e]
-        # the remainder's keys, largest first; a key is pushed when it enters
-        # rem and never comes back once popped, since every new key diff + e2
-        # has e2 below the lead, so is below the key just popped
-        heap = [_grlex_descending(e) for e in rem]
+        rest = [(e2, c2) for e2, c2 in other.terms.items() if e2 != lead]
+        # the remainder's keys negated, so the largest pops first; a key is
+        # pushed when it enters rem and never comes back once popped, since
+        # every new key diff + e2 has e2 below the lead, so is below the key
+        # just popped
+        heap = [-e for e in rem]
         heapify(heap)
         while heap:
-            e = heappop(heap)[2]
+            e = -heappop(heap)
             num, den = rem.pop(e)
             if not any(num):
                 continue
-            diff = tuple(a - b for a, b in zip(e, lead_e))
-            if any(d < 0 for d in diff):
+            # a field of e below the lead's borrows from its own guard bit only
+            diff = (e | guards) - lead
+            if diff & guards != guards:
                 raise ArithmeticError("non-exact eta-polynomial division")
+            diff ^= guards
             q = Cyclotomic(self.m, *_normalize(num, den), _canonical=True) * lead_c_inv
             out[diff] = q
             neg_q = -q
             for e2, c2 in rest:
-                k = add_exponents(diff, e2)
+                k = diff + e2
                 if k not in rem:
-                    heappush(heap, _grlex_descending(k))
+                    heappush(heap, -k)
                 add_product(rem, k, neg_q, c2)
         return EtaPolynomial(self.nvars, self.m, out)
 
     def sorted_terms(self):
-        return [(e, self.terms[e]) for e in sorted(self.terms, key=_grlex)]
+        """(exponent tuple, coefficient) in graded lexicographic order."""
+        return [(eta_unpack(e, self.nvars), self.terms[e]) for e in sorted(self.terms)]
 
     def __repr__(self):
         return f"EtaPolynomial({render_eta(self)[0]})"

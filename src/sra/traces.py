@@ -34,13 +34,18 @@ elements of a class whose words move onto the same word at rep.
 
 Letters are ids into the algebra's letter table (Algebra.intern), so a word
 is a tuple of small ints and every memo key is (group key, tuple of ints).
-A trace value has one representation, the settled flat map {(P index, eta
-exponent): Cyclotomic}: every key normalized with one gcd, the keys that
-cancelled dropped.  A TraceValue, each class of the GLC table and each memo
+A trace value has one representation, the settled flat map {(P index, packed
+eta exponent): Cyclotomic} (sra.scalar packs an exponent into one int, so a
+shift by eta^h is an integer add): every key normalized with one gcd, the keys
+that cancelled dropped.  A TraceValue, each class of the GLC table and each memo
 entry of the evaluator hold one.  Every sum of c sp(...) terms, in solve_glc,
 verify_glc and the evaluator alike, adds each product into a flat map of
 partial sums through `add_product`, integer numerators over one denominator
 per key, and `settle` settles it.
+
+gram() takes the determinant of each block of the Gram matrix by the Bareiss
+over Z[zeta_m][eta] on rows cleared of denominators, and divides by the
+row scalings at the end.
 """
 
 from __future__ import annotations
@@ -48,10 +53,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm, prod
 
-from .scalar import (GRAM_BASIS_CAP, CapExceededError, Cyclotomic, EtaPolynomial, add_exponents,
-                     add_product, literal, render_eta, render_sum, render_term, settle)
+from .scalar import (GRAM_BASIS_CAP, CapExceededError, Cyclotomic, EtaPolynomial, add_product,
+                     literal, render_eta, render_sum, render_term, settle)
 from .linalg import Matrix, components, fraction_free_det, inverse
 from .group import Group
 from .algebra import Algebra, AlgebraElement, _letters, kappa_commutator, symmetrized_monomial
@@ -67,14 +72,16 @@ class KappaEigenvaluePresentError(ValueError):
 
 class TraceValue:
     """Linear combination of the free trace parameters P_i with
-    eta-polynomial coefficients, stored as the settled flat map `terms`
-    {(P index, eta exponent): Cyclotomic}: every value canonical and nonzero,
-    so that two trace values are equal iff their maps are."""
+    eta-polynomial coefficients in nvars variables, stored as the settled
+    flat map `terms` {(P index, packed eta exponent): Cyclotomic}: every
+    value canonical and nonzero, so that two trace values are equal iff
+    their maps are."""
 
-    __slots__ = ("nparams", "terms")
+    __slots__ = ("nparams", "nvars", "terms")
 
-    def __init__(self, nparams: int, terms: dict):
+    def __init__(self, nparams: int, nvars: int, terms: dict):
         self.nparams = nparams
+        self.nvars = nvars
         self.terms = terms
 
     @property
@@ -83,7 +90,7 @@ class TraceValue:
         out: dict = {}
         for (i, e), c in self.terms.items():
             if i not in out:
-                out[i] = EtaPolynomial(len(e), c.m)
+                out[i] = EtaPolynomial(self.nvars, c.m)
             out[i].terms[e] = c
         return out
 
@@ -99,7 +106,7 @@ class TraceValue:
         if not isinstance(c, Cyclotomic):
             c = Cyclotomic.from_rational(c, next(iter(self.terms.values())).m if self.terms else 1)
         terms = _scaled(self.terms, c)
-        return TraceValue(self.nparams, {} if not terms or c.is_zero() else terms)
+        return TraceValue(self.nparams, self.nvars, {} if not terms or c.is_zero() else terms)
 
     def __eq__(self, other):
         if not isinstance(other, TraceValue):
@@ -109,17 +116,16 @@ class TraceValue:
     def __hash__(self):
         return hash((self.nparams, frozenset(self.terms.items())))
 
-    def substitute(self, assignment: list[Fraction], nvars: int, m: int) -> EtaPolynomial:
+    def substitute(self, assignment: list[Fraction], m: int) -> EtaPolynomial:
         """Collapse the free parameters to rationals, leaving eta symbolic;
-        the zero value gives the zero polynomial in nvars variables over
-        Q(zeta_m)."""
+        the zero value gives the zero polynomial over Q(zeta_m)."""
         if len(assignment) != self.nparams:
             raise ValueError("assignment arity mismatch")
         values = [Cyclotomic.from_rational(a, m) for a in assignment]
         out: dict = {}
         for (i, e), c in self.terms.items():
             add_product(out, e, c, values[i])
-        return EtaPolynomial(nvars, m, settle(out, m))
+        return EtaPolynomial(self.nvars, m, settle(out, m))
 
     def __repr__(self):
         return f"TraceValue({format_trace_value(self)})"
@@ -189,9 +195,9 @@ def solve_glc(algebra: Algebra, kappa: int, verify: bool = True) -> TraceFunctio
     free_classes = [i for i in range(n_classes) if e_of_class[i] == 0]
     nparams = len(free_classes)
     table: dict[int, TraceValue] = {}
-    one, e0 = Cyclotomic.one(algebra.m), (0,) * algebra.nvars
+    one, nvars = Cyclotomic.one(algebra.m), algebra.nvars
     for pi, ci in enumerate(free_classes):
-        table[ci] = TraceValue(nparams, {(pi, e0): one})
+        table[ci] = TraceValue(nparams, nvars, {(pi, algebra.eta_zero): one})
     order = sorted((i for i in range(n_classes) if e_of_class[i] > 0),
                    key=lambda i: (e_of_class[i], i))
     # the functional holds `table` itself, so each class sees the ones filled before it
@@ -202,7 +208,8 @@ def solve_glc(algebra: Algebra, kappa: int, verify: bool = True) -> TraceFunctio
         entries = refl.get((0, 1), ())
         flat: dict = {}
         _reflection_sum(flat, functional, entries, _product_classes(functional, rep, entries))
-        table[ci] = TraceValue(nparams, settle(flat, algebra.m)).scaled(-scalar[0][1].inverse())
+        table[ci] = TraceValue(nparams, nvars, settle(flat, algebra.m)).scaled(
+            -scalar[0][1].inverse())
     if verify:
         verify_glc(functional)
     return functional
@@ -298,10 +305,11 @@ def verify_glc(functional: TraceFunctional):
                     _reflection_sum(flat, functional, entries, classes)
                     residual = settle(flat, functional.algebra.m)
                     if residual:
+                        value = TraceValue(functional.nparams, group.n_eta, residual)
                         raise InconsistentGLCError(
                             f"group {group.name}, kappa {kappa}: ground level condition "
                             f"fails on C{ci} (Darboux pair {i},{j}), residual "
-                            f"{format_trace_value(TraceValue(functional.nparams, residual))}")
+                            f"{format_trace_value(value)}")
                     vanished[signature] = spg
 
 
@@ -339,10 +347,11 @@ def _add_scaled(flat: dict, val: dict, c: Cyclotomic):
         add_product(flat, key, k, c)
 
 
-def _add_shifted(flat: dict, val: dict, h: tuple[int, ...], c: Cyclotomic):
-    """flat += c eta^h val, for a settled val (see _add_scaled)."""
+def _add_shifted(flat: dict, val: dict, h: int, c: Cyclotomic):
+    """flat += c eta^h val, for a settled val (see _add_scaled) and a packed
+    eta exponent h."""
     for (i, e), k in val.items():
-        add_product(flat, (i, add_exponents(e, h)), k, c)
+        add_product(flat, (i, e + h), k, c)
 
 
 def _scaled(val: dict, c: Cyclotomic) -> dict:
@@ -403,7 +412,7 @@ class _Evaluator:
         flat: dict = {}
         for (exp, gk, h), c in f.terms.items():
             _add_shifted(flat, self.vectors(gk, _letters(exp)), h, c)
-        return TraceValue(self.fn.nparams, settle(flat, self.alg.m))
+        return TraceValue(self.fn.nparams, self.alg.nvars, settle(flat, self.alg.m))
 
     def vectors(self, g_key, word: tuple[int, ...]) -> dict:
         """Trace of a word of letter ids times g, as a settled flat map,
@@ -663,7 +672,7 @@ def _eta0_coefficient(quad, exp: tuple[int, ...], m: int) -> Cyclotomic:
         nxt: dict = {}
         for e1, c1 in power.items():
             for e2, c2 in quad.items():
-                e = add_exponents(e1, e2)
+                e = tuple([a + b for a, b in zip(e1, e2)])
                 if any(a > b for a, b in zip(e, exp)):
                     continue
                 add_product(nxt, e, c1, c2)
@@ -744,7 +753,7 @@ def oracle_mismatches(fn: TraceFunctional,
         for ci, rep in enumerate(group.class_rep):
             # at eta = 0 only the constant terms remain
             val = fn.evaluate(sym * algebra.group_element(rep))
-            got = {i: c for (i, e), c in val.terms.items() if not any(e)}
+            got = {i: c for (i, e), c in val.terms.items() if e == algebra.eta_zero}
             mult = _eta0_coefficient(quads[ci], exp, group.exponent)
             expected = {} if mult.is_zero() else {fn.free_classes.index(ci): mult}
             checked += 1
@@ -832,9 +841,10 @@ def gram(functional: TraceFunctional, degree: int,
     evaluated.  The determinant is taken after substituting the
     free-parameter assignment (default: first parameter 1, the rest 0), as
     the product of one fraction-free determinant per connected block of the
-    nonzero pattern.  Rational roots are reported in the univariate case
-    when the determinant is nonzero with rational coefficients; they are the
-    union of the blocks' rational roots.
+    nonzero pattern, each on rows cleared of denominators (_block_det).
+    Rational roots are reported in the univariate case when the determinant
+    is nonzero with rational coefficients; they are the union of the
+    blocks' rational roots.
     """
     algebra = functional.algebra
     group = functional.group
@@ -854,12 +864,11 @@ def gram(functional: TraceFunctional, degree: int,
     for i, fa in enumerate(elements):
         for j in range(i, n):
             val = functional.evaluate(fa * elements[j])
-            mat[i][j] = mat[j][i] = val.substitute(assignment, nvars, m)
+            mat[i][j] = mat[j][i] = val.substitute(assignment, m)
     determinant = roots = None
     if compute_determinant:
         one = EtaPolynomial.constant(1, nvars, m)
-        factors = [fraction_free_det([[mat[i][j] for j in block] for i in block],
-                                     lambda p: lambda x: x.exact_divide(p), one)
+        factors = [_block_det([[mat[i][j] for j in block] for i in block], one)
                    for block in components(mat)]
         determinant = one
         for factor in factors:
@@ -869,6 +878,22 @@ def gram(functional: TraceFunctional, degree: int,
             roots = sorted(set().union(*(f.rational_roots() for f in factors)))
     return GramReport(group.name, functional.kappa, m, degree, assignment,
                       basis, mat, determinant, roots)
+
+
+def _block_det(rows, one: EtaPolynomial) -> EtaPolynomial:
+    """The determinant of a block of eta-polynomial rows by the Bareiss over
+    Z[zeta_m][eta]: each row is first scaled by the lcm L_i of its
+    coefficients' denominators, so the elimination multiplies and adds
+    integer coordinates with no gcd, and the determinant of the scaled rows
+    is then divided by the product of the L_i."""
+    scales = [lcm(*(c.den for p in row for c in p.terms.values())) for row in rows]
+    cleared = []
+    for row, scale in zip(rows, scales):
+        c = Cyclotomic.from_rational(scale, one.m)
+        cleared.append([EtaPolynomial(one.nvars, one.m, {e: k * c for e, k in p.terms.items()})
+                        for p in row])
+    det = fraction_free_det(cleared, lambda p: lambda x: x.exact_divide(p), one)
+    return det * EtaPolynomial.constant(Fraction(1, prod(scales)), one.nvars, one.m)
 
 
 # -- serialization -------------------------------------------------------------

@@ -1,13 +1,12 @@
 import pytest
 
-from sra.scalar import Cyclotomic, EtaPolynomial, add_maps
+from sra.scalar import Cyclotomic, EtaPolynomial, add_maps, eta_pack, eta_unit
 from sra.traces import TraceValue
 
 
 def eta_var(i, nvars, m):
     """eta_i as an EtaPolynomial in nvars variables over Q(zeta_m)."""
-    exp = tuple(int(k == i) for k in range(nvars))
-    return EtaPolynomial(nvars, m, {exp: Cyclotomic.one(m)})
+    return EtaPolynomial(nvars, m, {eta_unit(i, nvars): Cyclotomic.one(m)})
 
 
 def eta_const(c, nvars, m):
@@ -15,7 +14,7 @@ def eta_const(c, nvars, m):
     EtaPolynomial in nvars variables over Q(zeta_m)."""
     if not isinstance(c, Cyclotomic):
         return EtaPolynomial.constant(c, nvars, m)
-    return EtaPolynomial(nvars, m, {} if c.is_zero() else {(0,) * nvars: c})
+    return EtaPolynomial(nvars, m, {} if c.is_zero() else {eta_pack((0,) * nvars): c})
 
 
 def eta(alg, i):
@@ -29,7 +28,7 @@ def const(alg, c):
 
 
 def eta_exponent(alg, i):
-    """The exponent tuple of the monomial eta_i."""
+    """The packed exponent of the monomial eta_i."""
     (exp,) = eta(alg, i).terms
     return exp
 
@@ -37,12 +36,13 @@ def eta_exponent(alg, i):
 def trace_value(nparams, *coeff_maps):
     """The TraceValue of the sum of the maps {P index: EtaPolynomial},
     flattened to {(P index, eta exponent): Cyclotomic} with the zero sums
-    dropped."""
-    flat = {}
+    dropped, in the variables of its polynomials (none when there are no
+    polynomials, as the empty value has no coefficient to read)."""
+    flat, nvars = {}, 0
     for coeffs in coeff_maps:
         for i, p in coeffs.items():
-            flat = add_maps(flat, {(i, e): c for e, c in p.terms.items()}, 1, p.m)
-    return TraceValue(nparams, flat)
+            flat, nvars = add_maps(flat, {(i, e): c for e, c in p.terms.items()}, 1, p.m), p.nvars
+    return TraceValue(nparams, nvars, flat)
 
 
 @pytest.fixture(scope="session")

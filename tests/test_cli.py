@@ -13,7 +13,7 @@ import sra
 from sra.algebra import Algebra
 from sra.cli import DOMAIN_ERRORS, main
 from sra.group import cyclic_sp2
-from sra.scalar import POWER_CAP
+from sra.scalar import ETA_DEGREE_CAP, POWER_CAP
 from sra.traces import InconsistentGLCError, gram, solve_glc
 
 
@@ -311,6 +311,24 @@ def test_eval_huge_power_exit_1(capsys):
     assert out == ""
     assert err.startswith(f"error: exponent 99999999999 exceeds cap {POWER_CAP}")
     assert "Traceback" not in err
+
+
+def test_eval_eta_degree_cap_exit_1(capsys):
+    # each ^64 multiplies the eta degree by 64, past ETA_DEGREE_CAP at the sixth,
+    # a degree whose packed exponent would spill out of its 32-bit field
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--builtin", "cyclic", "--n", "2",
+                         "--expr", "((((((eta0^64)^64)^64)^64)^64)^64)")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: eta degree ") and f" exceeds cap {ETA_DEGREE_CAP}" in err
+    assert "Traceback" not in err
+    code, out, _ = run(capsys, "eval", "--builtin", "cyclic", "--n", "2",
+                       "--expr", "(eta0^64)^64")
+    assert code == 0
+    assert out == ("expr: eta0^4096\nkappa = +1: tr(expr) = -eta0^4097*P0\n"
+                   "kappa = -1: str(expr) = eta0^4096*P0\n")
 
 
 def test_eval_word_with_many_inversions(capsys):

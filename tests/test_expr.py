@@ -7,7 +7,7 @@ import sra
 import sra.scalar
 from conftest import eta_const, eta_var, trace_value
 from sra.scalar import (EXPR_DEPTH_CAP, CapExceededError, Cyclotomic, EtaPolynomial,
-                        parse_literal, render_eta)
+                        eta_unit, parse_literal, render_eta)
 from sra.group import cyclic_sp2, dihedral, doubled_coxeter
 from sra.algebra import Algebra
 from sra.expr import ParseError, _Parser, parse, print_element, tokenize
@@ -145,10 +145,10 @@ def test_unit_powers_of_zeta_print_bare():
 def test_trace_values_join_signed_terms():
     eta = [eta_var(i, 2, 1) for i in range(2)]
     assert format_trace_value(trace_value(2, {0: -eta[1], 1: -eta[0]})) == "-eta1*P0 - eta0*P1"
-    assert format_trace_value(TraceValue(2, {})) == "0"
+    assert format_trace_value(TraceValue(2, 2, {})) == "0"
     # one eta-term whose cyclotomic coefficient is a sum: one pair of parentheses
     coeff = parse_literal("-3/2 - 1/2*z^2 + 1/2*z^3", 10)
-    p = EtaPolynomial(1, 10, {(1,): coeff})
+    p = EtaPolynomial(1, 10, {eta_unit(0, 1): coeff})
     tv = trace_value(2, {0: p, 1: p + eta_const(1, 1, 10)})
     assert format_trace_value(tv) == (
         "(-3/2 - 1/2*z^2 + 1/2*z^3)*eta0*P0 + (1 + (-3/2 - 1/2*z^2 + 1/2*z^3)*eta0)*P1")

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import eta_const, eta_var
 from sra.scalar import (
+    ETA_DEGREE_CAP,
     FIELD_DEGREE_CAP,
     RATIONAL_EXPONENT_CAP,
     CapExceededError,
@@ -20,6 +21,10 @@ from sra.scalar import (
     add_maps,
     add_product,
     cyclotomic_polynomial,
+    eta_degree,
+    eta_pack,
+    eta_unit,
+    eta_unpack,
     literal,
     parse_literal,
     parse_rational,
@@ -369,7 +374,7 @@ def test_eta_eval_is_ring_hom(ts1, ts2, pt):
     def build(ts):
         p = EtaPolynomial(1, m)
         for c, e in ts:
-            p = p + EtaPolynomial(1, m, {(e,): Cyclotomic.from_rational(c, m)})
+            p = p + EtaPolynomial(1, m, {eta_pack((e,)): Cyclotomic.from_rational(c, m)})
         return p
 
     p, q = build(ts1), build(ts2)
@@ -385,6 +390,60 @@ def test_exact_divide():
     assert p.exact_divide(one + eta) == (one - eta) * (one + eta)
     with pytest.raises(ArithmeticError):
         (eta * eta + one).exact_divide(eta)
+
+
+@st.composite
+def _exponent_tuples(draw):
+    """(n, [e, ...]): exponent tuples of arity n = 0 ... 6, with small entries
+    and entries up to 2^27, so that a sum of two stays below the guard bits."""
+    n = draw(st.integers(0, 6))
+    entry = st.one_of(st.integers(0, 3), st.integers(0, 2 ** 27))
+    return n, draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=8))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_exponent_tuples())
+def test_packed_exponents_add_and_order_as_tuples(case):
+    # unpacking gives the tuple back, the sum of packed exponents is the packed
+    # sum of the tuples, and the order of the ints is grlex, (sum(e), e)
+    n, exps = case
+    packed = [eta_pack(e) for e in exps]
+    for e, k in zip(exps, packed):
+        assert eta_unpack(k, n) == e
+        assert eta_degree(k, n) == sum(e)
+    for e1, k1 in zip(exps, packed):
+        for e2, k2 in zip(exps, packed):
+            assert k1 + k2 == eta_pack(tuple(a + b for a, b in zip(e1, e2)))
+    assert sorted(packed) == [eta_pack(e) for e in sorted(exps, key=lambda e: (sum(e), e))]
+    for i in range(n):
+        assert eta_unit(i, n) == eta_pack(tuple(int(j == i) for j in range(n)))
+
+
+@pytest.mark.parametrize("num, den", [((1, 2), (0, 3)), ((2, 0), (0, 1)), ((1, 0, 2), (0, 1, 0))],
+                         ids=["eta0*eta1^2/eta1^3", "eta0^2/eta1", "eta0*eta2^2/eta1"])
+def test_exact_divide_refuses_a_borrow_in_one_field(num, den):
+    # every other field, the total degree included, divides; only one borrows
+    m = 3
+    one = Cyclotomic.one(m)
+    p = EtaPolynomial(len(num), m, {eta_pack(num): one})
+    q = EtaPolynomial(len(num), m, {eta_pack(den): one})
+    with pytest.raises(ArithmeticError, match="non-exact"):
+        p.exact_divide(q)
+    with pytest.raises(ArithmeticError, match="non-exact"):
+        (p + q).exact_divide(q)
+
+
+def test_eta_degree_cap_refuses_the_product():
+    # the degree bounds every field, so the product of degrees 2^30 and 2^29
+    # is refused before its keys would reach the guard bits
+    m = 2
+    one = Cyclotomic.one(m)
+    p = EtaPolynomial(2, m, {eta_pack((2 ** 29, 0)): one})
+    q = EtaPolynomial(2, m, {eta_pack((0, 2 ** 29)): one})
+    top = p * q
+    assert top.degree() == ETA_DEGREE_CAP
+    with pytest.raises(CapExceededError, match=f"eta degree {3 * 2 ** 29} exceeds cap"):
+        top * p
 
 
 _DENOMINATORS = [d for d in range(-12, 13) if d]
@@ -406,7 +465,7 @@ def _partial_sums(draw):
     eta exponent) of a flat map; some adds are undone later by adding -a b,
     so that their key may cancel to zero."""
     m = draw(st.sampled_from([1, 2, 3, 4, 5, 12, 60]))
-    keys = st.tuples(st.integers(0, 2), st.tuples(st.integers(0, 2)))
+    keys = st.tuples(st.integers(0, 2), st.integers(0, 2).map(lambda e: eta_pack((e,))))
     adds = [(draw(keys), draw(_cyclotomics(m)), draw(_cyclotomics(m)))
             for _ in range(draw(st.integers(0, 12)))]
     undone = draw(st.sets(st.integers(0, len(adds) - 1))) if adds else set()
@@ -430,7 +489,7 @@ def test_partial_sums_settle_to_the_chained_adds(case):
     assert got == want
     for c in got.values():
         assert c.den > 0 and gcd(c.den, *c.num) == 1
-    value = TraceValue(3, got)
+    value = TraceValue(3, 1, got)
     assert {(i, e) for i, p in value.coeffs.items() for e in p.terms} == set(want)
     assert all(value.coeffs[i].terms[e] == c for (i, e), c in want.items())
 
@@ -476,7 +535,7 @@ def test_add_maps_is_the_keywise_chained_sum(case):
 @st.composite
 def _eta_polynomials(draw, m: int, max_terms: int):
     """A nonzero polynomial in two eta variables of degree <= 3 per variable."""
-    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(eta_pack)
     nonzero = _cyclotomics(m).filter(lambda c: not c.is_zero())
     terms = draw(st.dictionaries(exps, nonzero, min_size=1, max_size=max_terms))
     return EtaPolynomial(2, m, terms)
@@ -525,7 +584,7 @@ def test_one_term_product_matches_the_general_path(case):
     out: dict = {}
     for e1, c1 in p.terms.items():
         for e2, c2 in t.terms.items():
-            add_product(out, tuple(a + b for a, b in zip(e1, e2)), c1, c2)
+            add_product(out, e1 + e2, c1, c2)
     want = EtaPolynomial(2, p.m, settle(out, p.m))
     assert p * t == want
     assert t * p == want

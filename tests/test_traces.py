@@ -7,7 +7,7 @@ import pytest
 
 import sra.algebra
 from conftest import const, eta, trace_value
-from sra.scalar import Cyclotomic, EtaPolynomial
+from sra.scalar import Cyclotomic, EtaPolynomial, eta_pack
 from sra.linalg import rank
 from sra.group import cyclic_sp2, dihedral, direct_product, doubled_coxeter
 from sra.algebra import Algebra, _letters, relation_table
@@ -200,7 +200,7 @@ def _unpruned_value(fn: TraceFunctional, f) -> TraceValue:
                     nxt[w + (i,)] = nxt.get(w + (i,), Cyclotomic.zero(alg.m)) + c * ci
             words = nxt
         for w, c in words.items():
-            bval = TraceValue(fn.nparams, ev.bword(g_key, w))
+            bval = TraceValue(fn.nparams, alg.nvars, ev.bword(g_key, w))
             acc = trace_value(fn.nparams, acc.coeffs,
                               {i: p * coeff for i, p in bval.scaled(c).coeffs.items()})
     return acc
@@ -239,7 +239,7 @@ def test_substitute_is_the_per_parameter_sum(alg_name, kappa, request):
     fn = solve_glc(alg, kappa)
     rng = random.Random(17 + kappa)
     keys = sorted(alg.group.elements)
-    values = list(fn.table.values()) + [TraceValue(fn.nparams, {})]
+    values = list(fn.table.values()) + [TraceValue(fn.nparams, alg.nvars, {})]
     values += [fn.evaluate(_random_definite(alg, rng, 4, keys)) for _ in range(6)]
     for val in values:
         assignment = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
@@ -247,7 +247,7 @@ def test_substitute_is_the_per_parameter_sum(alg_name, kappa, request):
         want = EtaPolynomial(alg.nvars, alg.m)
         for i, p in val.coeffs.items():
             want = want + p * const(alg, assignment[i])
-        assert val.substitute(assignment, alg.nvars, alg.m) == want
+        assert val.substitute(assignment, alg.m) == want
 
 
 def test_free_parameter_arity_mismatch_is_refused(z2):
@@ -259,7 +259,7 @@ def test_free_parameter_arity_mismatch_is_refused(z2):
         with pytest.raises(ValueError, match="free-parameter assignment arity mismatch"):
             gram(fn, 0, assignment=assignment)
         with pytest.raises(ValueError, match="assignment arity mismatch"):
-            value.substitute(assignment, z2.nvars, z2.m)
+            value.substitute(assignment, z2.m)
 
 
 def test_vectors_multiplies_only_for_nonzero_eigen_words(a2, monkeypatch):
@@ -427,7 +427,7 @@ def test_trace_value_scaled(z2):
     # a rational enters the value's field once; a zero factor drops every term
     value = trace_value(2, {0: eta(z2, 0) * const(z2, Fraction(1, 2)) + const(z2, 3),
                             1: const(z2, -1)})
-    empty = TraceValue(2, {})
+    empty = TraceValue(2, z2.nvars, {})
     for val in (value, empty):
         for zero in (0, Fraction(0), Cyclotomic.zero(z2.m)):
             assert val.scaled(zero).terms == {} and val.scaled(zero).nparams == 2
@@ -561,7 +561,7 @@ def test_gram_d0_z2(z2):
 def test_gram_zero_functional(z2):
     fn = solve_glc(z2, -1)
     zero_fn = TraceFunctional(z2, -1, fn.free_classes,
-                              {ci: TraceValue(fn.nparams, {}) for ci in fn.table},
+                              {ci: TraceValue(fn.nparams, z2.nvars, {}) for ci in fn.table},
                               fn.e_of_class)
     report = gram(zero_fn, 0)
     assert all(x.is_zero() for row in report.matrix for x in row)
@@ -579,7 +579,7 @@ def test_gram_symmetry(z2):
         for i in range(n):
             for j in range(n):
                 direct = fn.evaluate(elements[j] * elements[i])
-                assert report.matrix[i][j] == direct.substitute(report.assignment, z2.nvars, z2.m)
+                assert report.matrix[i][j] == direct.substitute(report.assignment, z2.m)
 
 
 @pytest.mark.parametrize("alg_name,kappas,degree,roots", [
@@ -702,12 +702,12 @@ def test_product_factorization_oracle(kappa):
     def lift_poly(poly, emap):
         from sra.scalar import EtaPolynomial
         out = EtaPolynomial(prod.n_eta, prod.exponent)
-        for e, c in poly.terms.items():
+        for e, c in poly.sorted_terms():
             e2 = [0] * prod.n_eta
             for i, k in enumerate(e):
                 e2[emap[i]] = k
             out = out + EtaPolynomial(prod.n_eta, prod.exponent,
-                                      {tuple(e2): c.embed(prod.exponent)})
+                                      {eta_pack(tuple(e2)): c.embed(prod.exponent)})
         return out
 
     # free-parameter pairing: product class of (k1, k2) vs factor classes
