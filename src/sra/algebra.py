@@ -200,8 +200,9 @@ class EigenbasisChart:
     (Algebra.intern).  `coords(letter)` gives the chart coordinates of any
     interned letter, and `coords_by_exponent` the same grouped by e_I.  The
     chart is shared by every evaluator of the algebra, and it memoizes the
-    letters moved by a group element h as ids (`moved`) and the regular-step
-    factors of a letter (`regular_factors`)."""
+    letters moved by a group element h as ids (`moved`), the regular-step
+    factors of a letter (`regular_factors`) and the inverse scalar of a
+    Darboux pair (`pair_inverse`)."""
 
     def __init__(self, algebra: "Algebra", g_key):
         self.algebra = algebra
@@ -222,6 +223,7 @@ class EigenbasisChart:
         self._by_exponent: dict = {}
         self._moved: dict = {}
         self._factors: dict = {}
+        self._pair_inverses: dict = {}
         self.kappa_pairs = {}
         self.kappa_letters = {}
         for kappa in (+1, -1):
@@ -270,6 +272,14 @@ class EigenbasisChart:
             kl = root if kappa == 1 else -root
             inv = (Cyclotomic.one(kl.m) - kl).inverse()
             got = self._factors[(kappa, L)] = (inv, kl * inv)
+        return got
+
+    def pair_inverse(self, I: int, J: int) -> Cyclotomic:
+        """1 / scalar[I][J] for the Darboux pair (I, J) of the special step,
+        memoized per pair."""
+        got = self._pair_inverses.get((I, J))
+        if got is None:
+            got = self._pair_inverses[(I, J)] = self.scalar[I][J].inverse()
         return got
 
 
@@ -321,22 +331,23 @@ class Algebra:
         return got
 
     def moved_letter(self, h_key, letter: int):
-        """(id, c) for the letter v with this id moved by the group element h:
-        h(v) = c u, with c the first nonzero coordinate of h(v) and id the
-        interned u, whose first nonzero coordinate is 1; c is the shared
-        one of the order when h(v) starts with 1.  Memoized per (h, letter id).
-        Letters that differ by a scalar share one id this way, so the
-        evaluator's class memo keys on the moved words up to their factors."""
+        """(id, c, c^-1) for the letter v with this id moved by the group
+        element h: h(v) = c u, with c the first nonzero coordinate of h(v) and
+        id the interned u, whose first nonzero coordinate is 1; c and c^-1 are
+        the shared one of the order when h(v) starts with 1.  Memoized per (h,
+        letter id).  Letters that differ by a scalar share one id this way, so
+        the evaluator's class memo keys on the moved words up to their
+        factors."""
         got = self._moved_letters.get((h_key, letter))
         if got is None:
             vector = self.group.elements[h_key].matrix.matvec(self.letter_vectors[letter])
             c = next(x for x in vector if not x.is_zero())
             one = Cyclotomic.one(self.m)
             if c == one:
-                got = (self.intern(vector), one)
+                got = (self.intern(vector), one, one)
             else:
                 inv = c.inverse()
-                got = (self.intern(tuple(x * inv for x in vector)), c)
+                got = (self.intern(tuple(x * inv for x in vector)), c, inv)
             self._moved_letters[(h_key, letter)] = got
         return got
 

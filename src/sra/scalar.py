@@ -9,6 +9,13 @@ representations coincide, which makes cyclotomics usable as dict keys and as
 deterministic sort keys.  A rational enters Q(zeta_m) one way, through
 Cyclotomic.from_rational: +, -, * and == take only a Cyclotomic of one order.
 
+The coordinate arithmetic of * and add_product runs through straight-line
+kernels of each order's context, compiled from source built from integers
+alone: scale, add and the lcm-rescaled add for every order, and the product
+folded mod Phi_m up to PRODUCT_KERNEL_CUTOFF, generated on the order's first
+product of two non-rational values; above the cutoff the product is the
+loop _times.
+
 An eta exponent (e_0, ..., e_(n-1)) is one packed int (Monagan and Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
 vectors", CASC 2007): 32-bit fields, the total degree in the top one, then
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
 from numbers import Number
@@ -37,6 +44,13 @@ FIELD_DEGREE_CAP = 256    # largest degree phi(m) of a field Q(zeta_m)
 EXPR_DEPTH_CAP = 100      # deepest nesting of parentheses in an expression
 RATIONAL_EXPONENT_CAP = 999  # largest decimal exponent of a rational read from text
 ETA_DEGREE_CAP = 2 ** 30  # largest total eta degree of a product
+
+# the largest phi(m) whose product has an unrolled kernel (_CycContext.times);
+# above it the loop _times runs.  Unrolled code grows as phi(m)^2: unrolled at
+# every degree, counts on cyclic 257 (phi = 256) peaked at 299 MB in place of
+# the loop's 19 MB on a 2-core x86-64 host, while a kernel at phi = 32 took
+# 6 ms to generate, with a 2.5 MB peak while it compiled
+PRODUCT_KERNEL_CUTOFF = 32
 
 
 class CapExceededError(ValueError):
@@ -141,8 +155,9 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 class _CycContext:
     """Per-order tables: Phi_m, the canonical coordinates of every power
-    zeta^k (x^k mod Phi_m for k < m), and the one shared instance each of 0
-    and 1."""
+    zeta^k (x^k mod Phi_m for k < m), the one shared instance each of 0 and
+    1, and the coordinate kernels: scale, add and rescaled_add for every
+    order (_linear_kernels), and times, the product."""
 
     def __init__(self, m: int):
         self.m = m
@@ -160,6 +175,7 @@ class _CycContext:
         self.powers = powers
         self.zero = Cyclotomic(m, (0,) * self.deg, 1, _canonical=True)
         self.one = Cyclotomic(m, powers[0], 1, _canonical=True)
+        self.scale, self.add, self.rescaled_add = _linear_kernels(self.deg)
 
     def _times_x(self, vec: list[int]) -> list[int]:
         """Multiply a reduced coefficient vector by x, then reduce."""
@@ -170,10 +186,78 @@ class _CycContext:
                 out[k] += lead * t
         return out
 
+    @cached_property
+    def times(self):
+        """times(x, y), the integer coordinates of x y for two coordinate
+        vectors: the unrolled kernel up to PRODUCT_KERNEL_CUTOFF, generated
+        on the order's first product of two non-rational values, and the
+        loop _times above it."""
+        if self.deg > PRODUCT_KERNEL_CUTOFF:
+            return partial(_times, self)
+        return _product_kernel(self.deg, self.top)
+
 
 @lru_cache(maxsize=None)
 def _context(m: int) -> _CycContext:
     return _CycContext(m)
+
+
+# -- coordinate kernels --------------------------------------------------------
+#
+# Straight-line functions on coordinate tuples of one length, compiled from
+# source built from integers alone (the length and Phi_m's coefficients): at
+# phi(m) = 2, where most products of the evaluator fall, a list comprehension
+# or a loop costs more in Python overhead than its arithmetic.  Each does the
+# integer operations of the loop it replaces, and returns a tuple.
+
+
+def _names(prefix: str, n: int) -> str:
+    return "".join(f"{prefix}{i}, " for i in range(n))
+
+
+def _tuple_of(term: str, n: int) -> str:
+    """Source of the tuple (term(0), ..., term(n - 1)), term a format string."""
+    return "(" + "".join(term.format(i) + ", " for i in range(n)) + ")"
+
+
+def _compiled(source: str) -> dict:
+    """The functions defined by a generated source."""
+    scope: dict = {}
+    exec(source, scope)
+    return scope
+
+
+@lru_cache(maxsize=None)
+def _linear_kernels(deg: int):
+    """(scale, add, rescaled_add) on coordinate tuples of length deg, compiled
+    with one exec: scale(c, x) = c x, add(x, y) = x + y and
+    rescaled_add(x, s, y, t) = x s + y t."""
+    xs, ys = _names("x", deg), _names("y", deg)
+    got = _compiled(
+        f"def scale(c, x):\n    {xs}= x\n    return {_tuple_of('c * x{0}', deg)}\n"
+        f"def add(x, y):\n    {xs}= x\n    {ys}= y\n"
+        f"    return {_tuple_of('x{0} + y{0}', deg)}\n"
+        f"def rescaled_add(x, s, y, t):\n    {xs}= x\n    {ys}= y\n"
+        f"    return {_tuple_of('x{0} * s + y{0} * t', deg)}\n")
+    return got["scale"], got["add"], got["rescaled_add"]
+
+
+def _product_kernel(deg: int, top):
+    """times(x, y) for coordinate tuples of length deg, the loop _times
+    unrolled: one row per coordinate of x, skipped when it is zero, so a
+    monomial or a sparse operand costs one row each, then each coefficient
+    of x^j with j >= deg, when nonzero, folded down by the pairs (k, t_k)
+    of x^deg = sum_k t_k x^k mod Phi_m."""
+    lines = ["def times(x, y):", f"    {_names('x', deg)}= x", f"    {_names('y', deg)}= y",
+             "    " + " = ".join(f"n{j}" for j in range(2 * deg - 1)) + " = 0"]
+    for i in range(deg):
+        lines.append(f"    if x{i}:")
+        lines.extend(f"        n{i + j} += x{i} * y{j}" for j in range(deg))
+    for j in range(2 * deg - 2, deg - 1, -1):
+        lines.append(f"    if n{j}:")
+        lines.extend(f"        n{j - deg + k} += n{j} * {t}" for k, t in top)
+    lines.append(f"    return {_tuple_of('n{0}', deg)}")
+    return _compiled("\n".join(lines) + "\n")["times"]
 
 
 def _zeta_substitute(num, big: _CycContext, step: int) -> list[int]:
@@ -201,11 +285,11 @@ def _normalize(num: list[int] | tuple[int, ...], den: int):
     return tuple(num), den
 
 
-def _times(m: int, x, y) -> list[int]:
-    """Integer coordinates of x y for two coordinate vectors of Q(zeta_m):
-    their polynomial product, each coefficient of x^j with j >= phi(m)
-    folded down from the top by x^phi(m) = sum_k t_k x^k mod Phi_m."""
-    ctx = _context(m)
+def _times(ctx: _CycContext, x, y) -> list[int]:
+    """Integer coordinates of x y for two coordinate vectors of Q(zeta_m),
+    above PRODUCT_KERNEL_CUTOFF: their polynomial product, each coefficient
+    of x^j with j >= phi(m) folded down from the top by x^phi(m) = sum_k t_k
+    x^k mod Phi_m."""
     deg = ctx.deg
     num = [0] * (2 * deg - 1)
     i = 0
@@ -339,16 +423,16 @@ class Cyclotomic:
 
     def __mul__(self, other):
         """The product in one pass: the polynomial product of the coordinate
-        vectors folded mod Phi_m (see _times), then the gcd of the
+        vectors folded mod Phi_m (the context's times), then the gcd of the
         denominator with every coordinate divided out.  A rational operand
-        only scales the other one's coordinates."""
+        only scales the other one's coordinates (the context's scale)."""
         if type(other) is not Cyclotomic or other.m != self.m:
             raise self._mismatch(other)
         a, b = self, other
         num = None
         if any(b.num[1:]):
             if any(a.num[1:]):
-                num = _times(a.m, a.num, b.num)
+                num = _context(a.m).times(a.num, b.num)
             else:
                 a, b = b, a
         if num is None:
@@ -358,7 +442,7 @@ class Cyclotomic:
                 return b
             if c == 1 and b.den == 1:
                 return a
-            num = [c * x for x in a.num]
+            num = _context(a.m).scale(c, a.num)
         # both denominators are positive, so their product is
         den = a.den * b.den
         if den != 1:
@@ -653,28 +737,28 @@ def _divisors_of(n: int) -> list[int]:
 def add_product(partial: dict, key, a: Cyclotomic, b: Cyclotomic):
     """partial[key] += a b for a map of partial sums [integer numerators,
     positive denominator] over one order m.  The raw product (a rational
-    operand scales the other's coordinates, else _times) over the product
-    of the denominators is added with no gcd and no object: with the key's
-    denominator only integers are added, another rescales both to the lcm.
-    Nothing is normalized until settle."""
+    operand scales the other's coordinates, else the context's times) over
+    the product of the denominators is added with no gcd and no object: with
+    the key's denominator only integers are added, another rescales both to
+    the lcm, each through a kernel of the context.  Nothing is normalized
+    until settle."""
+    ctx = _context(a.m)
     if not any(b.num[1:]):
-        c = b.num[0]
-        num = [c * x for x in a.num]
+        num = ctx.scale(b.num[0], a.num)
     elif not any(a.num[1:]):
-        c = a.num[0]
-        num = [c * y for y in b.num]
+        num = ctx.scale(a.num[0], b.num)
     else:
-        num = _times(a.m, a.num, b.num)
+        num = ctx.times(a.num, b.num)
     den = a.den * b.den
     cur = partial.get(key)
     if cur is None:
         partial[key] = [num, den]
     elif cur[1] == den:
-        cur[0] = [x + y for x, y in zip(cur[0], num)]
+        cur[0] = ctx.add(cur[0], num)
     else:
         g = gcd(cur[1], den)
         s, t = den // g, cur[1] // g
-        cur[0] = [x * s + y * t for x, y in zip(cur[0], num)]
+        cur[0] = ctx.rescaled_add(cur[0], s, num, t)
         cur[1] *= s
 
 

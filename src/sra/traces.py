@@ -360,6 +360,11 @@ def _scaled(val: dict, c: Cyclotomic) -> dict:
     return {key: k * c for key, k in val.items()}
 
 
+def _product(factors: list, one: Cyclotomic) -> Cyclotomic:
+    """The product of a list of Cyclotomics, `one` for an empty list."""
+    return prod(factors[1:], start=factors[0]) if factors else one
+
+
 def _prefix_product(products: dict, cols, w) -> Cyclotomic:
     """The product of the coordinates cols[j][w[j]] along the prefix w,
     memoized per prefix in `products`, which holds every prefix of length 1:
@@ -436,9 +441,10 @@ class _Evaluator:
         a factor c, the product of the letters' scalars, and sp(x_w g) = c
         sp(u_ids rep).  The memo holds the value at (rep, ids): a hit is
         scaled by c, and a miss is expanded on g's own chart, as if there
-        were no class memo, and stored divided by c.  (Expanding the moved
-        word on the representative's chart instead measured slower: its
-        expansions take more steps than the elements' own.)  The conjugator
+        were no class memo, and stored times 1 / c, the product of the
+        letters' inverse scalars, so no inverse is taken here.  (Expanding
+        the moved word on the representative's chart instead measured slower:
+        its expansions take more steps than the elements' own.)  The conjugator
         is checked once per element (_checked_conjugator).  A one-element
         class builds no class key."""
         group = self.group
@@ -450,19 +456,21 @@ class _Evaluator:
             h_inv = self._conjugator_inv[g_key] = _checked_conjugator(group, self.kappa,
                                                                       g_key)[1]
         one = Cyclotomic.one(self.alg.m)
-        factor = one
-        ids = []
+        ids, factors, inverses = [], [], []
         for letter in word:
-            moved, c = self.alg.moved_letter(h_inv, letter)
+            moved, c, c_inv = self.alg.moved_letter(h_inv, letter)
             ids.append(moved)
             if c is not one:
-                factor = c if factor is one else factor * c
+                factors.append(c)
+                inverses.append(c_inv)
         key = (group.class_rep[ci], tuple(ids))
         base = self._class_vecs.get(key)
         if base is None:
             got = self._expand(g_key, word)
-            self._class_vecs[key] = got if factor == one else _scaled(got, factor.inverse())
+            inv = _product(inverses, one)
+            self._class_vecs[key] = got if inv == one else _scaled(got, inv)
             return got
+        factor = _product(factors, one)
         return base if factor == one else _scaled(base, factor)
 
     def _expand(self, g_key, word: tuple[int, ...]) -> dict:
@@ -596,7 +604,7 @@ class _Evaluator:
             self._refl_part(ssum, g_key, (I,) * (p + 1) + (J,) * q + others[:s], others[s], J,
                             others[s + 1:])
         scale = -(Cyclotomic.from_rational(Fraction(1, p + 1), self.alg.m)
-                  * chart.scalar[I][J].inverse())
+                  * chart.pair_inverse(I, J))
         _add_scaled(acc, settle(ssum, self.alg.m), scale)
         return settle(acc, self.alg.m)
 

@@ -2,6 +2,7 @@ import operator
 import random
 import time
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import pytest
@@ -11,6 +12,7 @@ from conftest import eta_const, eta_var
 from sra.scalar import (
     ETA_DEGREE_CAP,
     FIELD_DEGREE_CAP,
+    PRODUCT_KERNEL_CUTOFF,
     RATIONAL_EXPONENT_CAP,
     CapExceededError,
     Cyclotomic,
@@ -139,21 +141,27 @@ def _cyc(m):
     )
 
 
-def _reference_product(a: Cyclotomic, b: Cyclotomic) -> tuple[tuple[int, ...], int]:
-    """(num, den) of a b the slow way: the polynomial product of the
-    coordinate vectors, its remainder by long division by Phi_m, then the
-    gcd of the denominator with every coordinate divided out."""
-    phi = cyclotomic_polynomial(a.m)
+def _naive_times(m: int, x, y) -> list[int]:
+    """The polynomial product of two coordinate vectors of Q(zeta_m), its
+    remainder by long division by Phi_m."""
+    phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
     rem = [0] * (2 * deg - 1)
-    for i, x in enumerate(a.num):
-        for j, y in enumerate(b.num):
-            rem[i + j] += x * y
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                rem[i + j] += a * b
     for top in range(len(rem) - 1, deg - 1, -1):
         c = rem[top]
         for i in range(deg + 1):
             rem[top - deg + i] -= c * phi[i]
-    num, den = rem[:deg], a.den * b.den
+    return rem[:deg]
+
+
+def _reference_product(a: Cyclotomic, b: Cyclotomic) -> tuple[tuple[int, ...], int]:
+    """(num, den) of a b the slow way: _naive_times, then the gcd of the
+    denominator with every coordinate divided out."""
+    num, den = _naive_times(a.m, a.num, b.num), a.den * b.den
     g = gcd(den, *num)
     return tuple(x // g for x in num), den // g
 
@@ -184,6 +192,41 @@ def test_product_matches_the_reference(pair):
     assert got.den > 0
     assert gcd(got.den, *got.num) == 1
     assert b * a == got
+
+
+# orders on both sides of PRODUCT_KERNEL_CUTOFF (phi = 32 at 64, 48 at 105);
+# Phi_105 has a coefficient -2, and 257 and 512 reach FIELD_DEGREE_CAP
+_KERNEL_ORDERS = [1, 2, 3, 4, 12, 60, 64, 105, 128, 257, 512]
+
+
+def _coordinates(deg: int):
+    """A coordinate vector of length deg: zero, a monomial, or dense."""
+    return st.one_of(
+        st.just((0,) * deg),
+        st.builds(lambda k, c: tuple(c if i == k else 0 for i in range(deg)),
+                  st.integers(0, deg - 1), st.integers(-10 ** 20, 10 ** 20).filter(bool)),
+        st.lists(st.integers(-10 ** 20, 10 ** 20), min_size=deg, max_size=deg).map(tuple))
+
+
+@pytest.mark.parametrize("m", _KERNEL_ORDERS)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_coordinate_kernels_match_the_plain_code(m, data):
+    # each kernel of the order against the plain code: the naive product
+    # reduced mod Phi_m, and the list comprehensions the linear kernels
+    # replaced, on drawn operands and on a zero, a monomial and a dense one;
+    # the product is unrolled up to the cutoff only
+    ctx = _context(m)
+    deg = len(cyclotomic_polynomial(m)) - 1
+    assert isinstance(ctx.times, partial) == (deg > PRODUCT_KERNEL_CUTOFF)
+    kinds = [(0,) * deg, (0,) * (deg - 1) + (-7,), tuple(range(1, deg + 1))]
+    x, y = data.draw(_coordinates(deg)), data.draw(_coordinates(deg))
+    c, s, t = data.draw(st.tuples(*[st.integers(-10 ** 12, 10 ** 12)] * 3))
+    for a, b in [(x, y)] + [(k, y) for k in kinds] + [(x, k) for k in kinds]:
+        assert list(ctx.times(a, b)) == _naive_times(m, a, b)
+        assert ctx.scale(c, a) == tuple([c * u for u in a])
+        assert ctx.add(a, b) == tuple([u + v for u, v in zip(a, b)])
+        assert ctx.rescaled_add(a, s, b, t) == tuple([u * s + v * t for u, v in zip(a, b)])
 
 
 @settings(max_examples=60, deadline=None)

@@ -365,10 +365,45 @@ def test_class_memo_values_match_a_fresh_evaluator(make, t):
         # some member of a class read another member's expansion
         assert len(ev._class_vecs) < sum(len(group.classes[group.class_of[key]]) > 1
                                          for key, _ in ev._vecs)
-    factors = [c for _, c in algebra._moved_letters.values()]
+    factors = [c for _, c, _ in algebra._moved_letters.values()]
     if group.exponent == 10:
         assert any(not c.is_rational() for c in factors)
     assert any(c != Cyclotomic.one(algebra.m) for c in factors)
+
+
+@pytest.mark.parametrize("make", [lambda: dihedral(5), lambda: doubled_coxeter("B", 2)],
+                         ids=["dihedral5", "doubled-B2"])
+def test_evaluation_takes_no_inverse_once_the_charts_are_built(make, monkeypatch):
+    # once the charts hold their factors and the moved letters are memoized,
+    # a fresh evaluator reads degree-4 words, class-memo misses included, with
+    # no Cyclotomic.inverse: a miss is stored times the letters' inverse
+    # scalars that Algebra.moved_letter returns
+    algebra = Algebra(make())
+    group = algebra.group
+    rng = random.Random(7)
+    words = [tuple(rng.randrange(group.dim) for _ in range(4)) for _ in range(6)]
+    fns = [solve_glc(algebra, kappa, verify=False) for kappa in (1, -1)]
+
+    def evaluate_all(fn):
+        ev = _Evaluator(fn, "first", "first")
+        for key in group.elements:
+            for word in words:
+                ev.vectors(key, word)
+        return ev
+
+    for fn in fns:
+        evaluate_all(fn)
+    calls = []
+    real = Cyclotomic.inverse
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Cyclotomic, "inverse", counting)
+    misses = sum(len(evaluate_all(fn)._class_vecs) for fn in fns)
+    assert misses and calls == []
+    assert any(c != Cyclotomic.one(algebra.m) for _, c, _ in algebra._moved_letters.values())
 
 
 def test_abelian_groups_build_no_class_key(z3):
