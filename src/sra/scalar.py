@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
 from numbers import Number
@@ -46,11 +46,21 @@ RATIONAL_EXPONENT_CAP = 999  # largest decimal exponent of a rational read from 
 ETA_DEGREE_CAP = 2 ** 30  # largest total eta degree of a product
 
 # the largest phi(m) whose product has an unrolled kernel (_CycContext.times);
-# above it the loop _times runs.  Unrolled code grows as phi(m)^2: unrolled at
-# every degree, counts on cyclic 257 (phi = 256) peaked at 299 MB in place of
-# the loop's 19 MB on a 2-core x86-64 host, while a kernel at phi = 32 took
-# 6 ms to generate, with a 2.5 MB peak while it compiled
-PRODUCT_KERNEL_CUTOFF = 32
+# above it the loop _times runs.  The kernel takes 0.4-0.6 of the loop's time
+# per product at every phi from 2 to 80, but its one-time generation grows as
+# phi(m)^2, so the cutoff bounds what a run of few products pays for it.
+# Measured one-shot against the loop, CPython 3.11 on a 2-core x86-64 host,
+# medians of 9 runs:
+#   phi = 16, the 2I Gram fill's Q(zeta_60): eval on cyclic 17, 30,649
+#     products, 1.45 -> 0.99 s; counts, glc and gram on cyclic 60 and 17,
+#     137-786 products, within 7 ms and +0.8-1.1 MB peak RSS (20 MB runs)
+#   phi = 18-32: counts, glc and gram on cyclic 19, 35, 51 and 64, 118-691
+#     products, +1.7-4.4 MB peak RSS (+7-22 %) and up to +16 ms; eval on
+#     cyclic 51 and 64, 12k-18k products, 13-20 % faster
+#   phi = 256, unrolled: counts on cyclic 257 peaked at 299 MB, not 19 MB
+# 16 is the largest phi whose kernel keeps such a light run within about
+# 1 MB of the loop's peak.
+PRODUCT_KERNEL_CUTOFF = 16
 
 
 class CapExceededError(ValueError):
@@ -193,8 +203,30 @@ class _CycContext:
         on the order's first product of two non-rational values, and the
         loop _times above it."""
         if self.deg > PRODUCT_KERNEL_CUTOFF:
-            return partial(_times, self)
+            return self._times
         return _product_kernel(self.deg, self.top)
+
+    def _times(self, x, y) -> list[int]:
+        """Integer coordinates of x y for two coordinate vectors, above
+        PRODUCT_KERNEL_CUTOFF: their polynomial product, each coefficient of
+        x^j with j >= phi(m) folded down from the top by x^phi(m) = sum_k t_k
+        x^k mod Phi_m."""
+        deg = self.deg
+        num = [0] * (2 * deg - 1)
+        i = 0
+        for a in x:
+            if a:
+                j = i
+                for b in y:
+                    num[j] += a * b
+                    j += 1
+            i += 1
+        for j in range(2 * deg - 2, deg - 1, -1):
+            c = num.pop()
+            if c:
+                for k, t in self.top:
+                    num[j - deg + k] += c * t
+        return num
 
 
 @lru_cache(maxsize=None)
@@ -283,29 +315,6 @@ def _normalize(num: list[int] | tuple[int, ...], den: int):
         num = [c // g for c in num]
         den //= g
     return tuple(num), den
-
-
-def _times(ctx: _CycContext, x, y) -> list[int]:
-    """Integer coordinates of x y for two coordinate vectors of Q(zeta_m),
-    above PRODUCT_KERNEL_CUTOFF: their polynomial product, each coefficient
-    of x^j with j >= phi(m) folded down from the top by x^phi(m) = sum_k t_k
-    x^k mod Phi_m."""
-    deg = ctx.deg
-    num = [0] * (2 * deg - 1)
-    i = 0
-    for a in x:
-        if a:
-            j = i
-            for b in y:
-                num[j] += a * b
-                j += 1
-        i += 1
-    for j in range(2 * deg - 2, deg - 1, -1):
-        c = num.pop()
-        if c:
-            for k, t in ctx.top:
-                num[j - deg + k] += c * t
-    return num
 
 
 class Cyclotomic:

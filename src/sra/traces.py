@@ -360,11 +360,6 @@ def _scaled(val: dict, c: Cyclotomic) -> dict:
     return {key: k * c for key, k in val.items()}
 
 
-def _product(factors: list, one: Cyclotomic) -> Cyclotomic:
-    """The product of a list of Cyclotomics, `one` for an empty list."""
-    return prod(factors[1:], start=factors[0]) if factors else one
-
-
 def _prefix_product(products: dict, cols, w) -> Cyclotomic:
     """The product of the coordinates cols[j][w[j]] along the prefix w,
     memoized per prefix in `products`, which holds every prefix of length 1:
@@ -456,21 +451,20 @@ class _Evaluator:
             h_inv = self._conjugator_inv[g_key] = _checked_conjugator(group, self.kappa,
                                                                       g_key)[1]
         one = Cyclotomic.one(self.alg.m)
-        ids, factors, inverses = [], [], []
+        ids, scalars = [], []
         for letter in word:
             moved, c, c_inv = self.alg.moved_letter(h_inv, letter)
             ids.append(moved)
             if c is not one:
-                factors.append(c)
-                inverses.append(c_inv)
+                scalars.append((c, c_inv))
         key = (group.class_rep[ci], tuple(ids))
         base = self._class_vecs.get(key)
         if base is None:
             got = self._expand(g_key, word)
-            inv = _product(inverses, one)
+            inv = prod((c_inv for _, c_inv in scalars), start=one)
             self._class_vecs[key] = got if inv == one else _scaled(got, inv)
             return got
-        factor = _product(factors, one)
+        factor = prod((c for c, _ in scalars), start=one)
         return base if factor == one else _scaled(base, factor)
 
     def _expand(self, g_key, word: tuple[int, ...]) -> dict:

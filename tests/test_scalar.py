@@ -2,7 +2,6 @@ import operator
 import random
 import time
 from fractions import Fraction
-from functools import partial
 from math import gcd
 
 import pytest
@@ -194,9 +193,9 @@ def test_product_matches_the_reference(pair):
     assert b * a == got
 
 
-# orders on both sides of PRODUCT_KERNEL_CUTOFF (phi = 32 at 64, 48 at 105);
+# orders on both sides of PRODUCT_KERNEL_CUTOFF (phi = 16 at 60, 18 at 27);
 # Phi_105 has a coefficient -2, and 257 and 512 reach FIELD_DEGREE_CAP
-_KERNEL_ORDERS = [1, 2, 3, 4, 12, 60, 64, 105, 128, 257, 512]
+_KERNEL_ORDERS = [1, 2, 3, 4, 12, 27, 60, 64, 105, 128, 257, 512]
 
 
 def _coordinates(deg: int):
@@ -218,7 +217,7 @@ def test_coordinate_kernels_match_the_plain_code(m, data):
     # the product is unrolled up to the cutoff only
     ctx = _context(m)
     deg = len(cyclotomic_polynomial(m)) - 1
-    assert isinstance(ctx.times, partial) == (deg > PRODUCT_KERNEL_CUTOFF)
+    assert (ctx.times == ctx._times) == (deg > PRODUCT_KERNEL_CUTOFF)
     kinds = [(0,) * deg, (0,) * (deg - 1) + (-7,), tuple(range(1, deg + 1))]
     x, y = data.draw(_coordinates(deg)), data.draw(_coordinates(deg))
     c, s, t = data.draw(st.tuples(*[st.integers(-10 ** 12, 10 ** 12)] * 3))
