@@ -467,7 +467,8 @@ class Cyclotomic:
         With self = a(zeta) / den, the extended Euclidean algorithm over Q
         on Phi_m and a gives b with a b = 1 mod Phi_m (Phi_m is irreducible
         and a is nonzero of lower degree), in O(phi(m)^2) operations; the
-        inverse is den b(zeta).
+        inverse is den b(zeta).  b has degree < phi(m), so its coordinates,
+        padded to phi(m), need no fold mod Phi_m, only the gcd with d.
         """
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
@@ -475,7 +476,12 @@ class Cyclotomic:
         if self.is_rational():
             return Cyclotomic.from_rational(1 / self.as_rational(), m)
         b, d = _inverse_mod(self.num, cyclotomic_polynomial(m))
-        out = Cyclotomic(m, [self.den * x for x in b], d)
+        deg = len(self.num)
+        if len(b) > deg:
+            raise ArithmeticError(f"cyclotomic inverse of {self!r}: cofactor of degree "
+                                  f"{len(b) - 1} >= phi({m}) = {deg}")
+        num, den = _normalize([self.den * x for x in b] + [0] * (deg - len(b)), d)
+        out = Cyclotomic(m, num, den, _canonical=True)
         if self * out != Cyclotomic.one(m):
             raise ArithmeticError(f"cyclotomic inverse of {self!r} failed its check")
         return out

@@ -43,9 +43,12 @@ verify_glc and the evaluator alike, adds each product into a flat map of
 partial sums through `add_product`, integer numerators over one denominator
 per key, and `settle` settles it.
 
-gram() takes the determinant of each block of the Gram matrix by the Bareiss
-over Z[zeta_m][eta] on rows cleared of denominators, and divides by the
-row scalings at the end.
+gram() fills the Gram matrix at one free-parameter assignment, substituted
+into the class table first, and reads each entry sp(f_i f_j) as one word of
+the evaluator, the letters of f_j moved past the group element of f_i, with
+no product in the algebra.  It takes the determinant of each block by the
+Bareiss over Z[zeta_m][eta] on rows cleared of denominators, and divides by
+the row scalings at the end.
 """
 
 from __future__ import annotations
@@ -788,11 +791,21 @@ class GramReport:
             "degree": self.degree,
             "assignment": [str(a) for a in self.assignment],
             "basis": [{"exponent": list(e), "class": f"C{ci}"} for e, ci in self.basis],
-            "matrix": [[_eta_poly_json(x) for x in row] for row in self.matrix],
+            "matrix": self._rendered_matrix(),
             "determinant": None if self.determinant is None else _eta_poly_json(self.determinant),
             "rational_roots": None if self.rational_roots is None
             else [str(r) for r in self.rational_roots],
         }
+
+    def _rendered_matrix(self) -> list:
+        """The matrix for JSON: an entry that gram mirrors (matrix[j][i] is
+        matrix[i][j]) is rendered once and the rendering shared."""
+        rows = [[None] * len(row) for row in self.matrix]
+        for i, row in enumerate(self.matrix):
+            for j, x in enumerate(row):
+                rows[i][j] = (rows[j][i] if j < i and x is self.matrix[j][i]
+                              else _eta_poly_json(x))
+        return rows
 
 
 def monomials_of_degree(n: int, d: int) -> list[tuple[int, ...]]:
@@ -840,10 +853,19 @@ def gram(functional: TraceFunctional, degree: int,
     monomial: on Z_2, exponent (1, 1) is a2*a1 = a1*a2 - 1 - eta0*g0.
 
     The basis is even, so B is symmetric by cyclicity and only i <= j is
-    evaluated.  The determinant is taken after substituting the
-    free-parameter assignment (default: first parameter 1, the rest 0), as
-    the product of one fraction-free determinant per connected block of the
-    nonzero pattern, each on rows cleared of denominators (_block_det).
+    evaluated, at the free-parameter assignment (default: first parameter 1,
+    the rest 0), with no product in the algebra:
+    - the assignment is substituted first, once per class, into a
+      functional whose class values sum_i a_i value_i carry one parameter
+      (_at_assignment), and one evaluator reads every entry over it;
+    - with f = x_L g, L the descending letter list, g x_l = g(x_l) g gives
+      sp(f_i f_j) = c sp(x_(L_i) u_ids g_i g_j): each letter of L_j moved by
+      g_i is interned up to a scalar (Algebra.moved_letter), and c is the
+      product of those scalars, so an entry is c times the evaluator's
+      vectors(g_i g_j, L_i + ids).
+    The determinant is the product of one fraction-free determinant per
+    connected block of the nonzero pattern, each on rows cleared of
+    denominators (_block_det).
     Rational roots are reported in the univariate case when the determinant
     is nonzero with rational coefficients; they are the union of the
     blocks' rational roots.
@@ -859,14 +881,21 @@ def gram(functional: TraceFunctional, degree: int,
     if len(assignment) != functional.nparams:
         raise ValueError("free-parameter assignment arity mismatch")
     basis = [(e, ci) for e in monos for ci in range(len(group.classes))]
-    elements = [algebra.word(_letters(e)[::-1], group.class_rep[ci]) for e, ci in basis]
+    words = [tuple(_letters(e)[::-1]) for e, _ in basis]
+    reps = [group.class_rep[ci] for _, ci in basis]
     nvars, m = group.n_eta, group.exponent
-    n = len(elements)
+    unit = Cyclotomic.one(m)
+    ev = _Evaluator(_at_assignment(functional, assignment), "first", "first")
+    n = len(basis)
     mat = [[None] * n for _ in range(n)]
-    for i, fa in enumerate(elements):
+    for i, (word, g) in enumerate(zip(words, reps)):
         for j in range(i, n):
-            val = functional.evaluate(fa * elements[j])
-            mat[i][j] = mat[j][i] = val.substitute(assignment, m)
+            moved = [algebra.moved_letter(g, letter) for letter in words[j]]
+            c = prod((k for _, k, _ in moved), start=unit)
+            val = ev.vectors(group.mul(g, reps[j]), word + tuple(u for u, _, _ in moved))
+            if c != unit:
+                val = _scaled(val, c)
+            mat[i][j] = mat[j][i] = EtaPolynomial(nvars, m, {e: k for (_, e), k in val.items()})
     determinant = roots = None
     if compute_determinant:
         one = EtaPolynomial.constant(1, nvars, m)
@@ -880,6 +909,20 @@ def gram(functional: TraceFunctional, degree: int,
             roots = sorted(set().union(*(f.rational_roots() for f in factors)))
     return GramReport(group.name, functional.kappa, m, degree, assignment,
                       basis, mat, determinant, roots)
+
+
+def _at_assignment(functional: TraceFunctional, assignment: list[Fraction]) -> TraceFunctional:
+    """The functional at one assignment of its free parameters, as a
+    functional whose class values carry one parameter P0 (none when it has
+    no free parameter): sum_i a_i value_i, one TraceValue.substitute per
+    class.  Its free class is a label only, the first one's."""
+    free = functional.free_classes[:1]
+    m = functional.algebra.m
+    table = {ci: TraceValue(len(free), value.nvars,
+                            {(0, e): c for e, c in value.substitute(assignment, m).terms.items()})
+             for ci, value in functional.table.items()}
+    return TraceFunctional(functional.algebra, functional.kappa, free, table,
+                           functional.e_of_class)
 
 
 def _block_det(rows, one: EtaPolynomial) -> EtaPolynomial:

@@ -121,6 +121,17 @@ def test_inverse_of_random_elements(m):
         assert inv.inverse() == x
 
 
+def test_inverse_refuses_a_cofactor_of_degree_phi(monkeypatch):
+    # the inverse is built from the cofactor as canonical coordinates, with no
+    # fold mod Phi_m, so a cofactor of degree >= phi(m) must raise, not fold
+    import sra.scalar
+
+    x = Cyclotomic.root_of_unity(5, 1)
+    monkeypatch.setattr(sra.scalar, "_inverse_mod", lambda a, modulus: ([0, 0, 0, 0, 1], 1))
+    with pytest.raises(ArithmeticError, match="cofactor of degree 4"):
+        x.inverse()
+
+
 def test_embed():
     z3 = Cyclotomic.root_of_unity(3)
     z12 = Cyclotomic.root_of_unity(12)

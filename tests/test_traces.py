@@ -617,6 +617,58 @@ def test_gram_symmetry(z2):
                 assert report.matrix[i][j] == direct.substitute(report.assignment, z2.m)
 
 
+@pytest.fixture(scope="module")
+def d5():
+    return Algebra(dihedral(5))
+
+
+@pytest.mark.parametrize("kappa", [1, -1])
+@pytest.mark.parametrize("alg_name,degree", [
+    ("z2", 2), ("a2", 2), ("z4", 2), ("b2", 2), ("d5", 0),
+], ids=["z2_d2", "s3_d2", "z4_d2", "b2_d2", "d5_d0"])
+def test_gram_matches_the_product_route(alg_name, degree, kappa, request):
+    # a second route for every entry, both halves: the product f_i f_j
+    # normal-ordered in the algebra, evaluated over all free parameters, and
+    # only then substituted; the assignment is a random non-unit one, so that
+    # the specialized class values mix several parameters
+    alg = request.getfixturevalue(alg_name)
+    fn = solve_glc(alg, kappa)
+    rng = random.Random(f"{alg_name} {kappa}")
+    # no numerator is divisible by a denominator, so no value is 0 or +-1
+    assignment = [Fraction(rng.choice([-3, -2, 2, 3, 5]), rng.choice([1, 4, 7]))
+                  for _ in range(fn.nparams)]
+    report = gram(fn, degree, assignment=assignment, compute_determinant=False)
+    elements = [alg.word(_letters(e)[::-1], alg.group.class_rep[ci]) for e, ci in report.basis]
+    for i, fa in enumerate(elements):
+        for j, fb in enumerate(elements):
+            assert report.matrix[i][j] == fn.evaluate(fa * fb).substitute(assignment, alg.m)
+
+
+def test_gram_fill_takes_no_product_and_substitutes_once_per_class(a2, monkeypatch):
+    # the fill reads evaluator words: no algebra product, no Algebra.word,
+    # and the assignment substituted once per class, not once per entry
+    fn = solve_glc(a2, -1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gram formed an algebra product")
+
+    calls = []
+    substitute = TraceValue.substitute
+
+    def counting(self, assignment, m):
+        calls.append(self)
+        return substitute(self, assignment, m)
+
+    monkeypatch.setattr(sra.algebra.AlgebraElement, "__mul__", refuse)
+    monkeypatch.setattr(Algebra, "word", refuse)
+    monkeypatch.setattr(TraceValue, "substitute", counting)
+    report = gram(fn, 2, compute_determinant=False)
+    monkeypatch.undo()
+    assert len(report.basis) == 33
+    assert len(calls) == len(a2.group.classes)
+    assert sorted(map(id, calls)) == sorted(map(id, fn.table.values()))
+
+
 @pytest.mark.parametrize("alg_name,kappas,degree,roots", [
     ("a2", (-1,), 2, (Fraction(-4, 3), 0, Fraction(4, 3))),
     ("z2", (1, -1), 6, (-7, -5, -3, -1, 1, 3, 5, 7)),
