@@ -150,7 +150,7 @@ class Frame:
             # x_j x_k = x_k x_j + t omega_jk + sum_R eta_R omega_R(x_j, x_k) R
             rest = _shift(exp, k, -1)
             partial: dict = {}
-            self.times(partial, self.transform(ident)[k], self.letter_times(j, rest))
+            self.times(partial, ((k, self.one),), self.letter_times(j, rest))
             pair = (self.n - 1 - j, self.n - 1 - k)
             add_product(partial, (rest, ident, alg.eta_zero), self.scalar[pair[0]][pair[1]],
                         self.one)
@@ -200,9 +200,8 @@ class EigenbasisChart:
     (Algebra.intern).  `coords(letter)` gives the chart coordinates of any
     interned letter, and `coords_by_exponent` the same grouped by e_I.  The
     chart is shared by every evaluator of the algebra, and it memoizes the
-    letters moved by a group element h as ids (`moved`), the regular-step
-    factors of a letter (`regular_factors`) and the inverse scalar of a
-    Darboux pair (`pair_inverse`)."""
+    regular-step factors of a letter (`regular_factors`) and the inverse
+    scalar of a Darboux pair (`pair_inverse`)."""
 
     def __init__(self, algebra: "Algebra", g_key):
         self.algebra = algebra
@@ -221,7 +220,6 @@ class EigenbasisChart:
         self.scalar, self.refl = relation_table(algebra, self.vectors)
         self._coords: dict = {}
         self._by_exponent: dict = {}
-        self._moved: dict = {}
         self._factors: dict = {}
         self._pair_inverses: dict = {}
         self.kappa_pairs = {}
@@ -250,16 +248,6 @@ class EigenbasisChart:
             got = self._by_exponent[letter] = {}
             for big_i, c in self.coords(letter):
                 got.setdefault(self.exponents[big_i], []).append((big_i, c))
-        return got
-
-    def moved(self, h_key):
-        """The ids of the letters moved by the group element h, (h(b_0),
-        h(b_1), ...), memoized per h."""
-        got = self._moved.get(h_key)
-        if got is None:
-            hmat = self.group.elements[h_key].matrix
-            got = self._moved[h_key] = tuple(self.algebra.intern(hmat.matvec(v))
-                                             for v in self.vectors)
         return got
 
     def regular_factors(self, kappa: int, L: int):
@@ -337,7 +325,8 @@ class Algebra:
         the shared one of the order when h(v) starts with 1.  Memoized per (h,
         letter id).  Letters that differ by a scalar share one id this way, so
         the evaluator's class memo keys on the moved words up to their
-        factors."""
+        factors.  Every letter id the evaluator moves goes through it: the
+        class memo, the reflection terms and the Gram fill."""
         got = self._moved_letters.get((h_key, letter))
         if got is None:
             vector = self.group.elements[h_key].matrix.matvec(self.letter_vectors[letter])

@@ -37,11 +37,13 @@ is a tuple of small ints and every memo key is (group key, tuple of ints).
 A trace value has one representation, the settled flat map {(P index, packed
 eta exponent): Cyclotomic} (sra.scalar packs an exponent into one int, so a
 shift by eta^h is an integer add): every key normalized with one gcd, the keys
-that cancelled dropped.  A TraceValue, each class of the GLC table and each memo
-entry of the evaluator hold one.  Every sum of c sp(...) terms, in solve_glc,
-verify_glc and the evaluator alike, adds each product into a flat map of
-partial sums through `add_product`, integer numerators over one denominator
-per key, and `settle` settles it.
+that cancelled dropped.  A TraceValue, each class of the GLC table and each
+eigen-word memo entry of the evaluator hold one; a word memo entry is a pair
+(map, c), c times a map held once and shared, and its caller folds c into the
+scalar it applies.  Every sum of c sp(...) terms, in solve_glc, verify_glc and
+the evaluator alike, adds each product into a flat map of partial sums through
+`add_product`, integer numerators over one denominator per key, and `settle`
+settles it.
 
 gram() fills the Gram matrix at one free-parameter assignment, substituted
 into the class table first, and reads each entry sp(f_i f_j) as one word of
@@ -384,10 +386,10 @@ class _Evaluator:
 
     Words are tuples of letter ids (Algebra.intern); a bword word is a tuple
     of eigen-indices I of the chart of its group element.  The steps add
-    their terms into flat maps of partial sums (see _add_scaled), and bword
-    and vectors memoize each map settled: bword per (g, eigen-word), vectors
-    per (g, word) and, behind that, per (class representative, moved word)
-    (_class_vectors)."""
+    their terms into flat maps of partial sums (see _add_scaled); bword
+    memoizes each map settled per (g, eigen-word), and vectors a pair (map,
+    c) per (g, word) and, behind that, per (class representative, moved word)
+    (_class_vectors), each map held once and shared by reference."""
 
     def __init__(self, functional: TraceFunctional, regular_strategy: str,
                  pair_strategy: str):
@@ -401,6 +403,7 @@ class _Evaluator:
         self.kappa = functional.kappa
         self.regular_strategy = regular_strategy
         self.pair_strategy = pair_strategy
+        self.one = Cyclotomic.one(self.alg.m)
         self._bword: dict = {}
         self._vecs: dict = {}
         self._class_vecs: dict = {}
@@ -414,46 +417,48 @@ class _Evaluator:
         self.alg.check_same(f.algebra)
         flat: dict = {}
         for (exp, gk, h), c in f.terms.items():
-            _add_shifted(flat, self.vectors(gk, _letters(exp)), h, c)
+            val, k = self.vectors(gk, _letters(exp))
+            _add_shifted(flat, val, h, c if k is self.one else c * k)
         return TraceValue(self.fn.nparams, self.alg.nvars, settle(flat, self.alg.m))
 
-    def vectors(self, g_key, word: tuple[int, ...]) -> dict:
-        """Trace of a word of letter ids times g, as a settled flat map,
-        memoized per (g, word).  A miss is read from the class memo
-        (_class_vectors), or expanded on g's own chart (_expand)."""
+    def vectors(self, g_key, word: tuple[int, ...]) -> tuple:
+        """Trace of a word of letter ids times g as a pair (map, c): c times
+        a settled flat map that a memo holds, shared, not copied.  Memoized
+        per (g, word); a miss is read from the class memo (_class_vectors)."""
         if len(word) % 2 == 1:
-            return {}                    # every nonzero kappa-trace is even
+            return {}, self.one          # every nonzero kappa-trace is even
         if not word:
-            return self.bword(g_key, ())
+            return self.bword(g_key, ()), self.one
         got = self._vecs.get((g_key, word))
         if got is None:
             got = self._vecs[(g_key, word)] = self._class_vectors(g_key, word)
         return got
 
-    def _class_vectors(self, g_key, word: tuple[int, ...]) -> dict:
+    def _class_vectors(self, g_key, word: tuple[int, ...]) -> tuple:
         """vectors(g, word) through the memo keyed by g's class.
 
         A kappa-trace is a class function: for g = h rep h^-1, sp(x_w g) =
         sp(h^-1(x_w) rep).  Each letter moved by h^-1 is interned up to a
         scalar (Algebra.moved_letter), so the word moves to (rep, ids) with
         a factor c, the product of the letters' scalars, and sp(x_w g) = c
-        sp(u_ids rep).  The memo holds the value at (rep, ids): a hit is
-        scaled by c, and a miss is expanded on g's own chart, as if there
-        were no class memo, and stored times 1 / c, the product of the
-        letters' inverse scalars, so no inverse is taken here.  (Expanding
-        the moved word on the representative's chart instead measured slower:
-        its expansions take more steps than the elements' own.)  The conjugator
-        is checked once per element (_checked_conjugator).  A one-element
-        class builds no class key."""
+        sp(u_ids rep).  The memo holds the pair at (rep, ids): a miss is
+        expanded on g's own chart, as if there were no class memo, returned
+        times 1 and stored times 1 / c, the product of the letters' inverse
+        scalars, so no inverse is taken here; a hit returns the stored map,
+        with the stored scalar times c.  (Expanding the moved word on the
+        representative's chart instead measured slower: its expansions take
+        more steps than the elements' own.)  The conjugator is checked once
+        per element (_checked_conjugator).  A one-element class builds no
+        class key."""
         group = self.group
+        one = self.one
         ci = group.class_of[g_key]
         if len(group.classes[ci]) == 1:
-            return self._expand(g_key, word)
+            return self._expand(g_key, word), one
         h_inv = self._conjugator_inv.get(g_key)
         if h_inv is None:
             h_inv = self._conjugator_inv[g_key] = _checked_conjugator(group, self.kappa,
                                                                       g_key)[1]
-        one = Cyclotomic.one(self.alg.m)
         ids, scalars = [], []
         for letter in word:
             moved, c, c_inv = self.alg.moved_letter(h_inv, letter)
@@ -464,11 +469,9 @@ class _Evaluator:
         base = self._class_vecs.get(key)
         if base is None:
             got = self._expand(g_key, word)
-            inv = prod((c_inv for _, c_inv in scalars), start=one)
-            self._class_vecs[key] = got if inv == one else _scaled(got, inv)
-            return got
-        factor = prod((c for c, _ in scalars), start=one)
-        return base if factor == one else _scaled(base, factor)
+            self._class_vecs[key] = got, prod((c_inv for _, c_inv in scalars), start=one)
+            return got, one
+        return base[0], prod((c for c, _ in scalars), start=base[1])
 
     def _expand(self, g_key, word: tuple[int, ...]) -> dict:
         """Trace of a word of letter ids times g: the word is expanded in the
@@ -554,19 +557,26 @@ class _Evaluator:
         pushed through the suffix onto g; each contributing R g drops E by
         one.  The chart's table holds x < y, so for x > y its (y, x) entries
         are negated.  The prefix keeps g's eigenletters and the suffix letters
-        are moved by R, all as letter ids."""
+        are moved by R (Algebra.moved_letter), all as letter ids, with the
+        moved letters' scalars folded into the entry's coefficient."""
         chart = self.alg.chart(g_key)
         entries = chart.refl.get((x, y) if x < y else (y, x))
         if not entries:
             return
         ids = chart.letter_ids
-        head = tuple([ids[p] for p in prefix])
+        head = [ids[p] for p in prefix]
+        move, one = self.alg.moved_letter, self.one
         for rkey, h, c in entries:
-            moved = chart.moved(rkey)
-            val = self.vectors(self.group.mul(rkey, g_key),
-                               head + tuple([moved[s] for s in suffix]))
+            word, scalars = head[:], []
+            for s in suffix:
+                u, cs, _ = move(rkey, ids[s])
+                word.append(u)
+                if cs is not one:
+                    scalars.append(cs)
+            val, k = self.vectors(self.group.mul(rkey, g_key), tuple(word))
             if val:
-                _add_shifted(flat, val, h, c if x < y else -c)
+                c = prod(scalars, start=c if x < y else -c)
+                _add_shifted(flat, val, h, c if k is one else c * k)
 
     def _special_step(self, g_key, word) -> dict:
         """All letters lie in Ker(g - kappa): reorder onto the chosen Darboux
@@ -891,8 +901,8 @@ def gram(functional: TraceFunctional, degree: int,
     for i, (word, g) in enumerate(zip(words, reps)):
         for j in range(i, n):
             moved = [algebra.moved_letter(g, letter) for letter in words[j]]
-            c = prod((k for _, k, _ in moved), start=unit)
-            val = ev.vectors(group.mul(g, reps[j]), word + tuple(u for u, _, _ in moved))
+            val, c = ev.vectors(group.mul(g, reps[j]), word + tuple(u for u, _, _ in moved))
+            c = prod((k for _, k, _ in moved), start=c)
             if c != unit:
                 val = _scaled(val, c)
             mat[i][j] = mat[j][i] = EtaPolynomial(nvars, m, {e: k for (_, e), k in val.items()})

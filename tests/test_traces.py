@@ -21,6 +21,7 @@ from sra.traces import (
     _conjugated_reflections,
     _product_classes,
     _random_definite,
+    _scaled,
     confluence_failures,
     cyclicity_failures,
     eta0_form,
@@ -164,7 +165,8 @@ def test_off_rule_eigen_words_vanish(alg_name, kappa, request):
     # eigen-word with lambda_(I1) ... lambda_(Ik) != 1 has trace zero; bword
     # reduces every word in full, so this checks the rule vectors prunes by.
     # The same word spelled in the chart's letter ids goes through vectors,
-    # which must give the bword value on the rule and zero off it
+    # whose pair (map, c) must give the bword value on the rule and the empty
+    # map off it
     alg = request.getfixturevalue(alg_name)
     ev = _Evaluator(solve_glc(alg, kappa), "first", "first")
     off_rule = 0
@@ -177,9 +179,10 @@ def test_off_rule_eigen_words_vanish(alg_name, kappa, request):
                 if sum(exps[i] for i in word) % alg.m:
                     off_rule += 1
                     assert ev.bword(g_key, word) == {}, (g_key, word)
-                    assert ev.vectors(g_key, ids) == {}, (g_key, word)
+                    assert ev.vectors(g_key, ids)[0] == {}, (g_key, word)
                 else:
-                    assert ev.vectors(g_key, ids) == ev.bword(g_key, word), (g_key, word)
+                    val, c = ev.vectors(g_key, ids)
+                    assert _scaled(val, c) == ev.bword(g_key, word), (g_key, word)
     assert off_rule > 0
 
 
@@ -221,13 +224,14 @@ def test_evaluate_matches_unpruned_expansion(alg_name, kappa, request):
 @pytest.mark.parametrize("kappa", [1, -1])
 def test_empty_word_value_is_the_class_table_map(b2, kappa):
     # a trace value has one representation: the evaluator reads sp(g) as the
-    # class table's own settled map, with no copy or conversion
+    # class table's own settled map, with no copy or conversion, times one
     fn = solve_glc(b2, kappa)
     ev = _Evaluator(fn, "first", "first")
     for g_key in b2.group.sorted_keys():
         table_map = fn.table[b2.group.class_of[g_key]].terms
         assert ev.bword(g_key, ()) is table_map
-        assert ev.vectors(g_key, ()) is table_map
+        val, c = ev.vectors(g_key, ())
+        assert val is table_map and c == Cyclotomic.one(b2.m)
 
 
 @pytest.mark.parametrize("kappa", [1, -1])
@@ -361,7 +365,8 @@ def test_class_memo_values_match_a_fresh_evaluator(make, t):
                 for key in keys:
                     eigen = tuple(algebra.chart(keys[0]).letter_ids[i] for i in word)
                     for w in (word, eigen):
-                        assert ev.vectors(key, w) == _Evaluator(fn, "first", "first").vectors(key, w)
+                        assert _scaled(*ev.vectors(key, w)) \
+                            == _scaled(*_Evaluator(fn, "first", "first").vectors(key, w))
         # some member of a class read another member's expansion
         assert len(ev._class_vecs) < sum(len(group.classes[group.class_of[key]]) > 1
                                          for key, _ in ev._vecs)
@@ -406,22 +411,49 @@ def test_evaluation_takes_no_inverse_once_the_charts_are_built(make, monkeypatch
     assert any(c != Cyclotomic.one(algebra.m) for _, c, _ in algebra._moved_letters.values())
 
 
+@pytest.mark.parametrize("make", [lambda: dihedral(5), lambda: doubled_coxeter("B", 2)],
+                         ids=["dihedral5", "doubled-B2"])
+def test_word_memo_shares_the_class_memo_maps(make):
+    # a class-memo hit hands on the stored map with a scalar, never a scaled
+    # copy: every (g, word) entry of a class of more than one element holds
+    # the very map that a class-memo entry holds, and some carry a scalar
+    # other than one
+    algebra = Algebra(make())
+    group = algebra.group
+    one = Cyclotomic.one(algebra.m)
+    rng = random.Random(11)
+    words = [tuple(rng.randrange(group.dim) for _ in range(4)) for _ in range(6)]
+    for kappa in (1, -1):
+        ev = _Evaluator(solve_glc(algebra, kappa, verify=False), "first", "first")
+        for key in group.elements:
+            for word in words:
+                ev.vectors(key, word)
+        stored = {id(val) for val, _ in ev._class_vecs.values()}
+        shared = [(val, c) for (key, _), (val, c) in ev._vecs.items()
+                  if len(group.classes[group.class_of[key]]) > 1]
+        assert shared and all(id(val) in stored for val, _ in shared)
+        assert any(val and c != one for val, c in shared)
+
+
 def test_abelian_groups_build_no_class_key(z3):
     # every class of Z_3 has one element: the evaluator expands on each
-    # element's chart, reads no conjugator and moves no letter
+    # element's chart and reads no conjugator; it moves letters only past the
+    # reflections of the commutators' reflection terms
     fn = solve_glc(z3, -1)
     ev = _Evaluator(fn, "first", "first")
     for key in z3.group.elements:
         for word in ((0, 1), (1, 0, 0, 1), (0, 1, 1, 0, 1, 0)):
             ev.vectors(key, word)
     assert len(ev._vecs) >= 9
-    assert not ev._class_vecs and not ev._conjugator_inv and not z3._moved_letters
+    assert not ev._class_vecs and not ev._conjugator_inv
+    assert all(h_key in z3.group.reflections for h_key, _ in z3._moved_letters)
 
 
 @pytest.mark.parametrize("alg_name", ["a2", "b2", "z3"])
 def test_evaluator_memos_are_keyed_by_letter_ids(alg_name, request):
-    # every word the evaluator memoizes is a tuple of letter ids, and the ids
-    # a chart hands out for h(b_0), h(b_1), ... are those vectors interned
+    # every word the evaluator memoizes is a tuple of letter ids, and the id
+    # and scalar Algebra.moved_letter hands out for h(v) give c u = h(v) for
+    # every chart letter v
     alg = request.getfixturevalue(alg_name)
     fn = solve_glc(alg, -1)
     ev = _Evaluator(fn, "first", "first")
@@ -438,8 +470,9 @@ def test_evaluator_memos_are_keyed_by_letter_ids(alg_name, request):
         chart = alg.chart(g_key)
         for h_key in keys:
             hmat = alg.group.elements[h_key].matrix
-            assert [alg.letter_vectors[i] for i in chart.moved(h_key)] \
-                == [hmat.matvec(v) for v in chart.vectors]
+            for letter, v in zip(chart.letter_ids, chart.vectors):
+                u, c, _ = alg.moved_letter(h_key, letter)
+                assert tuple(c * x for x in alg.letter_vectors[u]) == hmat.matvec(v)
 
 
 def test_evaluate_refuses_an_algebra_with_another_t(z2):
