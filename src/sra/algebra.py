@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalar import (POWER_CAP, CapExceededError, Cyclotomic, EtaPolynomial, add_maps,
-                     add_product, check_eta_degree, eta_degree, eta_unit, settle)
+from .scalar import (POWER_CAP, CapExceededError, Cyclotomic, EtaPolynomial, _context,
+                     add_maps, check_eta_degree, eta_degree, eta_unit, settle)
 from .linalg import Matrix, inverse, sparse_dot, support
 from .group import Group
 
@@ -152,11 +152,11 @@ class Frame:
             partial: dict = {}
             self.times(partial, ((k, self.one),), self.letter_times(j, rest))
             pair = (self.n - 1 - j, self.n - 1 - k)
-            add_product(partial, (rest, ident, alg.eta_zero), self.scalar[pair[0]][pair[1]],
-                        self.one)
+            add = _context(alg.m).add_product
+            add(partial, (rest, ident, alg.eta_zero), self.scalar[pair[0]][pair[1]], self.one)
             for rkey, h_r, val in self.refl.get(pair, ()):
                 for (e, r, h), c in self.conjugate(rkey, rest, self.zero_exp).items():
-                    add_product(partial, (e, group.mul(r, rkey), h + h_r), c, val)
+                    add(partial, (e, group.mul(r, rkey), h + h_r), c, val)
             got = settle(partial, alg.m)
         self._nf_cache[key] = got
         return got
@@ -164,11 +164,12 @@ class Frame:
     def times(self, partial: dict, col, terms: dict):
         """partial += NF((sum_i c_i x_i) * terms) for col = [(i, c_i)]."""
         group = self.algebra.group
+        add = _context(self.algebra.m).add_product
         for (e, r, h), c in terms.items():
             for i, ci in col:
                 cc = c * ci
                 for (e2, r2, h2), c2 in self.letter_times(i, e).items():
-                    add_product(partial, (e2, group.mul(r2, r), h2 + h), cc, c2)
+                    add(partial, (e2, group.mul(r2, r), h2 + h), cc, c2)
 
     def conjugate(self, h_key, exp: tuple[int, ...], tail: tuple[int, ...]):
         """NF(h x^exp h^-1 x^tail) = NF(h(x_(l1)) ... h(x_(lk)) x^tail)."""
@@ -196,9 +197,10 @@ class EigenbasisChart:
     is the normal shape;
     `kappa_letters` and `kappa_pairs` are those blocks and their Darboux
     pairs.  `scalar` and `refl` are the relation table of the b letters (see
-    relation_table), and `letter_ids` their ids in the algebra's letter table
-    (Algebra.intern).  `coords(letter)` gives the chart coordinates of any
-    interned letter, and `coords_by_exponent` the same grouped by e_I.  The
+    relation_table), `letter_ids` their ids in the algebra's letter table
+    (Algebra.intern), and `reflected[R]` is R g for each reflection R.
+    `coords(letter)` gives the chart coordinates of any interned letter,
+    and `coords_by_exponent` the same grouped by e_I.  The
     chart is shared by every evaluator of the algebra, and it memoizes the
     regular-step factors of a letter (`regular_factors`) and the inverse
     scalar of a Darboux pair (`pair_inverse`)."""
@@ -218,6 +220,8 @@ class EigenbasisChart:
         self.Minv = inverse(Matrix.from_rows([[vectors[I][i] for I in range(n)]
                                               for i in range(n)]))
         self.scalar, self.refl = relation_table(algebra, self.vectors)
+        # R g for every reflection R, the group element of R's terms
+        self.reflected = {rkey: group.mul(rkey, g_key) for rkey in group.reflections}
         self._coords: dict = {}
         self._by_exponent: dict = {}
         self._factors: dict = {}
@@ -450,6 +454,7 @@ class AlgebraElement:
         frame = alg.frame
         ident = group.identity_key()
         n = alg.nvars
+        add = _context(alg.m).add_product
         check_eta_degree(eta_degree(max((h for _, _, h in self.terms), default=0), n),
                          eta_degree(max((h for _, _, h in other.terms), default=0), n))
         out: dict = {}
@@ -465,7 +470,7 @@ class AlgebraElement:
                     rgh = group.mul(r, gh)
                     e123 = e12 + e3
                     for (exp, r2, e4), c3 in frame.conjugate(ident, alpha, gamma).items():
-                        add_product(out, (exp, group.mul(r2, rgh), e123 + e4), cg, c3)
+                        add(out, (exp, group.mul(r2, rgh), e123 + e4), cg, c3)
         return AlgebraElement(alg, settle(out, alg.m))
 
     def __pow__(self, k: int):

@@ -97,8 +97,10 @@ class Group:
     (None when -1 is not in the group), `generator_keys`, `classes`,
     `class_rep`, `class_of`, `conjugator`, `conjugator_inv` and
     `reflections` all give
-    indices.  rank(g - 1) is constant on a conjugacy class, so the
-    reflections are decided once per class.
+    indices.  g is a reflection iff Ker(g - 1) has dimension 2N - 2, which
+    is constant on a conjugacy class, so the reflections are decided once
+    per class, from the representative's eigenspace(rep, 0): the kernel
+    that kappa_counts and the ground level conditions read anyway.
     """
 
     def __init__(self, N, omega, elements, right, generator_keys, identity, minus_one,
@@ -117,15 +119,14 @@ class Group:
         self.classes, self.conjugator, self.conjugator_inv = self._conjugacy_classes()
         self.class_rep = [cls[0] for cls in self.classes]
         self.class_of = {k: i for i, cls in enumerate(self.classes) for k in cls}
-        one = Cyclotomic.one(exponent)
+        self._eigenspace: dict = {}
+        self._omega_r: dict = {}
         refl_classes = [ci for ci, rep in enumerate(self.class_rep)
-                        if rank(elements[rep].matrix.minus_scalar(one)) == 2]
+                        if len(self.eigenspace(rep, 0)) == self.dim - 2]
         self.reflections: list[int] = sorted(
             k for ci in refl_classes for k in self.classes[ci])
         self.eta_vars = {ci: vi for vi, ci in enumerate(refl_classes)}
         self.eta_assignment: dict[int, Fraction] | None = None  # optional, from files
-        self._eigenspace: dict = {}
-        self._omega_r: dict = {}
 
     # -- basic structure ----------------------------------------------------
 

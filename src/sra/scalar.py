@@ -9,12 +9,11 @@ representations coincide, which makes cyclotomics usable as dict keys and as
 deterministic sort keys.  A rational enters Q(zeta_m) one way, through
 Cyclotomic.from_rational: +, -, * and == take only a Cyclotomic of one order.
 
-The coordinate arithmetic of * and add_product runs through straight-line
-kernels of each order's context, compiled from source built from integers
-alone: scale, add and the lcm-rescaled add for every order, and the product
-folded mod Phi_m up to PRODUCT_KERNEL_CUTOFF, generated on the order's first
-product of two non-rational values; above the cutoff the product is the
-loop _times.
+* and add_product are each one call of a kernel of the order's context,
+compiled once per coordinate length from source built from integers alone:
+mul and add_product, which call the product folded mod Phi_m, unrolled up to
+PRODUCT_KERNEL_CUTOFF and generated on the order's first product of two
+non-rational values, and the loop _times above the cutoff.
 
 An eta exponent (e_0, ..., e_(n-1)) is one packed int (Monagan and Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -166,8 +165,8 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 class _CycContext:
     """Per-order tables: Phi_m, the canonical coordinates of every power
     zeta^k (x^k mod Phi_m for k < m), the one shared instance each of 0 and
-    1, and the coordinate kernels: scale, add and rescaled_add for every
-    order (_linear_kernels), and times, the product."""
+    1, and the coordinate kernels: mul and add_product (_order_kernels),
+    and times, the product they call."""
 
     def __init__(self, m: int):
         self.m = m
@@ -185,7 +184,7 @@ class _CycContext:
         self.powers = powers
         self.zero = Cyclotomic(m, (0,) * self.deg, 1, _canonical=True)
         self.one = Cyclotomic(m, powers[0], 1, _canonical=True)
-        self.scale, self.add, self.rescaled_add = _linear_kernels(self.deg)
+        self.mul, self.add_product = _order_kernels(self.deg)(self)
 
     def _times_x(self, vec: list[int]) -> list[int]:
         """Multiply a reduced coefficient vector by x, then reduce."""
@@ -236,11 +235,11 @@ def _context(m: int) -> _CycContext:
 
 # -- coordinate kernels --------------------------------------------------------
 #
-# Straight-line functions on coordinate tuples of one length, compiled from
-# source built from integers alone (the length and Phi_m's coefficients): at
-# phi(m) = 2, where most products of the evaluator fall, a list comprehension
-# or a loop costs more in Python overhead than its arithmetic.  Each does the
-# integer operations of the loop it replaces, and returns a tuple.
+# Functions on coordinate tuples of one length, compiled from source built
+# from integers alone (the length and Phi_m's coefficients): at phi(m) = 2,
+# where most products of the evaluator fall, a list comprehension, a loop or
+# a call of a helper costs more in Python overhead than its arithmetic, so up
+# to PRODUCT_KERNEL_CUTOFF they are straight-line code.
 
 
 def _names(prefix: str, n: int) -> str:
@@ -252,26 +251,125 @@ def _tuple_of(term: str, n: int) -> str:
     return "(" + "".join(term.format(i) + ", " for i in range(n)) + ")"
 
 
-def _compiled(source: str) -> dict:
-    """The functions defined by a generated source."""
-    scope: dict = {}
+def _compiled(source: str, **names) -> dict:
+    """The functions defined by a generated source, which reads the given
+    names as globals."""
+    scope = dict(names)
     exec(source, scope)
     return scope
 
 
 @lru_cache(maxsize=None)
-def _linear_kernels(deg: int):
-    """(scale, add, rescaled_add) on coordinate tuples of length deg, compiled
-    with one exec: scale(c, x) = c x, add(x, y) = x + y and
-    rescaled_add(x, s, y, t) = x s + y t."""
-    xs, ys = _names("x", deg), _names("y", deg)
-    got = _compiled(
-        f"def scale(c, x):\n    {xs}= x\n    return {_tuple_of('c * x{0}', deg)}\n"
-        f"def add(x, y):\n    {xs}= x\n    {ys}= y\n"
-        f"    return {_tuple_of('x{0} + y{0}', deg)}\n"
-        f"def rescaled_add(x, s, y, t):\n    {xs}= x\n    {ys}= y\n"
-        f"    return {_tuple_of('x{0} * s + y{0} * t', deg)}\n")
-    return got["scale"], got["add"], got["rescaled_add"]
+def _order_kernels(deg: int):
+    """bind(ctx) -> (mul, add_product) for the orders of length deg, compiled
+    with one exec: the whole of Cyclotomic.__mul__ past its order check and
+    of add_product, closures over the order's m and its product ctx.times.
+
+    Each unpacks both operands' coordinates, tests each for rationality,
+    scales by a rational operand and adds into a partial sum inline, and
+    calls ctx.times only when both operands are non-rational.  Up to
+    PRODUCT_KERNEL_CUTOFF every coordinate is a named local; above it, where
+    straight-line code would grow with phi(m) and the product is the loop
+    _times anyway, the same branches run as loops over the coordinate
+    tuples, so each length compiles a source of bounded size."""
+    # the source of: a vector v assigned from expr, the test that v is
+    # rational, v's first coordinate, v as arguments, and the tuple of a term
+    # over the vectors vs, whose {0} stands for the index
+    if deg <= PRODUCT_KERNEL_CUTOFF:
+        def unpack(v, expr):
+            return f"{_names(v, deg)}= {expr}"
+
+        def rational(v):
+            return f"not ({' or '.join(f'{v}{i}' for i in range(1, deg))})" if deg > 1 else "True"
+
+        def first(v):
+            return f"{v}0"
+
+        def spread(v):
+            return _names(v, deg)
+
+        def each(term, *vs):
+            return _tuple_of(term, deg)
+        product = "ctx.times(a.num, b.num)"
+    else:
+        def unpack(v, expr):
+            return f"{v} = {expr}"
+
+        def rational(v):
+            return f"not any({v}[1:])"
+
+        def first(v):
+            return f"{v}[0]"
+
+        def spread(v):
+            return f"*{v}"
+
+        def each(term, *vs):
+            items = vs[0] if len(vs) == 1 else f"zip({', '.join(vs)})"
+            return f"tuple([{term.format('_')} for {', '.join(v + '_' for v in vs)} in {items}])"
+        product = "tuple(ctx.times(a.num, b.num))"
+    source = f"""
+def bind(ctx):
+    m = ctx.m
+
+    def mul(a, b):
+        {unpack("x", "a.num")}
+        {unpack("y", "b.num")}
+        if {rational("y")}:
+            c = {first("y")}
+            if not c:
+                return b
+            if c == 1 and b.den == 1:
+                return a
+            num = {each("c * x{0}", "x")}
+        elif {rational("x")}:
+            c = {first("x")}
+            if not c:
+                return a
+            if c == 1 and a.den == 1:
+                return b
+            num = {each("c * y{0}", "y")}
+        else:
+            num = {product}
+        den = a.den * b.den
+        if den != 1:
+            {unpack("n", "num")}
+            g = gcd(den, {spread("n")})
+            if g != 1:
+                num = {each("n{0} // g", "n")}
+                den //= g
+        return Cyclotomic(m, num, den, True)
+
+    def add_product(partial, key, a, b):
+        {unpack("x", "a.num")}
+        {unpack("y", "b.num")}
+        if {rational("y")}:
+            c = {first("y")}
+            num = {each("c * x{0}", "x")}
+        elif {rational("x")}:
+            c = {first("x")}
+            num = {each("c * y{0}", "y")}
+        else:
+            num = ctx.times(a.num, b.num)
+        den = a.den * b.den
+        cur = partial.get(key)
+        if cur is None:
+            partial[key] = [num, den]
+            return
+        {unpack("n", "num")}
+        {unpack("s", "cur[0]")}
+        d = cur[1]
+        if d == den:
+            cur[0] = {each("s{0} + n{0}", "s", "n")}
+        else:
+            g = gcd(d, den)
+            u, v = den // g, d // g
+            cur[0] = {each("s{0} * u + n{0} * v", "s", "n")}
+            cur[1] = d * u
+
+    return mul, add_product
+"""
+    return _compiled(source, gcd=gcd, Cyclotomic=Cyclotomic)["bind"]
 
 
 def _product_kernel(deg: int, top):
@@ -431,35 +529,14 @@ class Cyclotomic:
         return self._add(other, -1)
 
     def __mul__(self, other):
-        """The product in one pass: the polynomial product of the coordinate
-        vectors folded mod Phi_m (the context's times), then the gcd of the
-        denominator with every coordinate divided out.  A rational operand
-        only scales the other one's coordinates (the context's scale)."""
+        """The product in one pass, the order's kernel mul: the polynomial
+        product of the coordinate vectors folded mod Phi_m (the context's
+        times), or a rational operand's scale of the other's coordinates,
+        then the gcd of the denominator with every coordinate divided out;
+        both denominators are positive, so their product is."""
         if type(other) is not Cyclotomic or other.m != self.m:
             raise self._mismatch(other)
-        a, b = self, other
-        num = None
-        if any(b.num[1:]):
-            if any(a.num[1:]):
-                num = _context(a.m).times(a.num, b.num)
-            else:
-                a, b = b, a
-        if num is None:
-            # b is rational: scale a by it
-            c = b.num[0]
-            if c == 0:
-                return b
-            if c == 1 and b.den == 1:
-                return a
-            num = _context(a.m).scale(c, a.num)
-        # both denominators are positive, so their product is
-        den = a.den * b.den
-        if den != 1:
-            g = gcd(den, *num)
-            if g != 1:
-                num = [x // g for x in num]
-                den //= g
-        return Cyclotomic(a.m, tuple(num), den, _canonical=True)
+        return _context(self.m).mul(self, other)
 
     def inverse(self) -> "Cyclotomic":
         """Multiplicative inverse; raises ZeroDivisionError on zero.
@@ -751,30 +828,13 @@ def _divisors_of(n: int) -> list[int]:
 
 def add_product(partial: dict, key, a: Cyclotomic, b: Cyclotomic):
     """partial[key] += a b for a map of partial sums [integer numerators,
-    positive denominator] over one order m.  The raw product (a rational
-    operand scales the other's coordinates, else the context's times) over
-    the product of the denominators is added with no gcd and no object: with
-    the key's denominator only integers are added, another rescales both to
-    the lcm, each through a kernel of the context.  Nothing is normalized
-    until settle."""
-    ctx = _context(a.m)
-    if not any(b.num[1:]):
-        num = ctx.scale(b.num[0], a.num)
-    elif not any(a.num[1:]):
-        num = ctx.scale(a.num[0], b.num)
-    else:
-        num = ctx.times(a.num, b.num)
-    den = a.den * b.den
-    cur = partial.get(key)
-    if cur is None:
-        partial[key] = [num, den]
-    elif cur[1] == den:
-        cur[0] = ctx.add(cur[0], num)
-    else:
-        g = gcd(cur[1], den)
-        s, t = den // g, cur[1] // g
-        cur[0] = ctx.rescaled_add(cur[0], s, num, t)
-        cur[1] *= s
+    positive denominator] over one order m: the order's kernel add_product,
+    which a loop over many terms binds once (_context(m).add_product).  The
+    raw product (a rational operand scales the other's coordinates, else the
+    context's times) over the product of the denominators is added with no
+    gcd and no object: with the key's denominator only integers are added,
+    another rescales both to the lcm.  Nothing is normalized until settle."""
+    _context(a.m).add_product(partial, key, a, b)
 
 
 def settle(partial: dict, m: int) -> dict:
@@ -791,8 +851,9 @@ def add_maps(x: dict, y: dict, sign: int, m: int) -> dict:
     through add_product, and settle drops the keys that cancelled."""
     partial = {key: [c.num, c.den] for key, c in x.items()}
     factor = Cyclotomic.from_rational(sign, m)
+    add = _context(m).add_product
     for key, c in y.items():
-        add_product(partial, key, c, factor)
+        add(partial, key, c, factor)
     return settle(partial, m)
 
 
@@ -937,10 +998,11 @@ class EtaPolynomial:
             return NotImplemented
         self._check(other)
         check_eta_degree(self.degree(), other.degree())
+        add = _context(self.m).add_product
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                add_product(out, e1 + e2, c1, c2)
+                add(out, e1 + e2, c1, c2)
         return EtaPolynomial(self.nvars, self.m, settle(out, self.m))
 
     def __eq__(self, other):
@@ -1009,6 +1071,7 @@ class EtaPolynomial:
         lead = max(other.terms)
         lead_c_inv = other.terms[lead].inverse()
         guards = _guards(self.nvars)
+        add = _context(self.m).add_product
         # the lead term cancels the remainder's largest term exactly
         rest = [(e2, c2) for e2, c2 in other.terms.items() if e2 != lead]
         # the remainder's keys negated, so the largest pops first; a key is
@@ -1034,7 +1097,7 @@ class EtaPolynomial:
                 k = diff + e2
                 if k not in rem:
                     heappush(heap, -k)
-                add_product(rem, k, neg_q, c2)
+                add(rem, k, neg_q, c2)
         return EtaPolynomial(self.nvars, self.m, out)
 
     def sorted_terms(self):

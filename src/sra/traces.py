@@ -60,8 +60,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
 
-from .scalar import (GRAM_BASIS_CAP, CapExceededError, Cyclotomic, EtaPolynomial, add_product,
-                     literal, render_eta, render_sum, render_term, settle)
+from .scalar import (GRAM_BASIS_CAP, CapExceededError, Cyclotomic, EtaPolynomial, _context,
+                     add_product, literal, render_eta, render_sum, render_term, settle)
 from .linalg import Matrix, components, fraction_free_det, inverse
 from .group import Group
 from .algebra import Algebra, AlgebraElement, _letters, kappa_commutator, symmetrized_monomial
@@ -246,9 +246,10 @@ def _reflection_sum(flat: dict, functional: TraceFunctional, entries, classes):
     h, and each class value is scaled once per h."""
     m = functional.algebra.m
     one = Cyclotomic.one(m)
+    add = _context(m).add_product
     per_class: dict = {}
     for (_, h, coeff), rc in zip(entries, classes):
-        add_product(per_class, (rc, h), coeff, one)
+        add(per_class, (rc, h), coeff, one)
     for (rc, h), coeff in settle(per_class, m).items():
         _add_shifted(flat, functional.table[rc].terms, h, coeff)
 
@@ -348,21 +349,31 @@ def _conjugated_reflections(group: Group, refl: dict, h, h_inv) -> dict:
 def _add_scaled(flat: dict, val: dict, c: Cyclotomic):
     """flat += c val, for a flat map {(P index, eta exponent): partial sum}
     (see add_product) and a settled one."""
+    add = _context(c.m).add_product
     for key, k in val.items():
-        add_product(flat, key, k, c)
+        add(flat, key, k, c)
 
 
 def _add_shifted(flat: dict, val: dict, h: int, c: Cyclotomic):
     """flat += c eta^h val, for a settled val (see _add_scaled) and a packed
     eta exponent h."""
+    add = _context(c.m).add_product
     for (i, e), k in val.items():
-        add_product(flat, (i, e + h), k, c)
+        add(flat, (i, e + h), k, c)
 
 
 def _scaled(val: dict, c: Cyclotomic) -> dict:
     """c val for a settled val and a nonzero c: settled already, since a
     nonzero product in a field is nonzero and canonical."""
     return {key: k * c for key, k in val.items()}
+
+
+def _times_all(c: Cyclotomic, factors: list, one: Cyclotomic) -> Cyclotomic:
+    """c times the product of the factors, with no product by the shared one
+    when c is it."""
+    if c is one and factors:
+        c, factors = factors[0], factors[1:]
+    return prod(factors, start=c)
 
 
 def _prefix_product(products: dict, cols, w) -> Cyclotomic:
@@ -459,19 +470,20 @@ class _Evaluator:
         if h_inv is None:
             h_inv = self._conjugator_inv[g_key] = _checked_conjugator(group, self.kappa,
                                                                       g_key)[1]
-        ids, scalars = [], []
+        ids, scalars, inverses = [], [], []
         for letter in word:
             moved, c, c_inv = self.alg.moved_letter(h_inv, letter)
             ids.append(moved)
             if c is not one:
-                scalars.append((c, c_inv))
+                scalars.append(c)
+                inverses.append(c_inv)
         key = (group.class_rep[ci], tuple(ids))
         base = self._class_vecs.get(key)
         if base is None:
             got = self._expand(g_key, word)
-            self._class_vecs[key] = got, prod((c_inv for _, c_inv in scalars), start=one)
+            self._class_vecs[key] = got, _times_all(one, inverses, one)
             return got, one
-        return base[0], prod((c for c, _ in scalars), start=base[1])
+        return base[0], _times_all(base[1], scalars, one)
 
     def _expand(self, g_key, word: tuple[int, ...]) -> dict:
         """Trace of a word of letter ids times g: the word is expanded in the
@@ -563,7 +575,7 @@ class _Evaluator:
         entries = chart.refl.get((x, y) if x < y else (y, x))
         if not entries:
             return
-        ids = chart.letter_ids
+        ids, reflected = chart.letter_ids, chart.reflected
         head = [ids[p] for p in prefix]
         move, one = self.alg.moved_letter, self.one
         for rkey, h, c in entries:
@@ -573,7 +585,7 @@ class _Evaluator:
                 word.append(u)
                 if cs is not one:
                     scalars.append(cs)
-            val, k = self.vectors(self.group.mul(rkey, g_key), tuple(word))
+            val, k = self.vectors(reflected[rkey], tuple(word))
             if val:
                 c = prod(scalars, start=c if x < y else -c)
                 _add_shifted(flat, val, h, c if k is one else c * k)

@@ -2,7 +2,7 @@ import operator
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -223,20 +223,46 @@ def _coordinates(deg: int):
 @given(data=st.data())
 def test_coordinate_kernels_match_the_plain_code(m, data):
     # each kernel of the order against the plain code: the naive product
-    # reduced mod Phi_m, and the list comprehensions the linear kernels
-    # replaced, on drawn operands and on a zero, a monomial and a dense one;
-    # the product is unrolled up to the cutoff only
+    # reduced mod Phi_m, then the gcd, for mul; the integer sums over the
+    # product of the denominators, and over their lcm, for add_product; on
+    # drawn operands and on a rational, a zero, a monomial and a dense one,
+    # in both orders.  The product is unrolled up to the cutoff only
     ctx = _context(m)
     deg = len(cyclotomic_polynomial(m)) - 1
     assert (ctx.times == ctx._times) == (deg > PRODUCT_KERNEL_CUTOFF)
-    kinds = [(0,) * deg, (0,) * (deg - 1) + (-7,), tuple(range(1, deg + 1))]
-    x, y = data.draw(_coordinates(deg)), data.draw(_coordinates(deg))
-    c, s, t = data.draw(st.tuples(*[st.integers(-10 ** 12, 10 ** 12)] * 3))
-    for a, b in [(x, y)] + [(k, y) for k in kinds] + [(x, k) for k in kinds]:
-        assert list(ctx.times(a, b)) == _naive_times(m, a, b)
-        assert ctx.scale(c, a) == tuple([c * u for u in a])
-        assert ctx.add(a, b) == tuple([u + v for u, v in zip(a, b)])
-        assert ctx.rescaled_add(a, s, b, t) == tuple([u * s + v * t for u, v in zip(a, b)])
+    kinds = [(5,) + (0,) * (deg - 1), (0,) * deg, (0,) * (deg - 1) + (-7,),
+             tuple(range(1, deg + 1))]
+    x, y, z = (data.draw(_coordinates(deg)) for _ in range(3))
+    da, db = data.draw(st.integers(1, 10 ** 6)), data.draw(st.integers(1, 10 ** 6))
+    # c's denominator differs from b's, so a c adds over the lcm
+    dc = db + data.draw(st.integers(1, 10 ** 6))
+    c = Cyclotomic(m, z, dc)
+    for u, v in [(x, y)] + [(k, y) for k in kinds] + [(x, k) for k in kinds]:
+        assert list(ctx.times(u, v)) == _naive_times(m, u, v)
+        a, b = Cyclotomic(m, u, da), Cyclotomic(m, v, db)
+        for p, q in ((a, b), (b, a)):
+            assert ctx.mul(p, q) == Cyclotomic(m, tuple(_naive_times(m, p.num, q.num)),
+                                               p.den * q.den)
+        # two adds over one denominator, then two over another
+        partial: dict = {}
+        for p, q in ((a, b), (b, a), (a, c), (c, a)):
+            ctx.add_product(partial, "k", p, q)
+        ab, ac = _naive_times(m, a.num, b.num), _naive_times(m, a.num, c.num)
+        d1, d2 = a.den * b.den, a.den * c.den
+        d = lcm(d1, d2)
+        assert list(partial["k"][0]) == [2 * s * (d // d1) + 2 * t * (d // d2)
+                                         for s, t in zip(ab, ac)]
+        assert partial["k"][1] == d
+        partial = {}
+        for p, q in ((a, b), (b, a), (a, b)):
+            ctx.add_product(partial, "k", p, q)
+        assert list(partial["k"][0]) == [3 * s for s in ab] and partial["k"][1] == d1
+    # the early exits return an operand itself; the right operand is tested
+    # for rationality first, so one * a scales a rational a
+    for a in (Cyclotomic(m, x, da), Cyclotomic(m, kinds[-1], da)):
+        assert a * ctx.zero is ctx.zero and a * ctx.one is a
+        if not a.is_rational():
+            assert ctx.zero * a is ctx.zero and ctx.one * a is a
 
 
 @settings(max_examples=60, deadline=None)
@@ -604,12 +630,12 @@ def test_exact_divide_undoes_the_product(case):
 
 def test_exact_divide_drops_the_terms_that_cancel_in_the_remainder(monkeypatch):
     # (eta0 + eta1)(eta0 - eta1) / (eta0 - eta1): the second quotient term
-    # adds +eta1^2 onto the remainder's -eta1^2, a key that cancels there
-    import sra.scalar
+    # adds +eta1^2 onto the remainder's -eta1^2, a key that cancels there;
+    # the division adds through its order's add_product
     m = 3
     eta0, eta1 = eta_var(0, 2, m), eta_var(1, 2, m)
     z = eta_const(Cyclotomic.root_of_unity(m), 2, m)
-    real, cancelled = sra.scalar.add_product, []
+    real, cancelled = _context(m).add_product, []
 
     def watching(partial, key, a, b):
         real(partial, key, a, b)
@@ -618,7 +644,7 @@ def test_exact_divide_drops_the_terms_that_cancel_in_the_remainder(monkeypatch):
 
     cases = [(p, q, p * q) for p, q in [(eta0 + eta1, eta0 - eta1),
                                          (eta0 * z + eta1, eta0 * eta1 - eta1 * eta1 * z)]]
-    monkeypatch.setattr(sra.scalar, "add_product", watching)
+    monkeypatch.setattr(_context(m), "add_product", watching)
     for p, q, pq in cases:
         cancelled.clear()
         assert pq.exact_divide(q) == p
