@@ -380,14 +380,20 @@ def close(generators: list[Matrix], omega: Matrix, cap: int = DEFAULT_CAP,
             perm.append(x)
 
     # BFS over permutations of Omega, recording right[gi][i] = i * gens[gi];
-    # pending holds an element's full permutation until it is expanded
+    # pending holds an element's full permutation until it is expanded, and
+    # its order is the least d with p^d fixing the basis points
     steps = [(itemgetter(*q[:dim]), itemgetter(*q)) for q in perms]
     ident = tuple(range(len(points)))
-    found = {ident[:dim]: 0}
-    cols, words, pending = [ident[:dim]], [()], {0: ident}
+    basis = ident[:dim]
+    found = {basis: 0}
+    cols, words, pending, orders = [basis], [()], {0: ident}, []
     right: list[list[int]] = [[] for _ in gens]
     for i, word in enumerate(words):    # grows while it is walked
         p = pending.pop(i)
+        d, cur = 1, cols[i]
+        while cur != basis:
+            d, cur = d + 1, itemgetter(*cur)(p)
+        orders.append(d)
         for gi, (head, whole) in enumerate(steps):
             img = head(p)
             j = found.get(img)
@@ -399,15 +405,6 @@ def close(generators: list[Matrix], omega: Matrix, cap: int = DEFAULT_CAP,
                 words.append(word + (gi,))
                 pending[j] = whole(p)
             right[gi].append(j)
-
-    # element orders by walking each element's word through the tables
-    orders = []
-    for k, word in enumerate(words):
-        d, cur = 1, k
-        while cur != 0:
-            cur = _walk(right, cur, word)
-            d += 1
-        orders.append(d)
     m = lcm(m0, *orders)
 
     # matrices and keys read off the points: each distinct entry is embedded

@@ -9,9 +9,14 @@ representations coincide, which makes cyclotomics usable as dict keys and as
 deterministic sort keys.  A rational enters Q(zeta_m) one way, through
 Cyclotomic.from_rational: +, -, * and == take only a Cyclotomic of one order.
 
-* and add_product are each one call of a kernel of the order's context,
-compiled once per coordinate length from source built from integers alone:
-mul and add_product, which call the product folded mod Phi_m, unrolled up to
+* is one call of the order context's kernel mul, and its kernel add_product,
+bound once by each loop over many terms (_context(m).add_product), is the one
+multiply-add: partial[key] += a b for a map of partial sums [integer
+numerators, positive denominator], the raw product over the product of the
+denominators added with no gcd and no object (only integers with the key's
+denominator, else both rescaled to the lcm), and nothing normalized until
+settle.  Both are compiled once per coordinate length from source built from
+integers alone and call the product folded mod Phi_m, unrolled up to
 PRODUCT_KERNEL_CUTOFF and generated on the order's first product of two
 non-rational values, and the loop _times above the cutoff.
 
@@ -826,17 +831,6 @@ def _divisors_of(n: int) -> list[int]:
     return sorted(divs)
 
 
-def add_product(partial: dict, key, a: Cyclotomic, b: Cyclotomic):
-    """partial[key] += a b for a map of partial sums [integer numerators,
-    positive denominator] over one order m: the order's kernel add_product,
-    which a loop over many terms binds once (_context(m).add_product).  The
-    raw product (a rational operand scales the other's coordinates, else the
-    context's times) over the product of the denominators is added with no
-    gcd and no object: with the key's denominator only integers are added,
-    another rescales both to the lcm.  Nothing is normalized until settle."""
-    _context(a.m).add_product(partial, key, a, b)
-
-
 def settle(partial: dict, m: int) -> dict:
     """{key: canonical Cyclotomic} from a map of add_product sums, each
     reduced with one gcd; the keys whose sum cancelled are dropped."""
@@ -1018,6 +1012,7 @@ class EtaPolynomial:
         if len(point) != self.nvars:
             raise ValueError("evaluation point arity mismatch")
         vals = [None if p is None else Cyclotomic.from_rational(p).as_rational() for p in point]
+        add = _context(self.m).add_product
         out: dict = {}
         for k, c in self.terms.items():
             e = eta_unpack(k, self.nvars)
@@ -1026,7 +1021,7 @@ class EtaPolynomial:
                 if v is not None:
                     q *= v ** exp
             rest = eta_pack(tuple(0 if v is not None else exp for exp, v in zip(e, vals)))
-            add_product(out, rest, c, Cyclotomic.from_rational(q, self.m))
+            add(out, rest, c, Cyclotomic.from_rational(q, self.m))
         return EtaPolynomial(self.nvars, self.m, settle(out, self.m))
 
     def evaluate(self, point: list[Fraction]) -> Cyclotomic:

@@ -41,9 +41,9 @@ that cancelled dropped.  A TraceValue, each class of the GLC table and each
 eigen-word memo entry of the evaluator hold one; a word memo entry is a pair
 (map, c), c times a map held once and shared, and its caller folds c into the
 scalar it applies.  Every sum of c sp(...) terms, in solve_glc, verify_glc and
-the evaluator alike, adds each product into a flat map of partial sums through
-`add_product`, integer numerators over one denominator per key, and `settle`
-settles it.
+the evaluator alike, adds each product, its factor applied term by term, into
+one flat map of partial sums through the order's add_product (sra.scalar),
+integer numerators over one denominator per key, and `settle` settles it once.
 
 gram() fills the Gram matrix at one free-parameter assignment, substituted
 into the class table first, and reads each entry sp(f_i f_j) as one word of
@@ -61,7 +61,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm, prod
 
 from .scalar import (GRAM_BASIS_CAP, CapExceededError, Cyclotomic, EtaPolynomial, _context,
-                     add_product, literal, render_eta, render_sum, render_term, settle)
+                     literal, render_eta, render_sum, render_term, settle)
 from .linalg import Matrix, components, fraction_free_det, inverse
 from .group import Group
 from .algebra import Algebra, AlgebraElement, _letters, kappa_commutator, symmetrized_monomial
@@ -127,9 +127,10 @@ class TraceValue:
         if len(assignment) != self.nparams:
             raise ValueError("assignment arity mismatch")
         values = [Cyclotomic.from_rational(a, m) for a in assignment]
+        add = _context(m).add_product
         out: dict = {}
         for (i, e), c in self.terms.items():
-            add_product(out, e, c, values[i])
+            add(out, e, c, values[i])
         return EtaPolynomial(self.nvars, m, settle(out, m))
 
     def __repr__(self):
@@ -212,9 +213,9 @@ def solve_glc(algebra: Algebra, kappa: int, verify: bool = True) -> TraceFunctio
         scalar, refl = algebra.kappa_table(rep, kappa)
         entries = refl.get((0, 1), ())
         flat: dict = {}
-        _reflection_sum(flat, functional, entries, _product_classes(functional, rep, entries))
-        table[ci] = TraceValue(nparams, nvars, settle(flat, algebra.m)).scaled(
-            -scalar[0][1].inverse())
+        _reflection_sum(flat, functional, entries, _product_classes(functional, rep, entries),
+                        -scalar[0][1].inverse())
+        table[ci] = TraceValue(nparams, nvars, settle(flat, algebra.m))
     if verify:
         verify_glc(functional)
     return functional
@@ -236,14 +237,15 @@ def _product_classes(functional: TraceFunctional, g_key, entries) -> tuple:
     return classes
 
 
-def _reflection_sum(flat: dict, functional: TraceFunctional, entries, classes):
-    """flat += sum_R eta_R omega_R(c_i, c_j) sp(R g), for a flat map of
-    partial sums (see add_product), over the entries (R, h, omega_R(c_i,
+def _reflection_sum(flat: dict, functional: TraceFunctional, entries, classes,
+                    factor: Cyclotomic):
+    """flat += factor sum_R eta_R omega_R(c_i, c_j) sp(R g), for a flat map
+    of partial sums (see _add_scaled), over the entries (R, h, omega_R(c_i,
     c_j)) of a relation table and the classes of their products R g
     (_product_classes), with sp(R g) read from the functional's class table.
 
     The values omega_R are first added per class C of R g and eta exponent
-    h, and each class value is scaled once per h."""
+    h, and each class value is scaled once per h, by that sum times factor."""
     m = functional.algebra.m
     one = Cyclotomic.one(m)
     add = _context(m).add_product
@@ -251,7 +253,7 @@ def _reflection_sum(flat: dict, functional: TraceFunctional, entries, classes):
     for (_, h, coeff), rc in zip(entries, classes):
         add(per_class, (rc, h), coeff, one)
     for (rc, h), coeff in settle(per_class, m).items():
-        _add_shifted(flat, functional.table[rc].terms, h, coeff)
+        _add_shifted(flat, functional.table[rc].terms, h, coeff * factor)
 
 
 def verify_glc(functional: TraceFunctional):
@@ -288,6 +290,7 @@ def verify_glc(functional: TraceFunctional):
     """
     group = functional.group
     kappa = functional.kappa
+    one = Cyclotomic.one(functional.algebra.m)
     for ci, cls in enumerate(group.classes):
         rep = group.class_rep[ci]
         e_val, basis = group.e_grading(rep, kappa)
@@ -308,7 +311,7 @@ def verify_glc(functional: TraceFunctional):
                         continue
                     flat: dict = {}
                     _add_scaled(flat, spg, scalar[i][j])
-                    _reflection_sum(flat, functional, entries, classes)
+                    _reflection_sum(flat, functional, entries, classes, one)
                     residual = settle(flat, functional.algebra.m)
                     if residual:
                         value = TraceValue(functional.nparams, group.n_eta, residual)
@@ -348,7 +351,7 @@ def _conjugated_reflections(group: Group, refl: dict, h, h_inv) -> dict:
 
 def _add_scaled(flat: dict, val: dict, c: Cyclotomic):
     """flat += c val, for a flat map {(P index, eta exponent): partial sum}
-    (see add_product) and a settled one."""
+    of the order's add_product (sra.scalar) and a settled one."""
     add = _context(c.m).add_product
     for key, k in val.items():
         add(flat, key, k, c)
@@ -396,11 +399,12 @@ class _Evaluator:
     """Reduction engine for one functional and one pair of step strategies.
 
     Words are tuples of letter ids (Algebra.intern); a bword word is a tuple
-    of eigen-indices I of the chart of its group element.  The steps add
-    their terms into flat maps of partial sums (see _add_scaled); bword
-    memoizes each map settled per (g, eigen-word), and vectors a pair (map,
-    c) per (g, word) and, behind that, per (class representative, moved word)
-    (_class_vectors), each map held once and shared by reference."""
+    of eigen-indices I of the chart of its group element.  Each step adds
+    its terms, its factors applied, into one flat map of partial sums (see
+    _add_scaled) and settles it once; bword memoizes each map per (g,
+    eigen-word), and vectors a pair (map, c) per (g, word) and, behind that,
+    per (class representative, moved word) (_class_vectors), each map held
+    once and shared by reference."""
 
     def __init__(self, functional: TraceFunctional, regular_strategy: str,
                  pair_strategy: str):
@@ -545,32 +549,30 @@ class _Evaluator:
         s = regular_positions[0] if self.regular_strategy == "first" else regular_positions[-1]
         L = word[s]
         rest = word[:s] + word[s + 1:]
-        before: dict = {}
-        after: dict = {}
-        for j in range(len(rest)):
-            self._comm(before if j < s else after, g_key, rest[:j], rest[j], L, rest[j + 1:])
         first, second = self.alg.chart(g_key).regular_factors(self.kappa, L)
         flat: dict = {}
-        for part, factor in ((before, first), (after, second)):
-            _add_scaled(flat, settle(part, self.alg.m), factor)
+        for j in range(len(rest)):
+            self._comm(flat, g_key, rest[:j], rest[j], L, rest[j + 1:],
+                       first if j < s else second)
         return settle(flat, self.alg.m)
 
-    def _comm(self, flat, g_key, prefix, x, y, suffix):
-        """flat += sp(prefix [b_x, b_y] suffix g) with the full commutator
-        [b_x, b_y] = t C_xy + sum_R eta_R omega_R(b_x, b_y) R."""
+    def _comm(self, flat, g_key, prefix, x, y, suffix, factor):
+        """flat += factor sp(prefix [b_x, b_y] suffix g) with the full
+        commutator [b_x, b_y] = t C_xy + sum_R eta_R omega_R(b_x, b_y) R."""
         chart = self.alg.chart(g_key)
         scal = chart.scalar[x][y] if x < y else -chart.scalar[y][x]
         if not scal.is_zero():
-            _add_scaled(flat, self.bword(g_key, prefix + suffix), scal)
-        self._refl_part(flat, g_key, prefix, x, y, suffix)
+            _add_scaled(flat, self.bword(g_key, prefix + suffix), scal * factor)
+        self._refl_part(flat, g_key, prefix, x, y, suffix, factor)
 
-    def _refl_part(self, flat, g_key, prefix, x, y, suffix):
-        """flat += the reflection terms of [b_x, b_y] (equivalently of f_xy)
-        pushed through the suffix onto g; each contributing R g drops E by
-        one.  The chart's table holds x < y, so for x > y its (y, x) entries
-        are negated.  The prefix keeps g's eigenletters and the suffix letters
-        are moved by R (Algebra.moved_letter), all as letter ids, with the
-        moved letters' scalars folded into the entry's coefficient."""
+    def _refl_part(self, flat, g_key, prefix, x, y, suffix, factor):
+        """flat += factor times the reflection terms of [b_x, b_y]
+        (equivalently of f_xy) pushed through the suffix onto g; each
+        contributing R g drops E by one.  The chart's table holds x < y, so
+        for x > y its (y, x) entries are negated.  The prefix keeps g's
+        eigenletters and the suffix letters are moved by R
+        (Algebra.moved_letter), all as letter ids, with the moved letters'
+        scalars folded into the entry's coefficient."""
         chart = self.alg.chart(g_key)
         entries = chart.refl.get((x, y) if x < y else (y, x))
         if not entries:
@@ -587,7 +589,7 @@ class _Evaluator:
                     scalars.append(cs)
             val, k = self.vectors(reflected[rkey], tuple(word))
             if val:
-                c = prod(scalars, start=c if x < y else -c)
+                c = prod(scalars, start=(c if x < y else -c) * factor)
                 _add_shifted(flat, val, h, c if k is one else c * k)
 
     def _special_step(self, g_key, word) -> dict:
@@ -612,19 +614,19 @@ class _Evaluator:
             idx = cur.index(target[pos], pos)
             while idx > pos:
                 x, y = cur[idx - 1], cur[idx]
-                self._comm(acc, g_key, tuple(cur[:idx - 1]), x, y, tuple(cur[idx + 1:]))
+                self._comm(acc, g_key, tuple(cur[:idx - 1]), x, y, tuple(cur[idx + 1:]),
+                           self.one)
                 cur[idx - 1], cur[idx] = y, x
                 idx -= 1
 
-        ssum: dict = {}
-        for tp in range(p + 1):
-            self._refl_part(ssum, g_key, (I,) * tp, I, J, (I,) * (p - tp) + (J,) * q + others)
-        for s in range(len(others)):
-            self._refl_part(ssum, g_key, (I,) * (p + 1) + (J,) * q + others[:s], others[s], J,
-                            others[s + 1:])
         scale = -(Cyclotomic.from_rational(Fraction(1, p + 1), self.alg.m)
                   * chart.pair_inverse(I, J))
-        _add_scaled(acc, settle(ssum, self.alg.m), scale)
+        for tp in range(p + 1):
+            self._refl_part(acc, g_key, (I,) * tp, I, J, (I,) * (p - tp) + (J,) * q + others,
+                            scale)
+        for s in range(len(others)):
+            self._refl_part(acc, g_key, (I,) * (p + 1) + (J,) * q + others[:s], others[s], J,
+                            others[s + 1:], scale)
         return settle(acc, self.alg.m)
 
 
@@ -695,6 +697,7 @@ def _eta0_coefficient(quad, exp: tuple[int, ...], m: int) -> Cyclotomic:
     # Q is homogeneous of degree 2, so of exp(Q) only Q^(deg/2) / (deg/2)!
     # has degree deg; terms that exceed exp in some letter are dropped early
     power = {(0,) * len(exp): Cyclotomic.one(m)}
+    add = _context(m).add_product
     for _ in range(deg // 2):
         nxt: dict = {}
         for e1, c1 in power.items():
@@ -702,7 +705,7 @@ def _eta0_coefficient(quad, exp: tuple[int, ...], m: int) -> Cyclotomic:
                 e = tuple([a + b for a, b in zip(e1, e2)])
                 if any(a > b for a, b in zip(e, exp)):
                     continue
-                add_product(nxt, e, c1, c2)
+                add(nxt, e, c1, c2)
         power = settle(nxt, m)
     coeff = power.get(tuple(exp), zero)
     return coeff * Cyclotomic.from_rational(Fraction(factorial(deg), factorial(deg // 2)), m)
@@ -915,9 +918,9 @@ def gram(functional: TraceFunctional, degree: int,
             moved = [algebra.moved_letter(g, letter) for letter in words[j]]
             val, c = ev.vectors(group.mul(g, reps[j]), word + tuple(u for u, _, _ in moved))
             c = prod((k for _, k, _ in moved), start=c)
-            if c != unit:
-                val = _scaled(val, c)
-            mat[i][j] = mat[j][i] = EtaPolynomial(nvars, m, {e: k for (_, e), k in val.items()})
+            same = c == unit
+            mat[i][j] = mat[j][i] = EtaPolynomial(
+                nvars, m, {e: k if same else k * c for (_, e), k in val.items()})
     determinant = roots = None
     if compute_determinant:
         one = EtaPolynomial.constant(1, nvars, m)

@@ -20,7 +20,6 @@ from sra.scalar import (
     _divisors_of,
     _zeta_substitute,
     add_maps,
-    add_product,
     cyclotomic_polynomial,
     eta_degree,
     eta_pack,
@@ -559,9 +558,10 @@ def test_partial_sums_settle_to_the_chained_adds(case):
     # key: the same canonical values (positive denominator, content 1), and a
     # key whose sum cancelled is absent, from the settled map and the TraceValue
     m, adds = case
+    add = _context(m).add_product
     partial, chained = {}, {}
     for key, a, b in adds:
-        add_product(partial, key, a, b)
+        add(partial, key, a, b)
         chained[key] = chained.get(key, Cyclotomic.zero(m)) + a * b
     want = {key: s for key, s in chained.items() if not s.is_zero()}
     got = settle(partial, m)
@@ -660,10 +660,11 @@ def test_one_term_product_matches_the_general_path(case):
     # a product with a one-term operand, which goes through add_product like
     # every other product, against a partial-sum loop written out here
     p, t = case
+    add = _context(p.m).add_product
     out: dict = {}
     for e1, c1 in p.terms.items():
         for e2, c2 in t.terms.items():
-            add_product(out, e1 + e2, c1, c2)
+            add(out, e1 + e2, c1, c2)
     want = EtaPolynomial(2, p.m, settle(out, p.m))
     assert p * t == want
     assert t * p == want

@@ -345,6 +345,37 @@ def test_class_memo_expands_once_per_distinct_moved_word(monkeypatch):
     assert misses < calls
 
 
+@pytest.mark.parametrize("make, word", [(lambda: doubled_coxeter("A", 3), [0, 2, 1, 3, 0, 2]),
+                                        (lambda: doubled_coxeter("B", 2), [0, 2, 1, 3, 3, 1]),
+                                        (lambda: dihedral(5), [0, 1, 2, 3])],
+                         ids=["S3", "doubled-B2", "dihedral5"])
+@pytest.mark.parametrize("kappa", [1, -1])
+def test_each_reduction_step_settles_once(make, word, kappa, monkeypatch):
+    # each regular and special step adds its terms, its factors applied, into
+    # one flat map and settles it once, as do _expand and element_value
+    import sra.traces
+    algebra = Algebra(make())
+    fn = solve_glc(algebra, kappa)
+    elements = [algebra.word(word, key) for key in sorted(algebra.group.elements)[:4]]
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(sra.traces, "settle", counting("settle", sra.traces.settle))
+    for name in ("_regular_step", "_special_step", "_expand"):
+        monkeypatch.setattr(_Evaluator, name, counting(name, getattr(_Evaluator, name)))
+    ev = _Evaluator(fn, "first", "first")
+    for f in elements:
+        ev.element_value(f)
+    assert calls["_special_step"] > 0
+    assert calls["settle"] == (calls["_regular_step"] + calls["_special_step"]
+                               + calls["_expand"] + len(elements))
+
+
 @pytest.mark.parametrize("make, t", [(lambda: dihedral(5), 1),
                                      (lambda: doubled_coxeter("B", 2), Fraction(3, 2))],
                          ids=["dihedral5", "doubled-B2-t3/2"])
