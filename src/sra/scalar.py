@@ -15,10 +15,14 @@ multiply-add: partial[key] += a b for a map of partial sums [integer
 numerators, positive denominator], the raw product over the product of the
 denominators added with no gcd and no object (only integers with the key's
 denominator, else both rescaled to the lcm), and nothing normalized until
-settle.  Both are compiled once per coordinate length from source built from
-integers alone and call the product folded mod Phi_m, unrolled up to
-PRODUCT_KERNEL_CUTOFF and generated on the order's first product of two
-non-rational values, and the loop _times above the cutoff.
+settle, the order's third kernel, which reduces each sum with one gcd.  All
+three are compiled once per coordinate length from source built from
+integers alone; mul and add_product call the product folded mod Phi_m,
+unrolled up to PRODUCT_KERNEL_CUTOFF and generated on the order's first
+product of two non-rational values, and the loop _times above the cutoff.
+A value known to be canonical is built by _canonical, one object and three
+stores, which mul and settle inline; Cyclotomic(m, num, den) is the
+reducing constructor only.
 
 An eta exponent (e_0, ..., e_(n-1)) is one packed int (Monagan and Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -170,8 +174,8 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 class _CycContext:
     """Per-order tables: Phi_m, the canonical coordinates of every power
     zeta^k (x^k mod Phi_m for k < m), the one shared instance each of 0 and
-    1, and the coordinate kernels: mul and add_product (_order_kernels),
-    and times, the product they call."""
+    1, and the coordinate kernels: mul, add_product and settle
+    (_order_kernels), and times, the product the first two call."""
 
     def __init__(self, m: int):
         self.m = m
@@ -187,9 +191,9 @@ class _CycContext:
             powers.append(tuple(cur))
             cur = self._times_x(cur)
         self.powers = powers
-        self.zero = Cyclotomic(m, (0,) * self.deg, 1, _canonical=True)
-        self.one = Cyclotomic(m, powers[0], 1, _canonical=True)
-        self.mul, self.add_product = _order_kernels(self.deg)(self)
+        self.zero = _canonical(m, (0,) * self.deg, 1)
+        self.one = _canonical(m, powers[0], 1)
+        self.mul, self.add_product, self.settle = _order_kernels(self.deg)(self)
 
     def _times_x(self, vec: list[int]) -> list[int]:
         """Multiply a reduced coefficient vector by x, then reduce."""
@@ -266,26 +270,35 @@ def _compiled(source: str, **names) -> dict:
 
 @lru_cache(maxsize=None)
 def _order_kernels(deg: int):
-    """bind(ctx) -> (mul, add_product) for the orders of length deg, compiled
-    with one exec: the whole of Cyclotomic.__mul__ past its order check and
-    of add_product, closures over the order's m and its product ctx.times.
+    """bind(ctx) -> (mul, add_product, settle) for the orders of length
+    deg, compiled with one exec: the whole of Cyclotomic.__mul__ past its
+    order check, of add_product and of settle, closures over the order's m
+    and its product ctx.times.
 
-    Each unpacks both operands' coordinates, tests each for rationality,
-    scales by a rational operand and adds into a partial sum inline, and
-    calls ctx.times only when both operands are non-rational.  Up to
+    mul and add_product unpack both operands' coordinates, test each for
+    rationality, scale by a rational operand and add into a partial sum
+    inline, and call ctx.times only when both operands are non-rational.
+    settle(partial) unpacks each partial sum, drops it when it is zero,
+    divides out the gcd with its denominator (made positive first, as
+    _normalize does) and builds the value with a tuple num.  mul and settle
+    build their values inline, as _canonical does.  Up to
     PRODUCT_KERNEL_CUTOFF every coordinate is a named local; above it, where
     straight-line code would grow with phi(m) and the product is the loop
     _times anyway, the same branches run as loops over the coordinate
     tuples, so each length compiles a source of bounded size."""
     # the source of: a vector v assigned from expr, the test that v is
-    # rational, v's first coordinate, v as arguments, and the tuple of a term
-    # over the vectors vs, whose {0} stands for the index
+    # rational, the test that v is nonzero, v's first coordinate, v as
+    # arguments, and the tuple of a term over the vectors vs, whose {0}
+    # stands for the index
     if deg <= PRODUCT_KERNEL_CUTOFF:
         def unpack(v, expr):
             return f"{_names(v, deg)}= {expr}"
 
         def rational(v):
             return f"not ({' or '.join(f'{v}{i}' for i in range(1, deg))})" if deg > 1 else "True"
+
+        def nonzero(v):
+            return " or ".join(f"{v}{i}" for i in range(deg))
 
         def first(v):
             return f"{v}0"
@@ -302,6 +315,9 @@ def _order_kernels(deg: int):
 
         def rational(v):
             return f"not any({v}[1:])"
+
+        def nonzero(v):
+            return f"any({v})"
 
         def first(v):
             return f"{v}[0]"
@@ -343,7 +359,11 @@ def bind(ctx):
             if g != 1:
                 num = {each("n{0} // g", "n")}
                 den //= g
-        return Cyclotomic(m, num, den, True)
+        out = new(Cyclotomic)
+        out.m = m
+        out.num = num
+        out.den = den
+        return out
 
     def add_product(partial, key, a, b):
         {unpack("x", "a.num")}
@@ -372,9 +392,29 @@ def bind(ctx):
             cur[0] = {each("s{0} * u + n{0} * v", "s", "n")}
             cur[1] = d * u
 
-    return mul, add_product
+    def settle(partial):
+        out = {{}}
+        for key, (num, den) in partial.items():
+            {unpack("n", "num")}
+            if {nonzero("n")}:
+                if den != 1:
+                    if den < 0:
+                        den = -den
+                        num = {each("-n{0}", "n")}
+                        {unpack("n", "num")}
+                    g = gcd(den, {spread("n")})
+                    if g != 1:
+                        num = {each("n{0} // g", "n")}
+                        den //= g
+                x = out[key] = new(Cyclotomic)
+                x.m = m
+                x.num = tuple(num)
+                x.den = den
+        return out
+
+    return mul, add_product, settle
 """
-    return _compiled(source, gcd=gcd, Cyclotomic=Cyclotomic)["bind"]
+    return _compiled(source, gcd=gcd, Cyclotomic=Cyclotomic, new=_new)["bind"]
 
 
 def _product_kernel(deg: int, top):
@@ -420,15 +460,30 @@ def _normalize(num: list[int] | tuple[int, ...], den: int):
     return tuple(num), den
 
 
+_new = object.__new__
+
+
+def _canonical(m: int, num: tuple[int, ...], den: int) -> "Cyclotomic":
+    """The Cyclotomic with these fields, which are canonical already (a
+    tuple of phi(m) integers and a positive denominator prime to them):
+    one object and three stores, no reduction and no __init__.  The
+    kernels of _order_kernels build their values the same way inline."""
+    x = _new(Cyclotomic)
+    x.m = m
+    x.num = num
+    x.den = den
+    return x
+
+
 class Cyclotomic:
     """Element of Q(zeta_m) in canonical reduced form."""
 
     __slots__ = ("m", "num", "den")
 
-    def __init__(self, m: int, num: tuple[int, ...], den: int = 1, _canonical=False):
-        if _canonical:
-            self.m, self.num, self.den = m, num, den
-            return
+    def __init__(self, m: int, num, den: int = 1):
+        """The value num(zeta_m) / den for integer coordinates num of any
+        length, folded mod Phi_m and reduced; a value known to be canonical
+        is built by _canonical instead."""
         self.num, self.den = _normalize(_zeta_substitute(num, _context(m), 1), den)
         self.m = m
 
@@ -443,8 +498,7 @@ class Cyclotomic:
         if type(q) is Fraction:
             if q.denominator != 1:
                 # a Fraction is in lowest terms with a positive denominator
-                return Cyclotomic(m, (q.numerator,) + ctx.zero.num[1:], q.denominator,
-                                  _canonical=True)
+                return _canonical(m, (q.numerator,) + ctx.zero.num[1:], q.denominator)
             q = q.numerator
         elif type(q) is not int:
             raise (ValueError if isinstance(q, (Number, str)) else TypeError)(
@@ -453,7 +507,7 @@ class Cyclotomic:
             return ctx.zero
         if q == 1:
             return ctx.one
-        return Cyclotomic(m, (q,) + ctx.zero.num[1:], 1, _canonical=True)
+        return _canonical(m, (q,) + ctx.zero.num[1:], 1)
 
     @staticmethod
     def zero(m: int = 1) -> "Cyclotomic":
@@ -467,7 +521,7 @@ class Cyclotomic:
     def root_of_unity(m: int, k: int = 1) -> "Cyclotomic":
         """zeta_m^k, canonical."""
         ctx = _context(m)
-        return Cyclotomic(m, ctx.powers[k % m], 1, _canonical=True)
+        return _canonical(m, ctx.powers[k % m], 1)
 
     # -- predicates & conversions -----------------------------------------
 
@@ -493,8 +547,7 @@ class Cyclotomic:
         if big_m % self.m != 0:
             raise ValueError(f"cannot embed order {self.m} into order {big_m}")
         acc = _zeta_substitute(self.num, _context(big_m), big_m // self.m)
-        num, den = _normalize(acc, self.den)
-        return Cyclotomic(big_m, num, den, _canonical=True)
+        return _canonical(big_m, *_normalize(acc, self.den))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -517,18 +570,18 @@ class Cyclotomic:
         if not any(self.num):
             return other if sign == 1 else -other
         if self.den == other.den == 1:
-            return Cyclotomic(self.m, tuple([x + sign * y for x, y in zip(self.num, other.num)]),
-                              1, _canonical=True)
+            return _canonical(self.m, tuple([x + sign * y for x, y in zip(self.num, other.num)]),
+                              1)
         bd, ad = other.den, sign * self.den
         n, d = _normalize([x * bd + y * ad for x, y in zip(self.num, other.num)],
                           self.den * bd)
-        return Cyclotomic(self.m, n, d, _canonical=True)
+        return _canonical(self.m, n, d)
 
     def __add__(self, other):
         return self._add(other, 1)
 
     def __neg__(self):
-        return Cyclotomic(self.m, tuple([-c for c in self.num]), self.den, _canonical=True)
+        return _canonical(self.m, tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other):
         return self._add(other, -1)
@@ -563,7 +616,7 @@ class Cyclotomic:
             raise ArithmeticError(f"cyclotomic inverse of {self!r}: cofactor of degree "
                                   f"{len(b) - 1} >= phi({m}) = {deg}")
         num, den = _normalize([self.den * x for x in b] + [0] * (deg - len(b)), d)
-        out = Cyclotomic(m, num, den, _canonical=True)
+        out = _canonical(m, num, den)
         if self * out != Cyclotomic.one(m):
             raise ArithmeticError(f"cyclotomic inverse of {self!r} failed its check")
         return out
@@ -833,9 +886,9 @@ def _divisors_of(n: int) -> list[int]:
 
 def settle(partial: dict, m: int) -> dict:
     """{key: canonical Cyclotomic} from a map of add_product sums, each
-    reduced with one gcd; the keys whose sum cancelled are dropped."""
-    return {key: Cyclotomic(m, *_normalize(num, den), _canonical=True)
-            for key, (num, den) in partial.items() if any(num)}
+    reduced with one gcd; the keys whose sum cancelled are dropped.  The
+    order's settle kernel (_order_kernels)."""
+    return _context(m).settle(partial)
 
 
 def add_maps(x: dict, y: dict, sign: int, m: int) -> dict:
@@ -1085,7 +1138,7 @@ class EtaPolynomial:
             if diff & guards != guards:
                 raise ArithmeticError("non-exact eta-polynomial division")
             diff ^= guards
-            q = Cyclotomic(self.m, *_normalize(num, den), _canonical=True) * lead_c_inv
+            q = _canonical(self.m, *_normalize(num, den)) * lead_c_inv
             out[diff] = q
             neg_q = -q
             for e2, c2 in rest:

@@ -44,6 +44,10 @@ scalar it applies.  Every sum of c sp(...) terms, in solve_glc, verify_glc and
 the evaluator alike, adds each product, its factor applied term by term, into
 one flat map of partial sums through the order's add_product (sra.scalar),
 integer numerators over one denominator per key, and `settle` settles it once.
+The evaluator binds the order's kernels mul and add_product once, when it is
+built, and makes every scalar product and every add through them, not
+through the operators; its reflection terms memoize each suffix moved past
+R per (g, R, suffix), the letter ids with the product of their scalars.
 
 gram() fills the Gram matrix at one free-parameter assignment, substituted
 into the class table first, and reads each entry sp(f_i f_j) as one word of
@@ -371,19 +375,21 @@ def _scaled(val: dict, c: Cyclotomic) -> dict:
     return {key: k * c for key, k in val.items()}
 
 
-def _times_all(c: Cyclotomic, factors: list, one: Cyclotomic) -> Cyclotomic:
-    """c times the product of the factors, with no product by the shared one
-    when c is it."""
+def _times_all(mul, c: Cyclotomic, factors: list, one: Cyclotomic) -> Cyclotomic:
+    """c times the product of the factors, left to right through the order's
+    kernel mul, with no product by the shared one when c is it."""
     if c is one and factors:
         c, factors = factors[0], factors[1:]
-    return prod(factors, start=c)
+    for k in factors:
+        c = mul(c, k)
+    return c
 
 
-def _prefix_product(products: dict, cols, w) -> Cyclotomic:
+def _prefix_product(mul, products: dict, cols, w) -> Cyclotomic:
     """The product of the coordinates cols[j][w[j]] along the prefix w,
     memoized per prefix in `products`, which holds every prefix of length 1:
-    each prefix missing from it is multiplied once, from its longest prefix
-    already there."""
+    each prefix missing from it is multiplied once through the order's
+    kernel mul, from its longest prefix already there."""
     c = products.get(w)
     if c is None:
         j = len(w) - 1
@@ -391,7 +397,7 @@ def _prefix_product(products: dict, cols, w) -> Cyclotomic:
             j -= 1
         c = products[w[:j]]
         for j in range(j, len(w)):
-            c = products[w[:j + 1]] = c * cols[j][w[j]]
+            c = products[w[:j + 1]] = mul(c, cols[j][w[j]])
     return c
 
 
@@ -404,7 +410,9 @@ class _Evaluator:
     _add_scaled) and settles it once; bword memoizes each map per (g,
     eigen-word), and vectors a pair (map, c) per (g, word) and, behind that,
     per (class representative, moved word) (_class_vectors), each map held
-    once and shared by reference."""
+    once and shared by reference.  Every scalar product and every add of a
+    term goes through the order's kernels mul and add_product (sra.scalar),
+    bound once here, and bword hands its chart to the steps."""
 
     def __init__(self, functional: TraceFunctional, regular_strategy: str,
                  pair_strategy: str):
@@ -418,11 +426,13 @@ class _Evaluator:
         self.kappa = functional.kappa
         self.regular_strategy = regular_strategy
         self.pair_strategy = pair_strategy
-        self.one = Cyclotomic.one(self.alg.m)
+        ctx = _context(self.alg.m)
+        self.one, self.mul, self.add = ctx.one, ctx.mul, ctx.add_product
         self._bword: dict = {}
         self._vecs: dict = {}
         self._class_vecs: dict = {}
         self._conjugator_inv: dict = {}
+        self._suffixes: dict = {}
 
     # -- public -------------------------------------------------------------
 
@@ -430,10 +440,14 @@ class _Evaluator:
         """sp(f) for an element of an algebra with this functional's group
         and t; the standard letter x_i has id i in every algebra."""
         self.alg.check_same(f.algebra)
+        mul, add, one = self.mul, self.add, self.one
         flat: dict = {}
         for (exp, gk, h), c in f.terms.items():
             val, k = self.vectors(gk, _letters(exp))
-            _add_shifted(flat, val, h, c if k is self.one else c * k)
+            if k is not one:
+                c = mul(c, k)
+            for (i, e), v in val.items():
+                add(flat, (i, e + h), v, c)
         return TraceValue(self.fn.nparams, self.alg.nvars, settle(flat, self.alg.m))
 
     def vectors(self, g_key, word: tuple[int, ...]) -> tuple:
@@ -485,9 +499,9 @@ class _Evaluator:
         base = self._class_vecs.get(key)
         if base is None:
             got = self._expand(g_key, word)
-            self._class_vecs[key] = got, _times_all(one, inverses, one)
+            self._class_vecs[key] = got, _times_all(self.mul, one, inverses, one)
             return got, one
-        return base[0], _times_all(base[1], scalars, one)
+        return base[0], _times_all(self.mul, base[1], scalars, one)
 
     def _expand(self, g_key, word: tuple[int, ...]) -> dict:
         """Trace of a word of letter ids times g: the word is expanded in the
@@ -505,6 +519,7 @@ class _Evaluator:
         prefix tree is multiplied once."""
         chart = self.alg.chart(g_key)
         exps, m = chart.exponents, self.alg.m
+        mul, add = self.mul, self.add
         cols = [dict(chart.coords(letter)) for letter in word[:-1]]
         prefixes = [((i,), exps[i]) for i in cols[0]]
         for col in cols[1:]:
@@ -516,7 +531,9 @@ class _Evaluator:
             for i, ci in last.get(-s % m, ()):
                 val = self.bword(g_key, w + (i,))
                 if val:
-                    _add_scaled(flat, val, _prefix_product(products, cols, w) * ci)
+                    c = mul(_prefix_product(mul, products, cols, w), ci)
+                    for key, k in val.items():
+                        add(flat, key, k, c)
         return settle(flat, m)
 
     # -- eigen-words ----------------------------------------------------------
@@ -528,16 +545,17 @@ class _Evaluator:
         if not word:
             got = self.fn.element_value(g_key).terms
         else:
-            kappa_letters = self.alg.chart(g_key).kappa_letters[self.kappa]
+            chart = self.alg.chart(g_key)
+            kappa_letters = chart.kappa_letters[self.kappa]
             regular = [s for s, letter in enumerate(word) if letter not in kappa_letters]
             if regular:
-                got = self._regular_step(g_key, word, regular)
+                got = self._regular_step(chart, g_key, word, regular)
             else:
-                got = self._special_step(g_key, word)
+                got = self._special_step(chart, g_key, word)
         self._bword[(g_key, word)] = got
         return got
 
-    def _regular_step(self, g_key, word, regular_positions) -> dict:
+    def _regular_step(self, chart, g_key, word, regular_positions) -> dict:
         """Cyclically cancel the chosen regular letter b_L (eigenvalue lambda
         != kappa) at position s.  With rest the word without it and
         c_j = sp(rest[:j] [rest_j, b_L] rest[j+1:] g),
@@ -549,53 +567,72 @@ class _Evaluator:
         s = regular_positions[0] if self.regular_strategy == "first" else regular_positions[-1]
         L = word[s]
         rest = word[:s] + word[s + 1:]
-        first, second = self.alg.chart(g_key).regular_factors(self.kappa, L)
+        first, second = chart.regular_factors(self.kappa, L)
         flat: dict = {}
         for j in range(len(rest)):
-            self._comm(flat, g_key, rest[:j], rest[j], L, rest[j + 1:],
+            self._comm(flat, chart, g_key, rest[:j], rest[j], L, rest[j + 1:],
                        first if j < s else second)
         return settle(flat, self.alg.m)
 
-    def _comm(self, flat, g_key, prefix, x, y, suffix, factor):
+    def _comm(self, flat, chart, g_key, prefix, x, y, suffix, factor):
         """flat += factor sp(prefix [b_x, b_y] suffix g) with the full
-        commutator [b_x, b_y] = t C_xy + sum_R eta_R omega_R(b_x, b_y) R."""
-        chart = self.alg.chart(g_key)
-        scal = chart.scalar[x][y] if x < y else -chart.scalar[y][x]
-        if not scal.is_zero():
-            _add_scaled(flat, self.bword(g_key, prefix + suffix), scal * factor)
-        self._refl_part(flat, g_key, prefix, x, y, suffix, factor)
+        commutator [b_x, b_y] = t C_xy + sum_R eta_R omega_R(b_x, b_y) R.
+        The chart's table holds x < y, so for x > y the letters are swapped
+        and the factor negated, once."""
+        if x > y:
+            x, y, factor = y, x, -factor
+        scal = chart.scalar[x][y]
+        if any(scal.num):
+            val = self.bword(g_key, prefix + suffix)
+            if val:
+                c, add = self.mul(scal, factor), self.add
+                for key, k in val.items():
+                    add(flat, key, k, c)
+        self._refl_part(flat, chart, g_key, prefix, x, y, suffix, factor)
 
-    def _refl_part(self, flat, g_key, prefix, x, y, suffix, factor):
+    def _refl_part(self, flat, chart, g_key, prefix, x, y, suffix, factor):
         """flat += factor times the reflection terms of [b_x, b_y]
         (equivalently of f_xy) pushed through the suffix onto g; each
         contributing R g drops E by one.  The chart's table holds x < y, so
-        for x > y its (y, x) entries are negated.  The prefix keeps g's
-        eigenletters and the suffix letters are moved by R
-        (Algebra.moved_letter), all as letter ids, with the moved letters'
-        scalars folded into the entry's coefficient."""
-        chart = self.alg.chart(g_key)
-        entries = chart.refl.get((x, y) if x < y else (y, x))
+        for x > y the letters are swapped and the factor negated, once.  The
+        prefix keeps g's eigenletters and the suffix letters are moved by R
+        (Algebra.moved_letter), all as letter ids, with the product of the
+        moved letters' scalars folded into the entry's coefficient.  The
+        moved suffix, its ids and that product, is memoized per (g, R,
+        suffix); the product is exact, so each regrouped coefficient is the
+        same canonical value."""
+        if x > y:
+            x, y, factor = y, x, -factor
+        entries = chart.refl.get((x, y))
         if not entries:
             return
         ids, reflected = chart.letter_ids, chart.reflected
-        head = [ids[p] for p in prefix]
-        move, one = self.alg.moved_letter, self.one
+        head = tuple([ids[p] for p in prefix])
+        mul, add, one, suffixes = self.mul, self.add, self.one, self._suffixes
         for rkey, h, c in entries:
-            word, scalars = head[:], []
-            for s in suffix:
-                u, cs, _ = move(rkey, ids[s])
-                word.append(u)
-                if cs is not one:
-                    scalars.append(cs)
-            val, k = self.vectors(reflected[rkey], tuple(word))
+            moved = suffixes.get((g_key, rkey, suffix))
+            if moved is None:
+                word, cs = [], one
+                for s in suffix:
+                    u, cu, _ = self.alg.moved_letter(rkey, ids[s])
+                    word.append(u)
+                    if cu is not one:
+                        cs = cu if cs is one else mul(cs, cu)
+                moved = suffixes[(g_key, rkey, suffix)] = tuple(word), cs
+            word, cs = moved
+            val, k = self.vectors(reflected[rkey], head + word)
             if val:
-                c = prod(scalars, start=(c if x < y else -c) * factor)
-                _add_shifted(flat, val, h, c if k is one else c * k)
+                c = mul(c, factor)
+                if cs is not one:
+                    c = mul(c, cs)
+                if k is not one:
+                    c = mul(c, k)
+                for (i, e), v in val.items():
+                    add(flat, (i, e + h), v, c)
 
-    def _special_step(self, g_key, word) -> dict:
+    def _special_step(self, chart, g_key, word) -> dict:
         """All letters lie in Ker(g - kappa): reorder onto the chosen Darboux
         pair and trade the monomial for insertions that lower E."""
-        chart = self.alg.chart(g_key)
         pairs = chart.kappa_pairs[self.kappa]
         present = [pq for pq in pairs if pq[0] in word or pq[1] in word]
         if not present:
@@ -614,19 +651,19 @@ class _Evaluator:
             idx = cur.index(target[pos], pos)
             while idx > pos:
                 x, y = cur[idx - 1], cur[idx]
-                self._comm(acc, g_key, tuple(cur[:idx - 1]), x, y, tuple(cur[idx + 1:]),
+                self._comm(acc, chart, g_key, tuple(cur[:idx - 1]), x, y, tuple(cur[idx + 1:]),
                            self.one)
                 cur[idx - 1], cur[idx] = y, x
                 idx -= 1
 
-        scale = -(Cyclotomic.from_rational(Fraction(1, p + 1), self.alg.m)
-                  * chart.pair_inverse(I, J))
+        scale = -self.mul(Cyclotomic.from_rational(Fraction(1, p + 1), self.alg.m),
+                          chart.pair_inverse(I, J))
         for tp in range(p + 1):
-            self._refl_part(acc, g_key, (I,) * tp, I, J, (I,) * (p - tp) + (J,) * q + others,
-                            scale)
+            self._refl_part(acc, chart, g_key, (I,) * tp, I, J,
+                            (I,) * (p - tp) + (J,) * q + others, scale)
         for s in range(len(others)):
-            self._refl_part(acc, g_key, (I,) * (p + 1) + (J,) * q + others[:s], others[s], J,
-                            others[s + 1:], scale)
+            self._refl_part(acc, chart, g_key, (I,) * (p + 1) + (J,) * q + others[:s],
+                            others[s], J, others[s + 1:], scale)
         return settle(acc, self.alg.m)
 
 

@@ -18,6 +18,7 @@ from sra.scalar import (
     EtaPolynomial,
     _context,
     _divisors_of,
+    _normalize,
     _zeta_substitute,
     add_maps,
     cyclotomic_polynomial,
@@ -262,6 +263,39 @@ def test_coordinate_kernels_match_the_plain_code(m, data):
         assert a * ctx.zero is ctx.zero and a * ctx.one is a
         if not a.is_rational():
             assert ctx.zero * a is ctx.zero and ctx.one * a is a
+
+
+@pytest.mark.parametrize("m", _KERNEL_ORDERS)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_settle_kernel_matches_normalize(m, data):
+    # the order's settle kernel against _normalize, key by key, in the
+    # partial map's order: a sum that cancelled is dropped, a negative
+    # denominator is made positive, and a list-valued sum (the loop product
+    # leaves one above the cutoff) settles to a tuple num
+    ctx = _context(m)
+    deg = ctx.deg
+    partial: dict = {}
+    for key in range(data.draw(st.integers(0, 5))):
+        num = data.draw(_coordinates(deg))
+        den = data.draw(st.integers(-10 ** 6, 10 ** 6).filter(bool))
+        partial[key] = [list(num) if data.draw(st.booleans()) else num, den]
+    partial["cancelled"] = [(0,) * deg, data.draw(st.integers(1, 10 ** 6))]
+    partial["negative"] = [data.draw(_coordinates(deg)), -data.draw(st.integers(1, 10 ** 6))]
+    # add_product's own sums: one that cancels, and a product of two
+    # non-rational values, a list above the cutoff
+    a = Cyclotomic(m, data.draw(_coordinates(deg)), data.draw(st.integers(1, 10 ** 6)))
+    b = Cyclotomic(m, tuple(range(1, deg + 1)), data.draw(st.integers(1, 10 ** 6)))
+    for key, x, y in (("sum", a, b), ("sum", a, -b), ("product", b, b)):
+        ctx.add_product(partial, key, x, y)
+    assert (type(partial["product"][0]) is list) == (deg > PRODUCT_KERNEL_CUTOFF)
+    want = {key: _normalize(num, den) for key, (num, den) in partial.items() if any(num)}
+    got = ctx.settle(partial)
+    assert list(got) == list(want) and "cancelled" not in got and "sum" not in got
+    for key, x in got.items():
+        assert (x.m, x.num, x.den) == (m,) + want[key]
+        assert type(x.num) is tuple and _is_canonical(x)
+    assert settle(partial, m) == got
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 import sra.algebra
 from conftest import const, eta, trace_value
-from sra.scalar import Cyclotomic, EtaPolynomial, eta_pack
+from sra.scalar import Cyclotomic, EtaPolynomial, _context, eta_pack
 from sra.linalg import rank
 from sra.group import cyclic_sp2, dihedral, direct_product, doubled_coxeter
 from sra.algebra import Algebra, _letters, relation_table
@@ -270,13 +271,30 @@ def test_vectors_multiplies_only_for_nonzero_eigen_words(a2, monkeypatch):
     # an S_3 word of degree 6 times an element of order 3: with the _bword
     # memo warm, vectors makes one product per prefix of length >= 2 of the
     # eigen-words with a nonzero trace and one per such word (the length-1
-    # prefixes are coordinates), and hands each word's value on with the
+    # prefixes are coordinates), and adds each word's value with the
     # product of its letters' coordinates.  The element is its class's
     # representative and the word's letters are standard, so the class memo
-    # adds no factor and no product
-    import sra.traces
+    # adds no factor and no product.  The evaluator binds the order's
+    # kernels mul and add_product when it is built, so they are counted
+    # there, patched before it is built, and it makes no product through *
     group = a2.group
     fn = solve_glc(a2, -1)
+    ctx = _context(a2.m)
+    real_mul, real_add = ctx.mul, ctx.add_product
+    counting, products, adds = [False], [], []
+
+    def mul(a, b):
+        if counting[0]:
+            products.append(1)
+        return real_mul(a, b)
+
+    def add_product(partial, key, a, b):
+        if counting[0]:
+            adds.append((key, a, b))
+        real_add(partial, key, a, b)
+
+    monkeypatch.setattr(ctx, "mul", mul)
+    monkeypatch.setattr(ctx, "add_product", add_product)
     ev = _Evaluator(fn, "first", "first")
     g_key = next(rep for rep in group.class_rep if group.elements[rep].order == 3)
     word = (0, 2, 1, 3, 0, 2)
@@ -288,27 +306,67 @@ def test_vectors_multiplies_only_for_nonzero_eigen_words(a2, monkeypatch):
     prefixes = {w[:j] for w in words.values() for j in range(2, len(word))}
     built = list(itertools.product(*cols))
     assert 0 < len(words) < len(built)
+    vals = {id(val): val for (gk, w), val in ev._bword.items() if id(val) in words}
+    # every term of those maps is its own object, so a term names its word
+    owner = {(key, id(k)): i for i, val in vals.items() for key, k in val.items()}
+    assert len(owner) == sum(map(len, vals.values()))
 
     del ev._vecs[(g_key, word)]
     ev._class_vecs.clear()
-    real = Cyclotomic.__mul__
-    products, scaled = [], []
-
-    def counting(a, b):
-        products.append(1)
-        return real(a, b)
-
-    monkeypatch.setattr(Cyclotomic, "__mul__", counting)
-    monkeypatch.setattr(sra.traces, "_add_scaled", lambda flat, val, c: scaled.append((val, c)))
+    counting[0] = True
+    star = []
+    monkeypatch.setattr(Cyclotomic, "__mul__", lambda a, b: star.append(1))
     ev.vectors(g_key, word)
     monkeypatch.undo()
-    assert len(products) == len(prefixes) + len(words)
-    assert sorted(words[id(val)] for val, _ in scaled) == sorted(words.values())
-    for val, c in scaled:
+    scaled: dict = {}
+    for key, k, c in adds:
+        scaled.setdefault(owner[(key, id(k))], []).append((key, k, c))
+    assert not star and len(products) == len(prefixes) + len(words)
+    assert sorted(words[i] for i in scaled) == sorted(words.values())
+    for i, terms in scaled.items():
+        assert [(key, k) for key, k, _ in terms] == list(vals[i].items())
         want = Cyclotomic.one(a2.m)
-        for i, col in zip(words[id(val)], cols):
-            want = want * col[i]
-        assert c == want
+        for j, col in zip(words[i], cols):
+            want = want * col[j]
+        assert all(c == want for _, _, c in terms)
+
+
+def test_refl_part_moves_each_suffix_once(a2, monkeypatch):
+    # over S_3 words of degree 8, _refl_part moves a suffix's letters past R
+    # (Algebra.moved_letter) once per distinct (g, R, suffix), visited more
+    # often than that, and every other visit reads its memo; a warmed
+    # evaluator and a fresh one give equal values
+    group = a2.group
+    fn = solve_glc(a2, -1)
+    moves, visits = Counter(), [0]
+    real_move, real_vectors = Algebra.moved_letter, _Evaluator.vectors
+
+    def moved_letter(self, h_key, letter):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "_refl_part":
+            scope = frame.f_locals
+            moves[(scope["g_key"], scope["rkey"], scope["suffix"])] += 1
+        return real_move(self, h_key, letter)
+
+    def vectors(self, g_key, word):
+        visits[0] += sys._getframe(1).f_code.co_name == "_refl_part"
+        return real_vectors(self, g_key, word)
+
+    rng = random.Random(8)
+    keys = sorted(group.elements)
+    elements = [a2.word([rng.randrange(group.dim) for _ in range(8)], rng.choice(keys))
+                for _ in range(3)]
+    monkeypatch.setattr(Algebra, "moved_letter", moved_letter)
+    monkeypatch.setattr(_Evaluator, "vectors", vectors)
+    ev = _Evaluator(fn, "first", "first")
+    warm = [ev.element_value(f) for f in elements]
+    monkeypatch.undo()
+    assert moves and set(moves) <= set(ev._suffixes)
+    assert all(moves[key] == len(key[2]) for key in ev._suffixes)
+    assert visits[0] > len(ev._suffixes)
+    assert not all(value.is_zero() for value in warm)
+    for f, value in zip(elements, warm):
+        assert _Evaluator(fn, "first", "first").element_value(f) == value
 
 
 def test_class_memo_expands_once_per_distinct_moved_word(monkeypatch):
